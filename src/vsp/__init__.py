@@ -15,7 +15,6 @@ from .core import (
     ObjectiveKind,
     Schedule,
     ShapeError,
-    TimeScale,
     ValidationReport,
     Violation,
     VspError,

@@ -147,8 +147,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config(**fields) -> ExperimentConfig:
+    """ExperimentConfig from command-line values, rejected as a VspError."""
+    try:
+        return ExperimentConfig(**fields)
+    except ValueError as exc:
+        raise VspError(str(exc)) from exc
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
-    config = ExperimentConfig(
+    config = _config(
         n_vehicles=args.vehicles,
         grid=args.grid,
         separation=args.separation,
@@ -246,7 +254,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     ratios = args.ratios if args.ratios else DEFAULT_RATIOS
     parts = []
     for n in args.vehicles:
-        config = ExperimentConfig(
+        config = _config(
             n_vehicles=n,
             grid=args.grid,
             separation=args.separation,

@@ -59,17 +59,6 @@ class ObjectiveKind(Enum):
 
 
 @dataclass(frozen=True)
-class TimeScale:
-    """Resolution of the integer tick grid (ticks per external time unit)."""
-
-    ticks_per_unit: int = 1
-
-    def __post_init__(self) -> None:
-        if not is_tick(self.ticks_per_unit) or self.ticks_per_unit <= 0:
-            raise ValueError("ticks_per_unit must be a positive integer")
-
-
-@dataclass(frozen=True)
 class Graph:
     """Directed traffic network; must be weakly connected, no self loops."""
 
@@ -151,9 +140,12 @@ class Instance:
     """One scheduling problem: graph, walks, time windows, deadlines,
     separation gaps, and the objective to minimise.
 
-    Separations are stored symmetrically: the constructor accepts entries in
-    either (or both) orientations and mirrors them.  An entry may only pair
-    distinct vehicles at steps that visit the same vertex.
+    Any two stamps of distinct vehicles at the same vertex must lie at
+    least separation ticks apart.  separations holds explicit pair gaps that
+    override that rule; the constructor accepts each entry in either
+    orientation and stores it once, lower vehicle id first.  An entry may
+    only pair distinct vehicles at steps that visit the same vertex.  Read
+    gaps through gap() and canonical_separations(), never by key.
     """
 
     graph: Graph
@@ -164,7 +156,11 @@ class Instance:
     separations: dict[SeparationKey, int] = field(default_factory=dict)
     objective: ObjectiveKind = ObjectiveKind.TARDY_COUNT
     weights: tuple[float, ...] | None = None
-    time_scale: TimeScale = TimeScale(1)
+    separation: int = 0
+    # vertex -> (vehicle, step) visits in vehicle, then step, order
+    _visits: dict[int, list[tuple[int, int]]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "walks", tuple(self.walks))
@@ -216,7 +212,14 @@ class Instance:
             raise ConfigurationError(
                 f"objective {self.objective.value} requires vehicle weights"
             )
+        if not is_tick(self.separation) or self.separation < 0:
+            raise ValueError("separation must be a nonnegative integer")
         object.__setattr__(self, "separations", self._normalised_separations())
+        visits: dict[int, list[tuple[int, int]]] = {}
+        for j, walk in enumerate(self.walks):
+            for i, vertex in enumerate(walk.vertices):
+                visits.setdefault(vertex, []).append((j, i))
+        object.__setattr__(self, "_visits", visits)
 
     def _normalised_separations(self) -> dict[SeparationKey, int]:
         table: dict[SeparationKey, int] = {}
@@ -233,10 +236,9 @@ class Instance:
                 )
             if not is_tick(s) or s < 0:
                 raise ValueError(f"separation {key} must be a nonnegative integer")
-            for k in ((j1, i1, j2, i2), (j2, i2, j1, i1)):
-                if table.get(k, s) != s:
-                    raise ValueError(f"separation {k} given twice with different values")
-                table[k] = s
+            key = (j1, i1, j2, i2) if j1 < j2 else (j2, i2, j1, i1)
+            if table.setdefault(key, s) != s:
+                raise ValueError(f"separation {key} given twice with different values")
         return table
 
     @property
@@ -247,11 +249,32 @@ class Instance:
     def total_stamps(self) -> int:
         return sum(len(w) for w in self.walks)
 
+    def gap(self, j1: int, i1: int, j2: int, i2: int) -> int:
+        """Required separation between stamp i1 of vehicle j1 and stamp i2 of
+        vehicle j2, in either order; 0 unless the two are distinct vehicles
+        at the same vertex."""
+        if j1 == j2 or self.walks[j1].vertices[i1] != self.walks[j2].vertices[i2]:
+            return 0
+        key = (j1, i1, j2, i2) if j1 < j2 else (j2, i2, j1, i1)
+        return self.separations.get(key, self.separation)
+
     def canonical_separations(self) -> Iterator[tuple[SeparationKey, int]]:
-        """Each separation once, oriented with the lower vehicle id first."""
-        for (j1, i1, j2, i2), s in self.separations.items():
-            if j1 < j2:
-                yield (j1, i1, j2, i2), s
+        """Each separated stamp pair once with its gap, lower vehicle id first.
+
+        With a positive separation every same-vertex pair of distinct
+        vehicles is listed, vertex by vertex in order of first visit; with
+        separation 0 only the overrides are, in the order they were given.
+        """
+        if self.separation == 0:
+            yield from self.separations.items()
+            return
+        overrides = self.separations
+        for steps in self._visits.values():
+            for a, (j1, i1) in enumerate(steps):
+                for j2, i2 in steps[a + 1:]:
+                    if j1 != j2:
+                        key = (j1, i1, j2, i2)
+                        yield key, overrides.get(key, self.separation)
 
 
 @dataclass(frozen=True)

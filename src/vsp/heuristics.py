@@ -249,11 +249,11 @@ def run_dispatch(
         return sorting_key(instance, state, mode, negative_slack).order()
 
     def blockers_for(j: int, step: int, node: int) -> list[tuple[int, int]]:
-        lookup = instance.separations.get
+        gap = instance.gap
         return [
             (stamp, s)
             for stamp, other, other_step in eq.assigned_at(node)
-            if other != j and (s := lookup((j, step, other, other_step), 0)) > 0
+            if (s := gap(j, step, other, other_step)) > 0
         ]
 
     def assign(j: int, stamp: int) -> None:

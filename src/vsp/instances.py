@@ -15,7 +15,6 @@ import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
 from .core import (
     INF,
@@ -23,7 +22,6 @@ from .core import (
     Instance,
     ObjectiveKind,
     Schedule,
-    TimeScale,
     VspError,
     Walk,
     is_tick,
@@ -148,24 +146,6 @@ def shortest_walk_vertices(graph: Graph, source: int, dest: int) -> tuple[int, .
     return tuple(path)
 
 
-def _shared_vertex_separations(
-    walks: Iterable[Walk], gap: int
-) -> dict[tuple[int, int, int, int], int]:
-    visits: dict[int, list[tuple[int, int]]] = {}
-    for j, walk in enumerate(walks):
-        for i, vertex in enumerate(walk.vertices):
-            visits.setdefault(vertex, []).append((j, i))
-    table: dict[tuple[int, int, int, int], int] = {}
-    for steps in visits.values():
-        for a in range(len(steps)):
-            j1, i1 = steps[a]
-            for b in range(a + 1, len(steps)):
-                j2, i2 = steps[b]
-                if j1 != j2:
-                    table[(j1, i1, j2, i2)] = gap
-    return table
-
-
 def generate_grid_instance(
     config: ExperimentConfig, ratio: float, seed: int
 ) -> Instance:
@@ -211,8 +191,8 @@ def generate_grid_instance(
         request_times=(0,) * config.n_vehicles,
         soft_deadlines=tuple(soft),
         hard_deadlines=tuple(hard),
-        separations=_shared_vertex_separations(walks, config.separation),
         objective=ObjectiveKind.TARDY_COUNT,
+        separation=config.separation,
     )
 
 
@@ -292,8 +272,8 @@ def reduce_jsp_to_vsp(jsp: JspInstance) -> Instance:
         request_times=jsp.release_times,
         soft_deadlines=soft,
         hard_deadlines=hard,
-        separations=_shared_vertex_separations(walks, 1),
         objective=jsp.objective,
+        separation=1,
     )
 
 
@@ -301,7 +281,7 @@ def reduce_jsp_to_vsp(jsp: JspInstance) -> Instance:
 
 _INSTANCE_KEYS = {
     "vertices", "edges", "walks", "rho", "d_soft", "d_hard",
-    "separations", "objective", "weights", "ticks_per_unit",
+    "separation", "separations", "objective", "weights", "ticks_per_unit",
 }
 _WALK_KEYS = {"vertices", "tau_min", "tau_max"}
 _JSP_KEYS = {"machines", "jobs", "r", "delta", "theta", "hard_deadlines", "objective"}
@@ -319,9 +299,21 @@ def _tick_from_json(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FormatError(f"{what} must be an integer tick, got {value!r}")
     if isinstance(value, float):
-        if value != int(value):
+        if not value.is_integer():  # also false for NaN and +-Infinity
             raise FormatError(f"{what} must be an integer tick, got {value!r}")
         value = int(value)
+    return value
+
+
+def _bool_from_json(value, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise FormatError(f"{what} must be true or false, got {value!r}")
+    return value
+
+
+def _weight_from_json(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise FormatError(f"{what} must be a number, got {value!r}")
     return value
 
 
@@ -350,13 +342,13 @@ def instance_to_dict(instance: Instance) -> dict:
         "rho": list(instance.request_times),
         "d_soft": [_tick_or_inf_to_json(d) for d in instance.soft_deadlines],
         "d_hard": [_tick_or_inf_to_json(d) for d in instance.hard_deadlines],
+        "separation": instance.separation,
         "separations": sorted(
             [j1, i1, j2, i2, s]
-            for (j1, i1, j2, i2), s in instance.canonical_separations()
+            for (j1, i1, j2, i2), s in instance.separations.items()
         ),
         "objective": instance.objective.value,
         "weights": None if instance.weights is None else list(instance.weights),
-        "ticks_per_unit": instance.time_scale.ticks_per_unit,
     }
 
 
@@ -369,7 +361,8 @@ def instance_from_dict(data: dict) -> Instance:
         graph = Graph(
             _tick_from_json(data["vertices"], "vertices"),
             frozenset(
-                (int(u), int(v)) for u, v in data["edges"]
+                tuple(_tick_from_json(x, "edge endpoint") for x in (u, v))
+                for u, v in data["edges"]
             ),
         )
         walks = []
@@ -398,7 +391,9 @@ def instance_from_dict(data: dict) -> Instance:
         for entry in data.get("separations", []):
             if not isinstance(entry, list) or len(entry) != 5:
                 raise FormatError(f"separation entry must be [j1,i1,j2,i2,s]: {entry!r}")
-            j1, i1, j2, i2 = (int(x) for x in entry[:4])
+            j1, i1, j2, i2 = (
+                _tick_from_json(x, "separation index") for x in entry[:4]
+            )
             s = _tick_from_json(entry[4], "separation gap")
             key = (j1, i1, j2, i2)
             if separations.get(key, s) != s:
@@ -406,7 +401,11 @@ def instance_from_dict(data: dict) -> Instance:
             separations[key] = s
         objective = ObjectiveKind(data.get("objective", "tardy_count"))
         weights = data.get("weights")
-        ticks = data.get("ticks_per_unit", 1)
+        if weights is not None:
+            weights = tuple(_weight_from_json(w, "weight") for w in weights)
+        # A key of older files: ticks are the only time unit, so only 1 fits.
+        if _tick_from_json(data.get("ticks_per_unit", 1), "ticks_per_unit") != 1:
+            raise FormatError("ticks_per_unit other than 1 is not supported")
         return Instance(
             graph=graph,
             walks=tuple(walks),
@@ -415,8 +414,8 @@ def instance_from_dict(data: dict) -> Instance:
             hard_deadlines=hard,
             separations=separations,
             objective=objective,
-            weights=None if weights is None else tuple(weights),
-            time_scale=TimeScale(_tick_from_json(ticks, "ticks_per_unit")),
+            weights=weights,
+            separation=_tick_from_json(data.get("separation", 0), "separation"),
         )
     except FormatError:
         raise
@@ -471,14 +470,19 @@ def jsp_from_dict(data: dict) -> JspInstance:
     try:
         return JspInstance(
             machine_count=_tick_from_json(data["machines"], "machines"),
-            jobs=tuple(tuple(int(m) for m in job) for job in data["jobs"]),
+            jobs=tuple(
+                tuple(_tick_from_json(m, "job machine") for m in job)
+                for job in data["jobs"]
+            ),
             release_times=tuple(_tick_from_json(x, "r entry") for x in data["r"]),
             deadlines=tuple(
                 _tick_or_inf_from_json(x, "delta entry") for x in data["delta"]
             ),
-            no_wait=bool(data["theta"]),
+            no_wait=_bool_from_json(data["theta"], "theta"),
             objective=ObjectiveKind(data.get("objective", "makespan")),
-            hard_deadlines=bool(data.get("hard_deadlines", False)),
+            hard_deadlines=_bool_from_json(
+                data.get("hard_deadlines", False), "hard_deadlines"
+            ),
         )
     except FormatError:
         raise

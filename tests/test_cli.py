@@ -1,6 +1,9 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from vsp import INF, read_instance, read_schedule, validate_schedule, write_instance
 from vsp.cli import (
@@ -15,6 +18,7 @@ from vsp.cli import (
 from oracles import chain_instance, merge_instance
 from vsp import Graph, Instance, Walk
 
+DATA = Path(__file__).parent / "data"
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
@@ -149,6 +153,33 @@ def test_bench_writes_outputs(tmp_path):
     assert manifest["ratios"] == [1.0, 1.5]
     assert manifest["seed"] == 5
     assert (out_dir / "runtime.csv").exists()
+
+
+def test_bench_tardy_csv_matches_golden(tmp_path):
+    out_dir = tmp_path / "sweep"
+    assert run_cli(
+        "bench", "--grid", "5x5", "--vehicles", "20,40", "--instances", 3,
+        "--seed", 42, "--out-dir", out_dir,
+    ) == EXIT_OK
+    golden = (DATA / "golden_tardy.csv").read_bytes()
+    assert (out_dir / "tardy.csv").read_bytes() == golden
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "--vehicles", 0, "--ratio", 1.2, "--seed", 1),
+    ("generate", "--vehicles", 3, "--ratio", 1.2, "--seed", 1, "--separation", -1),
+    ("bench", "--vehicles", 3, "--instances", 0),
+    ("bench", "--vehicles", 3, "--ratios", "2.0,1.0"),
+    ("bench", "--vehicles", 3, "--hard-factor", 1.5),
+], ids=[
+    "no-vehicles", "negative-separation", "no-instances", "falling-ratios",
+    "hard-factor-below-ratios",
+])
+def test_bad_config_values_report_error(tmp_path, capsys, argv):
+    out = "--out-dir" if argv[0] == "bench" else "--out"
+    assert run_cli(*argv, out, tmp_path / "out") == EXIT_ERROR
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_console_entry_point():

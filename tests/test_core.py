@@ -11,7 +11,6 @@ from vsp import (
     ObjectiveKind,
     Schedule,
     ShapeError,
-    TimeScale,
     Walk,
     evaluate,
     min_free_trip_time,
@@ -100,8 +99,47 @@ def test_separation_rejects_same_vehicle():
 def test_separations_mirrored_automatically():
     inst = merge_instance()
     assert inst.separations[(0, 1, 1, 1)] == 5
-    assert inst.separations[(1, 1, 0, 1)] == 5
+    assert inst.gap(1, 1, 0, 1) == 5
     assert list(inst.canonical_separations()) == [((0, 1, 1, 1), 5)]
+
+
+def three_through_c(separation=0, separations=None):
+    """Vehicles 0, 1 and 2 all pass vertex C=2 at step 1."""
+    return Instance(
+        graph=Graph(4, frozenset({(0, 2), (1, 2), (3, 2)})),
+        walks=tuple(Walk((u, 2), (50,), (INF,)) for u in (0, 1, 3)),
+        request_times=(0, 0, 0),
+        soft_deadlines=(INF,) * 3,
+        hard_deadlines=(INF,) * 3,
+        separations=separations or {},
+        separation=separation,
+    )
+
+
+def test_uniform_gap_with_sparse_overrides():
+    inst = three_through_c(5, {(2, 1, 0, 1): 9, (1, 1, 2, 1): 0})
+    assert inst.separations == {(0, 1, 2, 1): 9, (1, 1, 2, 1): 0}
+    assert inst.gap(0, 1, 1, 1) == inst.gap(1, 1, 0, 1) == 5
+    assert inst.gap(0, 1, 2, 1) == inst.gap(2, 1, 0, 1) == 9
+    assert inst.gap(2, 1, 1, 1) == 0
+    assert inst.gap(0, 0, 1, 0) == 0  # different vertices
+    assert inst.gap(0, 1, 0, 1) == 0  # same vehicle
+    assert list(inst.canonical_separations()) == [
+        ((0, 1, 1, 1), 5), ((0, 1, 2, 1), 9), ((1, 1, 2, 1), 0),
+    ]
+    only_overrides = three_through_c(0, {(2, 1, 0, 1): 9})
+    assert list(only_overrides.canonical_separations()) == [((0, 1, 2, 1), 9)]
+    assert only_overrides.gap(0, 1, 1, 1) == 0
+
+
+def test_override_given_both_ways_must_agree():
+    assert three_through_c(5, {(0, 1, 1, 1): 7, (1, 1, 0, 1): 7}).separations == {
+        (0, 1, 1, 1): 7
+    }
+    with pytest.raises(ValueError, match="different values"):
+        three_through_c(5, {(0, 1, 1, 1): 7, (1, 1, 0, 1): 6})
+    with pytest.raises(ValueError, match="separation must be"):
+        three_through_c(-1)
 
 
 def test_deadline_chain_enforced():
@@ -125,11 +163,6 @@ def test_no_soft_deadline_with_finite_hard_is_fine():
 def test_weighted_objective_requires_weights():
     with pytest.raises(ConfigurationError):
         merge_instance(objective=ObjectiveKind.WEIGHTED_TARDY_COUNT)
-
-
-def test_time_scale_positive():
-    with pytest.raises(ValueError):
-        TimeScale(0)
 
 
 def test_stamps_must_be_integers():

@@ -1,5 +1,6 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,7 @@ from vsp import (
     Schedule,
     VspError,
     build_grid_graph,
+    deadline_and_proximity,
     generate_grid_instance,
     min_free_trip_time,
     read_instance,
@@ -23,7 +25,9 @@ from vsp import (
     write_schedule,
 )
 from vsp.instances import instance_from_dict, instance_to_dict, shortest_walk_vertices
-from oracles import exact_makespan, unit_jsp_min_slots
+from oracles import exact_makespan, merge_instance, unit_jsp_min_slots
+
+DATA = Path(__file__).parent / "data"
 
 
 # --- grids -------------------------------------------------------------------
@@ -143,6 +147,19 @@ def test_every_shared_vertex_pair_has_one_gap():
     assert dict(inst.canonical_separations()) == expected
 
 
+def test_generated_instance_stores_the_rule_not_the_pairs():
+    cfg = ExperimentConfig(n_vehicles=8, seed=0)
+    inst = generate_grid_instance(cfg, 1.2, 5)
+    assert inst.separation == 5
+    assert inst.separations == {}
+    for j1, w1 in enumerate(inst.walks):
+        for j2, w2 in enumerate(inst.walks):
+            for i1, u in enumerate(w1.vertices):
+                for i2, v in enumerate(w2.vertices):
+                    shared = j1 != j2 and u == v
+                    assert inst.gap(j1, i1, j2, i2) == (5 if shared else 0)
+
+
 def test_generation_deterministic_byte_for_byte(tmp_path):
     cfg = ExperimentConfig(n_vehicles=12, seed=0, soft_deadline_ratios=(1.3,))
     a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -157,20 +174,6 @@ def test_finite_link_windows_propagate():
     )
     inst = generate_grid_instance(cfg, 1.0, 8)
     assert all(t == 120 for w in inst.walks for t in w.max_times)
-
-
-def test_tick_scale_round_trip(tmp_path):
-    from dataclasses import replace
-
-    from vsp import TimeScale
-
-    cfg = ExperimentConfig(n_vehicles=3, seed=0)
-    inst = replace(generate_grid_instance(cfg, 1.1, 2), time_scale=TimeScale(10))
-    path = tmp_path / "scaled.json"
-    write_instance(inst, path)
-    loaded = read_instance(path)
-    assert loaded.time_scale == TimeScale(10)
-    assert loaded == inst
 
 
 def test_ratio_changes_only_soft_deadlines():
@@ -273,6 +276,7 @@ def test_machine_separation_is_one_everywhere():
     inst = reduce_jsp_to_vsp(jsp)
     gaps = dict(inst.canonical_separations())
     assert gaps == {(0, 1, 1, 1): 1, (0, 2, 1, 0): 1}
+    assert inst.separation == 1 and inst.separations == {}
 
 
 # --- files --------------------------------------------------------------------
@@ -346,6 +350,62 @@ def test_fractional_tick_rejected():
         instance_from_dict(data)
     data["rho"] = [0.0, 0]
     assert instance_from_dict(data).request_times[0] == 0
+    # Edges, separation indices and the gap rule take the same tick checks,
+    # and weights must be numbers: nothing is truncated or coerced.
+    merge = instance_to_dict(merge_instance(weights=(2.5, 1.0)))
+    assert merge["separations"] == [[0, 1, 1, 1, 5]]
+    for key, bad, match in (
+        ("edges", [[0.7, 2], [1, 2]], "integer tick"),
+        ("edges", [["0", 2], [1, 2]], "integer tick"),
+        ("separations", [[0, "1", 1, 1, 5]], "integer tick"),
+        ("separations", [[0, 1.5, 1, 1, 5]], "integer tick"),
+        ("separation", "5", "integer tick"),
+        ("separation", True, "integer tick"),
+        ("separation", float("nan"), "integer tick"),
+        ("rho", [float("inf"), 0], "integer tick"),
+        ("weights", [True, 1.0], "weight must be a number"),
+        ("weights", [1.0, "2"], "weight must be a number"),
+    ):
+        broken = dict(merge, **{key: bad})
+        with pytest.raises(FormatError, match=match):
+            instance_from_dict(broken)
+
+
+def test_ticks_per_unit_only_as_legacy_one():
+    data = instance_to_dict(merge_instance())
+    assert "ticks_per_unit" not in data
+    data["ticks_per_unit"] = 1
+    assert instance_from_dict(data) == merge_instance()
+    for bad in (10, 0, True, "1"):
+        data["ticks_per_unit"] = bad
+        with pytest.raises(FormatError):
+            instance_from_dict(data)
+
+
+def test_legacy_full_list_file_reads_as_regenerated(tmp_path):
+    """A file written with every same-vertex pair listed and a tick scale
+    (the format before the uniform gap rule) gives the same gaps and the
+    same dispatch as the instance regenerated from its seed."""
+    legacy_path = DATA / "legacy_grid.json"
+    raw = json.loads(legacy_path.read_text())
+    assert raw["ticks_per_unit"] == 1 and "separation" not in raw
+    legacy = read_instance(legacy_path)
+    cfg = ExperimentConfig(
+        n_vehicles=12, seed=7, soft_deadline_ratios=(1.3,), n_instances=1
+    )
+    fresh = generate_grid_instance(cfg, 1.3, 7)
+    assert legacy.walks == fresh.walks
+    assert legacy.soft_deadlines == fresh.soft_deadlines
+    assert legacy.hard_deadlines == fresh.hard_deadlines
+    assert len(legacy.separations) == len(raw["separations"]) > 0
+    stamps = [(j, i) for j, w in enumerate(fresh.walks) for i in range(len(w))]
+    for a in stamps:
+        for b in stamps:
+            assert legacy.gap(*a, *b) == fresh.gap(*a, *b)
+    assert deadline_and_proximity(legacy) == deadline_and_proximity(fresh)
+    path = tmp_path / "again.json"
+    write_instance(legacy, path)
+    assert read_instance(path) == legacy
 
 
 def test_schedule_round_trip_and_diagnostics(tmp_path):
@@ -377,3 +437,16 @@ def test_jsp_file_round_trip(tmp_path):
     path.write_text(json.dumps({"machines": 1, "jobs": [[0]]}))
     with pytest.raises(FormatError, match="missing key"):
         read_jsp(path)
+    good = {"machines": 2, "jobs": [[0, 1]], "r": [0], "delta": [None],
+            "theta": False}
+    for key, bad, match in (
+        ("jobs", [[0, "1"]], "integer tick"),
+        ("jobs", [[0, 1.5]], "integer tick"),
+        ("r", [float("inf")], "integer tick"),
+        ("theta", "false", "true or false"),
+        ("theta", 0, "true or false"),
+        ("hard_deadlines", 1, "true or false"),
+    ):
+        path.write_text(json.dumps(dict(good, **{key: bad})))
+        with pytest.raises(FormatError, match=match):
+            read_jsp(path)
