@@ -20,7 +20,13 @@ from pathlib import Path
 from .bench import ALGORITHMS, SweepResult, emit_csv, run_sweep
 from .core import INF, VspError, evaluate, validate_schedule
 from .exact import SolveStatus, solve_exact
-from .heuristics import Mode, VehicleStatus, deadline_and_proximity, run_dispatch
+from .heuristics import (
+    DispatchError,
+    Mode,
+    VehicleStatus,
+    deadline_and_proximity,
+    run_dispatch,
+)
 from .instances import (
     DEFAULT_RATIOS,
     ExperimentConfig,
@@ -42,6 +48,8 @@ EXIT_SLOT_WINDOW = 5
 EXIT_INFEASIBLE = 6
 EXIT_BUDGET_INCUMBENT = 7
 EXIT_BUDGET_EMPTY = 8
+
+_NOTHING_WRITTEN = "no complete schedule; nothing written"
 
 _MODES = {
     "proximity": Mode.PROXIMITY,
@@ -177,7 +185,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_schedule(args: argparse.Namespace) -> int:
     instance = read_instance(args.instance)
     if args.mode == "best":
-        result = deadline_and_proximity(instance, args.negative_slack)
+        try:
+            result = deadline_and_proximity(instance, args.negative_slack)
+        except DispatchError:
+            print(_NOTHING_WRITTEN, file=sys.stderr)
+            return EXIT_SLOT_WINDOW
     else:
         result = run_dispatch(instance, _MODES[args.mode], args.negative_slack)
     counts = {status: 0 for status in VehicleStatus}
@@ -187,7 +199,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
         if count:
             print(f"{status.value}: {count}")
     if not result.complete:
-        print("no complete schedule; nothing written", file=sys.stderr)
+        print(_NOTHING_WRITTEN, file=sys.stderr)
         return EXIT_SLOT_WINDOW
     schedule = result.schedule()
     write_schedule(schedule, args.out)

@@ -249,6 +249,12 @@ class Instance:
     def total_stamps(self) -> int:
         return sum(len(w) for w in self.walks)
 
+    @property
+    def max_gap(self) -> int:
+        """Widest gap any stamp pair can require: the uniform separation or
+        the largest override, whichever is greater."""
+        return max(self.separation, max(self.separations.values(), default=0))
+
     def gap(self, j1: int, i1: int, j2: int, i2: int) -> int:
         """Required separation between stamp i1 of vehicle j1 and stamp i2 of
         vehicle j2, in either order; 0 unless the two are distinct vehicles

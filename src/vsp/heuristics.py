@@ -10,7 +10,7 @@ best schedule.
 from __future__ import annotations
 
 import heapq
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -184,8 +184,10 @@ class EventQueue:
     def record_assignment(self, node: int, stamp: int, vehicle: int, step: int) -> None:
         insort(self.assigned.setdefault(node, []), (stamp, vehicle, step))
 
-    def assigned_at(self, node: int) -> list[tuple[int, int, int]]:
-        return self.assigned.get(node, [])
+    def assigned_after(self, node: int, floor: int) -> list[tuple[int, int, int]]:
+        """Assigned (stamp, vehicle, step) entries at node with stamp > floor."""
+        entries = self.assigned.get(node, [])
+        return entries[bisect_left(entries, (floor + 1,)):]
 
 
 @dataclass(frozen=True)
@@ -248,11 +250,17 @@ def run_dispatch(
         state = VehicleState(j, next_index[j], ref)
         return sorting_key(instance, state, mode, negative_slack).order()
 
-    def blockers_for(j: int, step: int, node: int) -> list[tuple[int, int]]:
+    # A stamp at or below lower - max_gap blocks only ticks below lower, so
+    # the slot search may skip it; every later stamp can still chain-block.
+    max_gap = instance.max_gap
+
+    def blockers_for(
+        j: int, step: int, node: int, lower: int
+    ) -> list[tuple[int, int]]:
         gap = instance.gap
         return [
             (stamp, s)
-            for stamp, other, other_step in eq.assigned_at(node)
+            for stamp, other, other_step in eq.assigned_after(node, lower - max_gap)
             if (s := gap(j, step, other, other_step)) > 0
         ]
 
@@ -267,8 +275,9 @@ def run_dispatch(
 
     for j in sorted(range(n), key=current_key):
         node = instance.walks[j].vertices[0]
+        lower = instance.request_times[j]
         stamp = earliest_feasible_slot(
-            node, instance.request_times[j], INF, blockers_for(j, 0, node)
+            node, lower, INF, blockers_for(j, 0, node, lower)
         )
         assign(j, stamp)
 
@@ -291,7 +300,7 @@ def run_dispatch(
                 upper = t + walk.max_times[step - 1]
                 try:
                     stamp = earliest_feasible_slot(
-                        node, lower, upper, blockers_for(v, step, node)
+                        node, lower, upper, blockers_for(v, step, node, lower)
                     )
                 except SlotWindowError:
                     failed[v] = True

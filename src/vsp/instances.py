@@ -15,6 +15,7 @@ import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 from .core import (
     INF,
@@ -114,36 +115,49 @@ class ExperimentConfig:
             raise ValueError("hard deadline factor must cover every ratio")
 
 
-def shortest_walk_vertices(graph: Graph, source: int, dest: int) -> tuple[int, ...]:
-    """Lexicographically smallest shortest vertex sequence from source to
-    dest, found by a reverse BFS and a greedy smallest-successor walk."""
-    dist_to_dest = {dest: 0}
-    frontier = [dest]
+def _next_hop_tables(
+    graph: Graph, dests: Iterable[int]
+) -> dict[int, dict[int, int]]:
+    """For each destination, the smallest successor on a shortest path to it
+    from every vertex that can reach it: a reverse BFS gives the distances,
+    then one pass over the edges keeps the smallest successor at distance -1."""
     reverse: dict[int, list[int]] = {}
     for u, v in graph.edges:
         reverse.setdefault(v, []).append(u)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in reverse.get(v, ()):
-                if u not in dist_to_dest:
-                    dist_to_dest[u] = dist_to_dest[v] + 1
-                    nxt.append(u)
-        frontier = nxt
-    if source not in dist_to_dest:
-        raise VspError(f"no directed path from {source} to {dest}")
-    forward: dict[int, list[int]] = {}
-    for u, v in graph.edges:
-        forward.setdefault(u, []).append(v)
+    tables = {}
+    for dest in dests:
+        dist = {dest: 0}
+        frontier = [dest]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for u in reverse.get(v, ()):
+                    if u not in dist:
+                        dist[u] = dist[v] + 1
+                        nxt.append(u)
+            frontier = nxt
+        hops: dict[int, int] = {}
+        for u, v in graph.edges:
+            if u in dist and dist.get(v) == dist[u] - 1:
+                hops[u] = min(v, hops.get(u, v))
+        tables[dest] = hops
+    return tables
+
+
+def _follow(hops: dict[int, int], source: int, dest: int) -> tuple[int, ...]:
+    """The walk from source to dest along a next-hop table."""
     path = [source]
-    current = source
-    while current != dest:
-        current = min(
-            w for w in forward.get(current, ())
-            if dist_to_dest.get(w, -1) == dist_to_dest[current] - 1
-        )
-        path.append(current)
+    while path[-1] != dest:
+        if path[-1] not in hops:
+            raise VspError(f"no directed path from {source} to {dest}")
+        path.append(hops[path[-1]])
     return tuple(path)
+
+
+def shortest_walk_vertices(graph: Graph, source: int, dest: int) -> tuple[int, ...]:
+    """Lexicographically smallest shortest vertex sequence from source to
+    dest: the greedy smallest-successor walk on dest's next-hop table."""
+    return _follow(_next_hop_tables(graph, (dest,))[dest], source, dest)
 
 
 def generate_grid_instance(
@@ -161,13 +175,17 @@ def generate_grid_instance(
     graph = build_grid_graph(config.grid)
     rng = random.Random(seed)
     n_vertices = graph.vertex_count
-    walks = []
+    pairs = []
     for _ in range(config.n_vehicles):
         source = rng.randrange(n_vertices)
         dest = rng.randrange(n_vertices - 1)
         if dest >= source:
             dest += 1
-        vertices = shortest_walk_vertices(graph, source, dest)
+        pairs.append((source, dest))
+    tables = _next_hop_tables(graph, {dest for _, dest in pairs})
+    walks = []
+    for source, dest in pairs:
+        vertices = _follow(tables[dest], source, dest)
         links = len(vertices) - 1
         walks.append(Walk(
             vertices,

@@ -65,12 +65,13 @@ def test_schedule_exit_codes(tmp_path):
     )
     blocked_path = tmp_path / "blocked.json"
     write_instance(blocked, blocked_path)
-    code = run_cli(
-        "schedule", "--instance", blocked_path, "--mode", "proximity",
-        "--out", tmp_path / "s2.json",
-    )
-    assert code == EXIT_SLOT_WINDOW
-    assert not (tmp_path / "s2.json").exists()
+    for mode in ("proximity", "best"):
+        out = tmp_path / f"s-{mode}.json"
+        code = run_cli(
+            "schedule", "--instance", blocked_path, "--mode", mode, "--out", out,
+        )
+        assert code == EXIT_SLOT_WINDOW
+        assert not out.exists()
 
 
 def test_solve_and_exit_codes(tmp_path):

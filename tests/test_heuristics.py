@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from vsp import (
     ConstraintKind,
     ExperimentConfig,
     Graph,
+    GridSpec,
     Instance,
     Mode,
     ObjectiveKind,
@@ -217,6 +219,52 @@ def test_zero_length_links_reenter_current_stamp():
     result = run_dispatch(inst, Mode.PROXIMITY)
     assert result.times == ((0, 0, 0),)
     assert result.statuses == (VehicleStatus.COMPLETED,)
+
+
+def test_slot_window_covers_overrides_wider_than_separation():
+    # B asks for vertex 2 at 120; A's stamp 100 lies below 120 - separation
+    # but inside the override gap of 40, so B must wait until 140.
+    graph = Graph(3, frozenset({(0, 1), (1, 2)}))
+    inst = Instance(
+        graph=graph,
+        walks=(Walk((2,), (), ()), Walk((1, 2), (50,), (INF,))),
+        request_times=(100, 70),
+        soft_deadlines=(INF, INF),
+        hard_deadlines=(INF, INF),
+        separations={(0, 0, 1, 1): 40},
+        separation=5,
+    )
+    assert inst.max_gap == 40
+    for mode in Mode:
+        assert run_dispatch(inst, mode).times == ((100,), (70, 140))
+
+
+def test_windowed_dispatch_matches_whole_list_scan(monkeypatch):
+    rng = random.Random(23)
+    cases = []
+    for _ in range(40):
+        cfg = ExperimentConfig(
+            n_vehicles=rng.randint(2, 30),
+            grid=GridSpec(rng.randint(2, 4), 4),
+            tau_max_link=rng.choice((INF, 50, 60, 80)),
+        )
+        inst = generate_grid_instance(cfg, 1.2, rng.getrandbits(32))
+        pairs = [key for key, _ in inst.canonical_separations()]
+        overrides = {
+            key: rng.randint(0, 60)
+            for key in rng.sample(pairs, min(len(pairs), rng.randint(1, 12)))
+        }
+        cases.append(dataclasses.replace(
+            inst, separation=rng.choice((0, 5, 20)), separations=overrides
+        ))
+    windowed = [[run_dispatch(inst, mode) for mode in Mode] for inst in cases]
+    monkeypatch.setattr(Instance, "max_gap", 10**9)
+    for inst, results in zip(cases, windowed):
+        assert results == [run_dispatch(inst, mode) for mode in Mode]
+        for result in results:
+            if result.complete:
+                report = validate_schedule(inst, result.schedule())
+                assert report.passes(ignore=DISPATCH_OK)
 
 
 def test_dispatch_deterministic():

@@ -75,6 +75,8 @@ def all_shortest_sequences(graph, source, dest):
                     dist[v] = dist[u] + 1
                     nxt.append(v)
         frontier = nxt
+    if dest not in dist:
+        return []
     paths = []
 
     def grow(path):
@@ -91,15 +93,27 @@ def all_shortest_sequences(graph, source, dest):
 
 
 def test_shortest_walk_is_lexicographically_smallest():
-    g = build_grid_graph(GridSpec(4, 4))
-    rng = random.Random(3)
-    for _ in range(25):
-        source = rng.randrange(16)
-        dest = rng.randrange(15)
-        if dest >= source:
-            dest += 1
-        expected = min(all_shortest_sequences(g, source, dest))
-        assert shortest_walk_vertices(g, source, dest) == expected
+    for spec in (GridSpec(4, 4), GridSpec(4, 4, bidirectional=False)):
+        g = build_grid_graph(spec)
+        rng = random.Random(3)
+        for _ in range(25):
+            source = rng.randrange(16)
+            dest = rng.randrange(15)
+            if dest >= source:
+                dest += 1
+            paths = all_shortest_sequences(g, source, dest)
+            if paths:
+                assert shortest_walk_vertices(g, source, dest) == min(paths)
+            else:
+                with pytest.raises(VspError, match="no directed path"):
+                    shortest_walk_vertices(g, source, dest)
+    inst = generate_grid_instance(ExperimentConfig(40, grid=GridSpec(4, 4)), 1.0, 8)
+    for walk in inst.walks:
+        paths = all_shortest_sequences(inst.graph, walk.vertices[0], walk.vertices[-1])
+        assert walk.vertices == min(paths)
+    one_way = ExperimentConfig(10, grid=GridSpec(4, 4, bidirectional=False))
+    with pytest.raises(VspError, match="no directed path"):
+        generate_grid_instance(one_way, 1.0, 8)
 
 
 # --- generator ---------------------------------------------------------------
