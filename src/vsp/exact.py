@@ -10,7 +10,6 @@ ever grow when completion times grow.
 
 from __future__ import annotations
 
-import sys
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -74,7 +73,8 @@ class DifferenceConstraintSystem:
     Variable 0 is an origin fixed at zero; variable ids for stamps follow in
     walk order.  The base constraints encode request times, hard deadlines,
     and per-link travel windows; crossing orders for conflict pairs are
-    added on top via add_order.
+    added on top via add_order.  out_edges[y] lists the constraints that
+    start at variable y, the adjacency the longest-path relaxation walks.
     """
 
     def __init__(self, instance: Instance, horizon: int | float | None = None):
@@ -85,7 +85,7 @@ class DifferenceConstraintSystem:
             self._offsets.append(next_id)
             next_id += len(walk)
         self.n_vars = next_id
-        self.constraints: list[Constraint] = []
+        self.out_edges: list[list[Constraint]] = [[] for _ in range(self.n_vars)]
         for j, walk in enumerate(instance.walks):
             first = self.var(j, 0)
             last = self.var(j, len(walk) - 1)
@@ -104,20 +104,25 @@ class DifferenceConstraintSystem:
         return self._offsets[j] + i
 
     def add(self, x: int, y: int, bound: int, label: str) -> None:
-        self.constraints.append(Constraint(x, y, int(bound), label))
+        self.push(Constraint(x, y, int(bound), label))
+
+    def push(self, c: Constraint) -> None:
+        self.out_edges[c.y].append(c)
+
+    def pop(self, c: Constraint) -> None:
+        """Remove c, the last constraint pushed from c.y."""
+        self.out_edges[c.y].pop()
+
+    def order_constraint(self, pair: ConflictPair, j1_first: bool) -> Constraint:
+        """pair.s ticks from one stamp of the pair to the other; the lower-id
+        vehicle's stamp is the earlier one when j1_first."""
+        a, b = (pair.j1, pair.i1), (pair.j2, pair.i2)
+        earlier, later = (a, b) if j1_first else (b, a)
+        label = f"separation v{earlier[0]}@{earlier[1]} before v{later[0]}@{later[1]}"
+        return Constraint(self.var(*later), self.var(*earlier), pair.s, label)
 
     def add_order(self, pair: ConflictPair, j1_first: bool) -> None:
-        earlier, later = (
-            ((pair.j1, pair.i1), (pair.j2, pair.i2))
-            if j1_first
-            else ((pair.j2, pair.i2), (pair.j1, pair.i1))
-        )
-        self.add(
-            self.var(*later),
-            self.var(*earlier),
-            pair.s,
-            f"separation v{earlier[0]}@{earlier[1]} before v{later[0]}@{later[1]}",
-        )
+        self.push(self.order_constraint(pair, j1_first))
 
     def to_schedule(self, times: tuple[int, ...]) -> Schedule:
         rows = []
@@ -134,37 +139,61 @@ class DcsSolution:
     witness: tuple[Constraint, ...] | None
 
 
+def _relax(
+    out_edges: list[list[Constraint]],
+    dist: list[float],
+    pred: list[Constraint | None],
+    start: int,
+) -> int | None:
+    """Raise dist in place to the least solution above it, from start on.
+
+    dist[start] has just been raised, and every constraint that does not
+    leave start already holds.  Variables wait in a FIFO queue, at most once
+    at a time; pred[v] records the constraint that last raised v.  Returns
+    None at the fixpoint, or the variable at which a positive cycle showed:
+    the origin (which starts at 0) once it rises, or any variable queued
+    more than n_vars times.  Started from the origin, that variable's predecessor
+    chain runs into the cycle.
+    """
+    n = len(dist)
+    queued = [False] * n
+    queued[start] = True
+    pushes = [0] * n
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        queued[u] = False
+        du = dist[u]
+        for c in out_edges[u]:
+            v = c.x
+            if dist[v] < du + c.bound:
+                dist[v] = du + c.bound
+                pred[v] = c
+                if v == 0:
+                    return 0
+                if not queued[v]:
+                    pushes[v] += 1
+                    if pushes[v] > n:
+                        return v
+                    queued[v] = True
+                    queue.append(v)
+    return None
+
+
 def minimal_times(dcs: DifferenceConstraintSystem) -> DcsSolution:
     """Componentwise-minimal solution of the system, or a positive cycle.
 
-    Longest path from the origin by Bellman-Ford; the system is infeasible
-    exactly when a positive-total cycle of constraints exists, and that
-    cycle is returned as a certificate.
+    Longest paths from the origin; the system is infeasible exactly when a
+    positive-total cycle of constraints exists, and that cycle is returned
+    as a certificate.
     """
     n = dcs.n_vars
     dist: list[float] = [NEG_INF] * n
     dist[0] = 0
     pred: list[Constraint | None] = [None] * n
-    cons = dcs.constraints
-    for _ in range(n - 1):
-        changed = False
-        for c in cons:
-            dy = dist[c.y]
-            if dy != NEG_INF and dist[c.x] < dy + c.bound:
-                dist[c.x] = dy + c.bound
-                pred[c.x] = c
-                changed = True
-        if not changed:
-            break
-    on_cycle = None
-    for c in cons:
-        dy = dist[c.y]
-        if dy != NEG_INF and dist[c.x] < dy + c.bound:
-            pred[c.x] = c
-            on_cycle = c.x
-            break
+    on_cycle = _relax(dcs.out_edges, dist, pred, 0)
     if on_cycle is None:
-        if any(d == NEG_INF for d in dist):
+        if NEG_INF in dist:
             raise VspError("system has a variable unreachable from the origin")
         return DcsSolution(True, tuple(int(d) for d in dist), None)
     # Walk predecessors until a vertex repeats; the repeat closes the cycle.
@@ -178,9 +207,7 @@ def minimal_times(dcs: DifferenceConstraintSystem) -> DcsSolution:
             raise VspError("predecessor chain broke while extracting a cycle")
         chain.append(c)
         u = c.y
-    cycle = chain[seen[u]:]
-    cycle.reverse()
-    return DcsSolution(False, None, tuple(cycle))
+    return DcsSolution(False, None, tuple(reversed(chain[seen[u]:])))
 
 
 class SolveStatus(Enum):
@@ -213,10 +240,14 @@ def solve_exact(
     large.  A fully decided feasible node evaluates exactly at its minimal
     stamps.  Branching picks the undecided pair whose earliest involved
     stamp is smallest; the order already satisfied by the current stamps is
-    tried first; the first incumbent found at a given value is kept.
+    tried first; the first incumbent found at a given value is kept.  A
+    child's stamps are its parent's, relaxed from the head of the new order
+    constraint by the routine minimal_times runs from the origin.
 
-    The search is single-threaded and deterministic.  With a time limit the
-    best incumbent so far is returned once the budget runs out.
+    The search keeps its own stack, so its depth is not bounded by the
+    interpreter's recursion limit.  It is single-threaded and deterministic.
+    With a time limit the best incumbent so far is returned once the budget
+    runs out.
     """
     if instance.objective not in (
         ObjectiveKind.TARDY_COUNT,
@@ -232,126 +263,78 @@ def solve_exact(
     if not root.feasible:
         return SolveResult(SolveStatus.INFEASIBLE, None, None, 1, root.witness)
 
-    n_vars = dcs.n_vars
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n_vars)]
-    for c in dcs.constraints:
-        adjacency[c.y].append((c.x, c.bound))
-
     weights = instance.weights or (1,) * instance.n_vehicles
     tardy_terms = [
         (dcs.var(j, len(instance.walks[j]) - 1), instance.soft_deadlines[j], weights[j])
         for j in range(instance.n_vehicles)
         if instance.soft_deadlines[j] != INF
     ]
-
-    def bound_of(dist: list[int]) -> float:
-        return sum(w for var, d, w in tardy_terms if dist[var] > d)
-
-    # Directed pair edges: (later var, earlier var, gap) per orientation.
-    pair_edges = [
-        (
-            (dcs.var(p.j2, p.i2), dcs.var(p.j1, p.i1), p.s),
-            (dcs.var(p.j1, p.i1), dcs.var(p.j2, p.i2), p.s),
-        )
-        for p in pairs
+    # Per pair: the variables of its two stamps and its two order constraints.
+    first = [dcs.var(p.j1, p.i1) for p in pairs]
+    second = [dcs.var(p.j2, p.i2) for p in pairs]
+    orders = [
+        (dcs.order_constraint(p, True), dcs.order_constraint(p, False)) for p in pairs
     ]
+    # The relaxation records predecessors; the search never reads them.
+    scratch_pred: list[Constraint | None] = [None] * dcs.n_vars
 
     deadline = None if time_limit is None else time.monotonic() + time_limit
-    state = {
-        "best_obj": None,
-        "best_dist": None,
-        "nodes": 0,
-        "stopped": False,
-    }
-    extra: list[list[tuple[int, int]]] = [[] for _ in range(n_vars)]
+    best_obj: float | None = None
+    best_dist: list[int] | None = None
+    nodes = 0
+    stopped = False
+    # Depth-first frames: [stamps, undecided pairs below, orders left to try
+    # (next one last), the order constraint currently pushed or None].
+    stack: list[list] = []
 
-    def propagate(dist: list[int], x: int, y: int, bound: int) -> list[int] | None:
-        if dist[x] >= dist[y] + bound:
-            return dist
-        new = list(dist)
-        new[x] = new[y] + bound
-        if x == 0 and new[0] > 0:
-            return None
-        queue = deque([x])
-        pushes = [0] * n_vars
-        while queue:
-            u = queue.popleft()
-            du = new[u]
-            for v, c in adjacency[u]:
-                if new[v] < du + c:
-                    new[v] = du + c
-                    if v == 0 and new[0] > 0:
-                        return None
-                    pushes[v] += 1
-                    if pushes[v] > n_vars:
-                        return None
-                    queue.append(v)
-            for v, c in extra[u]:
-                if new[v] < du + c:
-                    new[v] = du + c
-                    pushes[v] += 1
-                    if pushes[v] > n_vars:
-                        return None
-                    queue.append(v)
-        return new
-
-    def dfs(dist: list[int], undecided: list[int]) -> None:
-        state["nodes"] += 1
+    def enter(dist: list[int], undecided: list[int]) -> None:
+        """Count and bound a node; close it, or stack its two branches."""
+        nonlocal best_obj, best_dist, nodes, stopped
+        nodes += 1
         if deadline is not None and time.monotonic() > deadline:
-            state["stopped"] = True
+            stopped = True
             return
-        value = bound_of(dist)
-        best = state["best_obj"]
-        if best is not None and value >= best:
+        value = sum(w for var, d, w in tardy_terms if dist[var] > d)
+        if best_obj is not None and value >= best_obj:
             return
         if not undecided:
-            state["best_obj"] = value
-            state["best_dist"] = list(dist)
+            best_obj, best_dist = value, dist
             return
-        pick = min(
-            range(len(undecided)),
-            key=lambda k: (
-                min(
-                    dist[dcs.var(pairs[undecided[k]].j1, pairs[undecided[k]].i1)],
-                    dist[dcs.var(pairs[undecided[k]].j2, pairs[undecided[k]].i2)],
-                ),
-                undecided[k],
-            ),
-        )
-        rest = undecided[:pick] + undecided[pick + 1:]
-        idx = undecided[pick]
-        p = pairs[idx]
-        j1_first_edge, j2_first_edge = pair_edges[idx]
-        v1, v2 = dcs.var(p.j1, p.i1), dcs.var(p.j2, p.i2)
-        ordered = (
-            (j1_first_edge, j2_first_edge)
-            if dist[v1] <= dist[v2]
-            else (j2_first_edge, j1_first_edge)
-        )
-        for x, y, gap in ordered:
-            extra[y].append((x, gap))
-            child = propagate(dist, x, y, gap)
-            if child is not None:
-                dfs(child, rest)
-            extra[y].pop()
-            if state["stopped"]:
-                return
+        # Earliest involved stamp first; undecided stays ascending, so min
+        # keeps the lowest pair index on ties.
+        idx = min(undecided, key=lambda k: min(dist[first[k]], dist[second[k]]))
+        at = undecided.index(idx)
+        j1_first, j2_first = orders[idx]
+        tries = [j2_first, j1_first]
+        if dist[first[idx]] > dist[second[idx]]:
+            tries.reverse()
+        stack.append([dist, undecided[:at] + undecided[at + 1:], tries, None])
 
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 3 * len(pairs) + 200))
-    try:
-        dfs(list(root.times), list(range(len(pairs))))
-    finally:
-        sys.setrecursionlimit(old_limit)
+    enter(list(root.times), list(range(len(pairs))))
+    while stack:
+        frame = stack[-1]
+        dist, rest, tries, pushed = frame
+        if pushed is not None:
+            dcs.pop(pushed)
+            frame[3] = None
+        if stopped or not tries:
+            stack.pop()
+            continue
+        c = tries.pop()
+        dcs.push(c)
+        frame[3] = c
+        # The child's least stamps: the parent's, relaxed from c's head.
+        raised = dist[c.y] + c.bound
+        if dist[c.x] >= raised:
+            enter(dist, rest)
+            continue
+        child = list(dist)
+        child[c.x] = raised
+        if _relax(dcs.out_edges, child, scratch_pred, c.x) is None:
+            enter(child, rest)
 
-    best_obj = state["best_obj"]
-    if best_obj is None:
-        status = (
-            SolveStatus.BUDGET_EXHAUSTED if state["stopped"] else SolveStatus.INFEASIBLE
-        )
-        return SolveResult(status, None, None, state["nodes"])
-    status = (
-        SolveStatus.FEASIBLE_INCUMBENT if state["stopped"] else SolveStatus.OPTIMAL
-    )
-    schedule = dcs.to_schedule(tuple(state["best_dist"]))
-    return SolveResult(status, schedule, best_obj, state["nodes"])
+    if best_dist is None:
+        status = SolveStatus.BUDGET_EXHAUSTED if stopped else SolveStatus.INFEASIBLE
+        return SolveResult(status, None, None, nodes)
+    status = SolveStatus.FEASIBLE_INCUMBENT if stopped else SolveStatus.OPTIMAL
+    return SolveResult(status, dcs.to_schedule(tuple(best_dist)), best_obj, nodes)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable
 
@@ -424,7 +424,7 @@ def instance_from_dict(data: dict) -> Instance:
         # A key of older files: ticks are the only time unit, so only 1 fits.
         if _tick_from_json(data.get("ticks_per_unit", 1), "ticks_per_unit") != 1:
             raise FormatError("ticks_per_unit other than 1 is not supported")
-        return Instance(
+        instance = Instance(
             graph=graph,
             walks=tuple(walks),
             request_times=rho,
@@ -435,10 +435,25 @@ def instance_from_dict(data: dict) -> Instance:
             weights=weights,
             separation=_tick_from_json(data.get("separation", 0), "separation"),
         )
+        if "separation" not in data:
+            instance = _uniform_if_full_list(instance)
+        return instance
     except FormatError:
         raise
     except (ValueError, TypeError, KeyError) as exc:
         raise FormatError(f"invalid instance: {exc}") from exc
+
+
+def _uniform_if_full_list(instance: Instance) -> Instance:
+    """Read a list giving one gap to every same-vertex pair of distinct
+    vehicles, the format before the uniform gap rule, as that gap.  The
+    constructor rejects other keys and duplicates, so counts decide."""
+    gaps = set(instance.separations.values())
+    if len(gaps) != 1:
+        return instance
+    uniform = replace(instance, separations={}, separation=gaps.pop())
+    full = sum(1 for _ in uniform.canonical_separations()) == len(instance.separations)
+    return uniform if full else instance
 
 
 def write_instance(instance: Instance, path: str | Path) -> None:

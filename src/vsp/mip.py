@@ -39,8 +39,8 @@ def resolve_horizon(instance: Instance, horizon: int | None = None) -> int:
 
 @dataclass(frozen=True)
 class BigMValues:
-    """Valid big-M constants: one per conflict pair, one per vehicle with a
-    finite soft deadline."""
+    """Valid big-M constants: one per conflict pair, in conflict_pairs
+    order, and one per vehicle with a finite soft deadline."""
 
     horizon: int
     pair: dict[ConflictPair, int]
@@ -56,10 +56,11 @@ def big_m_values(instance: Instance, horizon: int | None = None) -> BigMValues:
     gap and the tardiness are bounded by max(horizon, deadline) - request.
     """
     h = resolve_horizon(instance, horizon)
-    max_gap = max((s for _, s in instance.canonical_separations()), default=0)
+    pairs = conflict_pairs(instance)
+    max_gap = max((p.s for p in pairs), default=0)
     pair_m = {
         p: h - min(instance.request_times[p.j1], instance.request_times[p.j2]) + max_gap
-        for p in conflict_pairs(instance)
+        for p in pairs
     }
     vehicle_m = {
         j: int(max(h, instance.soft_deadlines[j]) - instance.request_times[j])
@@ -130,7 +131,7 @@ def build_mip_model(instance: Instance, horizon: int | None = None) -> MipModel:
             rows.append(MipRow(f"tmin_{j}_{i}", dict(step), ">=", walk.min_times[i]))
             if walk.max_times[i] != INF:
                 rows.append(MipRow(f"tmax_{j}_{i}", dict(step), "<=", walk.max_times[i]))
-    for p in conflict_pairs(instance):
+    for p in big_m.pair:
         tag = _pair_suffix(p)
         pos, neg, flag = f"P_{tag}", f"N_{tag}", f"b_{tag}"
         m = float(big_m.pair[p])
@@ -159,7 +160,7 @@ def build_mip_model(instance: Instance, horizon: int | None = None) -> MipModel:
         hi = float(min(instance.hard_deadlines[j], big_m.horizon))
         for i in range(len(walk)):
             bounds[_t(j, i)] = (lo, hi)
-    binaries = tuple(f"b_{_pair_suffix(p)}" for p in conflict_pairs(instance)) + tuple(
+    binaries = tuple(f"b_{_pair_suffix(p)}" for p in big_m.pair) + tuple(
         f"l_{j}" for j in sorted(big_m.vehicle)
     )
     return MipModel(objective, tuple(rows), bounds, binaries)

@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import vsp
 from vsp import INF, read_instance, read_schedule, validate_schedule, write_instance
 from vsp.cli import (
     EXIT_BUDGET_EMPTY,
@@ -184,9 +186,14 @@ def test_bad_config_values_report_error(tmp_path, capsys, argv):
 
 
 def test_console_entry_point():
+    # The subprocess imports vsp from the same src directory as this process,
+    # whether or not the package is installed.
+    src = str(Path(vsp.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH", "")]
     result = subprocess.run(
         [sys.executable, "-m", "vsp.cli", "--help"],
         capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)},
     )
     assert result.returncode == 0
     assert "schedule" in result.stdout and "bench" in result.stdout

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -8,9 +9,11 @@ from vsp import (
     INF,
     ConfigurationError,
     DifferenceConstraintSystem,
+    ExperimentConfig,
     ObjectiveKind,
     conflict_pairs,
     evaluate,
+    generate_grid_instance,
     minimal_times,
     solve_exact,
     validate_schedule,
@@ -35,6 +38,15 @@ def decided_system(instance, bits):
     for pair, j1_first in zip(conflict_pairs(instance), bits):
         dcs.add_order(pair, j1_first)
     return dcs
+
+
+def assert_positive_cycle(witness):
+    """The witness chains head to tail, closes on itself and sums above 0."""
+    assert witness
+    for a, b in zip(witness, witness[1:]):
+        assert a.x == b.y
+    assert witness[-1].x == witness[0].y
+    assert sum(c.bound for c in witness) > 0
 
 
 # --- minimal times ----------------------------------------------------------
@@ -76,14 +88,8 @@ def test_infeasible_witness_cycle():
     inst = merge_instance(d_soft=(INF, INF), d_hard=(INF, 52))
     sol = minimal_times(decided_system(inst, (True,)))
     assert not sol.feasible
-    cycle = sol.witness
-    assert cycle
-    assert sum(c.bound for c in cycle) > 0
-    # The constraints chain: each step starts where the previous ended.
-    for a, b in zip(cycle, cycle[1:]):
-        assert a.x == b.y
-    assert cycle[-1].x == cycle[0].y
-    labels = {c.label for c in cycle}
+    assert_positive_cycle(sol.witness)
+    labels = {c.label for c in sol.witness}
     assert any("hard_deadline" in label for label in labels)
     assert any("separation" in label for label in labels)
 
@@ -104,6 +110,7 @@ def test_minimal_solution_below_random_feasible_points():
         if reference is None:
             # Conflicting orientations; both routes must agree it is a cycle.
             assert not sol.feasible
+            assert_positive_cycle(sol.witness)
             continue
         assert sol.feasible
         assert list(sol.times) == reference
@@ -203,10 +210,46 @@ def test_bound_valid_at_every_partial_decision():
             best_leaf = brute_force_tardy(inst, fixed=fixed)
             if not sol.feasible:
                 assert best_leaf is None
+                assert_positive_cycle(sol.witness)
                 continue
             bound = tardy_of_times(inst, list(sol.times))
             if best_leaf is not None:
                 assert bound <= best_leaf
+
+
+def test_search_leaves_recursion_limit_alone(monkeypatch):
+    def refuse(limit):
+        raise AssertionError("the search changed the recursion limit")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    inst = merge_instance(d_soft=(50, 50))
+    assert conflict_pairs(inst)
+    result = solve_exact(inst)
+    assert result.status is SolveStatus.OPTIMAL
+    assert result.objective == 1
+
+
+# (vehicles, seed) -> (optimum, nodes) on 5x5 grids at ratio 1.0.  These
+# change only when the search order changes on purpose.
+PINNED_SEARCHES = {
+    (8, 0): (3, 85),
+    (8, 1): (2, 62),
+    (8, 5): (1, 36),
+    (8, 6): (3, 63),
+    (10, 5): (2, 96),
+    (10, 25): (3, 103),
+}
+
+
+@pytest.mark.parametrize("n, seed", sorted(PINNED_SEARCHES))
+def test_pinned_optimum_and_node_count(n, seed):
+    config = ExperimentConfig(n_vehicles=n, soft_deadline_ratios=(1.0,))
+    inst = generate_grid_instance(config, 1.0, seed)
+    result = solve_exact(inst)
+    assert result.status is SolveStatus.OPTIMAL
+    assert (result.objective, result.node_count) == PINNED_SEARCHES[n, seed]
+    assert validate_schedule(inst, result.schedule).passes()
+    assert evaluate(inst, result.schedule) == result.objective
 
 
 def test_optimum_monotone_in_soft_deadlines():

@@ -411,7 +411,8 @@ def test_legacy_full_list_file_reads_as_regenerated(tmp_path):
     assert legacy.walks == fresh.walks
     assert legacy.soft_deadlines == fresh.soft_deadlines
     assert legacy.hard_deadlines == fresh.hard_deadlines
-    assert len(legacy.separations) == len(raw["separations"]) > 0
+    assert legacy.separations == {}
+    assert legacy.separation == 5
     stamps = [(j, i) for j, w in enumerate(fresh.walks) for i in range(len(w))]
     for a in stamps:
         for b in stamps:
@@ -420,6 +421,21 @@ def test_legacy_full_list_file_reads_as_regenerated(tmp_path):
     path = tmp_path / "again.json"
     write_instance(legacy, path)
     assert read_instance(path) == legacy
+
+
+def test_partial_legacy_list_keeps_its_overrides():
+    """Only a list that gives one gap to every same-vertex pair reads as a
+    uniform gap; a list missing a pair or mixing gaps stays as overrides."""
+    raw = json.loads((DATA / "legacy_grid.json").read_text())
+    first, *others = raw["separations"]
+    missing = dict(raw, separations=others)
+    mixed = dict(raw, separations=[[*first[:4], 6], *others])
+    j1, i1, j2, i2, _ = first
+    for data, gap in ((missing, 0), (mixed, 6)):
+        inst = instance_from_dict(data)
+        assert inst.separation == 0
+        assert len(inst.separations) == len(data["separations"])
+        assert inst.gap(j1, i1, j2, i2) == gap
 
 
 def test_schedule_round_trip_and_diagnostics(tmp_path):
