@@ -40,8 +40,6 @@ from .heuristics import (
     DispatchResult,
     Mode,
     SlotWindowError,
-    SortKey,
-    VehicleState,
     VehicleStatus,
     deadline_and_proximity,
     earliest_feasible_slot,

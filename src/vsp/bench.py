@@ -142,6 +142,10 @@ def run_sweep(
     if "exact" in algorithms and exact_time_limit is None:
         raise ConfigurationError("the exact solver requires a time limit")
 
+    dispatchers = {
+        "baseline": lambda inst: run_dispatch(inst, Mode.PROXIMITY, negative_slack),
+        "heuristic": lambda inst: deadline_and_proximity(inst, negative_slack),
+    }
     seed_rng = random.Random(config.seed)
     instance_seeds = [seed_rng.randrange(2**32) for _ in range(config.n_instances)]
     records: list[RunRecord] = []
@@ -164,27 +168,16 @@ def run_sweep(
                     status=status,
                 ))
 
-            if "baseline" in algorithms:
+            for name, dispatch in dispatchers.items():
+                if name not in algorithms:
+                    continue
                 start = time.perf_counter()
-                result = run_dispatch(instance, Mode.PROXIMITY, negative_slack)
+                result = dispatch(instance)
                 elapsed = time.perf_counter() - start
                 schedule = result.schedule()
-                _check(instance, schedule, "baseline", _DISPATCH_OK)
+                _check(instance, schedule, name, _DISPATCH_OK)
                 record(
-                    "baseline",
-                    int(evaluate(instance, schedule, ObjectiveKind.TARDY_COUNT)),
-                    elapsed,
-                    "completed" if result.hard_violations == 0
-                    else f"hard_violations={result.hard_violations}",
-                )
-            if "heuristic" in algorithms:
-                start = time.perf_counter()
-                result = deadline_and_proximity(instance, negative_slack)
-                elapsed = time.perf_counter() - start
-                schedule = result.schedule()
-                _check(instance, schedule, "heuristic", _DISPATCH_OK)
-                record(
-                    "heuristic",
+                    name,
                     int(evaluate(instance, schedule, ObjectiveKind.TARDY_COUNT)),
                     elapsed,
                     "completed" if result.hard_violations == 0

@@ -17,7 +17,7 @@ import json
 import sys
 from pathlib import Path
 
-from .bench import ALGORITHMS, SweepResult, emit_csv, run_sweep
+from .bench import SweepResult, emit_csv, run_sweep
 from .core import INF, VspError, evaluate, validate_schedule
 from .exact import SolveStatus, solve_exact
 from .heuristics import (
@@ -51,11 +51,7 @@ EXIT_BUDGET_EMPTY = 8
 
 _NOTHING_WRITTEN = "no complete schedule; nothing written"
 
-_MODES = {
-    "proximity": Mode.PROXIMITY,
-    "abs": Mode.ABS_DEADLINE_PROXIMITY,
-    "rel": Mode.REL_DEADLINE_PROXIMITY,
-}
+_MODES = {m.value: m for m in Mode}
 
 
 def _parse_grid(text: str) -> GridSpec:
@@ -106,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--separation", type=int, default=5)
     gen.add_argument("--tau-min", type=int, default=50)
     gen.add_argument("--tau-max", type=_parse_tau_max, default=INF)
-    gen.add_argument("--hard-factor", type=float, default=2.2)
+    gen.add_argument("--hard-factor", type=float, default=None)
     gen.add_argument("--out", required=True)
 
     sched = sub.add_parser("schedule", help="run a dispatch heuristic")
@@ -164,13 +160,18 @@ def _config(**fields) -> ExperimentConfig:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    # Without --hard-factor the default 2.2 is raised to cover the ratio; an
+    # explicit factor below the ratio is a configuration error.
+    hard_factor = (
+        max(2.2, args.ratio) if args.hard_factor is None else args.hard_factor
+    )
     config = _config(
         n_vehicles=args.vehicles,
         grid=args.grid,
         separation=args.separation,
         tau_min_link=args.tau_min,
         tau_max_link=args.tau_max,
-        hard_deadline_factor=max(args.hard_factor, args.ratio),
+        hard_deadline_factor=hard_factor,
         soft_deadline_ratios=(args.ratio,),
         n_instances=1,
         seed=args.seed,
@@ -260,9 +261,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     algorithms = tuple(args.algorithms.split(","))
-    unknown = set(algorithms) - set(ALGORITHMS)
-    if unknown:
-        raise VspError(f"unknown algorithms: {sorted(unknown)}")
     ratios = args.ratios if args.ratios else DEFAULT_RATIOS
     parts = []
     for n in args.vehicles:

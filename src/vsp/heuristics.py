@@ -5,6 +5,13 @@ stamp, grouping the vehicles that sit at it by their next vertex, and giving
 out the earliest separation-feasible slot at that vertex in priority order.
 Three priority modes share the loop; a wrapper runs all three and keeps the
 best schedule.
+
+A priority is the plain tuple (first, demoted, slack, vehicle), compared
+lexicographically: the minimum travel time of the approach link, 1 for a
+vehicle demoted for negative slack (else 0), the mode's deadline slack
+(0.0 under proximity), and the vehicle id.  sorting_key builds the key
+function once per run, with each walk's remaining minimum travel times
+precomputed.
 """
 
 from __future__ import annotations
@@ -13,7 +20,8 @@ import heapq
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from itertools import accumulate
+from typing import Callable, Iterable
 
 from .core import (
     INF,
@@ -25,6 +33,7 @@ from .core import (
 
 
 class Mode(Enum):
+    # Definition order is the best-of-three tie-break order.
     PROXIMITY = "proximity"
     ABS_DEADLINE_PROXIMITY = "abs"
     REL_DEADLINE_PROXIMITY = "rel"
@@ -44,77 +53,50 @@ class DispatchError(VspError):
     """No dispatch mode produced a structurally complete schedule."""
 
 
-@dataclass(frozen=True)
-class VehicleState:
-    """Position of a vehicle at a dispatch decision point.
-
-    next_index is the walk position about to receive a stamp (equals the
-    number of stamps already assigned); ref_time is the stamp at the current
-    vertex, or the request time before the first assignment.
-    """
-
-    vehicle: int
-    next_index: int
-    ref_time: int
-
-
-@dataclass(frozen=True)
-class SortKey:
-    """Dispatch priority: time distance to the contested vertex, then an
-    optional slack score, then the vehicle id.
-
-    Vehicles flagged as demoted (negative slack under the prose policy) sort
-    after every non-demoted vehicle with the same first component and fall
-    back to id order among themselves.
-    """
-
-    first: int
-    second: float | None
-    vehicle: int
-    demoted: bool = False
-
-    def order(self) -> tuple[int, int, float, int]:
-        return (
-            self.first,
-            1 if self.demoted else 0,
-            0.0 if self.second is None else self.second,
-            self.vehicle,
-        )
-
-
 def sorting_key(
     instance: Instance,
-    state: VehicleState,
     mode: Mode,
     negative_slack: str = "prose",
-) -> SortKey:
-    """Priority key of one vehicle for one intersection decision.
+) -> Callable[[int, int, int], tuple[int, int, float, int]]:
+    """Priority key of the vehicles of one instance in one mode.
 
-    first is the minimum travel time of the link leading to the contested
-    vertex (zero before a vehicle's first stamp, when it has no approach
-    link).  The deadline modes add the remaining delay slack: soft deadline
+    The returned key(vehicle, next_index, ref_time) gives the tuple
+    (first, demoted, slack, vehicle); next_index is the walk position about
+    to receive a stamp and ref_time the stamp at the current vertex, or the
+    request time before the first assignment.  first is the minimum travel
+    time of the link leading to the contested vertex (zero before the first
+    stamp).  The deadline modes add the remaining delay slack: soft deadline
     minus the earliest possible completion from here, clamped at zero, and
     divided by the number of vertices still to visit in the relative mode.
     With negative_slack="prose" vehicles whose slack is already negative are
-    demoted instead of clamped; "pseudocode" keeps the plain clamp, which
-    ranks them alongside zero-slack vehicles.
+    demoted (demoted 1, slack 0.0) instead of clamped; "pseudocode" keeps
+    the plain clamp, which ranks them alongside zero-slack vehicles.
     """
     if negative_slack not in ("prose", "pseudocode"):
         raise ValueError(f"unknown negative-slack policy {negative_slack!r}")
-    j, k = state.vehicle, state.next_index
-    walk = instance.walks[j]
-    first = 0 if k == 0 else walk.min_times[k - 1]
+    walks = instance.walks
     if mode is Mode.PROXIMITY:
-        return SortKey(first, None, j)
+        def proximity_key(j: int, k: int, ref: int) -> tuple[int, int, float, int]:
+            return (walks[j].min_times[k - 1] if k else 0, 0, 0.0, j)
+        return proximity_key
 
-    remaining_min = sum(walk.min_times[max(0, k - 1):])
-    slack = instance.soft_deadlines[j] - (state.ref_time + remaining_min)
-    remaining_nodes = len(walk) - k
-    if negative_slack == "prose" and slack < 0:
-        return SortKey(first, 0.0, j, demoted=True)
-    if mode is Mode.ABS_DEADLINE_PROXIMITY:
-        return SortKey(first, max(0.0, float(slack)), j)
-    return SortKey(first, max(0.0, slack / remaining_nodes), j)
+    demote = negative_slack == "prose"
+    relative = mode is Mode.REL_DEADLINE_PROXIMITY
+    deadlines = instance.soft_deadlines
+    # remaining[j][i]: minimum travel time over links i, i+1, ... of walk j.
+    remaining = [
+        list(accumulate(reversed(w.min_times), initial=0))[::-1] for w in walks
+    ]
+
+    def deadline_key(j: int, k: int, ref: int) -> tuple[int, int, float, int]:
+        walk = walks[j]
+        first = walk.min_times[k - 1] if k else 0
+        slack = deadlines[j] - (ref + remaining[j][max(0, k - 1)])
+        if demote and slack < 0:
+            return (first, 1, 0.0, j)
+        score = slack / (len(walk) - k) if relative else float(slack)
+        return (first, 0, max(0.0, score), j)
+    return deadline_key
 
 
 def earliest_feasible_slot(
@@ -126,7 +108,8 @@ def earliest_feasible_slot(
     """Smallest t >= lower_bound with |t - t_k| >= s_k for every assigned
     stamp t_k at the vertex, subject to t <= window_upper.
 
-    blockers holds (stamp, separation) pairs for the requesting vehicle.
+    blockers holds (stamp, separation) pairs for the requesting vehicle;
+    pairs with a zero separation block nothing and are skipped.
     A stamp blocks the open interval (t_k - s_k, t_k + s_k); scanning the
     intervals in start order and jumping to each upper end yields the
     earliest feasible point.
@@ -147,39 +130,31 @@ def earliest_feasible_slot(
 class EventQueue:
     """Bookkeeping for the dispatch loop.
 
-    Keeps the ordered sequence of distinct pending stamps, the vehicles
-    waiting at each stamp, the (stamp, next vertex) groups, and per-vertex
-    sorted lists of already assigned stamps.  Stamp insertion is O(log q)
-    amortised; the group and waiting lookups are plain dict access.
+    Keeps a heap of the distinct pending stamps, the vehicles waiting at
+    each of them (its keys are the queued stamps), and per-vertex sorted
+    lists of already assigned stamps.  Stamp insertion is O(log q); a popped
+    stamp's vehicles are taken with take_waiting before anything is pushed.
     """
 
     def __init__(self) -> None:
         self._heap: list[int] = []
-        self._queued: set[int] = set()
         self.waiting: dict[int, list[int]] = {}
-        self.groups: dict[tuple[int, int], list[int]] = {}
         self.assigned: dict[int, list[tuple[int, int, int]]] = {}
 
     def __bool__(self) -> bool:
         return bool(self._heap)
 
-    def push_vehicle(self, stamp: int, vehicle: int, next_node: int) -> None:
-        if stamp not in self._queued:
-            self._queued.add(stamp)
+    def push_vehicle(self, stamp: int, vehicle: int) -> None:
+        if stamp not in self.waiting:
             heapq.heappush(self._heap, stamp)
-        self.waiting.setdefault(stamp, []).append(vehicle)
-        self.groups.setdefault((stamp, next_node), []).append(vehicle)
+            self.waiting[stamp] = []
+        self.waiting[stamp].append(vehicle)
 
     def pop_stamp(self) -> int:
-        stamp = heapq.heappop(self._heap)
-        self._queued.discard(stamp)
-        return stamp
+        return heapq.heappop(self._heap)
 
     def take_waiting(self, stamp: int) -> list[int]:
         return self.waiting.pop(stamp, [])
-
-    def take_group(self, stamp: int, node: int) -> list[int] | None:
-        return self.groups.pop((stamp, node), None)
 
     def record_assignment(self, node: int, stamp: int, vehicle: int, step: int) -> None:
         insort(self.assigned.setdefault(node, []), (stamp, vehicle, step))
@@ -244,11 +219,11 @@ def run_dispatch(
     next_index = [0] * n
     failed = [False] * n
     eq = EventQueue()
+    key = sorting_key(instance, mode, negative_slack)
 
     def current_key(j: int) -> tuple[int, int, float, int]:
-        ref = times[j][-1] if next_index[j] else instance.request_times[j]
-        state = VehicleState(j, next_index[j], ref)
-        return sorting_key(instance, state, mode, negative_slack).order()
+        k = next_index[j]
+        return key(j, k, times[j][-1] if k else instance.request_times[j])
 
     # A stamp at or below lower - max_gap blocks only ticks below lower, so
     # the slot search may skip it; every later stamp can still chain-block.
@@ -259,9 +234,8 @@ def run_dispatch(
     ) -> list[tuple[int, int]]:
         gap = instance.gap
         return [
-            (stamp, s)
+            (stamp, gap(j, step, other, other_step))
             for stamp, other, other_step in eq.assigned_after(node, lower - max_gap)
-            if (s := gap(j, step, other, other_step)) > 0
         ]
 
     def assign(j: int, stamp: int) -> None:
@@ -271,7 +245,7 @@ def run_dispatch(
         next_index[j] += 1
         eq.record_assignment(walk.vertices[step], stamp, j, step)
         if next_index[j] < len(walk):
-            eq.push_vehicle(stamp, j, walk.vertices[next_index[j]])
+            eq.push_vehicle(stamp, j)
 
     for j in sorted(range(n), key=current_key):
         node = instance.walks[j].vertices[0]
@@ -283,15 +257,14 @@ def run_dispatch(
 
     while eq:
         t = eq.pop_stamp()
-        # Group the waiting vehicles by next vertex before assigning anything,
-        # so positions stay those they were queued with.
-        ordered_groups: list[tuple[int, list[int]]] = []
+        # Group the waiting vehicles by next vertex, in first-seen order,
+        # before assigning anything, so positions stay those they were
+        # queued with.
+        groups: dict[int, list[int]] = {}
         for j in eq.take_waiting(t):
             node = instance.walks[j].vertices[next_index[j]]
-            group = eq.take_group(t, node)
-            if group is not None:
-                ordered_groups.append((node, group))
-        for node, group in ordered_groups:
+            groups.setdefault(node, []).append(j)
+        for node, group in groups.items():
             group.sort(key=current_key)
             for v in group:
                 walk = instance.walks[v]
@@ -320,13 +293,6 @@ def run_dispatch(
     )
 
 
-MODE_ORDER: Sequence[Mode] = (
-    Mode.PROXIMITY,
-    Mode.ABS_DEADLINE_PROXIMITY,
-    Mode.REL_DEADLINE_PROXIMITY,
-)
-
-
 def deadline_and_proximity(
     instance: Instance,
     negative_slack: str = "prose",
@@ -339,7 +305,7 @@ def deadline_and_proximity(
     and keeps the winner never worse than the plain proximity run on the
     configured objective.
     """
-    candidates = [run_dispatch(instance, m, negative_slack) for m in MODE_ORDER]
+    candidates = [run_dispatch(instance, m, negative_slack) for m in Mode]
     if all(not c.complete for c in candidates):
         raise DispatchError("all dispatch modes left incomplete schedules")
 

@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +15,6 @@ from vsp import (
     Mode,
     ObjectiveKind,
     SlotWindowError,
-    VehicleState,
     VehicleStatus,
     Walk,
     deadline_and_proximity,
@@ -46,43 +47,36 @@ def slack_state_instance():
 # --- sorting keys -----------------------------------------------------------
 
 def test_proximity_key_copies_next_link_time():
-    inst = chain_instance()
-    key = sorting_key(inst, VehicleState(0, 1, 0), Mode.PROXIMITY)
-    assert (key.first, key.second, key.vehicle) == (50, None, 0)
+    key = sorting_key(chain_instance(), Mode.PROXIMITY)
+    assert key(0, 1, 0) == (50, 0, 0.0, 0)
 
 
 def test_abs_key_is_clamped_slack():
-    inst = slack_state_instance()
-    key = sorting_key(inst, VehicleState(0, 2, 100), Mode.ABS_DEADLINE_PROXIMITY)
+    key = sorting_key(slack_state_instance(), Mode.ABS_DEADLINE_PROXIMITY)
     # remaining minimum travel 75 + 75 = 150, so slack = 300 - 250 = 50
-    assert key.first == 75
-    assert key.second == 50
-    assert not key.demoted
+    assert key(0, 2, 100) == (75, 0, 50.0, 0)
 
 
 def test_rel_key_divides_by_remaining_vertices():
-    inst = slack_state_instance()
-    key = sorting_key(inst, VehicleState(0, 2, 100), Mode.REL_DEADLINE_PROXIMITY)
-    assert key.second == 25  # 50 slack over 2 remaining vertices
+    key = sorting_key(slack_state_instance(), Mode.REL_DEADLINE_PROXIMITY)
+    assert key(0, 2, 100) == (75, 0, 25.0, 0)  # 50 slack over 2 remaining vertices
 
 
 def test_negative_slack_prose_demotes_pseudocode_clamps():
     inst = slack_state_instance()
-    state = VehicleState(0, 2, 260)  # slack = 300 - 410 < 0
-    prose = sorting_key(inst, state, Mode.ABS_DEADLINE_PROXIMITY, "prose")
-    literal = sorting_key(inst, state, Mode.ABS_DEADLINE_PROXIMITY, "pseudocode")
-    assert prose.demoted and prose.order()[1] == 1
-    assert not literal.demoted and literal.second == 0
-    healthy = sorting_key(
-        inst, VehicleState(0, 2, 100), Mode.ABS_DEADLINE_PROXIMITY, "prose"
-    )
-    assert healthy.order() < prose.order()
-    assert literal.order() < healthy.order()
+    prose = sorting_key(inst, Mode.ABS_DEADLINE_PROXIMITY, "prose")
+    literal = sorting_key(inst, Mode.ABS_DEADLINE_PROXIMITY, "pseudocode")
+    late = (0, 2, 260)  # slack = 300 - 410 < 0
+    assert prose(*late) == (75, 1, 0.0, 0)
+    assert literal(*late) == (75, 0, 0.0, 0)
+    healthy = prose(0, 2, 100)
+    assert healthy < prose(*late)
+    assert literal(*late) < healthy
 
 
 def test_unknown_negative_slack_policy():
     with pytest.raises(ValueError):
-        sorting_key(chain_instance(), VehicleState(0, 1, 0), Mode.PROXIMITY, "maybe")
+        sorting_key(chain_instance(), Mode.PROXIMITY, "maybe")
 
 
 # --- slot search ------------------------------------------------------------
@@ -125,15 +119,13 @@ def test_slot_matches_linear_scan_oracle():
 
 def test_event_queue_orders_distinct_stamps():
     eq = EventQueue()
-    eq.push_vehicle(30, 1, 9)
-    eq.push_vehicle(10, 2, 9)
-    eq.push_vehicle(30, 3, 8)
+    eq.push_vehicle(30, 1)
+    eq.push_vehicle(10, 2)
+    eq.push_vehicle(30, 3)
     assert eq.pop_stamp() == 10
     assert eq.take_waiting(10) == [2]
     assert eq.pop_stamp() == 30
     assert eq.take_waiting(30) == [1, 3]
-    assert eq.take_group(30, 9) == [1]
-    assert eq.take_group(30, 9) is None
     assert not eq
 
 
@@ -364,3 +356,54 @@ def test_wrapper_raises_when_every_mode_fails():
     )
     with pytest.raises(DispatchError):
         deadline_and_proximity(inst)
+
+
+# --- pinned outputs -----------------------------------------------------------
+
+PINNED_DIGESTS = "data/dispatch_digests.txt"
+
+
+def pinned_dispatch_cases():
+    """(label, instance) for 40 seeded grids: finite and open link windows,
+    ratios from 1.0 (where deadline modes demote vehicles) to 1.7."""
+    rng = random.Random(5)
+    for index in range(40):
+        cfg = ExperimentConfig(
+            n_vehicles=rng.randint(2, 80),
+            grid=GridSpec(rng.randint(2, 5), rng.randint(2, 5)),
+            tau_max_link=rng.choice((INF, 50, 60, 80)),
+        )
+        ratio = rng.choice((1.0, 1.0, 1.2, 1.5, 1.7))
+        inst = generate_grid_instance(cfg, ratio, rng.getrandbits(32))
+        label = (
+            f"{index:02d} {cfg.grid.rows}x{cfg.grid.cols} n={cfg.n_vehicles} "
+            f"tmax={cfg.tau_max_link} r={ratio}"
+        )
+        yield label, inst
+
+
+def dispatch_digest(result):
+    payload = repr((result.times, [s.value for s in result.statuses]))
+    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+def dispatch_digests():
+    """Case label -> digest of times and statuses, every mode and policy."""
+    return {
+        f"{label} {mode.value} {policy}":
+            dispatch_digest(run_dispatch(inst, mode, policy))
+        for label, inst in pinned_dispatch_cases()
+        for mode in Mode
+        for policy in ("prose", "pseudocode")
+    }
+
+
+def test_pinned_dispatch_outputs():
+    path = Path(__file__).parent / PINNED_DIGESTS
+    pinned = dict(
+        line.rsplit(" ", 1) for line in path.read_text().splitlines()
+    )
+    actual = dispatch_digests()
+    assert actual.keys() == pinned.keys()
+    differing = [case for case in pinned if actual[case] != pinned[case]]
+    assert not differing, f"dispatch output changed for: {differing}"
