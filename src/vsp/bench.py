@@ -1,8 +1,8 @@
 """Deadline-ratio sweeps over random grid instances.
 
-For every instance seed and every soft-deadline ratio the harness generates
-the instance, runs the requested algorithms, validates each emitted
-schedule, and records tardy counts and wall-clock scheduling time.  Means
+For every instance seed the harness builds the walks once; per soft-deadline
+ratio it runs the requested algorithms, validates each emitted schedule,
+and records tardy counts and wall-clock scheduling time.  Means
 are aggregated per (vehicle count, ratio, algorithm) cell; runtimes are
 first maxed over the ratios of one instance and then averaged across
 instances.
@@ -15,7 +15,7 @@ import math
 import random
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .core import (
@@ -29,7 +29,7 @@ from .core import (
 )
 from .exact import solve_exact
 from .heuristics import Mode, deadline_and_proximity, run_dispatch
-from .instances import ExperimentConfig, generate_grid_instance
+from .instances import ExperimentConfig, generate_grid_instance, soft_deadlines_at
 
 ALGORITHMS = ("baseline", "heuristic", "exact")
 
@@ -150,9 +150,11 @@ def run_sweep(
     instance_seeds = [seed_rng.randrange(2**32) for _ in range(config.n_instances)]
     records: list[RunRecord] = []
     n = config.n_vehicles
+    ratios = config.soft_deadline_ratios
     for index, instance_seed in enumerate(instance_seeds):
-        for ratio in config.soft_deadline_ratios:
-            instance = generate_grid_instance(config, ratio, instance_seed)
+        base = generate_grid_instance(config, ratios[0], instance_seed)
+        for ratio in ratios:
+            instance = replace(base, soft_deadlines=soft_deadlines_at(base.walks, ratio))
 
             def record(algorithm: str, tardy: int | None, runtime: float,
                        status: str) -> None:

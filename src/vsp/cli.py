@@ -13,6 +13,7 @@ with no incumbent.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -52,6 +53,7 @@ EXIT_BUDGET_EMPTY = 8
 _NOTHING_WRITTEN = "no complete schedule; nothing written"
 
 _MODES = {m.value: m for m in Mode}
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
 
 
 def _parse_grid(text: str) -> GridSpec:
@@ -94,14 +96,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="create one random grid instance")
-    gen.add_argument("--grid", type=_parse_grid, default=GridSpec(5, 5))
+    gen.add_argument("--grid", type=_parse_grid, default=_DEFAULTS["grid"])
     gen.add_argument("--vehicles", type=int, required=True)
     gen.add_argument("--ratio", type=float, required=True,
                      help="soft deadline as a multiple of the free trip time")
     gen.add_argument("--seed", type=int, required=True)
-    gen.add_argument("--separation", type=int, default=5)
-    gen.add_argument("--tau-min", type=int, default=50)
-    gen.add_argument("--tau-max", type=_parse_tau_max, default=INF)
+    gen.add_argument("--separation", type=int, default=_DEFAULTS["separation"])
+    gen.add_argument("--tau-min", type=int, default=_DEFAULTS["tau_min_link"])
+    gen.add_argument("--tau-max", type=_parse_tau_max, default=_DEFAULTS["tau_max_link"])
     gen.add_argument("--hard-factor", type=float, default=None)
     gen.add_argument("--out", required=True)
 
@@ -134,15 +136,16 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--schedule", required=True)
 
     bench = sub.add_parser("bench", help="run a deadline-ratio sweep")
-    bench.add_argument("--grid", type=_parse_grid, default=GridSpec(5, 5))
+    bench.add_argument("--grid", type=_parse_grid, default=_DEFAULTS["grid"])
     bench.add_argument("--vehicles", type=_parse_vehicle_counts, required=True)
-    bench.add_argument("--instances", type=int, default=20)
+    bench.add_argument("--instances", type=int, default=_DEFAULTS["n_instances"])
     bench.add_argument("--ratios", type=_parse_ratios, default=None)
     bench.add_argument("--algorithms", default="baseline,heuristic")
     bench.add_argument("--seed", type=int, default=42)
-    bench.add_argument("--separation", type=int, default=5)
-    bench.add_argument("--tau-min", type=int, default=50)
-    bench.add_argument("--hard-factor", type=float, default=2.2)
+    bench.add_argument("--separation", type=int, default=_DEFAULTS["separation"])
+    bench.add_argument("--tau-min", type=int, default=_DEFAULTS["tau_min_link"])
+    bench.add_argument("--hard-factor", type=float,
+                       default=_DEFAULTS["hard_deadline_factor"])
     bench.add_argument("--exact-cap", type=int, default=25)
     bench.add_argument("--exact-time-limit", type=float, default=3600.0)
     bench.add_argument("--negative-slack", choices=["prose", "pseudocode"],
@@ -160,11 +163,11 @@ def _config(**fields) -> ExperimentConfig:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    # Without --hard-factor the default 2.2 is raised to cover the ratio; an
-    # explicit factor below the ratio is a configuration error.
-    hard_factor = (
-        max(2.2, args.ratio) if args.hard_factor is None else args.hard_factor
-    )
+    # Without --hard-factor the default factor is raised to cover the ratio;
+    # an explicit factor below the ratio is a configuration error.
+    hard_factor = args.hard_factor
+    if hard_factor is None:
+        hard_factor = max(_DEFAULTS["hard_deadline_factor"], args.ratio)
     config = _config(
         n_vehicles=args.vehicles,
         grid=args.grid,

@@ -10,9 +10,9 @@ validation and the event-driven schedulers can compare stamps exactly.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator
 
 INF = math.inf
 
@@ -145,7 +145,7 @@ class Instance:
     override that rule; the constructor accepts each entry in either
     orientation and stores it once, lower vehicle id first.  An entry may
     only pair distinct vehicles at steps that visit the same vertex.  Read
-    gaps through gap() and canonical_separations(), never by key.
+    gaps through gap(), never by key.
     """
 
     graph: Graph
@@ -158,7 +158,7 @@ class Instance:
     weights: tuple[float, ...] | None = None
     separation: int = 0
     # vertex -> (vehicle, step) visits in vehicle, then step, order
-    _visits: dict[int, list[tuple[int, int]]] = field(
+    visits: dict[int, list[tuple[int, int]]] = field(
         init=False, repr=False, compare=False
     )
 
@@ -206,8 +206,8 @@ class Instance:
             if len(self.weights) != n:
                 raise ValueError(f"weights has length {len(self.weights)}, expected {n}")
             for j, w in enumerate(self.weights):
-                if not (w > 0):
-                    raise ValueError(f"weight of vehicle {j} must be positive")
+                if not (0 < w < INF):
+                    raise ValueError(f"weight of vehicle {j} must be positive and finite")
         if self.objective.weighted and self.weights is None:
             raise ConfigurationError(
                 f"objective {self.objective.value} requires vehicle weights"
@@ -219,7 +219,7 @@ class Instance:
         for j, walk in enumerate(self.walks):
             for i, vertex in enumerate(walk.vertices):
                 visits.setdefault(vertex, []).append((j, i))
-        object.__setattr__(self, "_visits", visits)
+        object.__setattr__(self, "visits", visits)
 
     def _normalised_separations(self) -> dict[SeparationKey, int]:
         table: dict[SeparationKey, int] = {}
@@ -263,24 +263,6 @@ class Instance:
             return 0
         key = (j1, i1, j2, i2) if j1 < j2 else (j2, i2, j1, i1)
         return self.separations.get(key, self.separation)
-
-    def canonical_separations(self) -> Iterator[tuple[SeparationKey, int]]:
-        """Each separated stamp pair once with its gap, lower vehicle id first.
-
-        With a positive separation every same-vertex pair of distinct
-        vehicles is listed, vertex by vertex in order of first visit; with
-        separation 0 only the overrides are, in the order they were given.
-        """
-        if self.separation == 0:
-            yield from self.separations.items()
-            return
-        overrides = self.separations
-        for steps in self._visits.values():
-            for a, (j1, i1) in enumerate(steps):
-                for j2, i2 in steps[a + 1:]:
-                    if j1 != j2:
-                        key = (j1, i1, j2, i2)
-                        yield key, overrides.get(key, self.separation)
 
 
 @dataclass(frozen=True)
@@ -356,8 +338,8 @@ def validate_schedule(instance: Instance, schedule: Schedule) -> ValidationRepor
 
     Constraint classes: request time, continuity and hard deadline (the
     per-vehicle chain), per-link travel-time windows, and pairwise
-    separation at shared vertices (checked once per unordered pair).
-    Comparisons are exact; there is no tolerance.
+    separation at shared vertices (vertex by vertex in order of first
+    visit, each pair once).  Comparisons are exact; there is no tolerance.
     """
     check_shape(instance, schedule)
     found: list[Violation] = []
@@ -389,13 +371,21 @@ def validate_schedule(instance: Instance, schedule: Schedule) -> ValidationRepor
                 f"vehicle {j} completes at {row[-1]} after hard deadline "
                 f"{instance.hard_deadlines[j]}",
             ))
-    for (j1, i1, j2, i2), s in instance.canonical_separations():
-        gap = abs(schedule.times[j1][i1] - schedule.times[j2][i2])
-        if gap < s:
+    window = instance.max_gap
+    for vertex, steps in instance.visits.items():
+        stamps = sorted((schedule.times[j][i], j, i) for j, i in steps)
+        clashes = []
+        for a, (t1, j1, i1) in enumerate(stamps):
+            # only the later stamps less than max_gap away can break a gap
+            for t2, j2, i2 in stamps[a + 1:bisect_left(stamps, (t1 + window,))]:
+                if t2 - t1 < (s := instance.gap(j1, i1, j2, i2)):
+                    pair = (j1, i1, j2, i2) if j1 < j2 else (j2, i2, j1, i1)
+                    clashes.append((pair, t2 - t1, s))
+        for (j1, i1, j2, i2), gap, s in sorted(clashes):
             found.append(Violation(
                 ConstraintKind.SEPARATION, (j1, j2), (i1, i2),
                 f"vehicles {j1} (step {i1}) and {j2} (step {i2}) are {gap} apart "
-                f"at vertex {instance.walks[j1].vertices[i1]}, need {s}",
+                f"at vertex {vertex}, need {s}",
             ))
     return ValidationReport(tuple(found))
 

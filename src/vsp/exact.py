@@ -44,14 +44,14 @@ class ConflictPair:
 
 
 def conflict_pairs(instance: Instance) -> tuple[ConflictPair, ...]:
-    """All separation pairs with a positive gap, in canonical order.
-
-    Zero-gap entries constrain nothing and are dropped here.
-    """
+    """Same-vertex stamp pairs with a positive gap, lower vehicle id first,
+    sorted by (j1, i1, j2, i2); zero gaps constrain nothing and are dropped."""
     pairs = [
         ConflictPair(j1, i1, j2, i2, s)
-        for (j1, i1, j2, i2), s in instance.canonical_separations()
-        if s > 0
+        for steps in instance.visits.values()
+        for a, (j1, i1) in enumerate(steps)
+        for j2, i2 in steps[a + 1:]
+        if (s := instance.gap(j1, i1, j2, i2)) > 0
     ]
     pairs.sort(key=lambda p: (p.j1, p.i1, p.j2, p.i2))
     return tuple(pairs)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable
@@ -160,6 +161,11 @@ def shortest_walk_vertices(graph: Graph, source: int, dest: int) -> tuple[int, .
     return _follow(_next_hop_tables(graph, (dest,))[dest], source, dest)
 
 
+def soft_deadlines_at(walks: Iterable[Walk], ratio: float) -> tuple[int, ...]:
+    """Soft deadlines at ratio times each walk's free trip time, to the tick."""
+    return tuple(round(ratio * sum(walk.min_times)) for walk in walks)
+
+
 def generate_grid_instance(
     config: ExperimentConfig, ratio: float, seed: int
 ) -> Instance:
@@ -169,8 +175,8 @@ def generate_grid_instance(
     every shared vertex, and deadlines scaled off the free trip time.
 
     The walks depend only on the seed, so sweeping the ratio varies the
-    soft deadlines over fixed trips.  Deadlines are rounded to the nearest
-    tick.
+    soft deadlines (soft_deadlines_at) over fixed trips.  Deadlines are
+    rounded to the nearest tick.
     """
     graph = build_grid_graph(config.grid)
     rng = random.Random(seed)
@@ -192,22 +198,19 @@ def generate_grid_instance(
             (config.tau_min_link,) * links,
             (config.tau_max_link,) * links,
         ))
-    soft = []
     hard = []
     for walk in walks:
-        free_time = sum(walk.min_times)
-        soft.append(round(ratio * free_time))
         hard_base = (
             len(walk) * config.tau_min_link
             if config.hard_factor_counts_vertices
-            else free_time
+            else sum(walk.min_times)
         )
         hard.append(round(config.hard_deadline_factor * hard_base))
     return Instance(
         graph=graph,
         walks=tuple(walks),
         request_times=(0,) * config.n_vehicles,
-        soft_deadlines=tuple(soft),
+        soft_deadlines=soft_deadlines_at(walks, ratio),
         hard_deadlines=tuple(hard),
         objective=ObjectiveKind.TARDY_COUNT,
         separation=config.separation,
@@ -449,11 +452,13 @@ def _uniform_if_full_list(instance: Instance) -> Instance:
     vehicles, the format before the uniform gap rule, as that gap.  The
     constructor rejects other keys and duplicates, so counts decide."""
     gaps = set(instance.separations.values())
-    if len(gaps) != 1:
+    pairs = 0
+    for steps in instance.visits.values():  # all pairs minus same-vehicle ones
+        per_vehicle = Counter(j for j, _ in steps)
+        pairs += (len(steps) ** 2 - sum(c * c for c in per_vehicle.values())) // 2
+    if len(gaps) != 1 or pairs != len(instance.separations):
         return instance
-    uniform = replace(instance, separations={}, separation=gaps.pop())
-    full = sum(1 for _ in uniform.canonical_separations()) == len(instance.separations)
-    return uniform if full else instance
+    return replace(instance, separations={}, separation=gaps.pop())
 
 
 def write_instance(instance: Instance, path: str | Path) -> None:

@@ -14,10 +14,13 @@ from dataclasses import replace
 
 from vsp import (
     INF,
+    ConstraintKind,
     ExperimentConfig,
     GridSpec,
     Instance,
     ObjectiveKind,
+    Schedule,
+    Violation,
     conflict_pairs,
     generate_grid_instance,
     solve_exact,
@@ -47,6 +50,38 @@ def merge_instance(
         objective=objective,
         weights=weights,
     )
+
+
+def brute_force_separation_violations(
+    instance: Instance, schedule: Schedule
+) -> list[Violation]:
+    """Every same-vertex stamp pair of distinct vehicles checked against
+    instance.gap, with no window: the violations ordered by the vertex's
+    first visit (vehicles, then steps, in order), then (j1, i1), then
+    (j2, i2), lower vehicle id first."""
+    rank: dict[int, int] = {}
+    for walk in instance.walks:
+        for v in walk.vertices:
+            rank.setdefault(v, len(rank))
+    found = []
+    for j1, w1 in enumerate(instance.walks):
+        for j2 in range(j1 + 1, instance.n_vehicles):
+            for i1, v in enumerate(w1.vertices):
+                for i2, u in enumerate(instance.walks[j2].vertices):
+                    if u != v:
+                        continue
+                    s = instance.gap(j1, i1, j2, i2)
+                    apart = abs(schedule.times[j1][i1] - schedule.times[j2][i2])
+                    if apart < s:
+                        found.append((rank[v], j1, i1, j2, i2, apart, s, v))
+    return [
+        Violation(
+            ConstraintKind.SEPARATION, (j1, j2), (i1, i2),
+            f"vehicles {j1} (step {i1}) and {j2} (step {i2}) are {apart} apart "
+            f"at vertex {v}, need {s}",
+        )
+        for _, j1, i1, j2, i2, apart, s, v in sorted(found)
+    ]
 
 
 def chain_instance(
@@ -257,7 +292,7 @@ def exact_makespan(instance: Instance) -> int:
     )
     hi = max(instance.request_times) + sum(
         sum(w.min_times) + (len(w) - 1) for w in instance.walks
-    ) + sum(s for _, s in instance.canonical_separations())
+    ) + sum(pair.s for pair in conflict_pairs(instance))
     while not feasible(hi):
         hi = 2 * hi + 1
     while lo < hi:

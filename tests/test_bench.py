@@ -1,17 +1,21 @@
 import csv
+from dataclasses import replace
 
 import pytest
 
 from vsp import (
     ConfigurationError,
     ExperimentConfig,
+    GridSpec,
     Schedule,
     SweepResult,
     VspError,
     emit_csv,
+    generate_grid_instance,
     run_sweep,
 )
 from vsp.bench import _check
+from vsp.instances import soft_deadlines_at
 from oracles import merge_instance
 
 
@@ -73,6 +77,28 @@ def test_baseline_nonincreasing_in_ratio_per_instance():
     for rows in per_instance.values():
         counts = [c for _, c in sorted(rows)]
         assert counts == sorted(counts, reverse=True)
+
+
+def test_each_ratio_derived_from_one_generated_instance():
+    """run_sweep generates each seed's walks once and only resets the soft
+    deadlines per ratio; that must equal generating at the ratio."""
+    configs = (
+        ExperimentConfig(n_vehicles=12),
+        ExperimentConfig(
+            n_vehicles=7, grid=GridSpec(3, 4), tau_max_link=80,
+            hard_factor_counts_vertices=True,
+        ),
+    )
+    for config in configs:
+        for seed in (0, 1, 42, 2**32 - 1):
+            base = generate_grid_instance(
+                config, config.soft_deadline_ratios[0], seed
+            )
+            for ratio in config.soft_deadline_ratios:
+                derived = replace(
+                    base, soft_deadlines=soft_deadlines_at(base.walks, ratio)
+                )
+                assert derived == generate_grid_instance(config, ratio, seed)
 
 
 def test_tardy_csv_reproducible(tmp_path):

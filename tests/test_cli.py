@@ -18,7 +18,7 @@ from vsp.cli import (
     main,
 )
 from oracles import chain_instance, merge_instance
-from vsp import Graph, Instance, Walk
+from vsp import ConflictPair, Graph, Instance, Walk, conflict_pairs
 
 DATA = Path(__file__).parent / "data"
 
@@ -126,9 +126,9 @@ def test_reduce_jsp(tmp_path):
     assert run_cli("reduce-jsp", "--jsp", jsp_path, "--out", out) == EXIT_OK
     inst = read_instance(out)
     assert inst.graph.vertex_count == 2
-    assert dict(inst.canonical_separations()) == {
-        (0, 0, 1, 0): 1, (0, 1, 1, 1): 1,
-    }
+    assert conflict_pairs(inst) == (
+        ConflictPair(0, 0, 1, 0, 1), ConflictPair(0, 1, 1, 1, 1),
+    )
 
 
 def test_missing_file_reports_error(tmp_path):
@@ -140,6 +140,22 @@ def test_missing_file_reports_error(tmp_path):
         "validate", "--instance", tmp_path / "nope.json",
         "--schedule", tmp_path / "nope2.json",
     ) == EXIT_ERROR
+
+
+def test_non_finite_weight_reports_error(tmp_path, capsys):
+    inst = merge_instance(
+        weights=(1.0, 2.0), objective=vsp.ObjectiveKind.WEIGHTED_TARDY_COUNT
+    )
+    data = vsp.instances.instance_to_dict(inst)
+    data["weights"] = [1.0, float("inf")]  # written as the JSON token Infinity
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(data))
+    out = tmp_path / "model.lp"
+    assert run_cli(
+        "export-mip", "--instance", inst_path, "--horizon", 1000, "--out", out
+    ) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_bench_writes_outputs(tmp_path):

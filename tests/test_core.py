@@ -1,23 +1,31 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from vsp import (
     INF,
     ConfigurationError,
+    ConflictPair,
     ConstraintKind,
+    ExperimentConfig,
     Graph,
+    GridSpec,
     Instance,
+    JspInstance,
     ObjectiveKind,
     Schedule,
     ShapeError,
     Walk,
+    conflict_pairs,
     evaluate,
+    generate_grid_instance,
     min_free_trip_time,
+    reduce_jsp_to_vsp,
     tardy_flags,
     validate_schedule,
 )
-from oracles import chain_instance, merge_instance
+from oracles import brute_force_separation_violations, chain_instance, merge_instance
 
 
 # --- model invariants ----------------------------------------------------
@@ -100,7 +108,7 @@ def test_separations_mirrored_automatically():
     inst = merge_instance()
     assert inst.separations[(0, 1, 1, 1)] == 5
     assert inst.gap(1, 1, 0, 1) == 5
-    assert list(inst.canonical_separations()) == [((0, 1, 1, 1), 5)]
+    assert conflict_pairs(inst) == (ConflictPair(0, 1, 1, 1, 5),)
 
 
 def three_through_c(separation=0, separations=None):
@@ -124,11 +132,11 @@ def test_uniform_gap_with_sparse_overrides():
     assert inst.gap(2, 1, 1, 1) == 0
     assert inst.gap(0, 0, 1, 0) == 0  # different vertices
     assert inst.gap(0, 1, 0, 1) == 0  # same vehicle
-    assert list(inst.canonical_separations()) == [
-        ((0, 1, 1, 1), 5), ((0, 1, 2, 1), 9), ((1, 1, 2, 1), 0),
-    ]
+    assert conflict_pairs(inst) == (  # the zero-gap override is dropped
+        ConflictPair(0, 1, 1, 1, 5), ConflictPair(0, 1, 2, 1, 9),
+    )
     only_overrides = three_through_c(0, {(2, 1, 0, 1): 9})
-    assert list(only_overrides.canonical_separations()) == [((0, 1, 2, 1), 9)]
+    assert conflict_pairs(only_overrides) == (ConflictPair(0, 1, 2, 1, 9),)
     assert only_overrides.gap(0, 1, 1, 1) == 0
 
 
@@ -193,6 +201,63 @@ def test_separation_reported_once_per_pair():
     assert len(seps) == 1
     assert abs(50 - 53) == 3 < 5
     assert seps[0].vehicles == (0, 1)
+
+
+def separation_cases(count=100, seed=11):
+    """Seeded instances with stamps packed close together: grids and job
+    shops that revisit a machine, separations 0, 1, 5 and 20, overrides
+    wider and narrower than the rule (0 included), and some with max_gap 0."""
+    rng = random.Random(seed)
+    for k in range(count):
+        if k % 4 == 3:
+            machines = rng.randint(2, 4)
+            jobs = []
+            for _ in range(rng.randint(2, 6)):
+                job = [rng.randrange(machines)]
+                for _ in range(rng.randint(1, 6)):
+                    step = rng.randrange(machines - 1)
+                    job.append(step if step < job[-1] else step + 1)
+                jobs.append(tuple(job))
+            inst = reduce_jsp_to_vsp(JspInstance(
+                machines, tuple(jobs), (0,) * len(jobs), (INF,) * len(jobs), False
+            ))
+        else:
+            cfg = ExperimentConfig(
+                n_vehicles=rng.randint(2, 14), grid=GridSpec(rng.randint(2, 4), 3)
+            )
+            inst = generate_grid_instance(cfg, 1.2, rng.getrandbits(32))
+        pairs = [
+            (j1, i1, j2, i2)
+            for j1, w1 in enumerate(inst.walks)
+            for j2 in range(j1 + 1, inst.n_vehicles)
+            for i1, v in enumerate(w1.vertices)
+            for i2, u in enumerate(inst.walks[j2].vertices)
+            if u == v
+        ]
+        gaps = (0,) if k % 10 == 0 else (0, 1, 4, 5, 6, 19, 20, 21, 35)
+        overrides = {
+            key: rng.choice(gaps)
+            for key in rng.sample(pairs, min(len(pairs), rng.randint(0, 12)))
+        }
+        separation = 0 if k % 10 == 0 else rng.choice((0, 1, 5, 20))
+        inst = replace(inst, separation=separation, separations=overrides)
+        spread = rng.choice((3, 10, 40))
+        times = tuple(
+            tuple(rng.randrange(spread) for _ in walk.vertices) for walk in inst.walks
+        )
+        yield inst, Schedule(times)
+
+
+def test_separation_matches_brute_force_pair_walk():
+    """The windowed check finds exactly the violations of the full pair walk,
+    in the same order, whatever the separation rule."""
+    checked = max_gap_zero = 0
+    for inst, schedule in separation_cases():
+        found = validate_schedule(inst, schedule).by_kind(ConstraintKind.SEPARATION)
+        assert found == brute_force_separation_violations(inst, schedule)
+        checked += len(found)
+        max_gap_zero += inst.max_gap == 0
+    assert checked > 1000 and max_gap_zero >= 10
 
 
 def test_exact_boundary_separation_ok():

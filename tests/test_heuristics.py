@@ -241,7 +241,13 @@ def test_windowed_dispatch_matches_whole_list_scan(monkeypatch):
             tau_max_link=rng.choice((INF, 50, 60, 80)),
         )
         inst = generate_grid_instance(cfg, 1.2, rng.getrandbits(32))
-        pairs = [key for key, _ in inst.canonical_separations()]
+        pairs = [
+            (j1, i1, j2, i2)
+            for steps in inst.visits.values()
+            for a, (j1, i1) in enumerate(steps)
+            for j2, i2 in steps[a + 1:]
+            if j1 != j2
+        ]
         overrides = {
             key: rng.randint(0, 60)
             for key in rng.sample(pairs, min(len(pairs), rng.randint(1, 12)))

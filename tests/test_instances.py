@@ -14,6 +14,7 @@ from vsp import (
     Schedule,
     VspError,
     build_grid_graph,
+    conflict_pairs,
     deadline_and_proximity,
     generate_grid_instance,
     min_free_trip_time,
@@ -158,7 +159,7 @@ def test_every_shared_vertex_pair_has_one_gap():
                 for i2, v in enumerate(w2.vertices):
                     if u == v:
                         expected[(j1, i1, j2, i2)] = 5
-    assert dict(inst.canonical_separations()) == expected
+    assert {(p.j1, p.i1, p.j2, p.i2): p.s for p in conflict_pairs(inst)} == expected
 
 
 def test_generated_instance_stores_the_rule_not_the_pairs():
@@ -288,7 +289,7 @@ def test_machine_separation_is_one_everywhere():
         no_wait=False,
     )
     inst = reduce_jsp_to_vsp(jsp)
-    gaps = dict(inst.canonical_separations())
+    gaps = {(p.j1, p.i1, p.j2, p.i2): p.s for p in conflict_pairs(inst)}
     assert gaps == {(0, 1, 1, 1): 1, (0, 2, 1, 0): 1}
     assert inst.separation == 1 and inst.separations == {}
 
@@ -379,6 +380,8 @@ def test_fractional_tick_rejected():
         ("rho", [float("inf"), 0], "integer tick"),
         ("weights", [True, 1.0], "weight must be a number"),
         ("weights", [1.0, "2"], "weight must be a number"),
+        ("weights", [1.0, float("inf")], "positive and finite"),
+        ("weights", [1.0, float("nan")], "positive and finite"),
     ):
         broken = dict(merge, **{key: bad})
         with pytest.raises(FormatError, match=match):
