@@ -6,8 +6,8 @@ unit job-shop instances, validate schedules, and run benchmark sweeps.
 
 Exit codes: 0 success, 1 domain or file error, 2 usage error, 4 schedule
 has hard-deadline violations, 5 schedule has slot-window failures, 6
-instance infeasible, 7 time limit hit with an incumbent, 8 time limit hit
-with no incumbent.
+instance infeasible, 7 time limit hit with an incumbent (the best-of-three
+warm start counts), 8 time limit hit with no incumbent.
 """
 
 from __future__ import annotations
@@ -217,7 +217,8 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = read_instance(args.instance)
     result = solve_exact(instance, time_limit=args.time_limit, horizon=args.horizon)
-    print(f"status={result.status.value} nodes={result.node_count}")
+    bound = "" if result.lower_bound is None else f" bound={result.lower_bound:g}"
+    print(f"status={result.status.value} nodes={result.node_count}{bound}")
     if result.schedule is not None:
         write_schedule(result.schedule, args.out)
         print(f"objective={result.objective:g} -> {args.out}")

@@ -5,7 +5,9 @@ two orders.  Fixing an order for every pair leaves a pure difference system
 whose componentwise-minimal solution is computable by longest paths from an
 origin; a branch-and-bound over the order choices with that relaxation as
 the bounding function yields the exact optimum, because tardiness flags only
-ever grow when completion times grow.
+ever grow when completion times grow.  The search starts from the crossing
+orders of the best-of-three dispatch schedule, and adds to each node's
+tardy weight a vertex cover over the vehicles that cannot both be on time.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, Iterable, Sequence
 
 from .core import (
     INF,
@@ -23,6 +26,7 @@ from .core import (
     Schedule,
     VspError,
 )
+from .heuristics import DispatchError, deadline_and_proximity
 
 NEG_INF = float("-inf")
 
@@ -210,6 +214,131 @@ def minimal_times(dcs: DifferenceConstraintSystem) -> DcsSolution:
     return DcsSolution(False, None, tuple(reversed(chain[seen[u]:])))
 
 
+def _min_cover(
+    adjacency: dict[int, set[int]], weights: Sequence[float], limit: float
+) -> float:
+    """min(least weight of a vertex cover of the graph, limit).
+
+    adjacency maps each vertex with an edge to its neighbours.  Branches on
+    the vertex of highest degree (lowest id on ties): either it joins the
+    cover, or all of its neighbours do.  A branch stops once its weight
+    reaches the limit, so the work follows the limit, not the graph size.
+    It also stops once an edge packing reaches the limit: when each edge in
+    turn pays what both its ends have left, the total paid is at most the
+    weight of any cover (LP duality).
+    """
+    if limit <= 0:
+        return limit
+    if not adjacency:
+        return 0
+    left = {v: weights[v] for v in adjacency}
+    paid = 0
+    for v, nbrs in adjacency.items():
+        for x in nbrs:
+            if x > v and (y := min(left[v], left[x])) > 0:
+                left[v] -= y
+                left[x] -= y
+                paid += y
+    if paid >= limit:
+        return limit
+    u = max(adjacency, key=lambda v: (len(adjacency[v]), -v))
+
+    def without(removed: set[int]) -> dict[int, set[int]]:
+        return {
+            v: rest
+            for v, nbrs in adjacency.items()
+            if v not in removed and (rest := nbrs - removed)
+        }
+
+    taken = weights[u] + _min_cover(without({u}), weights, limit - weights[u])
+    nbrs = adjacency[u]
+    joined = sum(weights[v] for v in nbrs)
+    spared = joined + _min_cover(
+        without(nbrs | {u}), weights, min(limit, taken) - joined
+    )
+    return min(taken, spared)
+
+
+def on_time_cover(
+    dcs: DifferenceConstraintSystem, pairs: Sequence[ConflictPair]
+) -> Callable[[Sequence[float], Iterable[int], float], float]:
+    """The cover bound of the search, over the stamp variables of dcs.
+
+    A stamp's latest on-time value is its vehicle's soft deadline minus the
+    minimum travel time left after it.  Two vehicles are incompatible at a
+    node when neither is tardy at its least stamps dist and some undecided
+    pair fits in neither order: in both, the earlier stamp plus the gap
+    passes the later one's latest on-time value.  At most one of the two
+    can end on time below the node, so the least weight of a vertex cover
+    of the incompatibility graph adds to the tardy weight of dist.  Decided
+    pairs add nothing: dist already carries them.
+
+    Returns bound(dist, undecided, limit), which gives min(that cover
+    weight, limit) for the undecided pair indices into pairs.
+    """
+    instance = dcs.instance
+    weights = instance.weights or (1,) * instance.n_vehicles
+    deadlines = instance.soft_deadlines
+    latest: list[float] = [INF] * dcs.n_vars
+    last: list[int] = []
+    for j, walk in enumerate(instance.walks):
+        left = deadlines[j]
+        for i in range(len(walk) - 1, -1, -1):
+            latest[dcs.var(j, i)] = left
+            if i:
+                left -= walk.min_times[i - 1]
+        last.append(dcs.var(j, len(walk) - 1))
+    # Per pair whose vehicles both have a soft deadline: the two stamp
+    # variables, the gap and the two vehicles.
+    table = [
+        (dcs.var(p.j1, p.i1), dcs.var(p.j2, p.i2), p.s, p.j1, p.j2)
+        if deadlines[p.j1] != INF and deadlines[p.j2] != INF
+        else None
+        for p in pairs
+    ]
+
+    def bound(dist: Sequence[float], undecided: Iterable[int], limit: float) -> float:
+        adjacency: dict[int, set[int]] = {}
+        for k in undecided:
+            row = table[k]
+            if row is None:
+                continue
+            a, b, s, j1, j2 = row
+            if (
+                dist[a] + s > latest[b]
+                and dist[b] + s > latest[a]
+                and dist[last[j1]] <= deadlines[j1]
+                and dist[last[j2]] <= deadlines[j2]
+            ):
+                adjacency.setdefault(j1, set()).add(j2)
+                adjacency.setdefault(j2, set()).add(j1)
+        return _min_cover(adjacency, weights, limit)
+
+    return bound
+
+
+def _warm_start(
+    instance: Instance, pairs: Sequence[ConflictPair], horizon: int | None
+) -> DcsSolution | None:
+    """Least stamps for the crossing orders of the best-of-three schedule.
+
+    None when best-of-three leaves a vehicle without stamps, breaks a hard
+    deadline, or its orders are infeasible (under the horizon).
+    """
+    try:
+        best = deadline_and_proximity(instance)
+    except DispatchError:
+        return None
+    if not best.complete or best.hard_violations:
+        return None
+    times = best.times
+    dcs = DifferenceConstraintSystem(instance, horizon=horizon)
+    for p in pairs:
+        dcs.add_order(p, times[p.j1][p.i1] < times[p.j2][p.i2])
+    warm = minimal_times(dcs)
+    return warm if warm.feasible else None
+
+
 class SolveStatus(Enum):
     OPTIMAL = "optimal"
     FEASIBLE_INCUMBENT = "feasible_incumbent"
@@ -224,6 +353,9 @@ class SolveResult:
     objective: float | None
     node_count: int
     witness: tuple[Constraint, ...] | None = None
+    # Tardy weight at the root's least stamps plus the root cover, capped at
+    # the warm-start incumbent; None when the root is infeasible.
+    lower_bound: float | None = None
 
 
 def solve_exact(
@@ -244,6 +376,13 @@ def solve_exact(
     child's stamps are its parent's, relaxed from the head of the new order
     constraint by the routine minimal_times runs from the origin.
 
+    The first incumbent is the least solution for the crossing orders of
+    the best-of-three dispatch schedule, when that schedule is complete and
+    meets every hard deadline, so the returned schedule is always
+    componentwise-minimal for its orders.  Once there is an incumbent, a
+    node is also pruned when its tardy weight plus the on_time_cover bound
+    reaches it.
+
     The search keeps its own stack, so its depth is not bounded by the
     interpreter's recursion limit.  It is single-threaded and deterministic.
     With a time limit the best incumbent so far is returned once the budget
@@ -257,6 +396,7 @@ def solve_exact(
             f"exact solver handles tardy-count objectives only, "
             f"not {instance.objective.value}"
         )
+    deadline = None if time_limit is None else time.monotonic() + time_limit
     pairs = conflict_pairs(instance)
     dcs = DifferenceConstraintSystem(instance, horizon=horizon)
     root = minimal_times(dcs)
@@ -269,18 +409,30 @@ def solve_exact(
         for j in range(instance.n_vehicles)
         if instance.soft_deadlines[j] != INF
     ]
+
+    def tardy(dist: Sequence[float]) -> float:
+        return sum(w for var, d, w in tardy_terms if dist[var] > d)
+
     # Per pair: the variables of its two stamps and its two order constraints.
     first = [dcs.var(p.j1, p.i1) for p in pairs]
     second = [dcs.var(p.j2, p.i2) for p in pairs]
     orders = [
         (dcs.order_constraint(p, True), dcs.order_constraint(p, False)) for p in pairs
     ]
+    cover = on_time_cover(dcs, pairs)
     # The relaxation records predecessors; the search never reads them.
     scratch_pred: list[Constraint | None] = [None] * dcs.n_vars
 
-    deadline = None if time_limit is None else time.monotonic() + time_limit
     best_obj: float | None = None
     best_dist: list[int] | None = None
+    warm = _warm_start(instance, pairs, horizon)
+    if warm is not None:
+        best_dist = list(warm.times)
+        best_obj = tardy(best_dist)
+    root_value = tardy(root.times)
+    cap = INF if best_obj is None else best_obj - root_value
+    lower_bound = root_value + cover(root.times, range(len(pairs)), cap)
+
     nodes = 0
     stopped = False
     # Depth-first frames: [stamps, undecided pairs below, orders left to try
@@ -294,12 +446,16 @@ def solve_exact(
         if deadline is not None and time.monotonic() > deadline:
             stopped = True
             return
-        value = sum(w for var, d, w in tardy_terms if dist[var] > d)
+        value = tardy(dist)
         if best_obj is not None and value >= best_obj:
             return
         if not undecided:
             best_obj, best_dist = value, dist
             return
+        if best_obj is not None:
+            gap = best_obj - value
+            if cover(dist, undecided, gap) >= gap:
+                return
         # Earliest involved stamp first; undecided stays ascending, so min
         # keeps the lowest pair index on ties.
         idx = min(undecided, key=lambda k: min(dist[first[k]], dist[second[k]]))
@@ -335,6 +491,9 @@ def solve_exact(
 
     if best_dist is None:
         status = SolveStatus.BUDGET_EXHAUSTED if stopped else SolveStatus.INFEASIBLE
-        return SolveResult(status, None, None, nodes)
+        return SolveResult(status, None, None, nodes, lower_bound=lower_bound)
     status = SolveStatus.FEASIBLE_INCUMBENT if stopped else SolveStatus.OPTIMAL
-    return SolveResult(status, dcs.to_schedule(tuple(best_dist)), best_obj, nodes)
+    return SolveResult(
+        status, dcs.to_schedule(tuple(best_dist)), best_obj, nodes,
+        lower_bound=lower_bound,
+    )

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left, insort
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate
 from typing import Callable, Iterable
@@ -178,6 +178,10 @@ class DispatchResult:
     mode: Mode
     times: tuple[tuple[int, ...], ...]
     statuses: tuple[VehicleStatus, ...]
+    # Built by the first schedule() call and handed out from then on.
+    _schedule: Schedule | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def complete(self) -> bool:
@@ -192,11 +196,13 @@ class DispatchResult:
         return sum(s is VehicleStatus.HARD_DEADLINE_VIOLATED for s in self.statuses)
 
     def schedule(self) -> Schedule:
-        if not self.complete:
-            raise SlotWindowError(
-                f"{self.slot_failures} vehicle(s) have no complete stamp sequence"
-            )
-        return Schedule(self.times)
+        if self._schedule is None:
+            if not self.complete:
+                raise SlotWindowError(
+                    f"{self.slot_failures} vehicle(s) have no complete stamp sequence"
+                )
+            object.__setattr__(self, "_schedule", Schedule(self.times))
+        return self._schedule
 
 
 def run_dispatch(

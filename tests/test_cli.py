@@ -10,6 +10,7 @@ import vsp
 from vsp import INF, read_instance, read_schedule, validate_schedule, write_instance
 from vsp.cli import (
     EXIT_BUDGET_EMPTY,
+    EXIT_BUDGET_INCUMBENT,
     EXIT_ERROR,
     EXIT_HARD_DEADLINE,
     EXIT_INFEASIBLE,
@@ -76,24 +77,41 @@ def test_schedule_exit_codes(tmp_path):
         assert not out.exists()
 
 
-def test_solve_and_exit_codes(tmp_path):
+def test_solve_and_exit_codes(tmp_path, capsys):
     inst_path = tmp_path / "inst.json"
     write_instance(merge_instance(d_soft=(50, 50), d_hard=(200, 200)), inst_path)
     out = tmp_path / "exact.json"
     assert run_cli("solve", "--instance", inst_path, "--exact", "--out", out) == EXIT_OK
     sched = read_schedule(out)
     assert sched.times == ((0, 50), (0, 55))
+    assert "status=optimal nodes=1 bound=1\n" in capsys.readouterr().out
 
     infeasible = tmp_path / "bad.json"
     write_instance(chain_instance(d_hard=90), infeasible)  # needs 100 ticks
     assert run_cli(
         "solve", "--instance", infeasible, "--exact", "--out", out
     ) == EXIT_INFEASIBLE
+    assert "bound=" not in capsys.readouterr().out
 
+    # A zero budget keeps the best-of-three warm start ...
+    out.unlink()
     assert run_cli(
         "solve", "--instance", inst_path, "--exact", "--time-limit", 0,
         "--out", out,
+    ) == EXIT_BUDGET_INCUMBENT
+    assert read_schedule(out).times == ((0, 50), (0, 55))
+    capsys.readouterr()
+
+    # ... unless best-of-three breaks a hard deadline (vehicle 1's here).
+    late_path = tmp_path / "late.json"
+    write_instance(merge_instance(d_soft=(50, 50), d_hard=(200, 52)), late_path)
+    out.unlink()
+    assert run_cli(
+        "solve", "--instance", late_path, "--exact", "--time-limit", 0,
+        "--out", out,
     ) == EXIT_BUDGET_EMPTY
+    assert not out.exists()
+    assert "status=budget_exhausted nodes=1 bound=1\n" in capsys.readouterr().out
 
 
 def test_export_mip(tmp_path):

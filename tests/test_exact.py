@@ -18,7 +18,7 @@ from vsp import (
     solve_exact,
     validate_schedule,
 )
-from vsp.exact import SolveStatus
+from vsp.exact import SolveStatus, _min_cover, on_time_cover
 from oracles import (
     base_triples,
     brute_force_tardy,
@@ -38,6 +38,14 @@ def decided_system(instance, bits):
     for pair, j1_first in zip(conflict_pairs(instance), bits):
         dcs.add_order(pair, j1_first)
     return dcs
+
+
+def solve(instance, **options):
+    """solve_exact, checking that the root bound never passes the objective."""
+    result = solve_exact(instance, **options)
+    if result.objective is not None:
+        assert result.lower_bound <= result.objective
+    return result
 
 
 def assert_positive_cycle(witness):
@@ -123,7 +131,7 @@ def test_minimal_solution_below_random_feasible_points():
 # --- exact search -----------------------------------------------------------
 
 def test_single_vehicle_trivially_optimal():
-    result = solve_exact(chain_instance(d_soft=200))
+    result = solve(chain_instance(d_soft=200))
     assert result.status is SolveStatus.OPTIMAL
     assert result.objective == 0
     assert result.node_count == 1
@@ -131,7 +139,7 @@ def test_single_vehicle_trivially_optimal():
 
 
 def test_two_vehicle_one_must_be_tardy():
-    result = solve_exact(merge_instance(d_soft=(50, 50)))
+    result = solve(merge_instance(d_soft=(50, 50)))
     assert result.status is SolveStatus.OPTIMAL
     assert result.objective == 1
 
@@ -142,42 +150,82 @@ def test_weighted_order_flips_choice():
         weights=(3, 1),
         objective=ObjectiveKind.WEIGHTED_TARDY_COUNT,
     )
-    result = solve_exact(inst)
+    result = solve(inst)
     assert result.status is SolveStatus.OPTIMAL
     assert result.objective == 1
     assert result.schedule.times == ((0, 50), (0, 55))
 
 
+def test_root_cover_weighs_vehicles_by_weight():
+    # Best-of-three breaks vehicle 1's hard deadline, so no warm start caps
+    # the root bound: it is the lighter of the two incompatible vehicles.
+    inst = merge_instance(
+        d_soft=(50, 50),
+        d_hard=(200, 52),
+        weights=(0.25, 0.5),
+        objective=ObjectiveKind.WEIGHTED_TARDY_COUNT,
+    )
+    result = solve(inst)
+    assert result.objective == result.lower_bound == 0.25
+    assert result.schedule.times == ((0, 55), (0, 50))
+
+
 def test_rejects_other_objectives():
     with pytest.raises(ConfigurationError):
-        solve_exact(merge_instance(objective=ObjectiveKind.MAKESPAN))
+        solve(merge_instance(objective=ObjectiveKind.MAKESPAN))
 
 
 def test_infeasible_instance_returns_witness():
-    result = solve_exact(chain_instance(d_hard=90))
+    result = solve(chain_instance(d_hard=90))
     assert result.status is SolveStatus.INFEASIBLE
     assert result.witness is not None
     assert sum(c.bound for c in result.witness) > 0
 
 
 def test_horizon_can_force_infeasibility():
-    result = solve_exact(merge_instance(), horizon=52)
+    result = solve(merge_instance(), horizon=52)
     assert result.status is SolveStatus.INFEASIBLE
 
 
 def test_budget_zero_reports_exhaustion():
-    inst = merge_instance(d_soft=(50, 50))
-    result = solve_exact(inst, time_limit=0.0)
+    # Best-of-three sends vehicle 0 first, which breaks vehicle 1's hard
+    # deadline, so there is no warm start; the optimum is 1 with vehicle 1
+    # first.
+    inst = merge_instance(d_soft=(50, 50), d_hard=(200, 52))
+    result = solve(inst, time_limit=0.0)
     assert result.status is SolveStatus.BUDGET_EXHAUSTED
     assert result.schedule is None
+    assert result.lower_bound == 1
+    assert solve(inst).objective == 1
+
+
+def test_budget_zero_keeps_warm_start():
+    inst = merge_instance(d_soft=(50, 50), d_hard=(200, 200))
+    result = solve(inst, time_limit=0.0)
+    assert result.status is SolveStatus.FEASIBLE_INCUMBENT
+    assert result.node_count == 1
+    assert result.schedule.times == ((0, 50), (0, 55))
+    assert result.objective == result.lower_bound == 1
+
+
+def weighted(inst, rng, choices=(1, 2, 3, 4, 5)):
+    """inst under the weighted objective, with weights drawn from choices."""
+    return replace(
+        inst,
+        objective=ObjectiveKind.WEIGHTED_TARDY_COUNT,
+        weights=tuple(rng.choice(choices) for _ in range(inst.n_vehicles)),
+    )
 
 
 def test_matches_enumeration_on_random_instances():
-    rng = random.Random(31)
-    for _ in range(40):
-        inst = random_small_instance(rng, max_pairs=10)
+    rng, wrng = random.Random(31), random.Random(1031)
+    cases = [random_small_instance(rng, max_pairs=10) for _ in range(40)]
+    cases += [
+        weighted(random_small_instance(wrng, max_pairs=10), wrng) for _ in range(40)
+    ]
+    for inst in cases:
         expected = brute_force_tardy(inst)
-        result = solve_exact(inst)
+        result = solve(inst)
         assert expected is not None
         assert result.status is SolveStatus.OPTIMAL
         assert result.objective == expected
@@ -188,9 +236,14 @@ def test_matches_enumeration_on_random_instances():
 
 def test_bound_valid_at_every_partial_decision():
     rng = random.Random(8)
-    checked = 0
-    while checked < 12:
+    wrng = random.Random(9)
+    checked = covered = 0
+    while checked < 24:
         inst = random_small_instance(rng, max_pairs=6)
+        if checked % 2:
+            # Weights below 1 too (exact in binary), so a cover that
+            # counted vehicles instead of weights would overshoot.
+            inst = weighted(inst, wrng, (0.25, 0.5, 1, 3, 5))
         pairs = conflict_pairs(inst)
         if not pairs:
             continue
@@ -213,8 +266,34 @@ def test_bound_valid_at_every_partial_decision():
                 assert_positive_cycle(sol.witness)
                 continue
             bound = tardy_of_times(inst, list(sol.times))
+            undecided = [k for k in range(len(pairs)) if k not in fixed]
+            cover = on_time_cover(dcs, pairs)(sol.times, undecided, INF)
+            covered += cover > 0
             if best_leaf is not None:
-                assert bound <= best_leaf
+                assert bound + cover <= best_leaf
+    assert covered
+
+
+def test_min_cover_matches_subset_enumeration():
+    rng = random.Random(4)
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        edges = [
+            (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4
+        ]
+        weights = [rng.randint(1, 5) for _ in range(n)]
+        adjacency = {}
+        for u, v in edges:
+            adjacency.setdefault(u, set()).add(v)
+            adjacency.setdefault(v, set()).add(u)
+        least = min(
+            sum(weights[v] for v in subset)
+            for size in range(n + 1)
+            for subset in itertools.combinations(range(n), size)
+            if all(u in subset or v in subset for u, v in edges)
+        )
+        for limit in (INF, least + 1, least, least - 1, 0):
+            assert _min_cover(adjacency, weights, limit) == min(least, limit)
 
 
 def test_search_leaves_recursion_limit_alone(monkeypatch):
@@ -224,20 +303,24 @@ def test_search_leaves_recursion_limit_alone(monkeypatch):
     monkeypatch.setattr(sys, "setrecursionlimit", refuse)
     inst = merge_instance(d_soft=(50, 50))
     assert conflict_pairs(inst)
-    result = solve_exact(inst)
+    result = solve(inst)
     assert result.status is SolveStatus.OPTIMAL
     assert result.objective == 1
 
 
 # (vehicles, seed) -> (optimum, nodes) on 5x5 grids at ratio 1.0.  These
-# change only when the search order changes on purpose.
+# change only when the search order or its bounds change on purpose.  Most
+# close at the root; (12, 10) still branches, since its warm start is worse
+# than the root bound.
 PINNED_SEARCHES = {
-    (8, 0): (3, 85),
-    (8, 1): (2, 62),
-    (8, 5): (1, 36),
-    (8, 6): (3, 63),
-    (10, 5): (2, 96),
-    (10, 25): (3, 103),
+    (8, 0): (3, 1),
+    (8, 1): (2, 1),
+    (8, 5): (1, 1),
+    (8, 6): (3, 1),
+    (10, 5): (2, 1),
+    (10, 25): (3, 1),
+    (12, 10): (5, 276),
+    (15, 3): (8, 1),
 }
 
 
@@ -245,9 +328,10 @@ PINNED_SEARCHES = {
 def test_pinned_optimum_and_node_count(n, seed):
     config = ExperimentConfig(n_vehicles=n, soft_deadline_ratios=(1.0,))
     inst = generate_grid_instance(config, 1.0, seed)
-    result = solve_exact(inst)
+    result = solve(inst)
     assert result.status is SolveStatus.OPTIMAL
     assert (result.objective, result.node_count) == PINNED_SEARCHES[n, seed]
+    assert result.lower_bound == result.objective
     assert validate_schedule(inst, result.schedule).passes()
     assert evaluate(inst, result.schedule) == result.objective
 
@@ -256,10 +340,10 @@ def test_optimum_monotone_in_soft_deadlines():
     rng = random.Random(13)
     for _ in range(15):
         inst = random_small_instance(rng, max_pairs=8)
-        tight = solve_exact(inst).objective
+        tight = solve(inst).objective
         relaxed_inst = replace(
             inst,
             soft_deadlines=tuple(3 * d // 2 for d in inst.soft_deadlines),
         )
-        relaxed = solve_exact(relaxed_inst).objective
+        relaxed = solve(relaxed_inst).objective
         assert relaxed <= tight

@@ -192,8 +192,9 @@ def test_slot_window_failure_flags_vehicle_and_continues():
     assert result.statuses[1] is VehicleStatus.SLOT_WINDOW_FAILED
     assert result.statuses[2] is VehicleStatus.COMPLETED
     assert not result.complete
-    with pytest.raises(SlotWindowError):
-        result.schedule()
+    for _ in range(2):
+        with pytest.raises(SlotWindowError):
+            result.schedule()
     assert len(result.times[1]) == 1  # first stamp only
 
 
@@ -328,6 +329,8 @@ def test_wrapper_prefers_mode_that_avoids_tardiness():
     best = deadline_and_proximity(inst)
     assert best.mode is Mode.ABS_DEADLINE_PROXIMITY
     assert evaluate(inst, best.schedule()) == 0
+    # The winner hands out the Schedule its ranking built, not a new one.
+    assert best.schedule() is best.schedule()
 
 
 def test_wrapper_tie_falls_back_to_mode_order():
