@@ -22,6 +22,7 @@ from .core import (
     evaluate,
     min_free_trip_time,
     tardy_flags,
+    tardy_weights,
     validate_schedule,
 )
 from .exact import (

@@ -406,6 +406,23 @@ def tardy_flags(instance: Instance, schedule: Schedule) -> tuple[bool, ...]:
     )
 
 
+def tardy_weights(
+    instance: Instance, kind: ObjectiveKind | None = None
+) -> tuple[float, ...]:
+    """What each vehicle costs when tardy under a tardy-count objective
+    (the instance's own by default): 1 under tardy_count, even when the
+    instance carries weights, and its weight under weighted_tardy_count."""
+    if kind is None:
+        kind = instance.objective
+    if kind is ObjectiveKind.TARDY_COUNT:
+        return (1,) * instance.n_vehicles
+    if kind is not ObjectiveKind.WEIGHTED_TARDY_COUNT:
+        raise ConfigurationError(f"objective {kind.value} does not count tardy vehicles")
+    if instance.weights is None:
+        raise ConfigurationError(f"objective {kind.value} requires vehicle weights")
+    return instance.weights
+
+
 def evaluate(
     instance: Instance,
     schedule: Schedule,
@@ -435,9 +452,5 @@ def evaluate(
         return max(lateness)
     if kind is ObjectiveKind.TOTAL_TARDINESS:
         return sum(max(0, late) for late in lateness)
-    tardy = tardy_flags(instance, schedule)
-    if kind is ObjectiveKind.TARDY_COUNT:
-        return sum(tardy)
-    if kind is ObjectiveKind.WEIGHTED_TARDY_COUNT:
-        return sum(w for w, u in zip(instance.weights, tardy) if u)
-    raise ConfigurationError(f"unsupported objective kind {kind!r}")
+    weights = tardy_weights(instance, kind)
+    return sum(w for w, u in zip(weights, tardy_flags(instance, schedule)) if u)

@@ -18,14 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Sequence
 
-from .core import (
-    INF,
-    ConfigurationError,
-    Instance,
-    ObjectiveKind,
-    Schedule,
-    VspError,
-)
+from .core import INF, Instance, Schedule, VspError, tardy_weights
 from .heuristics import DispatchError, deadline_and_proximity
 
 NEG_INF = float("-inf")
@@ -270,14 +263,15 @@ def on_time_cover(
     pair fits in neither order: in both, the earlier stamp plus the gap
     passes the later one's latest on-time value.  At most one of the two
     can end on time below the node, so the least weight of a vertex cover
-    of the incompatibility graph adds to the tardy weight of dist.  Decided
-    pairs add nothing: dist already carries them.
+    of the incompatibility graph, each vehicle weighing its tardy_weights
+    entry, adds to the tardy weight of dist.  Decided pairs add nothing:
+    dist already carries them.
 
     Returns bound(dist, undecided, limit), which gives min(that cover
     weight, limit) for the undecided pair indices into pairs.
     """
     instance = dcs.instance
-    weights = instance.weights or (1,) * instance.n_vehicles
+    weights = tardy_weights(instance)
     deadlines = instance.soft_deadlines
     latest: list[float] = [INF] * dcs.n_vars
     last: list[int] = []
@@ -318,25 +312,36 @@ def on_time_cover(
 
 
 def _warm_start(
-    instance: Instance, pairs: Sequence[ConflictPair], horizon: int | None
-) -> DcsSolution | None:
-    """Least stamps for the crossing orders of the best-of-three schedule.
+    dcs: DifferenceConstraintSystem,
+    pairs: Sequence[ConflictPair],
+    orders: Sequence[tuple[Constraint, Constraint]],
+) -> tuple[int, ...] | None:
+    """Least stamps of dcs under the crossing orders of the best-of-three
+    schedule; orders[k] holds pair k's j1-first and j2-first constraints.
 
-    None when best-of-three leaves a vehicle without stamps, breaks a hard
-    deadline, or its orders are infeasible (under the horizon).
+    The orders are pushed onto dcs and popped again once the stamps are
+    known.  None when best-of-three leaves a vehicle without stamps, breaks
+    a hard deadline, or its orders are infeasible in dcs.
     """
     try:
-        best = deadline_and_proximity(instance)
+        best = deadline_and_proximity(dcs.instance)
     except DispatchError:
         return None
     if not best.complete or best.hard_violations:
         return None
     times = best.times
-    dcs = DifferenceConstraintSystem(instance, horizon=horizon)
-    for p in pairs:
-        dcs.add_order(p, times[p.j1][p.i1] < times[p.j2][p.i2])
-    warm = minimal_times(dcs)
-    return warm if warm.feasible else None
+    chosen = [
+        j1_first if times[p.j1][p.i1] < times[p.j2][p.i2] else j2_first
+        for p, (j1_first, j2_first) in zip(pairs, orders)
+    ]
+    for c in chosen:
+        dcs.push(c)
+    try:
+        warm = minimal_times(dcs)
+    finally:
+        for c in reversed(chosen):
+            dcs.pop(c)
+    return warm.times if warm.feasible else None
 
 
 class SolveStatus(Enum):
@@ -363,7 +368,8 @@ def solve_exact(
     time_limit: float | None = None,
     horizon: int | None = None,
 ) -> SolveResult:
-    """Branch-and-bound over crossing orders for the tardy-count objectives.
+    """Branch-and-bound over crossing orders for the tardy-count objectives,
+    each tardy vehicle costing what core.tardy_weights gives it.
 
     Each search node fixes the order of a subset of conflict pairs and keeps
     the componentwise-minimal stamps of the partial system.  Minimal stamps
@@ -376,26 +382,19 @@ def solve_exact(
     child's stamps are its parent's, relaxed from the head of the new order
     constraint by the routine minimal_times runs from the origin.
 
-    The first incumbent is the least solution for the crossing orders of
-    the best-of-three dispatch schedule, when that schedule is complete and
-    meets every hard deadline, so the returned schedule is always
-    componentwise-minimal for its orders.  Once there is an incumbent, a
-    node is also pruned when its tardy weight plus the on_time_cover bound
-    reaches it.
+    The first incumbent is the least solution of the same system under the
+    crossing orders of the best-of-three dispatch schedule, when that
+    schedule is complete and meets every hard deadline, so the returned
+    schedule is always componentwise-minimal for its orders.  Once there is
+    an incumbent, a node is also pruned when its tardy weight plus the
+    on_time_cover bound reaches it.
 
     The search keeps its own stack, so its depth is not bounded by the
     interpreter's recursion limit.  It is single-threaded and deterministic.
     With a time limit the best incumbent so far is returned once the budget
     runs out.
     """
-    if instance.objective not in (
-        ObjectiveKind.TARDY_COUNT,
-        ObjectiveKind.WEIGHTED_TARDY_COUNT,
-    ):
-        raise ConfigurationError(
-            f"exact solver handles tardy-count objectives only, "
-            f"not {instance.objective.value}"
-        )
+    weights = tardy_weights(instance)
     deadline = None if time_limit is None else time.monotonic() + time_limit
     pairs = conflict_pairs(instance)
     dcs = DifferenceConstraintSystem(instance, horizon=horizon)
@@ -403,7 +402,6 @@ def solve_exact(
     if not root.feasible:
         return SolveResult(SolveStatus.INFEASIBLE, None, None, 1, root.witness)
 
-    weights = instance.weights or (1,) * instance.n_vehicles
     tardy_terms = [
         (dcs.var(j, len(instance.walks[j]) - 1), instance.soft_deadlines[j], weights[j])
         for j in range(instance.n_vehicles)
@@ -425,9 +423,9 @@ def solve_exact(
 
     best_obj: float | None = None
     best_dist: list[int] | None = None
-    warm = _warm_start(instance, pairs, horizon)
+    warm = _warm_start(dcs, pairs, orders)
     if warm is not None:
-        best_dist = list(warm.times)
+        best_dist = list(warm)
         best_obj = tardy(best_dist)
     root_value = tardy(root.times)
     cap = INF if best_obj is None else best_obj - root_value

@@ -80,8 +80,7 @@ class ExperimentConfig:
     separation gap of 5 ticks, link minimum 50 with no maximum, requests at
     time zero, hard deadlines at 2.2 times the free trip time, and soft
     deadlines swept from 1.0 to 2.0 times the free trip time over 20
-    instances.  With hard_factor_counts_vertices the hard deadline scales
-    with the vertex count instead of the link count.
+    instances.
     """
 
     n_vehicles: int
@@ -93,7 +92,6 @@ class ExperimentConfig:
     soft_deadline_ratios: tuple[float, ...] = DEFAULT_RATIOS
     n_instances: int = 20
     seed: int = 0
-    hard_factor_counts_vertices: bool = False
 
     def __post_init__(self) -> None:
         if self.n_vehicles <= 0:
@@ -198,20 +196,14 @@ def generate_grid_instance(
             (config.tau_min_link,) * links,
             (config.tau_max_link,) * links,
         ))
-    hard = []
-    for walk in walks:
-        hard_base = (
-            len(walk) * config.tau_min_link
-            if config.hard_factor_counts_vertices
-            else sum(walk.min_times)
-        )
-        hard.append(round(config.hard_deadline_factor * hard_base))
     return Instance(
         graph=graph,
         walks=tuple(walks),
         request_times=(0,) * config.n_vehicles,
         soft_deadlines=soft_deadlines_at(walks, ratio),
-        hard_deadlines=tuple(hard),
+        hard_deadlines=tuple(
+            round(config.hard_deadline_factor * sum(w.min_times)) for w in walks
+        ),
         objective=ObjectiveKind.TARDY_COUNT,
         separation=config.separation,
     )
@@ -251,6 +243,11 @@ class JspInstance:
             for m in job:
                 if not (0 <= m < self.machine_count):
                     raise ValueError(f"job {j} references unknown machine {m}")
+            if self.release_times[j] > self.deadlines[j]:
+                raise ValueError(
+                    f"job {j}: release time {self.release_times[j]} is after "
+                    f"its deadline {self.deadlines[j]}"
+                )
 
 
 def reduce_jsp_to_vsp(jsp: JspInstance) -> Instance:
@@ -281,18 +278,12 @@ def reduce_jsp_to_vsp(jsp: JspInstance) -> Instance:
         links = len(job) - 1
         upper = (1,) * links if jsp.no_wait else (INF,) * links
         walks.append(Walk(tuple(job), (1,) * links, upper))
-    if jsp.hard_deadlines:
-        soft = jsp.deadlines
-        hard = jsp.deadlines
-    else:
-        soft = jsp.deadlines
-        hard = (INF,) * len(jsp.jobs)
     return Instance(
         graph=graph,
         walks=tuple(walks),
         request_times=jsp.release_times,
-        soft_deadlines=soft,
-        hard_deadlines=hard,
+        soft_deadlines=jsp.deadlines,
+        hard_deadlines=jsp.deadlines if jsp.hard_deadlines else (INF,) * len(walks),
         objective=jsp.objective,
         separation=1,
     )

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .core import INF, ConfigurationError, Instance, ObjectiveKind, Schedule, VspError
+from .core import INF, Instance, Schedule, VspError, tardy_weights
 from .exact import ConflictPair, conflict_pairs
 
 
@@ -108,18 +108,11 @@ def build_mip_model(instance: Instance, horizon: int | None = None) -> MipModel:
     deadline; request times and hard deadlines become variable bounds.
     Vehicles without a soft deadline can never be tardy and get no lateness
     block.  The binary of a pair equals one exactly when the higher-id
-    vehicle of the pair crosses first.
+    vehicle of the pair crosses first; a vehicle's tardy binary costs its
+    tardy_weights entry in the objective.
     """
-    if instance.objective not in (
-        ObjectiveKind.TARDY_COUNT,
-        ObjectiveKind.WEIGHTED_TARDY_COUNT,
-    ):
-        raise ConfigurationError(
-            f"MIP export handles tardy-count objectives only, "
-            f"not {instance.objective.value}"
-        )
+    weights = tardy_weights(instance)
     big_m = big_m_values(instance, horizon)
-    weights = instance.weights or (1,) * instance.n_vehicles
 
     objective = {
         f"l_{j}": float(weights[j]) for j in sorted(big_m.vehicle)
@@ -213,12 +206,8 @@ def export_mip(instance: Instance, horizon: int | None = None) -> str:
 _SECTIONS = {
     "minimize": "objective",
     "subject to": "rows",
-    "such that": "rows",
-    "st": "rows",
-    "s.t.": "rows",
     "bounds": "bounds",
     "binaries": "binaries",
-    "binary": "binaries",
     "end": "end",
 }
 _NUMBER = re.compile(r"[-+]?(\d+(\.\d*)?|\.\d+)([eE][-+]?\d+)?$")
@@ -255,8 +244,10 @@ def _parse_terms(tokens: list[str]) -> dict[str, float]:
 def parse_lp(text: str) -> MipModel:
     """Parse LP text written by write_lp back into a model.
 
-    Handles the Minimize / Subject To / Bounds / Binaries sections, comment
-    lines starting with a backslash, and one constraint or bound per line.
+    Reads only what write_lp writes: the Minimize / Subject To / Bounds /
+    Binaries / End sections, comment lines starting with a backslash, one
+    constraint per line, and bounds of the forms "lo <= x" and
+    "lo <= x <= hi".  Anything else raises VspError.
     """
     objective: dict[str, float] = {}
     rows: list[MipRow] = []
@@ -292,22 +283,14 @@ def parse_lp(text: str) -> MipModel:
             ))
         elif section == "bounds":
             tokens = line.split()
-            if len(tokens) == 2 and tokens[1].lower() == "free":
-                bounds[tokens[0]] = (-INF, INF)
-            elif len(tokens) == 5 and tokens[1] == "<=" and tokens[3] == "<=":
-                bounds[tokens[2]] = (_parse_number(tokens[0]), _parse_number(tokens[4]))
-            elif len(tokens) == 3 and tokens[1] == "<=":
-                lo = _parse_number(tokens[0])
-                if lo is not None:
-                    bounds[tokens[2]] = (lo, INF)
-                else:
-                    hi = _parse_number(tokens[2])
-                    bounds[tokens[0]] = (0, hi)
-            elif len(tokens) == 3 and tokens[1] == ">=":
-                bounds[tokens[0]] = (_parse_number(tokens[2]), INF)
-            elif len(tokens) == 3 and tokens[1] == "=":
-                value = _parse_number(tokens[2])
-                bounds[tokens[0]] = (value, value)
+            lo = _parse_number(tokens[0])
+            if len(tokens) == 3 and tokens[1] == "<=" and lo is not None:
+                bounds[tokens[2]] = (lo, INF)
+            elif (
+                len(tokens) == 5 and tokens[1] == tokens[3] == "<=" and lo is not None
+                and (hi := _parse_number(tokens[4])) is not None
+            ):
+                bounds[tokens[2]] = (lo, hi)
             else:
                 raise VspError(f"cannot parse bound: {line!r}")
         elif section == "binaries":

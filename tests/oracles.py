@@ -162,7 +162,9 @@ def naive_minimal_times(n_vars: int, cons: list[Triple]) -> list[int] | None:
 
 def tardy_of_times(instance: Instance, times: list[int]) -> float:
     offsets = var_layout(instance)
-    weights = instance.weights or (1,) * instance.n_vehicles
+    # Only the weighted objective reads weights; tardy_count counts vehicles.
+    weighted = instance.objective is ObjectiveKind.WEIGHTED_TARDY_COUNT
+    weights = instance.weights if weighted else (1,) * instance.n_vehicles
     total = 0
     for j, walk in enumerate(instance.walks):
         completion = times[offsets[j] + len(walk) - 1]

@@ -84,10 +84,7 @@ def test_each_ratio_derived_from_one_generated_instance():
     deadlines per ratio; that must equal generating at the ratio."""
     configs = (
         ExperimentConfig(n_vehicles=12),
-        ExperimentConfig(
-            n_vehicles=7, grid=GridSpec(3, 4), tau_max_link=80,
-            hard_factor_counts_vertices=True,
-        ),
+        ExperimentConfig(n_vehicles=7, grid=GridSpec(3, 4), tau_max_link=80),
     )
     for config in configs:
         for seed in (0, 1, 42, 2**32 - 1):

@@ -210,9 +210,11 @@ def test_bench_tardy_csv_matches_golden(tmp_path):
     ("bench", "--vehicles", 3, "--hard-factor", 1.5),
     ("generate", "--vehicles", 3, "--ratio", 3.0, "--seed", 1, "--hard-factor", 1.0),
     ("bench", "--vehicles", 3, "--algorithms", "nope"),
+    ("reduce-jsp", "--jsp", DATA / "jsp_release_after_deadline.json"),
 ], ids=[
     "no-vehicles", "negative-separation", "no-instances", "falling-ratios",
     "hard-factor-below-ratios", "hard-factor-below-ratio", "unknown-algorithm",
+    "jsp-release-after-deadline",
 ])
 def test_bad_config_values_report_error(tmp_path, capsys, argv):
     out = "--out-dir" if argv[0] == "bench" else "--out"

@@ -144,6 +144,15 @@ def test_two_vehicle_one_must_be_tardy():
     assert result.objective == 1
 
 
+def test_tardy_count_ignores_weights():
+    # Weighing the two vehicles would claim 2 here: the lighter one is tardy.
+    inst = merge_instance(d_soft=(50, 50), weights=(2, 3))
+    result = solve(inst)
+    assert result.status is SolveStatus.OPTIMAL
+    assert result.objective == evaluate(inst, result.schedule)
+    assert result.objective == result.lower_bound == 1
+
+
 def test_weighted_order_flips_choice():
     inst = merge_instance(
         d_soft=(50, 50),
@@ -208,20 +217,31 @@ def test_budget_zero_keeps_warm_start():
     assert result.objective == result.lower_bound == 1
 
 
-def weighted(inst, rng, choices=(1, 2, 3, 4, 5)):
-    """inst under the weighted objective, with weights drawn from choices."""
+def weighted(
+    inst, rng, choices=(1, 2, 3, 4, 5), objective=ObjectiveKind.WEIGHTED_TARDY_COUNT
+):
+    """inst with weights drawn from choices, under objective; tardy_count
+    must ignore them."""
     return replace(
         inst,
-        objective=ObjectiveKind.WEIGHTED_TARDY_COUNT,
+        objective=objective,
         weights=tuple(rng.choice(choices) for _ in range(inst.n_vehicles)),
     )
 
 
 def test_matches_enumeration_on_random_instances():
-    rng, wrng = random.Random(31), random.Random(1031)
+    rng, wrng, crng = random.Random(31), random.Random(1031), random.Random(2031)
     cases = [random_small_instance(rng, max_pairs=10) for _ in range(40)]
     cases += [
         weighted(random_small_instance(wrng, max_pairs=10), wrng) for _ in range(40)
+    ]
+    # Weights under tardy_count: counted as 1 per tardy vehicle.
+    cases += [
+        weighted(
+            random_small_instance(crng, max_pairs=10), crng,
+            objective=ObjectiveKind.TARDY_COUNT,
+        )
+        for _ in range(20)
     ]
     for inst in cases:
         expected = brute_force_tardy(inst)
@@ -240,10 +260,14 @@ def test_bound_valid_at_every_partial_decision():
     checked = covered = 0
     while checked < 24:
         inst = random_small_instance(rng, max_pairs=6)
-        if checked % 2:
+        if checked % 4 == 1:
             # Weights below 1 too (exact in binary), so a cover that
             # counted vehicles instead of weights would overshoot.
             inst = weighted(inst, wrng, (0.25, 0.5, 1, 3, 5))
+        elif checked % 4 == 3:
+            # Weights above 1 under tardy_count, so a cover that weighed
+            # vehicles there would overshoot.
+            inst = weighted(inst, wrng, (2, 3, 5), ObjectiveKind.TARDY_COUNT)
         pairs = conflict_pairs(inst)
         if not pairs:
             continue

@@ -137,16 +137,6 @@ def test_generated_instance_shape_and_deadlines():
         assert walk.vertices[0] != walk.vertices[-1]
 
 
-def test_vertex_count_deadline_flag():
-    cfg = ExperimentConfig(
-        n_vehicles=4, seed=0, soft_deadline_ratios=(1.0,),
-        hard_factor_counts_vertices=True,
-    )
-    inst = generate_grid_instance(cfg, 1.0, 7)
-    for j, walk in enumerate(inst.walks):
-        assert inst.hard_deadlines[j] == round(2.2 * len(walk) * 50)
-
-
 def test_every_shared_vertex_pair_has_one_gap():
     cfg = ExperimentConfig(n_vehicles=8, seed=0)
     inst = generate_grid_instance(cfg, 1.2, 5)

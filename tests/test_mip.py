@@ -141,6 +141,11 @@ def test_weighted_objective_coefficients():
     )
     model = build_mip_model(inst)
     assert model.objective == {"l_0": 3, "l_1": 1}
+    # tardy_count counts vehicles, whatever weights the instance carries.
+    counted = build_mip_model(
+        merge_instance(d_soft=(50, 50), d_hard=(200, 200), weights=(3, 1))
+    )
+    assert counted.objective == {"l_0": 1.0, "l_1": 1.0}
 
 
 # --- file round trips ---------------------------------------------------------
