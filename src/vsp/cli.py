@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -72,7 +73,8 @@ def _parse_ratios(text: str) -> tuple[float, ...]:
             raise argparse.ArgumentTypeError(
                 f"ratio range must look like 1.0:2.0:0.1: {text!r}"
             ) from exc
-        if step <= 0 or stop < start:
+        finite = all(math.isfinite(x) for x in (start, stop, step))
+        if not finite or step <= 0 or stop < start:
             raise argparse.ArgumentTypeError(f"bad ratio range: {text!r}")
         count = int((stop - start) / step + 1e-9) + 1
         return tuple(round(start + k * step, 10) for k in range(count))

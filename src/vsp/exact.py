@@ -69,9 +69,10 @@ class DifferenceConstraintSystem:
 
     Variable 0 is an origin fixed at zero; variable ids for stamps follow in
     walk order.  The base constraints encode request times, hard deadlines,
-    and per-link travel windows; crossing orders for conflict pairs are
-    added on top via add_order.  out_edges[y] lists the constraints that
-    start at variable y, the adjacency the longest-path relaxation walks.
+    and per-link travel windows; the crossing order of a conflict pair is
+    pushed on top as an order_constraint and popped when undone.
+    out_edges[y] lists the constraints that start at variable y, the
+    adjacency the longest-path relaxation walks.
     """
 
     def __init__(self, instance: Instance, horizon: int | float | None = None):
@@ -117,9 +118,6 @@ class DifferenceConstraintSystem:
         earlier, later = (a, b) if j1_first else (b, a)
         label = f"separation v{earlier[0]}@{earlier[1]} before v{later[0]}@{later[1]}"
         return Constraint(self.var(*later), self.var(*earlier), pair.s, label)
-
-    def add_order(self, pair: ConflictPair, j1_first: bool) -> None:
-        self.push(self.order_constraint(pair, j1_first))
 
     def to_schedule(self, times: tuple[int, ...]) -> Schedule:
         rows = []

@@ -127,44 +127,6 @@ def earliest_feasible_slot(
     return t
 
 
-class EventQueue:
-    """Bookkeeping for the dispatch loop.
-
-    Keeps a heap of the distinct pending stamps, the vehicles waiting at
-    each of them (its keys are the queued stamps), and per-vertex sorted
-    lists of already assigned stamps.  Stamp insertion is O(log q); a popped
-    stamp's vehicles are taken with take_waiting before anything is pushed.
-    """
-
-    def __init__(self) -> None:
-        self._heap: list[int] = []
-        self.waiting: dict[int, list[int]] = {}
-        self.assigned: dict[int, list[tuple[int, int, int]]] = {}
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
-    def push_vehicle(self, stamp: int, vehicle: int) -> None:
-        if stamp not in self.waiting:
-            heapq.heappush(self._heap, stamp)
-            self.waiting[stamp] = []
-        self.waiting[stamp].append(vehicle)
-
-    def pop_stamp(self) -> int:
-        return heapq.heappop(self._heap)
-
-    def take_waiting(self, stamp: int) -> list[int]:
-        return self.waiting.pop(stamp, [])
-
-    def record_assignment(self, node: int, stamp: int, vehicle: int, step: int) -> None:
-        insort(self.assigned.setdefault(node, []), (stamp, vehicle, step))
-
-    def assigned_after(self, node: int, floor: int) -> list[tuple[int, int, int]]:
-        """Assigned (stamp, vehicle, step) entries at node with stamp > floor."""
-        entries = self.assigned.get(node, [])
-        return entries[bisect_left(entries, (floor + 1,)):]
-
-
 @dataclass(frozen=True)
 class DispatchResult:
     """Stamps and per-vehicle outcome of one dispatch run.
@@ -219,81 +181,75 @@ def run_dispatch(
     earliest feasible slot no earlier than the link minimum and no later
     than the link maximum after the popped stamp.  A vehicle with no slot in
     that window is flagged and abandoned; the rest keep going.
+
+    The loop's state is each vehicle's stamps (their count is the walk
+    position to stamp next), a heap of the distinct pending stamps, the
+    vehicles waiting at each of them, and per-vertex sorted lists of
+    (stamp, vehicle, step) entries already assigned.
     """
     n = instance.n_vehicles
-    times: list[list[int]] = [[] for _ in range(n)]
-    next_index = [0] * n
-    failed = [False] * n
-    eq = EventQueue()
-    key = sorting_key(instance, mode, negative_slack)
-
-    def current_key(j: int) -> tuple[int, int, float, int]:
-        k = next_index[j]
-        return key(j, k, times[j][-1] if k else instance.request_times[j])
-
+    walks = instance.walks
+    gap = instance.gap
     # A stamp at or below lower - max_gap blocks only ticks below lower, so
     # the slot search may skip it; every later stamp can still chain-block.
     max_gap = instance.max_gap
+    key = sorting_key(instance, mode, negative_slack)
+    times: list[list[int]] = [[] for _ in range(n)]
+    statuses = [VehicleStatus.COMPLETED] * n
+    heap: list[int] = []
+    waiting: dict[int, list[int]] = {}
+    assigned: dict[int, list[tuple[int, int, int]]] = {}
 
-    def blockers_for(
-        j: int, step: int, node: int, lower: int
-    ) -> list[tuple[int, int]]:
-        gap = instance.gap
-        return [
+    def current_key(j: int) -> tuple[int, int, float, int]:
+        k = len(times[j])
+        return key(j, k, times[j][-1] if k else instance.request_times[j])
+
+    def place(j: int, lower: int, upper: int | float) -> None:
+        step = len(times[j])
+        node = walks[j].vertices[step]
+        entries = assigned.setdefault(node, [])
+        blockers = [
             (stamp, gap(j, step, other, other_step))
-            for stamp, other, other_step in eq.assigned_after(node, lower - max_gap)
+            for stamp, other, other_step
+            in entries[bisect_left(entries, (lower - max_gap + 1,)):]
         ]
-
-    def assign(j: int, stamp: int) -> None:
-        step = next_index[j]
-        walk = instance.walks[j]
+        try:
+            stamp = earliest_feasible_slot(node, lower, upper, blockers)
+        except SlotWindowError:
+            statuses[j] = VehicleStatus.SLOT_WINDOW_FAILED
+            return
         times[j].append(stamp)
-        next_index[j] += 1
-        eq.record_assignment(walk.vertices[step], stamp, j, step)
-        if next_index[j] < len(walk):
-            eq.push_vehicle(stamp, j)
+        insort(entries, (stamp, j, step))
+        if step + 1 < len(walks[j]):
+            if stamp not in waiting:
+                heapq.heappush(heap, stamp)
+                waiting[stamp] = []
+            waiting[stamp].append(j)
 
     for j in sorted(range(n), key=current_key):
-        node = instance.walks[j].vertices[0]
-        lower = instance.request_times[j]
-        stamp = earliest_feasible_slot(
-            node, lower, INF, blockers_for(j, 0, node, lower)
-        )
-        assign(j, stamp)
+        place(j, instance.request_times[j], INF)
 
-    while eq:
-        t = eq.pop_stamp()
+    while heap:
+        t = heapq.heappop(heap)
         # Group the waiting vehicles by next vertex, in first-seen order,
-        # before assigning anything, so positions stay those they were
+        # before placing anything, so positions stay those they were
         # queued with.
         groups: dict[int, list[int]] = {}
-        for j in eq.take_waiting(t):
-            node = instance.walks[j].vertices[next_index[j]]
-            groups.setdefault(node, []).append(j)
-        for node, group in groups.items():
+        for j in waiting.pop(t):
+            groups.setdefault(walks[j].vertices[len(times[j])], []).append(j)
+        for group in groups.values():
             group.sort(key=current_key)
-            for v in group:
-                walk = instance.walks[v]
-                step = next_index[v]
-                lower = t + walk.min_times[step - 1]
-                upper = t + walk.max_times[step - 1]
-                try:
-                    stamp = earliest_feasible_slot(
-                        node, lower, upper, blockers_for(v, step, node, lower)
-                    )
-                except SlotWindowError:
-                    failed[v] = True
-                    continue
-                assign(v, stamp)
+            for j in group:
+                step = len(times[j])
+                place(
+                    j,
+                    t + walks[j].min_times[step - 1],
+                    t + walks[j].max_times[step - 1],
+                )
 
-    statuses = []
-    for j in range(n):
-        if failed[j]:
-            statuses.append(VehicleStatus.SLOT_WINDOW_FAILED)
-        elif times[j][-1] > instance.hard_deadlines[j]:
-            statuses.append(VehicleStatus.HARD_DEADLINE_VIOLATED)
-        else:
-            statuses.append(VehicleStatus.COMPLETED)
+    for j, (row, hard) in enumerate(zip(times, instance.hard_deadlines)):
+        if statuses[j] is VehicleStatus.COMPLETED and row[-1] > hard:
+            statuses[j] = VehicleStatus.HARD_DEADLINE_VIOLATED
     return DispatchResult(
         mode, tuple(tuple(row) for row in times), tuple(statuses)
     )

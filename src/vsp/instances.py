@@ -12,6 +12,7 @@ separation gaps.
 from __future__ import annotations
 
 import json
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -108,6 +109,10 @@ class ExperimentConfig:
         object.__setattr__(self, "soft_deadline_ratios", ratios)
         if not ratios:
             raise ValueError("need at least one soft deadline ratio")
+        if not all(math.isfinite(r) and r >= 0 for r in ratios):
+            raise ValueError("soft deadline ratios must be finite and nonnegative")
+        if not math.isfinite(self.hard_deadline_factor):
+            raise ValueError("hard deadline factor must be finite")
         if any(b <= a for a, b in zip(ratios, ratios[1:])):
             raise ValueError("soft deadline ratios must be strictly increasing")
         if self.hard_deadline_factor < max(ratios):

@@ -223,6 +223,18 @@ def random_small_instance(rng: random.Random, max_pairs: int = 12) -> Instance:
             return instance
 
 
+def shared_vertex_pairs(instance: Instance) -> list[tuple[int, int, int, int]]:
+    """Every (j1, i1, j2, i2) pair of stamps of distinct vehicles at one
+    vertex, in visit order: the keys a separation override may take."""
+    return [
+        (j1, i1, j2, i2)
+        for steps in instance.visits.values()
+        for a, (j1, i1) in enumerate(steps)
+        for j2, i2 in steps[a + 1:]
+        if j1 != j2
+    ]
+
+
 def random_feasible_times(
     n_vars: int, cons: list[Triple], rng: random.Random
 ) -> list[int]:

@@ -296,7 +296,7 @@ def test_minimal_times_dominance_and_deadline_monotonicity():
         n_vars = 1 + instance.total_stamps
         dcs = DifferenceConstraintSystem(instance)
         for pair, j1_first in zip(conflict_pairs(instance), bits):
-            dcs.add_order(pair, j1_first)
+            dcs.push(dcs.order_constraint(pair, j1_first))
         solution = minimal_times(dcs)
         if not solution.feasible:
             continue

@@ -211,16 +211,29 @@ def test_bench_tardy_csv_matches_golden(tmp_path):
     ("generate", "--vehicles", 3, "--ratio", 3.0, "--seed", 1, "--hard-factor", 1.0),
     ("bench", "--vehicles", 3, "--algorithms", "nope"),
     ("reduce-jsp", "--jsp", DATA / "jsp_release_after_deadline.json"),
+    ("generate", "--vehicles", 3, "--ratio", "nan", "--seed", 1),
+    ("generate", "--vehicles", 3, "--ratio", 1.2, "--seed", 1, "--hard-factor", "nan"),
+    ("generate", "--vehicles", 3, "--ratio", "inf", "--seed", 1),
+    ("generate", "--vehicles", 3, "--ratio=-1", "--seed", 1),
+    ("bench", "--vehicles", 3, "--ratios", "1.0,nan"),
 ], ids=[
     "no-vehicles", "negative-separation", "no-instances", "falling-ratios",
     "hard-factor-below-ratios", "hard-factor-below-ratio", "unknown-algorithm",
-    "jsp-release-after-deadline",
+    "jsp-release-after-deadline", "nan-ratio", "nan-hard-factor", "inf-ratio",
+    "negative-ratio", "nan-in-ratios",
 ])
 def test_bad_config_values_report_error(tmp_path, capsys, argv):
     out = "--out-dir" if argv[0] == "bench" else "--out"
     assert run_cli(*argv, out, tmp_path / "out") == EXIT_ERROR
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "out").exists()
+
+
+def test_non_finite_ratio_range_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("bench", "--vehicles", 3, "--ratios", "1.0:inf:0.1")
+    assert exc.value.code == 2
+    assert "bad ratio range" in capsys.readouterr().err
 
 
 def test_console_entry_point():

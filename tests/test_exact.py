@@ -36,7 +36,7 @@ from oracles import (
 def decided_system(instance, bits):
     dcs = DifferenceConstraintSystem(instance)
     for pair, j1_first in zip(conflict_pairs(instance), bits):
-        dcs.add_order(pair, j1_first)
+        dcs.push(dcs.order_constraint(pair, j1_first))
     return dcs
 
 
@@ -282,7 +282,7 @@ def test_bound_valid_at_every_partial_decision():
             # the partially decided system.
             dcs = DifferenceConstraintSystem(inst)
             for k, value in fixed.items():
-                dcs.add_order(pairs[k], value)
+                dcs.push(dcs.order_constraint(pairs[k], value))
             sol = minimal_times(dcs)
             best_leaf = brute_force_tardy(inst, fixed=fixed)
             if not sol.feasible:

@@ -12,6 +12,7 @@ from vsp import (
     Graph,
     GridSpec,
     Instance,
+    JspInstance,
     Mode,
     ObjectiveKind,
     SlotWindowError,
@@ -21,12 +22,13 @@ from vsp import (
     earliest_feasible_slot,
     evaluate,
     generate_grid_instance,
+    reduce_jsp_to_vsp,
     run_dispatch,
     sorting_key,
     validate_schedule,
 )
-from vsp.heuristics import DispatchError, EventQueue
-from oracles import chain_instance, merge_instance
+from vsp.heuristics import DispatchError
+from oracles import chain_instance, merge_instance, shared_vertex_pairs
 
 DISPATCH_OK = frozenset({ConstraintKind.HARD_DEADLINE})
 
@@ -117,18 +119,6 @@ def test_slot_matches_linear_scan_oracle():
         assert earliest_feasible_slot(0, lower, INF, blockers) == expected
 
 
-def test_event_queue_orders_distinct_stamps():
-    eq = EventQueue()
-    eq.push_vehicle(30, 1)
-    eq.push_vehicle(10, 2)
-    eq.push_vehicle(30, 3)
-    assert eq.pop_stamp() == 10
-    assert eq.take_waiting(10) == [2]
-    assert eq.pop_stamp() == 30
-    assert eq.take_waiting(30) == [1, 3]
-    assert not eq
-
-
 # --- dispatch runs ----------------------------------------------------------
 
 def test_single_vehicle_no_contention():
@@ -161,6 +151,23 @@ def test_shared_start_vertex_staggered():
     )
     result = run_dispatch(inst, Mode.PROXIMITY)
     assert result.times == ((0, 50), (5, 55))
+
+
+def test_first_stamps_follow_one_global_key_order():
+    # Both vehicles start at vertex 0 with equal keys, so vehicle 0 takes its
+    # first stamp first, at its request time 3; vehicle 1, requested at 0,
+    # then waits until 8 instead of going at 0 and moving vehicle 0 to 5.
+    graph = Graph(2, frozenset({(0, 1)}))
+    inst = Instance(
+        graph=graph,
+        walks=(Walk((0, 1), (50,), (INF,)), Walk((0, 1), (50,), (INF,))),
+        request_times=(3, 0),
+        soft_deadlines=(INF, INF),
+        hard_deadlines=(INF, INF),
+        separation=5,
+    )
+    for mode in Mode:
+        assert run_dispatch(inst, mode).times == ((3, 53), (8, 58))
 
 
 def test_hard_deadline_reported_not_repaired():
@@ -373,8 +380,17 @@ PINNED_DIGESTS = "data/dispatch_digests.txt"
 
 
 def pinned_dispatch_cases():
-    """(label, instance) for 40 seeded grids: finite and open link windows,
-    ratios from 1.0 (where deadline modes demote vehicles) to 1.7."""
+    """(label, instance) for every pinned case: plain grids, grids with pair
+    overrides, grids with staggered requests, and job-shop reductions."""
+    yield from plain_grid_cases()
+    yield from override_grid_cases()
+    yield from staggered_grid_cases()
+    yield from jobshop_cases()
+
+
+def plain_grid_cases():
+    """40 seeded grids: finite and open link windows, ratios from 1.0 (where
+    deadline modes demote vehicles) to 1.7."""
     rng = random.Random(5)
     for index in range(40):
         cfg = ExperimentConfig(
@@ -389,6 +405,89 @@ def pinned_dispatch_cases():
             f"tmax={cfg.tau_max_link} r={ratio}"
         )
         yield label, inst
+
+
+def random_grid(rng):
+    cfg = ExperimentConfig(
+        n_vehicles=rng.randint(2, 40),
+        grid=GridSpec(rng.randint(2, 4), rng.randint(2, 4)),
+        tau_max_link=rng.choice((INF, 50, 60, 80)),
+    )
+    ratio = rng.choice((1.0, 1.2, 1.5))
+    return cfg, ratio, generate_grid_instance(cfg, ratio, rng.getrandbits(32))
+
+
+def override_grid_cases():
+    """20 seeded grids with random pair overrides (gaps 0-60) on a uniform
+    separation of 0, 5 or 20."""
+    rng = random.Random(6)
+    for index in range(20):
+        cfg, ratio, inst = random_grid(rng)
+        pairs = shared_vertex_pairs(inst)
+        overrides = {
+            key: rng.randint(0, 60)
+            for key in rng.sample(pairs, min(len(pairs), rng.randint(1, 12)))
+        }
+        separation = rng.choice((0, 5, 20))
+        label = (
+            f"o{index:02d} {cfg.grid.rows}x{cfg.grid.cols} n={cfg.n_vehicles} "
+            f"tmax={cfg.tau_max_link} r={ratio} s={separation}"
+        )
+        yield label, dataclasses.replace(
+            inst, separation=separation, separations=overrides
+        )
+
+
+def staggered_grid_cases():
+    """20 seeded grids whose vehicles are requested at staggered times, with
+    both deadlines shifted by each vehicle's request."""
+    rng = random.Random(7)
+    for index in range(20):
+        cfg, ratio, inst = random_grid(rng)
+        requests = [rng.randint(0, 120) for _ in range(inst.n_vehicles)]
+        label = (
+            f"s{index:02d} {cfg.grid.rows}x{cfg.grid.cols} n={cfg.n_vehicles} "
+            f"tmax={cfg.tau_max_link} r={ratio}"
+        )
+        yield label, dataclasses.replace(
+            inst,
+            request_times=tuple(requests),
+            soft_deadlines=tuple(
+                d + r for d, r in zip(inst.soft_deadlines, requests)
+            ),
+            hard_deadlines=tuple(
+                d + r for d, r in zip(inst.hard_deadlines, requests)
+            ),
+        )
+
+
+def jobshop_cases():
+    """20 seeded unit job shops with release times, reduced to instances;
+    theta (no wait) alternates, so half the cases have one-tick windows."""
+    rng = random.Random(8)
+    for index in range(20):
+        machines = rng.randint(2, 5)
+        jobs = []
+        for _ in range(rng.randint(2, 8)):
+            job = [rng.randrange(machines)]
+            for _ in range(rng.randint(0, 4)):
+                job.append(rng.choice([m for m in range(machines) if m != job[-1]]))
+            jobs.append(tuple(job))
+        releases = [rng.randint(0, 5) for _ in jobs]
+        deadlines = [
+            r + len(job) - 1 + rng.randint(0, 4) for r, job in zip(releases, jobs)
+        ]
+        theta = index % 2 == 0
+        hard = rng.random() < 0.5
+        label = f"j{index:02d} m={machines} jobs={len(jobs)} theta={theta} hard={hard}"
+        yield label, reduce_jsp_to_vsp(JspInstance(
+            machine_count=machines,
+            jobs=tuple(jobs),
+            release_times=tuple(releases),
+            deadlines=tuple(deadlines),
+            no_wait=theta,
+            hard_deadlines=hard,
+        ))
 
 
 def dispatch_digest(result):

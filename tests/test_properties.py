@@ -9,13 +9,26 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from vsp import (  # noqa: E402
+    INF,
+    ConstraintKind,
+    ExperimentConfig,
+    GridSpec,
+    Mode,
     ObjectiveKind,
+    VehicleStatus,
     deadline_and_proximity,
     evaluate,
+    generate_grid_instance,
+    run_dispatch,
     solve_exact,
+    validate_schedule,
 )
 from vsp.exact import SolveStatus  # noqa: E402
-from oracles import brute_force_tardy, random_small_instance  # noqa: E402
+from oracles import (  # noqa: E402
+    brute_force_tardy,
+    random_small_instance,
+    shared_vertex_pairs,
+)
 
 TARDY_OBJECTIVES = (ObjectiveKind.TARDY_COUNT, ObjectiveKind.WEIGHTED_TARDY_COUNT)
 
@@ -44,3 +57,55 @@ def test_exact_objective_is_evaluated_optimum_within_best_of_three(inst):
     best = deadline_and_proximity(inst)
     if not best.hard_violations:
         assert result.objective <= evaluate(inst, best.schedule())
+
+
+@st.composite
+def dispatch_instances(draw):
+    """A small grid with finite or open link windows, random pair overrides
+    on a random uniform separation, and staggered requests that shift both
+    deadlines; hard deadlines range from tight to loose."""
+    ratio = draw(st.sampled_from((1.0, 1.1, 1.3)))
+    config = ExperimentConfig(
+        n_vehicles=draw(st.integers(2, 8)),
+        grid=GridSpec(draw(st.integers(2, 4)), draw(st.integers(2, 4))),
+        tau_max_link=draw(st.sampled_from((INF, 50, 55, 70))),
+        hard_deadline_factor=draw(st.sampled_from((ratio, 1.5, 2.2))),
+        soft_deadline_ratios=(ratio,),
+        n_instances=1,
+    )
+    inst = generate_grid_instance(config, ratio, draw(st.integers(0, 2**32 - 1)))
+    pairs = shared_vertex_pairs(inst)
+    overrides = {}
+    if pairs:
+        overrides = draw(st.dictionaries(
+            st.sampled_from(pairs), st.integers(0, 60), max_size=6
+        ))
+    requests = draw(st.lists(
+        st.integers(0, 100), min_size=inst.n_vehicles, max_size=inst.n_vehicles
+    ))
+    return replace(
+        inst,
+        separation=draw(st.sampled_from((0, 5, 20))),
+        separations=overrides,
+        request_times=tuple(requests),
+        soft_deadlines=tuple(d + r for d, r in zip(inst.soft_deadlines, requests)),
+        hard_deadlines=tuple(d + r for d, r in zip(inst.hard_deadlines, requests)),
+    )
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(dispatch_instances())
+def test_complete_dispatch_validates_and_flags_exactly_its_hard_deadlines(inst):
+    for mode in Mode:
+        for policy in ("prose", "pseudocode"):
+            result = run_dispatch(inst, mode, policy)
+            if not result.complete:
+                continue
+            report = validate_schedule(inst, result.schedule())
+            assert report.passes(ignore=frozenset({ConstraintKind.HARD_DEADLINE}))
+            late = {v.vehicles[0] for v in report.by_kind(ConstraintKind.HARD_DEADLINE)}
+            flagged = {
+                j for j, status in enumerate(result.statuses)
+                if status is VehicleStatus.HARD_DEADLINE_VIOLATED
+            }
+            assert flagged == late
