@@ -80,10 +80,14 @@ class Graph:
     def _weakly_connected(self) -> bool:
         if self.vertex_count == 1:
             return True
-        neighbours: dict[int, list[int]] = {v: [] for v in range(self.vertex_count)}
+        # Only edge endpoints get a neighbour list, so memory follows the
+        # edge count; a vertex no edge touches leaves the graph disconnected.
+        neighbours: dict[int, list[int]] = {}
         for u, v in self.edges:
-            neighbours[u].append(v)
-            neighbours[v].append(u)
+            neighbours.setdefault(u, []).append(v)
+            neighbours.setdefault(v, []).append(u)
+        if len(neighbours) < self.vertex_count:
+            return False
         seen = {0}
         stack = [0]
         while stack:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Sequence
 
-from .core import INF, Instance, Schedule, VspError, tardy_weights
+from .core import INF, ConfigurationError, Instance, Schedule, VspError, tardy_weights
 from .heuristics import DispatchError, deadline_and_proximity
 
 NEG_INF = float("-inf")
@@ -250,23 +250,25 @@ def _min_cover(
     return min(taken, spared)
 
 
-def on_time_cover(
+def node_bound(
     dcs: DifferenceConstraintSystem, pairs: Sequence[ConflictPair]
-) -> Callable[[Sequence[float], Iterable[int], float], float]:
-    """The cover bound of the search, over the stamp variables of dcs.
+) -> Callable[[Sequence[float], Iterable[int], float | None], float]:
+    """The lower bound of the search, over the stamp variables of dcs.
 
-    A stamp's latest on-time value is its vehicle's soft deadline minus the
-    minimum travel time left after it.  Two vehicles are incompatible at a
-    node when neither is tardy at its least stamps dist and some undecided
-    pair fits in neither order: in both, the earlier stamp plus the gap
-    passes the later one's latest on-time value.  At most one of the two
-    can end on time below the node, so the least weight of a vertex cover
-    of the incompatibility graph, each vehicle weighing its tardy_weights
-    entry, adds to the tardy weight of dist.  Decided pairs add nothing:
-    dist already carries them.
+    A node's tardy weight is what its least stamps dist already cost, each
+    vehicle weighing its tardy_weights entry.  A stamp's latest on-time
+    value is its vehicle's soft deadline minus the minimum travel time left
+    after it.  Two vehicles are incompatible at a node when neither is tardy
+    at dist and some undecided pair fits in neither order: in both, the
+    earlier stamp plus the gap passes the later one's latest on-time value.
+    At most one of the two can end on time below the node, so the least
+    weight of a vertex cover of the incompatibility graph adds to the tardy
+    weight.  Decided pairs add nothing: dist already carries them.
 
-    Returns bound(dist, undecided, limit), which gives min(that cover
-    weight, limit) for the undecided pair indices into pairs.
+    Returns bound(dist, undecided, limit): the tardy weight of dist plus
+    that cover weight, capped at limit, for the undecided pair indices into
+    pairs.  With limit None it is the tardy weight alone, and no graph is
+    built.
     """
     instance = dcs.instance
     weights = tardy_weights(instance)
@@ -289,7 +291,14 @@ def on_time_cover(
         for p in pairs
     ]
 
-    def bound(dist: Sequence[float], undecided: Iterable[int], limit: float) -> float:
+    def bound(
+        dist: Sequence[float], undecided: Iterable[int], limit: float | None
+    ) -> float:
+        value = sum(w for var, d, w in zip(last, deadlines, weights) if dist[var] > d)
+        if limit is None:
+            return value
+        if value >= limit:
+            return limit
         adjacency: dict[int, set[int]] = {}
         for k in undecided:
             row = table[k]
@@ -304,7 +313,8 @@ def on_time_cover(
             ):
                 adjacency.setdefault(j1, set()).add(j2)
                 adjacency.setdefault(j2, set()).add(j1)
-        return _min_cover(adjacency, weights, limit)
+        cover = _min_cover(adjacency, weights, limit - value)
+        return limit if cover >= limit - value else value + cover
 
     return bound
 
@@ -384,30 +394,23 @@ def solve_exact(
     crossing orders of the best-of-three dispatch schedule, when that
     schedule is complete and meets every hard deadline, so the returned
     schedule is always componentwise-minimal for its orders.  Once there is
-    an incumbent, a node is also pruned when its tardy weight plus the
-    on_time_cover bound reaches it.
+    an incumbent, a node is also pruned when its node_bound reaches it.
 
-    The search keeps its own stack, so its depth is not bounded by the
+    The search keeps one stack of tasks, so its depth is not bounded by the
     interpreter's recursion limit.  It is single-threaded and deterministic.
-    With a time limit the best incumbent so far is returned once the budget
-    runs out.
+    With a time limit in seconds (inf for none; NaN or negative raises
+    ConfigurationError) the best incumbent so far is returned once the
+    budget runs out.
     """
-    weights = tardy_weights(instance)
+    if time_limit is not None and not time_limit >= 0:
+        raise ConfigurationError(f"time limit must be >= 0 seconds, got {time_limit}")
     deadline = None if time_limit is None else time.monotonic() + time_limit
     pairs = conflict_pairs(instance)
     dcs = DifferenceConstraintSystem(instance, horizon=horizon)
+    bound = node_bound(dcs, pairs)
     root = minimal_times(dcs)
     if not root.feasible:
         return SolveResult(SolveStatus.INFEASIBLE, None, None, 1, root.witness)
-
-    tardy_terms = [
-        (dcs.var(j, len(instance.walks[j]) - 1), instance.soft_deadlines[j], weights[j])
-        for j in range(instance.n_vehicles)
-        if instance.soft_deadlines[j] != INF
-    ]
-
-    def tardy(dist: Sequence[float]) -> float:
-        return sum(w for var, d, w in tardy_terms if dist[var] > d)
 
     # Per pair: the variables of its two stamps and its two order constraints.
     first = [dcs.var(p.j1, p.i1) for p in pairs]
@@ -415,75 +418,60 @@ def solve_exact(
     orders = [
         (dcs.order_constraint(p, True), dcs.order_constraint(p, False)) for p in pairs
     ]
-    cover = on_time_cover(dcs, pairs)
     # The relaxation records predecessors; the search never reads them.
     scratch_pred: list[Constraint | None] = [None] * dcs.n_vars
 
     best_obj: float | None = None
-    best_dist: list[int] | None = None
+    best_dist: Sequence[float] | None = None
     warm = _warm_start(dcs, pairs, orders)
     if warm is not None:
-        best_dist = list(warm)
-        best_obj = tardy(best_dist)
-    root_value = tardy(root.times)
-    cap = INF if best_obj is None else best_obj - root_value
-    lower_bound = root_value + cover(root.times, range(len(pairs)), cap)
+        best_dist, best_obj = warm, bound(warm, (), None)
+    all_pairs = list(range(len(pairs)))
+    lower_bound = bound(root.times, all_pairs, INF if best_obj is None else best_obj)
 
     nodes = 0
     stopped = False
-    # Depth-first frames: [stamps, undecided pairs below, orders left to try
-    # (next one last), the order constraint currently pushed or None].
-    stack: list[list] = []
-
-    def enter(dist: list[int], undecided: list[int]) -> None:
-        """Count and bound a node; close it, or stack its two branches."""
-        nonlocal best_obj, best_dist, nodes, stopped
+    # Depth first.  A task is a node to enter, as (parent stamps, undecided
+    # pairs, the order constraint leading to it or None at the root), or a
+    # pushed order constraint, popped once its subtree is done.
+    tasks: list = [(root.times, all_pairs, None)]
+    while tasks:
+        task = tasks.pop()
+        if isinstance(task, Constraint):
+            dcs.pop(task)
+            continue
+        dist, undecided, c = task
+        if c is not None:
+            dcs.push(c)
+            tasks.append(c)
+            # The child's least stamps: the parent's, relaxed from c's head.
+            raised = dist[c.y] + c.bound
+            if dist[c.x] < raised:
+                dist = list(dist)
+                dist[c.x] = raised
+                if _relax(dcs.out_edges, dist, scratch_pred, c.x) is not None:
+                    continue
         nodes += 1
         if deadline is not None and time.monotonic() > deadline:
             stopped = True
-            return
-        value = tardy(dist)
+            break
+        value = bound(dist, undecided, best_obj)
         if best_obj is not None and value >= best_obj:
-            return
+            continue
         if not undecided:
             best_obj, best_dist = value, dist
-            return
-        if best_obj is not None:
-            gap = best_obj - value
-            if cover(dist, undecided, gap) >= gap:
-                return
+            continue
         # Earliest involved stamp first; undecided stays ascending, so min
         # keeps the lowest pair index on ties.
         idx = min(undecided, key=lambda k: min(dist[first[k]], dist[second[k]]))
         at = undecided.index(idx)
+        rest = undecided[:at] + undecided[at + 1:]
         j1_first, j2_first = orders[idx]
-        tries = [j2_first, j1_first]
         if dist[first[idx]] > dist[second[idx]]:
-            tries.reverse()
-        stack.append([dist, undecided[:at] + undecided[at + 1:], tries, None])
-
-    enter(list(root.times), list(range(len(pairs))))
-    while stack:
-        frame = stack[-1]
-        dist, rest, tries, pushed = frame
-        if pushed is not None:
-            dcs.pop(pushed)
-            frame[3] = None
-        if stopped or not tries:
-            stack.pop()
-            continue
-        c = tries.pop()
-        dcs.push(c)
-        frame[3] = c
-        # The child's least stamps: the parent's, relaxed from c's head.
-        raised = dist[c.y] + c.bound
-        if dist[c.x] >= raised:
-            enter(dist, rest)
-            continue
-        child = list(dist)
-        child[c.x] = raised
-        if _relax(dcs.out_edges, child, scratch_pred, c.x) is None:
-            enter(child, rest)
+            j1_first, j2_first = j2_first, j1_first
+        # The order the stamps already satisfy goes on top.
+        tasks.append((dist, rest, j2_first))
+        tasks.append((dist, rest, j1_first))
 
     if best_dist is None:
         status = SolveStatus.BUDGET_EXHAUSTED if stopped else SolveStatus.INFEASIBLE

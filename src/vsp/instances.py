@@ -485,14 +485,16 @@ def write_schedule(schedule: Schedule, path: str | Path) -> None:
 
 def read_schedule(path: str | Path) -> Schedule:
     data = _load_json(path)
-    _require_keys(data, {"times"}, "schedule")
-    if "times" not in data:
-        raise FormatError(f"{path}: schedule is missing key 'times'")
     try:
+        _require_keys(data, {"times"}, "schedule")
+        if "times" not in data:
+            raise FormatError("schedule is missing key 'times'")
         return Schedule(tuple(
             tuple(_tick_from_json(t, "stamp") for t in row) for row in data["times"]
         ))
-    except (ValueError, TypeError, FormatError) as exc:
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    except (ValueError, TypeError) as exc:
         raise FormatError(f"{path}: invalid schedule: {exc}") from exc
 
 

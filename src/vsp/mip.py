@@ -211,6 +211,7 @@ _SECTIONS = {
     "end": "end",
 }
 _NUMBER = re.compile(r"[-+]?(\d+(\.\d*)?|\.\d+)([eE][-+]?\d+)?$")
+_NAME = re.compile(r"[A-Za-z_]\w*$")
 
 
 def _parse_number(token: str) -> float | None:
@@ -221,23 +222,25 @@ def _parse_number(token: str) -> float | None:
 
 
 def _parse_terms(tokens: list[str]) -> dict[str, float]:
+    """Terms "[sign] [coef] name", a sign before every term but the first;
+    a missing sign, a dangling sign or number, or a bad name raises VspError."""
     coeffs: dict[str, float] = {}
-    sign = 1.0
-    pending: float | None = None
-    for tok in tokens:
-        if tok == "+":
-            sign, pending = 1.0, None
-            continue
-        if tok == "-":
-            sign, pending = -1.0, None
-            continue
-        value = _parse_number(tok)
+    k = 0
+    while k < len(tokens):
+        sign = 1.0
+        if tokens[k] in ("+", "-"):
+            sign = -1.0 if tokens[k] == "-" else 1.0
+            k += 1
+        elif k:
+            raise VspError(f"missing + or - before {tokens[k]!r}")
+        value = _parse_number(tokens[k]) if k < len(tokens) else None
         if value is not None:
-            pending = sign * value
-            continue
-        coef = pending if pending is not None else sign
-        coeffs[tok] = coeffs.get(tok, 0.0) + coef
-        sign, pending = 1.0, None
+            k += 1
+        if k == len(tokens) or not _NAME.match(tokens[k]):
+            raise VspError(f"term without a variable name in {' '.join(tokens)!r}")
+        coef = sign if value is None else sign * value
+        coeffs[tokens[k]] = coeffs.get(tokens[k], 0.0) + coef
+        k += 1
     return coeffs
 
 

@@ -216,11 +216,18 @@ def test_bench_tardy_csv_matches_golden(tmp_path):
     ("generate", "--vehicles", 3, "--ratio", "inf", "--seed", 1),
     ("generate", "--vehicles", 3, "--ratio=-1", "--seed", 1),
     ("bench", "--vehicles", 3, "--ratios", "1.0,nan"),
+    ("schedule", "--instance", DATA / "vertices_1e300.json", "--mode", "best"),
+    ("solve", "--instance", DATA / "legacy_grid.json", "--exact",
+     "--time-limit", "nan"),
+    ("solve", "--instance", DATA / "legacy_grid.json", "--exact", "--time-limit=-1"),
+    ("bench", "--vehicles", 3, "--instances", 1, "--algorithms", "exact",
+     "--exact-time-limit", "nan"),
 ], ids=[
     "no-vehicles", "negative-separation", "no-instances", "falling-ratios",
     "hard-factor-below-ratios", "hard-factor-below-ratio", "unknown-algorithm",
     "jsp-release-after-deadline", "nan-ratio", "nan-hard-factor", "inf-ratio",
-    "negative-ratio", "nan-in-ratios",
+    "negative-ratio", "nan-in-ratios", "vertex-count-1e300", "nan-time-limit",
+    "negative-time-limit", "nan-exact-time-limit",
 ])
 def test_bad_config_values_report_error(tmp_path, capsys, argv):
     out = "--out-dir" if argv[0] == "bench" else "--out"

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -38,6 +39,19 @@ def test_graph_rejects_self_loop():
 def test_graph_rejects_disconnected():
     with pytest.raises(ValueError, match="connected"):
         Graph(4, frozenset({(0, 1), (2, 3)}))
+
+
+def test_graph_rejects_untouched_vertices_in_memory_of_its_edges():
+    # Two edges cannot connect 200,000 vertices; the check must say so
+    # without a table over every vertex.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="connected"):
+            Graph(200_000, frozenset({(0, 1), (1, 0)}))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_graph_rejects_unknown_vertex():

@@ -12,13 +12,14 @@ from vsp import (
     ExperimentConfig,
     ObjectiveKind,
     conflict_pairs,
+    deadline_and_proximity,
     evaluate,
     generate_grid_instance,
     minimal_times,
     solve_exact,
     validate_schedule,
 )
-from vsp.exact import SolveStatus, _min_cover, on_time_cover
+from vsp.exact import SolveStatus, _min_cover, node_bound
 from oracles import (
     base_triples,
     brute_force_tardy,
@@ -217,6 +218,14 @@ def test_budget_zero_keeps_warm_start():
     assert result.objective == result.lower_bound == 1
 
 
+def test_time_limit_must_be_a_nonnegative_number():
+    inst = merge_instance(d_soft=(50, 50), d_hard=(200, 52))
+    for bad in (float("nan"), -1.0):
+        with pytest.raises(ConfigurationError, match="time limit"):
+            solve(inst, time_limit=bad)
+    assert solve(inst, time_limit=float("inf")).status is SolveStatus.OPTIMAL
+
+
 def weighted(
     inst, rng, choices=(1, 2, 3, 4, 5), objective=ObjectiveKind.WEIGHTED_TARDY_COUNT
 ):
@@ -278,8 +287,7 @@ def test_bound_valid_at_every_partial_decision():
                 for k in range(len(pairs))
                 if rng.random() < 0.5
             }
-            # Bound at the partial node: tardiness of the minimal times of
-            # the partially decided system.
+            # The partial node: minimal times of the partially decided system.
             dcs = DifferenceConstraintSystem(inst)
             for k, value in fixed.items():
                 dcs.push(dcs.order_constraint(pairs[k], value))
@@ -289,12 +297,15 @@ def test_bound_valid_at_every_partial_decision():
                 assert best_leaf is None
                 assert_positive_cycle(sol.witness)
                 continue
-            bound = tardy_of_times(inst, list(sol.times))
+            tardy = tardy_of_times(inst, list(sol.times))
             undecided = [k for k in range(len(pairs)) if k not in fixed]
-            cover = on_time_cover(dcs, pairs)(sol.times, undecided, INF)
-            covered += cover > 0
+            bound = node_bound(dcs, pairs)
+            # Without a limit the bound is the oracle's tardy weight alone.
+            assert bound(sol.times, undecided, None) == tardy
+            lower = bound(sol.times, undecided, INF)
+            covered += lower > tardy
             if best_leaf is not None:
-                assert bound + cover <= best_leaf
+                assert lower <= best_leaf
     assert covered
 
 
@@ -334,8 +345,8 @@ def test_search_leaves_recursion_limit_alone(monkeypatch):
 
 # (vehicles, seed) -> (optimum, nodes) on 5x5 grids at ratio 1.0.  These
 # change only when the search order or its bounds change on purpose.  Most
-# close at the root; (12, 10) still branches, since its warm start is worse
-# than the root bound.
+# close at the root; (12, 10) and the n=20 searches branch deep, since their
+# warm starts are worse than the root bound.
 PINNED_SEARCHES = {
     (8, 0): (3, 1),
     (8, 1): (2, 1),
@@ -345,6 +356,9 @@ PINNED_SEARCHES = {
     (10, 25): (3, 1),
     (12, 10): (5, 276),
     (15, 3): (8, 1),
+    (20, 2): (10, 722),
+    (20, 9): (10, 995),
+    (20, 10): (11, 1125),
 }
 
 
@@ -358,6 +372,33 @@ def test_pinned_optimum_and_node_count(n, seed):
     assert result.lower_bound == result.objective
     assert validate_schedule(inst, result.schedule).passes()
     assert evaluate(inst, result.schedule) == result.objective
+
+
+# (vehicles, seed) -> (status, optimum, nodes, root bound) on 5x5 grids at
+# ratio 1.0 with hard deadlines at 1.05 times the free trip time.  Best-of-three
+# breaks a hard deadline on each, so the search runs without an incumbent
+# until its first leaf.
+PINNED_COLD_SEARCHES = {
+    (12, 3): (SolveStatus.INFEASIBLE, None, 138, 6),
+    (12, 7): (SolveStatus.OPTIMAL, 5, 288, 5),
+    (12, 14): (SolveStatus.OPTIMAL, 6, 71, 5),
+}
+
+
+@pytest.mark.parametrize("n, seed", sorted(PINNED_COLD_SEARCHES))
+def test_pinned_search_without_warm_start(n, seed):
+    config = ExperimentConfig(
+        n_vehicles=n, soft_deadline_ratios=(1.0,), hard_deadline_factor=1.05
+    )
+    inst = generate_grid_instance(config, 1.0, seed)
+    assert deadline_and_proximity(inst).hard_violations
+    result = solve(inst)
+    assert (
+        result.status, result.objective, result.node_count, result.lower_bound
+    ) == PINNED_COLD_SEARCHES[n, seed]
+    if result.schedule is not None:
+        assert validate_schedule(inst, result.schedule).passes()
+        assert evaluate(inst, result.schedule) == result.objective
 
 
 def test_optimum_monotone_in_soft_deadlines():

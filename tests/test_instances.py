@@ -436,9 +436,15 @@ def test_schedule_round_trip_and_diagnostics(tmp_path):
     sched = Schedule(((0, 50, 100), (5, 55)))
     write_schedule(sched, path)
     assert read_schedule(path) == sched
-    path.write_text(json.dumps({"times": [[0, 1]], "extra": 1}))
-    with pytest.raises(FormatError, match="unknown keys"):
+    # Shape errors name the file, as every other file error does.
+    path.write_text(json.dumps({"times": [[0, 1]], "x": 1}))
+    with pytest.raises(FormatError) as exc:
         read_schedule(path)
+    assert str(exc.value) == f"{path}: schedule has unknown keys: ['x']"
+    path.write_text("[1]")
+    with pytest.raises(FormatError) as exc:
+        read_schedule(path)
+    assert str(exc.value) == f"{path}: schedule must be a JSON object"
     path.write_text("{broken")
     with pytest.raises(FormatError, match="not valid JSON"):
         read_schedule(path)

@@ -180,6 +180,18 @@ def test_parser_rejects_garbage():
         parse_lp("Subject To\n no sense here\nEnd\n")
     with pytest.raises(VspError):
         parse_lp("nonsense before sections\n")
+    # Each term is "[sign] [coef] name", with a sign before every term but
+    # the first, and nothing dangles.
+    for text in (
+        "Subject To\n r1: 3 4 x + - y 7 >= 1\nEnd\n",
+        "Subject To\n r3: 5 >= 1\nEnd\n",
+        "Minimize\n obj: l_0 3\nEnd\n",
+        "Minimize\n x y >= 2\nEnd\n",
+        "Subject To\n r: x y >= 2\nEnd\n",
+        "Subject To\n r: x + >= 2\nEnd\n",
+    ):
+        with pytest.raises(VspError):
+            parse_lp(text)
 
 
 # --- external solver agreement -------------------------------------------------

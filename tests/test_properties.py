@@ -1,7 +1,9 @@
 """Property tests over small random instances, with a fixed example set."""
 
 import random
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -15,13 +17,21 @@ from vsp import (  # noqa: E402
     GridSpec,
     Mode,
     ObjectiveKind,
+    Schedule,
     VehicleStatus,
+    build_mip_model,
     deadline_and_proximity,
     evaluate,
+    export_mip,
     generate_grid_instance,
+    parse_lp,
+    read_instance,
+    read_schedule,
     run_dispatch,
     solve_exact,
     validate_schedule,
+    write_instance,
+    write_schedule,
 )
 from vsp.exact import SolveStatus  # noqa: E402
 from oracles import (  # noqa: E402
@@ -109,3 +119,48 @@ def test_complete_dispatch_validates_and_flags_exactly_its_hard_deadlines(inst):
                 if status is VehicleStatus.HARD_DEADLINE_VIOLATED
             }
             assert flagged == late
+
+
+@st.composite
+def file_instances(draw, objectives=tuple(ObjectiveKind)):
+    """A dispatch_instances instance with some soft deadlines left open and
+    integral or fractional weights, dropped at random when the objective
+    does not need them."""
+    inst = draw(dispatch_instances())
+    objective = draw(st.sampled_from(objectives))
+    weights = draw(st.lists(
+        st.one_of(st.integers(1, 9), st.floats(0.001, 1000)),
+        min_size=inst.n_vehicles, max_size=inst.n_vehicles,
+    ))
+    if not objective.weighted and draw(st.booleans()):
+        weights = None
+    soft = tuple(INF if draw(st.booleans()) else d for d in inst.soft_deadlines)
+    return replace(inst, soft_deadlines=soft, weights=weights, objective=objective)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(file_instances())
+def test_instance_file_round_trip(inst):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "inst.json"
+        write_instance(inst, path)
+        assert read_instance(path) == inst
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(st.lists(
+    st.lists(st.integers(-(10**12), 10**12), min_size=1, max_size=6),
+    max_size=6,
+))
+def test_schedule_file_round_trip(rows):
+    schedule = Schedule(tuple(tuple(row) for row in rows))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sched.json"
+        write_schedule(schedule, path)
+        assert read_schedule(path) == schedule
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(file_instances(TARDY_OBJECTIVES))
+def test_lp_export_parses_back_to_its_model(inst):
+    assert parse_lp(export_mip(inst)) == build_mip_model(inst)
