@@ -37,7 +37,6 @@ from .exact import (
     solve_exact,
 )
 from .heuristics import (
-    DispatchError,
     DispatchResult,
     Mode,
     SlotWindowError,

@@ -21,14 +21,8 @@ from pathlib import Path
 
 from .bench import SweepResult, emit_csv, run_sweep
 from .core import INF, VspError, evaluate, validate_schedule
-from .exact import SolveStatus, solve_exact
-from .heuristics import (
-    DispatchError,
-    Mode,
-    VehicleStatus,
-    deadline_and_proximity,
-    run_dispatch,
-)
+from .exact import SolveStatus, check_time_limit, solve_exact
+from .heuristics import Mode, VehicleStatus, deadline_and_proximity, run_dispatch
 from .instances import (
     DEFAULT_RATIOS,
     ExperimentConfig,
@@ -50,8 +44,6 @@ EXIT_SLOT_WINDOW = 5
 EXIT_INFEASIBLE = 6
 EXIT_BUDGET_INCUMBENT = 7
 EXIT_BUDGET_EMPTY = 8
-
-_NOTHING_WRITTEN = "no complete schedule; nothing written"
 
 _MODES = {m.value: m for m in Mode}
 _DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
@@ -191,11 +183,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_schedule(args: argparse.Namespace) -> int:
     instance = read_instance(args.instance)
     if args.mode == "best":
-        try:
-            result = deadline_and_proximity(instance, args.negative_slack)
-        except DispatchError:
-            print(_NOTHING_WRITTEN, file=sys.stderr)
-            return EXIT_SLOT_WINDOW
+        result = deadline_and_proximity(instance, args.negative_slack)
     else:
         result = run_dispatch(instance, _MODES[args.mode], args.negative_slack)
     counts = {status: 0 for status in VehicleStatus}
@@ -205,7 +193,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
         if count:
             print(f"{status.value}: {count}")
     if not result.complete:
-        print(_NOTHING_WRITTEN, file=sys.stderr)
+        print("no complete schedule; nothing written", file=sys.stderr)
         return EXIT_SLOT_WINDOW
     schedule = result.schedule()
     write_schedule(schedule, args.out)
@@ -266,6 +254,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    check_time_limit(args.exact_time_limit)
     algorithms = tuple(args.algorithms.split(","))
     ratios = args.ratios if args.ratios else DEFAULT_RATIOS
     parts = []
@@ -302,11 +291,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         "tau_min": args.tau_min,
         "hard_factor": args.hard_factor,
         "exact_cap": args.exact_cap,
-        "exact_time_limit": args.exact_time_limit,
+        "exact_time_limit": (
+            None if args.exact_time_limit == INF else args.exact_time_limit
+        ),
         "negative_slack": args.negative_slack,
     }
     manifest_path = Path(args.out_dir) / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=1) + "\n")
+    manifest_path.write_text(json.dumps(manifest, indent=1, allow_nan=False) + "\n")
     print(f"wrote {tardy_path}, {runtime_path}, {manifest_path}")
     return EXIT_OK
 

@@ -19,7 +19,7 @@ from enum import Enum
 from typing import Callable, Iterable, Sequence
 
 from .core import INF, ConfigurationError, Instance, Schedule, VspError, tardy_weights
-from .heuristics import DispatchError, deadline_and_proximity
+from .heuristics import deadline_and_proximity
 
 NEG_INF = float("-inf")
 
@@ -331,10 +331,7 @@ def _warm_start(
     known.  None when best-of-three leaves a vehicle without stamps, breaks
     a hard deadline, or its orders are infeasible in dcs.
     """
-    try:
-        best = deadline_and_proximity(dcs.instance)
-    except DispatchError:
-        return None
+    best = deadline_and_proximity(dcs.instance)
     if not best.complete or best.hard_violations:
         return None
     times = best.times
@@ -350,6 +347,12 @@ def _warm_start(
         for c in reversed(chosen):
             dcs.pop(c)
     return warm.times if warm.feasible else None
+
+
+def check_time_limit(time_limit: float | None) -> None:
+    """Reject a NaN or negative time limit; None and inf mean no limit."""
+    if time_limit is not None and not time_limit >= 0:
+        raise ConfigurationError(f"time limit must be >= 0 seconds, got {time_limit}")
 
 
 class SolveStatus(Enum):
@@ -402,8 +405,7 @@ def solve_exact(
     ConfigurationError) the best incumbent so far is returned once the
     budget runs out.
     """
-    if time_limit is not None and not time_limit >= 0:
-        raise ConfigurationError(f"time limit must be >= 0 seconds, got {time_limit}")
+    check_time_limit(time_limit)
     deadline = None if time_limit is None else time.monotonic() + time_limit
     pairs = conflict_pairs(instance)
     dcs = DifferenceConstraintSystem(instance, horizon=horizon)

@@ -49,10 +49,6 @@ class SlotWindowError(VspError):
     """No separation-feasible stamp exists inside the travel-time window."""
 
 
-class DispatchError(VspError):
-    """No dispatch mode produced a structurally complete schedule."""
-
-
 def sorting_key(
     instance: Instance,
     mode: Mode,
@@ -140,10 +136,13 @@ class DispatchResult:
     mode: Mode
     times: tuple[tuple[int, ...], ...]
     statuses: tuple[VehicleStatus, ...]
-    # Built by the first schedule() call and handed out from then on.
-    _schedule: Schedule | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    # The Schedule of a complete run; None when a vehicle failed.
+    _schedule: Schedule | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "_schedule", Schedule(self.times) if self.complete else None
+        )
 
     @property
     def complete(self) -> bool:
@@ -159,11 +158,9 @@ class DispatchResult:
 
     def schedule(self) -> Schedule:
         if self._schedule is None:
-            if not self.complete:
-                raise SlotWindowError(
-                    f"{self.slot_failures} vehicle(s) have no complete stamp sequence"
-                )
-            object.__setattr__(self, "_schedule", Schedule(self.times))
+            raise SlotWindowError(
+                f"{self.slot_failures} vehicle(s) have no complete stamp sequence"
+            )
         return self._schedule
 
 
@@ -259,17 +256,17 @@ def deadline_and_proximity(
     instance: Instance,
     negative_slack: str = "prose",
 ) -> DispatchResult:
-    """Run all three modes and return the best result.
+    """Run all three modes and return the one that ranks first.
 
-    Results are ranked by slot-window failures, then the instance objective,
-    then hard-deadline violations, with remaining ties broken by mode order
-    (proximity, absolute, relative), which makes the choice deterministic
-    and keeps the winner never worse than the plain proximity run on the
-    configured objective.
+    Results are ranked by slot-window failures, then the instance objective
+    (infinite for an incomplete run), then hard-deadline violations, with
+    remaining ties broken by mode order (proximity, absolute, relative),
+    which makes the choice deterministic and keeps the winner never worse
+    than the plain proximity run on the configured objective.  When every
+    mode leaves a vehicle without a stamp the first-ranked run is still
+    returned; callers check complete.
     """
     candidates = [run_dispatch(instance, m, negative_slack) for m in Mode]
-    if all(not c.complete for c in candidates):
-        raise DispatchError("all dispatch modes left incomplete schedules")
 
     def rank(item: tuple[int, DispatchResult]) -> tuple:
         idx, res = item

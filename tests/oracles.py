@@ -52,6 +52,14 @@ def merge_instance(
     )
 
 
+def blocked_instance() -> Instance:
+    """merge_instance with both links fixed at exactly 50: dispatch stamps
+    both vehicles at C at 50, so every mode leaves vehicle 1 without a slot,
+    though starting vehicle 1 five ticks later fits."""
+    inst = merge_instance(d_soft=(INF, INF))
+    return replace(inst, walks=tuple(replace(w, max_times=(50,)) for w in inst.walks))
+
+
 def brute_force_separation_violations(
     instance: Instance, schedule: Schedule
 ) -> list[Violation]:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import vsp
-from vsp import INF, read_instance, read_schedule, validate_schedule, write_instance
+from vsp import read_instance, read_schedule, validate_schedule, write_instance
 from vsp.cli import (
     EXIT_BUDGET_EMPTY,
     EXIT_BUDGET_INCUMBENT,
@@ -18,8 +18,8 @@ from vsp.cli import (
     EXIT_SLOT_WINDOW,
     main,
 )
-from oracles import chain_instance, merge_instance
-from vsp import ConflictPair, Graph, Instance, Walk, conflict_pairs
+from oracles import blocked_instance, chain_instance, merge_instance
+from vsp import ConflictPair, conflict_pairs
 
 DATA = Path(__file__).parent / "data"
 
@@ -48,7 +48,7 @@ def test_generate_schedule_validate_roundtrip(tmp_path):
     ) == EXIT_OK
 
 
-def test_schedule_exit_codes(tmp_path):
+def test_schedule_exit_codes(tmp_path, capsys):
     tight = merge_instance(d_soft=(54, 54), d_hard=(54, 54))
     inst_path = tmp_path / "tight.json"
     write_instance(tight, inst_path)
@@ -58,16 +58,10 @@ def test_schedule_exit_codes(tmp_path):
     )
     assert code == EXIT_HARD_DEADLINE
 
-    blocked = Instance(
-        graph=Graph(3, frozenset({(0, 2), (1, 2)})),
-        walks=(Walk((0, 2), (50,), (50,)), Walk((1, 2), (50,), (50,))),
-        request_times=(0, 0),
-        soft_deadlines=(INF, INF),
-        hard_deadlines=(INF, INF),
-        separations={(0, 1, 1, 1): 5},
-    )
     blocked_path = tmp_path / "blocked.json"
-    write_instance(blocked, blocked_path)
+    write_instance(blocked_instance(), blocked_path)
+    capsys.readouterr()
+    # Best-of-three fails like a single mode: same status lines, same exit.
     for mode in ("proximity", "best"):
         out = tmp_path / f"s-{mode}.json"
         code = run_cli(
@@ -75,6 +69,9 @@ def test_schedule_exit_codes(tmp_path):
         )
         assert code == EXIT_SLOT_WINDOW
         assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == "completed: 1\nslot_window_failed: 1\n"
+        assert captured.err == "no complete schedule; nothing written\n"
 
 
 def test_solve_and_exit_codes(tmp_path, capsys):
@@ -222,18 +219,38 @@ def test_bench_tardy_csv_matches_golden(tmp_path):
     ("solve", "--instance", DATA / "legacy_grid.json", "--exact", "--time-limit=-1"),
     ("bench", "--vehicles", 3, "--instances", 1, "--algorithms", "exact",
      "--exact-time-limit", "nan"),
+    ("bench", "--vehicles", 3, "--instances", 1, "--ratios", "1.0",
+     "--exact-time-limit", "nan"),
+    ("bench", "--vehicles", 3, "--instances", 1, "--ratios", "1.0",
+     "--algorithms", "baseline,exact", "--exact-cap", 2,
+     "--exact-time-limit=-5"),
 ], ids=[
     "no-vehicles", "negative-separation", "no-instances", "falling-ratios",
     "hard-factor-below-ratios", "hard-factor-below-ratio", "unknown-algorithm",
     "jsp-release-after-deadline", "nan-ratio", "nan-hard-factor", "inf-ratio",
     "negative-ratio", "nan-in-ratios", "vertex-count-1e300", "nan-time-limit",
-    "negative-time-limit", "nan-exact-time-limit",
+    "negative-time-limit", "nan-exact-time-limit", "nan-exact-time-limit-unused",
+    "negative-exact-time-limit-over-cap",
 ])
 def test_bad_config_values_report_error(tmp_path, capsys, argv):
     out = "--out-dir" if argv[0] == "bench" else "--out"
     assert run_cli(*argv, out, tmp_path / "out") == EXIT_ERROR
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "out").exists()
+
+
+def test_bench_writes_infinite_time_limit_as_null(tmp_path):
+    out_dir = tmp_path / "sweep"
+    assert run_cli(
+        "bench", "--vehicles", 3, "--instances", 1, "--ratios", "1.0",
+        "--exact-time-limit", "inf", "--out-dir", out_dir,
+    ) == EXIT_OK
+
+    def reject(constant):
+        raise ValueError(f"not valid JSON: {constant}")
+
+    text = (out_dir / "manifest.json").read_text()
+    assert json.loads(text, parse_constant=reject)["exact_time_limit"] is None
 
 
 def test_non_finite_ratio_range_is_a_usage_error(capsys):

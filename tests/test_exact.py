@@ -22,6 +22,7 @@ from vsp import (
 from vsp.exact import SolveStatus, _min_cover, node_bound
 from oracles import (
     base_triples,
+    blocked_instance,
     brute_force_tardy,
     chain_instance,
     check_triples,
@@ -216,6 +217,21 @@ def test_budget_zero_keeps_warm_start():
     assert result.node_count == 1
     assert result.schedule.times == ((0, 50), (0, 55))
     assert result.objective == result.lower_bound == 1
+
+
+def test_every_mode_failing_leaves_no_warm_start():
+    # Dispatch leaves vehicle 1 without a slot in every mode, so the search
+    # starts cold: at the root it has no incumbent, and it needs one branch
+    # to send vehicle 1 five ticks after vehicle 0.
+    inst = blocked_instance()
+    assert not deadline_and_proximity(inst).complete
+    cold = solve(inst, time_limit=0.0)
+    assert (cold.status, cold.schedule) == (SolveStatus.BUDGET_EXHAUSTED, None)
+    result = solve(inst)
+    assert (
+        result.status, result.objective, result.node_count, result.lower_bound
+    ) == (SolveStatus.OPTIMAL, 0, 3, 0)
+    assert result.schedule.times == ((0, 50), (5, 55))
 
 
 def test_time_limit_must_be_a_nonnegative_number():

@@ -27,8 +27,12 @@ from vsp import (
     sorting_key,
     validate_schedule,
 )
-from vsp.heuristics import DispatchError
-from oracles import chain_instance, merge_instance, shared_vertex_pairs
+from oracles import (
+    blocked_instance,
+    chain_instance,
+    merge_instance,
+    shared_vertex_pairs,
+)
 
 DISPATCH_OK = frozenset({ConstraintKind.HARD_DEADLINE})
 
@@ -360,18 +364,15 @@ def test_wrapper_never_worse_than_proximity():
         assert evaluate(inst, best.schedule()) <= evaluate(inst, baseline.schedule())
 
 
-def test_wrapper_raises_when_every_mode_fails():
-    graph = Graph(3, frozenset({(0, 2), (1, 2)}))
-    inst = Instance(
-        graph=graph,
-        walks=(Walk((0, 2), (50,), (50,)), Walk((1, 2), (50,), (50,))),
-        request_times=(0, 0),
-        soft_deadlines=(INF, INF),
-        hard_deadlines=(INF, INF),
-        separations={(0, 1, 1, 1): 5},
-    )
-    with pytest.raises(DispatchError):
-        deadline_and_proximity(inst)
+def test_wrapper_returns_first_ranked_run_when_every_mode_fails():
+    # All three modes fail vehicle 1 alike, so mode order picks proximity.
+    inst = blocked_instance()
+    best = deadline_and_proximity(inst)
+    assert best == run_dispatch(inst, Mode.PROXIMITY)
+    assert not best.complete
+    for _ in range(2):
+        with pytest.raises(SlotWindowError):
+            best.schedule()
 
 
 # --- pinned outputs -----------------------------------------------------------

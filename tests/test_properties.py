@@ -121,6 +121,22 @@ def test_complete_dispatch_validates_and_flags_exactly_its_hard_deadlines(inst):
             assert flagged == late
 
 
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(dispatch_instances())
+def test_best_of_three_returns_its_first_ranked_run(inst):
+    for policy in ("prose", "pseudocode"):
+        runs = [run_dispatch(inst, mode, policy) for mode in Mode]
+
+        def rank(k):
+            statuses = runs[k].statuses
+            failed = statuses.count(VehicleStatus.SLOT_WINDOW_FAILED)
+            value = INF if failed else evaluate(inst, Schedule(runs[k].times))
+            late = statuses.count(VehicleStatus.HARD_DEADLINE_VIOLATED)
+            return (failed, value, late, k)
+
+        assert deadline_and_proximity(inst, policy) == runs[min(range(3), key=rank)]
+
+
 @st.composite
 def file_instances(draw, objectives=tuple(ObjectiveKind)):
     """A dispatch_instances instance with some soft deadlines left open and
