@@ -41,6 +41,7 @@ from .heuristics import (
     Mode,
     SlotWindowError,
     VehicleStatus,
+    best_of,
     deadline_and_proximity,
     earliest_feasible_slot,
     run_dispatch,

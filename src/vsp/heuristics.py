@@ -252,26 +252,32 @@ def run_dispatch(
     )
 
 
+def best_of(instance: Instance, runs: list[DispatchResult]) -> DispatchResult:
+    """Return the run that ranks first: fewest slot-window failures, then the
+    instance objective (infinite for an incomplete run), then hard-deadline
+    violations, then the position of its mode in Mode, so the order in which
+    runs are listed never changes the choice.
+    """
+    if not runs:
+        raise ValueError("best_of needs at least one dispatch run")
+    order = list(Mode)
+
+    def rank(res: DispatchResult) -> tuple:
+        value = evaluate(instance, res.schedule()) if res.complete else INF
+        return (res.slot_failures, value, res.hard_violations, order.index(res.mode))
+
+    return min(runs, key=rank)
+
+
 def deadline_and_proximity(
     instance: Instance,
     negative_slack: str = "prose",
 ) -> DispatchResult:
-    """Run all three modes and return the one that ranks first.
+    """Run all three modes and return the run best_of ranks first.
 
-    Results are ranked by slot-window failures, then the instance objective
-    (infinite for an incomplete run), then hard-deadline violations, with
-    remaining ties broken by mode order (proximity, absolute, relative),
-    which makes the choice deterministic and keeps the winner never worse
-    than the plain proximity run on the configured objective.  When every
-    mode leaves a vehicle without a stamp the first-ranked run is still
-    returned; callers check complete.
+    The mode-order tie-break keeps the winner never worse than the plain
+    proximity run on the configured objective.  When every mode leaves a
+    vehicle without a stamp the first-ranked run is still returned; callers
+    check complete.
     """
-    candidates = [run_dispatch(instance, m, negative_slack) for m in Mode]
-
-    def rank(item: tuple[int, DispatchResult]) -> tuple:
-        idx, res = item
-        value = evaluate(instance, res.schedule()) if res.complete else INF
-        return (res.slot_failures, value, res.hard_violations, idx)
-
-    _, best = min(enumerate(candidates), key=rank)
-    return best
+    return best_of(instance, [run_dispatch(instance, m, negative_slack) for m in Mode])

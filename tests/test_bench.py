@@ -3,15 +3,21 @@ from dataclasses import replace
 
 import pytest
 
+import vsp.bench
 from vsp import (
     ConfigurationError,
     ExperimentConfig,
     GridSpec,
+    Mode,
+    ObjectiveKind,
     Schedule,
     SweepResult,
     VspError,
+    deadline_and_proximity,
     emit_csv,
+    evaluate,
     generate_grid_instance,
+    run_dispatch,
     run_sweep,
 )
 from vsp.bench import _check
@@ -168,3 +174,83 @@ def test_combined_requires_matching_instance_counts():
     c = run_sweep(small_config(instances=3, ratios=(1.0,)), ("baseline",))
     with pytest.raises(ValueError):
         SweepResult.combined([a, c])
+
+
+def tight_config():
+    """Hard deadlines at 1.1 times the free trip time, so some dispatch runs
+    break one and record a hard_violations= status."""
+    return ExperimentConfig(
+        n_vehicles=10,
+        soft_deadline_ratios=(1.0, 1.05, 1.1),
+        hard_deadline_factor=1.1,
+        n_instances=3,
+        seed=3,
+    )
+
+
+@pytest.mark.parametrize("algorithms", [
+    ("baseline",),
+    ("heuristic",),
+    ("baseline", "heuristic"),
+    ("baseline", "heuristic", "exact"),
+])
+def test_shared_proximity_run_matches_per_ratio_dispatch(algorithms):
+    """One proximity run per instance seed gives every record a per-ratio
+    dispatch of the generated instance would give."""
+    config = tight_config()
+    result = run_sweep(config, algorithms, exact_time_limit=30.0)
+    dispatch_records = [r for r in result.records if r.algorithm != "exact"]
+    expected = []
+    seeds = sorted({(r.instance_index, r.instance_seed) for r in result.records})
+    assert len(seeds) == config.n_instances
+    for index, seed in seeds:
+        for ratio in config.soft_deadline_ratios:
+            inst = generate_grid_instance(config, ratio, seed)
+            runs = {
+                "baseline": run_dispatch(inst, Mode.PROXIMITY),
+                "heuristic": deadline_and_proximity(inst),
+            }
+            for name, run in runs.items():
+                if name in algorithms:
+                    expected.append((
+                        index, ratio, name,
+                        int(evaluate(inst, run.schedule(), ObjectiveKind.TARDY_COUNT)),
+                        "completed" if not run.hard_violations
+                        else f"hard_violations={run.hard_violations}",
+                    ))
+    assert [
+        (r.instance_index, r.ratio, r.algorithm, r.tardy_count, r.status)
+        for r in dispatch_records
+    ] == expected
+    assert any(status != "completed" for *_, status in expected)
+    if "exact" in algorithms:
+        alone = run_sweep(config, ("exact",), exact_time_limit=30.0)
+        assert [
+            (r.instance_index, r.ratio, r.tardy_count, r.status)
+            for r in result.records if r.algorithm == "exact"
+        ] == [
+            (r.instance_index, r.ratio, r.tardy_count, r.status)
+            for r in alone.records
+        ]
+
+
+def test_sweep_dispatches_proximity_once_per_instance_seed(monkeypatch):
+    config = tight_config()
+    calls = []
+
+    def counted(instance, mode, *args):
+        calls.append(mode)
+        return run_dispatch(instance, mode, *args)
+
+    monkeypatch.setattr(vsp.bench, "run_dispatch", counted)
+    ratios = len(config.soft_deadline_ratios)
+    for algorithms, expected in (
+        (("baseline", "heuristic"), config.n_instances * (1 + 2 * ratios)),
+        (("heuristic",), config.n_instances * (1 + 2 * ratios)),
+        (("baseline",), config.n_instances),
+        (("exact",), 0),
+    ):
+        calls.clear()
+        run_sweep(config, algorithms, exact_time_limit=30.0)
+        assert len(calls) == expected, algorithms
+        assert calls.count(Mode.PROXIMITY) == (config.n_instances if expected else 0)

@@ -272,3 +272,28 @@ def test_console_entry_point():
     )
     assert result.returncode == 0
     assert "schedule" in result.stdout and "bench" in result.stdout
+
+
+def test_malformed_files_exit_1_and_write_nothing(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    write_instance(merge_instance(d_soft=(50, 50), d_hard=(200, 200)), inst_path)
+    bad_inst = json.loads(inst_path.read_text())
+    bad_inst["rho"][1] = 0.7
+    bad_sched = {"times": [[0, 50], 7]}
+    bad_jsp = {"machines": 2, "jobs": [[0, 1]], "r": [float("nan")],
+               "delta": [None], "theta": False}
+    for name, data in (("i.json", bad_inst), ("s.json", bad_sched), ("j.json", bad_jsp)):
+        (tmp_path / name).write_text(json.dumps(data))
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    for argv in (
+        ("schedule", "--instance", tmp_path / "i.json", "--mode", "best",
+         "--out", tmp_path / "out.json"),
+        ("validate", "--instance", inst_path, "--schedule", tmp_path / "s.json"),
+        ("reduce-jsp", "--jsp", tmp_path / "j.json", "--out", tmp_path / "out.json"),
+    ):
+        assert run_cli(*argv) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert sorted(tmp_path.iterdir()) == before

@@ -1,8 +1,11 @@
 """Property tests over small random instances, with a fixed example set."""
 
+import json
 import random
+import re
 import tempfile
 from dataclasses import replace
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -14,11 +17,13 @@ from vsp import (  # noqa: E402
     INF,
     ConstraintKind,
     ExperimentConfig,
+    FormatError,
     GridSpec,
     Mode,
     ObjectiveKind,
     Schedule,
     VehicleStatus,
+    best_of,
     build_mip_model,
     deadline_and_proximity,
     evaluate,
@@ -26,6 +31,7 @@ from vsp import (  # noqa: E402
     generate_grid_instance,
     parse_lp,
     read_instance,
+    read_jsp,
     read_schedule,
     run_dispatch,
     solve_exact,
@@ -34,6 +40,7 @@ from vsp import (  # noqa: E402
     write_schedule,
 )
 from vsp.exact import SolveStatus  # noqa: E402
+from vsp.instances import instance_to_dict  # noqa: E402
 from oracles import (  # noqa: E402
     brute_force_tardy,
     random_small_instance,
@@ -134,7 +141,29 @@ def test_best_of_three_returns_its_first_ranked_run(inst):
             late = statuses.count(VehicleStatus.HARD_DEADLINE_VIOLATED)
             return (failed, value, late, k)
 
-        assert deadline_and_proximity(inst, policy) == runs[min(range(3), key=rank)]
+        best = runs[min(range(3), key=rank)]
+        assert deadline_and_proximity(inst, policy) == best
+        # best_of ranks by mode, not by list position.
+        for order in permutations(runs):
+            assert best_of(inst, list(order)) == best
+    with pytest.raises(ValueError, match="at least one"):
+        best_of(inst, [])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(dispatch_instances(), st.data())
+def test_proximity_dispatch_ignores_soft_deadlines(inst, data):
+    """The invariant that lets one proximity run serve every ratio of a
+    sweep: its result does not depend on the soft deadlines."""
+    other = tuple(
+        data.draw(st.one_of(st.just(INF), st.integers(r, h)))
+        for r, h in zip(inst.request_times, inst.hard_deadlines)
+    )
+    moved = replace(inst, soft_deadlines=other)
+    for policy in ("prose", "pseudocode"):
+        assert run_dispatch(moved, Mode.PROXIMITY, policy) == run_dispatch(
+            inst, Mode.PROXIMITY, policy
+        )
 
 
 @st.composite
@@ -180,3 +209,100 @@ def test_schedule_file_round_trip(rows):
 @given(file_instances(TARDY_OBJECTIVES))
 def test_lp_export_parses_back_to_its_model(inst):
     assert parse_lp(export_mip(inst)) == build_mip_model(inst)
+
+
+BAD_TICKS = (0.7, "1", float("nan"), True, False)
+
+
+def tick_paths(value, path=()):
+    """Paths to the int and null leaves of a decoded file: every tick, or
+    +inf written as null.  A file's weights are numbers, not ticks."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if key != "weights":
+                yield from tick_paths(item, path + (key,))
+    elif isinstance(value, list):
+        for k, item in enumerate(value):
+            yield from tick_paths(item, path + (k,))
+    elif value is None or (isinstance(value, int) and not isinstance(value, bool)):
+        yield path
+
+
+@st.composite
+def jsp_dicts(draw):
+    machines = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3))
+    jobs = draw(st.lists(
+        st.lists(st.integers(0, machines - 1), min_size=1, max_size=3),
+        min_size=n, max_size=n,
+    ))
+    release = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+    return {
+        "machines": machines,
+        "jobs": jobs,
+        "r": release,
+        "delta": [draw(st.one_of(st.none(), st.integers(r, r + 9))) for r in release],
+        "theta": draw(st.booleans()),
+    }
+
+
+@st.composite
+def malformed_files(draw):
+    """(reader, valid dict, broken copies): each copy breaks one field of the
+    valid file.  Every required key is dropped in turn, each bad tick goes
+    to a drawn tick, and in a schedule a drawn row is replaced by each of
+    several values that are not a flat list of ticks."""
+    kind = draw(st.sampled_from(("instance", "schedule", "jsp")))
+    if kind == "instance":
+        reader = read_instance
+        valid = instance_to_dict(draw(file_instances()))
+        required = [("vertices",), ("edges",), ("walks",), ("rho",), ("d_hard",)]
+        required += [("walks", 0, key) for key in ("vertices", "tau_min", "tau_max")]
+    elif kind == "schedule":
+        reader = read_schedule
+        valid = {"times": draw(st.lists(
+            st.lists(st.integers(0, 500), min_size=1, max_size=4),
+            min_size=1, max_size=4,
+        ))}
+        required = [("times",)]
+    else:
+        reader = read_jsp
+        valid = draw(jsp_dicts())
+        required = [(key,) for key in ("machines", "jobs", "r", "delta", "theta")]
+
+    def broken(path, value=None):  # no value: drop the key
+        copy = json.loads(json.dumps(valid))
+        target = copy
+        for key in path[:-1]:
+            target = target[key]
+        if value is None:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
+        return copy
+
+    copies = [broken(path) for path in required]
+    ticks = list(tick_paths(valid))
+    copies += [broken(draw(st.sampled_from(ticks)), bad) for bad in BAD_TICKS]
+    if kind == "schedule":
+        row = draw(st.integers(0, len(valid["times"]) - 1))
+        cells = valid["times"][row]
+        copies += [
+            broken(("times", row), bad)
+            for bad in (cells[0], str(cells), {"t": cells}, cells[:-1] + [cells[-1:]])
+        ]
+    return reader, valid, copies
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(malformed_files())
+def test_malformed_files_are_rejected(case):
+    reader, valid, copies = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "file.json"
+        path.write_text(json.dumps(valid))
+        reader(path)  # the unbroken file reads
+        for copy in copies:
+            path.write_text(json.dumps(copy))
+            with pytest.raises(FormatError, match=re.escape(str(path))):
+                reader(path)
