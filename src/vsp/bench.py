@@ -206,7 +206,10 @@ def run_sweep(
 
 
 def emit_csv(result: SweepResult, out_dir: str | Path) -> tuple[Path, Path]:
-    """Write tardy.csv and runtime.csv under out_dir and return their paths."""
+    """Write tardy.csv and runtime.csv under out_dir and return their paths.
+    Both aggregates are computed first, so a failing one writes nothing."""
+    means = result.mean_tardy()
+    runtimes = result.mean_worst_runtime()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tardy_path = out / "tardy.csv"
@@ -216,7 +219,6 @@ def emit_csv(result: SweepResult, out_dir: str | Path) -> tuple[Path, Path]:
     with tardy_path.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["n", "ratio", "algorithm", "mean_tardy_fraction", "stderr"])
-        means = result.mean_tardy()
         for (n, ratio, algorithm) in sorted(
             means, key=lambda key: (key[0], key[1], order[key[2]])
         ):
@@ -227,7 +229,6 @@ def emit_csv(result: SweepResult, out_dir: str | Path) -> tuple[Path, Path]:
     with runtime_path.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["n", "algorithm", "mean_worst_runtime_s"])
-        runtimes = result.mean_worst_runtime()
         for (n, algorithm) in sorted(
             runtimes, key=lambda key: (key[0], order[key[1]])
         ):

@@ -255,6 +255,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     check_time_limit(args.exact_time_limit)
+    if len(set(args.vehicles)) != len(args.vehicles):
+        raise VspError(f"--vehicles repeats a count: {args.vehicles}")
     algorithms = tuple(args.algorithms.split(","))
     ratios = args.ratios if args.ratios else DEFAULT_RATIOS
     parts = []
@@ -317,7 +319,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except VspError as exc:
+    except (VspError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

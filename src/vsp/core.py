@@ -457,4 +457,4 @@ def evaluate(
     if kind is ObjectiveKind.TOTAL_TARDINESS:
         return sum(max(0, late) for late in lateness)
     weights = tardy_weights(instance, kind)
-    return sum(w for w, u in zip(weights, tardy_flags(instance, schedule)) if u)
+    return sum(w for w, late in zip(weights, lateness) if late > 0)

@@ -2,8 +2,9 @@
 conversion, and JSON file round trips.
 
 The grid generator draws random source/destination pairs on a rectangular
-grid, routes each vehicle along the lexicographically smallest shortest
-path, and scales soft and hard deadlines off the congestion-free trip time.
+two-way grid, routes each vehicle up, then across, then down: the
+lexicographically smallest shortest path.  It scales soft and hard deadlines
+off the congestion-free trip time.
 The job-shop converter maps machines to the vertices of a complete digraph,
 unit operations to unit link times, and machine exclusivity to unit
 separation gaps.
@@ -37,11 +38,11 @@ class FormatError(VspError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Rectangular grid with 4-neighbour adjacency."""
+    """Rectangular grid with two-way 4-neighbour adjacency; vertex
+    r * cols + c sits at row r, column c."""
 
     rows: int
     cols: int
-    bidirectional: bool = True
 
     def __post_init__(self) -> None:
         if self.rows <= 0 or self.cols <= 0:
@@ -60,13 +61,9 @@ def build_grid_graph(spec: GridSpec) -> Graph:
         for c in range(spec.cols):
             v = r * spec.cols + c
             if c + 1 < spec.cols:
-                edges.add((v, v + 1))
-                if spec.bidirectional:
-                    edges.add((v + 1, v))
+                edges.update(((v, v + 1), (v + 1, v)))
             if r + 1 < spec.rows:
-                edges.add((v, v + spec.cols))
-                if spec.bidirectional:
-                    edges.add((v + spec.cols, v))
+                edges.update(((v, v + spec.cols), (v + spec.cols, v)))
     return Graph(spec.vertex_count, frozenset(edges))
 
 
@@ -77,11 +74,11 @@ DEFAULT_RATIOS = tuple(round(1.0 + 0.1 * k, 10) for k in range(11))
 class ExperimentConfig:
     """Generator and sweep parameters for the grid benchmark.
 
-    Defaults match the reference setup: a 5x5 bidirectional grid, a uniform
-    separation gap of 5 ticks, link minimum 50 with no maximum, requests at
-    time zero, hard deadlines at 2.2 times the free trip time, and soft
-    deadlines swept from 1.0 to 2.0 times the free trip time over 20
-    instances.
+    Defaults match the reference setup: a 5x5 two-way grid whose vehicles
+    go up, then across, then down (grid_walk), a uniform separation gap of
+    5 ticks, link minimum 50 with no maximum, requests at time zero, hard
+    deadlines at 2.2 times the free trip time, and soft deadlines swept from
+    1.0 to 2.0 times the free trip time over 20 instances.
     """
 
     n_vehicles: int
@@ -119,53 +116,26 @@ class ExperimentConfig:
             raise ValueError("hard deadline factor must cover every ratio")
 
 
-def _next_hop_tables(
-    graph: Graph, dests: Iterable[int]
-) -> dict[int, dict[int, int]]:
-    """For each destination, the smallest successor on a shortest path to it
-    from every vertex that can reach it: a reverse BFS gives the distances,
-    then one pass over the edges keeps the smallest successor at distance -1."""
-    reverse: dict[int, list[int]] = {}
-    for u, v in graph.edges:
-        reverse.setdefault(v, []).append(u)
-    tables = {}
-    for dest in dests:
-        dist = {dest: 0}
-        frontier = [dest]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for u in reverse.get(v, ()):
-                    if u not in dist:
-                        dist[u] = dist[v] + 1
-                        nxt.append(u)
-            frontier = nxt
-        hops: dict[int, int] = {}
-        for u, v in graph.edges:
-            if u in dist and dist.get(v) == dist[u] - 1:
-                hops[u] = min(v, hops.get(u, v))
-        tables[dest] = hops
-    return tables
-
-
-def _follow(hops: dict[int, int], source: int, dest: int) -> tuple[int, ...]:
-    """The walk from source to dest along a next-hop table."""
-    path = [source]
-    while path[-1] != dest:
-        if path[-1] not in hops:
-            raise VspError(f"no directed path from {source} to {dest}")
-        path.append(hops[path[-1]])
-    return tuple(path)
-
-
-def shortest_walk_vertices(graph: Graph, source: int, dest: int) -> tuple[int, ...]:
+def grid_walk(spec: GridSpec, source: int, dest: int) -> tuple[int, ...]:
     """Lexicographically smallest shortest vertex sequence from source to
-    dest: the greedy smallest-successor walk on dest's next-hop table."""
-    return _follow(_next_hop_tables(graph, (dest,))[dest], source, dest)
+    dest: up, then across, then down.  Closer neighbours order by id as up
+    (-cols) < left (-1) < right (+1) < down (+cols), so the greedy
+    smallest-successor walk takes every up step first and every down step
+    last."""
+    cols = spec.cols
+    r, c = divmod(source, cols)
+    dr, dc = divmod(dest, cols)
+    top = min(r, dr)
+    step = 1 if dc >= c else -1
+    return (
+        tuple(range(source, top * cols + c, -cols))
+        + tuple(range(top * cols + c, top * cols + dc, step))
+        + tuple(range(top * cols + dc, dest + 1, cols))
+    )
 
 
 def soft_deadlines_at(walks: Iterable[Walk], ratio: float) -> tuple[int, ...]:
-    """Soft deadlines at ratio times each walk's free trip time, to the tick."""
+    """Deadlines at ratio times each walk's free trip time, to the tick."""
     return tuple(round(ratio * sum(walk.min_times)) for walk in walks)
 
 
@@ -174,8 +144,10 @@ def generate_grid_instance(
 ) -> Instance:
     """One random instance: n source/destination pairs drawn uniformly
     (source differs from destination; repeats across vehicles allowed),
-    shortest-path walks, request times zero, the uniform separation gap at
-    every shared vertex, and deadlines scaled off the free trip time.
+    walks that go up, then across, then down (grid_walk: the
+    lexicographically smallest shortest path), request times zero, the
+    uniform separation gap at every shared vertex, and deadlines scaled off
+    the free trip time.
 
     The walks depend only on the seed, so sweeping the ratio varies the
     soft deadlines (soft_deadlines_at) over fixed trips.  Deadlines are
@@ -184,17 +156,13 @@ def generate_grid_instance(
     graph = build_grid_graph(config.grid)
     rng = random.Random(seed)
     n_vertices = graph.vertex_count
-    pairs = []
+    walks = []
     for _ in range(config.n_vehicles):
         source = rng.randrange(n_vertices)
         dest = rng.randrange(n_vertices - 1)
         if dest >= source:
             dest += 1
-        pairs.append((source, dest))
-    tables = _next_hop_tables(graph, {dest for _, dest in pairs})
-    walks = []
-    for source, dest in pairs:
-        vertices = _follow(tables[dest], source, dest)
+        vertices = grid_walk(config.grid, source, dest)
         links = len(vertices) - 1
         walks.append(Walk(
             vertices,
@@ -206,9 +174,7 @@ def generate_grid_instance(
         walks=tuple(walks),
         request_times=(0,) * config.n_vehicles,
         soft_deadlines=soft_deadlines_at(walks, ratio),
-        hard_deadlines=tuple(
-            round(config.hard_deadline_factor * sum(w.min_times)) for w in walks
-        ),
+        hard_deadlines=soft_deadlines_at(walks, config.hard_deadline_factor),
         objective=ObjectiveKind.TARDY_COUNT,
         separation=config.separation,
     )

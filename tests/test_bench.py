@@ -166,6 +166,13 @@ def test_validator_failure_aborts():
         _check(inst, broken, "baseline", frozenset())
 
 
+def test_failing_aggregate_writes_no_csv(tmp_path):
+    result = run_sweep(small_config(instances=2, ratios=(1.0,)), ("baseline",))
+    with pytest.raises(VspError, match="expected 3"):
+        emit_csv(SweepResult(3, result.records), tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_combined_requires_matching_instance_counts():
     a = run_sweep(small_config(instances=2, ratios=(1.0,)), ("baseline",))
     b = run_sweep(small_config(n_vehicles=7, instances=2, ratios=(1.0,)), ("baseline",))

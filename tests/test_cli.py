@@ -157,6 +157,34 @@ def test_missing_file_reports_error(tmp_path):
     ) == EXIT_ERROR
 
 
+def test_unwritable_output_reports_error(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    write_instance(merge_instance(d_soft=(50, 50), d_hard=(200, 200)), inst_path)
+    jsp_path = tmp_path / "jsp.json"
+    jsp_path.write_text(json.dumps({
+        "machines": 2, "jobs": [[0, 1]], "r": [0], "delta": [None], "theta": False,
+    }))
+    missing = tmp_path / "missing" / "out.json"
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    capsys.readouterr()
+    for argv in (
+        ("generate", "--vehicles", 3, "--ratio", 1.2, "--seed", 1, "--out", missing),
+        ("schedule", "--instance", inst_path, "--mode", "best", "--out", missing),
+        ("schedule", "--instance", inst_path, "--mode", "best", "--out", tmp_path),
+        ("solve", "--instance", inst_path, "--exact", "--out", missing),
+        ("export-mip", "--instance", inst_path, "--out", missing),
+        ("reduce-jsp", "--jsp", jsp_path, "--out", missing),
+        ("bench", "--vehicles", 3, "--instances", 1, "--ratios", "1.0",
+         "--out-dir", not_a_dir),
+    ):
+        assert run_cli(*argv) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+    assert not missing.parent.exists()
+
+
 def test_non_finite_weight_reports_error(tmp_path, capsys):
     inst = merge_instance(
         weights=(1.0, 2.0), objective=vsp.ObjectiveKind.WEIGHTED_TARDY_COUNT
@@ -224,13 +252,14 @@ def test_bench_tardy_csv_matches_golden(tmp_path):
     ("bench", "--vehicles", 3, "--instances", 1, "--ratios", "1.0",
      "--algorithms", "baseline,exact", "--exact-cap", 2,
      "--exact-time-limit=-5"),
+    ("bench", "--vehicles", "5,5", "--instances", 1, "--ratios", "1.0"),
 ], ids=[
     "no-vehicles", "negative-separation", "no-instances", "falling-ratios",
     "hard-factor-below-ratios", "hard-factor-below-ratio", "unknown-algorithm",
     "jsp-release-after-deadline", "nan-ratio", "nan-hard-factor", "inf-ratio",
     "negative-ratio", "nan-in-ratios", "vertex-count-1e300", "nan-time-limit",
     "negative-time-limit", "nan-exact-time-limit", "nan-exact-time-limit-unused",
-    "negative-exact-time-limit-over-cap",
+    "negative-exact-time-limit-over-cap", "repeated-vehicle-count",
 ])
 def test_bad_config_values_report_error(tmp_path, capsys, argv):
     out = "--out-dir" if argv[0] == "bench" else "--out"
