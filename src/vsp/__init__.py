@@ -43,7 +43,6 @@ from .heuristics import (
     VehicleStatus,
     best_of,
     deadline_and_proximity,
-    earliest_feasible_slot,
     run_dispatch,
     sorting_key,
 )

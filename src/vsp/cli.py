@@ -69,6 +69,9 @@ def _parse_ratios(text: str) -> tuple[float, ...]:
         if not finite or step <= 0 or stop < start:
             raise argparse.ArgumentTypeError(f"bad ratio range: {text!r}")
         count = int((stop - start) / step + 1e-9) + 1
+        # Ratios are rounded to 10 decimals; a finer step repeats them.
+        if count > 1 and (step < 1e-10 or round(start + step, 10) == round(start, 10)):
+            raise argparse.ArgumentTypeError(f"step below the 1e-10 rounding: {text!r}")
         return tuple(round(start + k * step, 10) for k in range(count))
     return tuple(float(x) for x in text.split(","))
 

@@ -3,8 +3,10 @@
 One subroutine assigns stamps by repeatedly popping the earliest pending
 stamp, grouping the vehicles that sit at it by their next vertex, and giving
 out the earliest separation-feasible slot at that vertex in priority order.
-Three priority modes share the loop; a wrapper runs all three and keeps the
-best schedule.
+The slot search is one scan of the vertex's assigned stamps in stamp order,
+from the first stamp that can still block the lower bound to the first one
+too late to block the slot found so far.  Three priority modes share the
+loop; a wrapper runs all three and keeps the best schedule.
 
 A priority is the plain tuple (first, demoted, slack, vehicle), compared
 lexicographically: the minimum travel time of the approach link, 1 for a
@@ -21,7 +23,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate
-from typing import Callable, Iterable
+from typing import Callable
 
 from .core import (
     INF,
@@ -79,48 +81,20 @@ def sorting_key(
     demote = negative_slack == "prose"
     relative = mode is Mode.REL_DEADLINE_PROXIMITY
     deadlines = instance.soft_deadlines
+    lengths = [len(w.vertices) for w in walks]
     # remaining[j][i]: minimum travel time over links i, i+1, ... of walk j.
     remaining = [
         list(accumulate(reversed(w.min_times), initial=0))[::-1] for w in walks
     ]
 
     def deadline_key(j: int, k: int, ref: int) -> tuple[int, int, float, int]:
-        walk = walks[j]
-        first = walk.min_times[k - 1] if k else 0
+        first = walks[j].min_times[k - 1] if k else 0
         slack = deadlines[j] - (ref + remaining[j][max(0, k - 1)])
         if demote and slack < 0:
             return (first, 1, 0.0, j)
-        score = slack / (len(walk) - k) if relative else float(slack)
+        score = slack / (lengths[j] - k) if relative else float(slack)
         return (first, 0, max(0.0, score), j)
     return deadline_key
-
-
-def earliest_feasible_slot(
-    node: int,
-    lower_bound: int,
-    window_upper: int | float,
-    blockers: Iterable[tuple[int, int]],
-) -> int:
-    """Smallest t >= lower_bound with |t - t_k| >= s_k for every assigned
-    stamp t_k at the vertex, subject to t <= window_upper.
-
-    blockers holds (stamp, separation) pairs for the requesting vehicle;
-    pairs with a zero separation block nothing and are skipped.
-    A stamp blocks the open interval (t_k - s_k, t_k + s_k); scanning the
-    intervals in start order and jumping to each upper end yields the
-    earliest feasible point.
-    """
-    t = lower_bound
-    for start, end in sorted(
-        (stamp - s, stamp + s) for stamp, s in blockers if s > 0
-    ):
-        if start < t < end:
-            t = end
-    if t > window_upper:
-        raise SlotWindowError(
-            f"no feasible stamp at vertex {node} in [{lower_bound},{window_upper}]"
-        )
-    return t
 
 
 @dataclass(frozen=True)
@@ -182,13 +156,15 @@ def run_dispatch(
     The loop's state is each vehicle's stamps (their count is the walk
     position to stamp next), a heap of the distinct pending stamps, the
     vehicles waiting at each of them, and per-vertex sorted lists of
-    (stamp, vehicle, step) entries already assigned.
+    (stamp, vehicle, step) entries already assigned.  A slot search bisects
+    that list at lower - max_gap and scans it in place, stopping at the
+    first stamp at or past slot + max_gap; the slot then goes in by a
+    sorted insert.
     """
     n = instance.n_vehicles
     walks = instance.walks
     gap = instance.gap
-    # A stamp at or below lower - max_gap blocks only ticks below lower, so
-    # the slot search may skip it; every later stamp can still chain-block.
+    lengths = [len(w.vertices) for w in walks]
     max_gap = instance.max_gap
     key = sorting_key(instance, mode, negative_slack)
     times: list[list[int]] = [[] for _ in range(n)]
@@ -203,25 +179,33 @@ def run_dispatch(
 
     def place(j: int, lower: int, upper: int | float) -> None:
         step = len(times[j])
-        node = walks[j].vertices[step]
-        entries = assigned.setdefault(node, [])
-        blockers = [
-            (stamp, gap(j, step, other, other_step))
-            for stamp, other, other_step
-            in entries[bisect_left(entries, (lower - max_gap + 1,)):]
-        ]
-        try:
-            stamp = earliest_feasible_slot(node, lower, upper, blockers)
-        except SlotWindowError:
+        entries = assigned.setdefault(walks[j].vertices[step], [])
+        # The slot is the least tick >= lower outside every interval
+        # (stamp - s, stamp + s).  Jumping slot to the end of each interval
+        # that holds it, in stamp order, finds it, overrides or not: no jump
+        # passes that tick, and none lands in an interval k already scanned,
+        # since with slot <= a_k - g_k a later a_m >= a_k holds slot only if
+        # g_m > g_k + (a_m - a_k), and then lands at a_m + g_m > a_k + g_k.
+        # From the first stamp - max_gap >= slot on, no interval holds slot;
+        # the bisect skips the stamps whose intervals end at or below lower.
+        slot = lower
+        for k in range(bisect_left(entries, (lower - max_gap + 1,)), len(entries)):
+            stamp, other, other_step = entries[k]
+            if stamp - max_gap >= slot:
+                break
+            s = gap(j, step, other, other_step)
+            if stamp - s < slot < stamp + s:
+                slot = stamp + s
+        if slot > upper:
             statuses[j] = VehicleStatus.SLOT_WINDOW_FAILED
             return
-        times[j].append(stamp)
-        insort(entries, (stamp, j, step))
-        if step + 1 < len(walks[j]):
-            if stamp not in waiting:
-                heapq.heappush(heap, stamp)
-                waiting[stamp] = []
-            waiting[stamp].append(j)
+        times[j].append(slot)
+        insort(entries, (slot, j, step))
+        if step + 1 < lengths[j]:
+            if slot not in waiting:
+                heapq.heappush(heap, slot)
+                waiting[slot] = []
+            waiting[slot].append(j)
 
     for j in sorted(range(n), key=current_key):
         place(j, instance.request_times[j], INF)
@@ -235,7 +219,8 @@ def run_dispatch(
         for j in waiting.pop(t):
             groups.setdefault(walks[j].vertices[len(times[j])], []).append(j)
         for group in groups.values():
-            group.sort(key=current_key)
+            if len(group) > 1:
+                group.sort(key=current_key)
             for j in group:
                 step = len(times[j])
                 place(

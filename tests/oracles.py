@@ -2,28 +2,38 @@
 
 Everything here deliberately avoids the library's own solver paths: the
 difference systems are rebuilt from the instance and solved by a plain
-fixpoint iteration, orderings are enumerated exhaustively, and the unit
-job-shop optimum comes from a breadth-first search over progress vectors.
+fixpoint iteration, orderings are enumerated exhaustively, the unit
+job-shop optimum comes from a breadth-first search over progress vectors,
+and the reference dispatch finds each slot by sorting the blocked intervals
+of every stamp at the vertex.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
+from bisect import insort
 from dataclasses import replace
+from typing import Iterable
 
 from vsp import (
     INF,
     ConstraintKind,
+    DispatchResult,
     ExperimentConfig,
     GridSpec,
     Instance,
+    Mode,
     ObjectiveKind,
     Schedule,
+    SlotWindowError,
+    VehicleStatus,
     Violation,
     conflict_pairs,
     generate_grid_instance,
     solve_exact,
+    sorting_key,
 )
 from vsp.exact import SolveStatus
 
@@ -90,6 +100,95 @@ def brute_force_separation_violations(
         )
         for _, j1, i1, j2, i2, apart, s, v in sorted(found)
     ]
+
+
+def earliest_feasible_slot(
+    node: int,
+    lower_bound: int,
+    window_upper: int | float,
+    blockers: Iterable[tuple[int, int]],
+) -> int:
+    """Smallest t >= lower_bound with |t - t_k| >= s_k for every assigned
+    stamp t_k at the vertex, subject to t <= window_upper.
+
+    blockers holds (stamp, separation) pairs for the requesting vehicle;
+    pairs with a zero separation block nothing and are skipped.
+    A stamp blocks the open interval (t_k - s_k, t_k + s_k); scanning the
+    intervals in start order and jumping to each upper end yields the
+    earliest feasible point.
+    """
+    t = lower_bound
+    for start, end in sorted(
+        (stamp - s, stamp + s) for stamp, s in blockers if s > 0
+    ):
+        if start < t < end:
+            t = end
+    if t > window_upper:
+        raise SlotWindowError(
+            f"no feasible stamp at vertex {node} in [{lower_bound},{window_upper}]"
+        )
+    return t
+
+
+def reference_dispatch(
+    instance: Instance, mode: Mode, negative_slack: str = "prose"
+) -> DispatchResult:
+    """run_dispatch's event loop with each slot found by
+    earliest_feasible_slot over every stamp already at the vertex: no
+    max_gap window and no early stop."""
+    n = instance.n_vehicles
+    walks = instance.walks
+    key = sorting_key(instance, mode, negative_slack)
+    times: list[list[int]] = [[] for _ in range(n)]
+    statuses = [VehicleStatus.COMPLETED] * n
+    heap: list[int] = []
+    waiting: dict[int, list[int]] = {}
+    assigned: dict[int, list[tuple[int, int, int]]] = {}
+
+    def current_key(j: int):
+        k = len(times[j])
+        return key(j, k, times[j][-1] if k else instance.request_times[j])
+
+    def place(j: int, lower: int, upper: int | float) -> None:
+        step = len(times[j])
+        node = walks[j].vertices[step]
+        entries = assigned.setdefault(node, [])
+        blockers = [
+            (stamp, instance.gap(j, step, other, other_step))
+            for stamp, other, other_step in entries
+        ]
+        try:
+            stamp = earliest_feasible_slot(node, lower, upper, blockers)
+        except SlotWindowError:
+            statuses[j] = VehicleStatus.SLOT_WINDOW_FAILED
+            return
+        times[j].append(stamp)
+        insort(entries, (stamp, j, step))
+        if step + 1 < len(walks[j]):
+            if stamp not in waiting:
+                heapq.heappush(heap, stamp)
+                waiting[stamp] = []
+            waiting[stamp].append(j)
+
+    for j in sorted(range(n), key=current_key):
+        place(j, instance.request_times[j], INF)
+    while heap:
+        t = heapq.heappop(heap)
+        groups: dict[int, list[int]] = {}
+        for j in waiting.pop(t):
+            groups.setdefault(walks[j].vertices[len(times[j])], []).append(j)
+        for group in groups.values():
+            for j in sorted(group, key=current_key):
+                step = len(times[j])
+                place(
+                    j,
+                    t + walks[j].min_times[step - 1],
+                    t + walks[j].max_times[step - 1],
+                )
+    for j, (row, hard) in enumerate(zip(times, instance.hard_deadlines)):
+        if statuses[j] is VehicleStatus.COMPLETED and row[-1] > hard:
+            statuses[j] = VehicleStatus.HARD_DEADLINE_VIOLATED
+    return DispatchResult(mode, tuple(tuple(row) for row in times), tuple(statuses))
 
 
 def chain_instance(

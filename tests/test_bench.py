@@ -13,14 +13,16 @@ from vsp import (
     Schedule,
     SweepResult,
     VspError,
+    best_of,
     deadline_and_proximity,
     emit_csv,
     evaluate,
     generate_grid_instance,
     run_dispatch,
     run_sweep,
+    validate_schedule,
 )
-from vsp.bench import _check
+from vsp.bench import _DISPATCH_OK, _check
 from vsp.instances import soft_deadlines_at
 from oracles import merge_instance
 
@@ -261,3 +263,88 @@ def test_sweep_dispatches_proximity_once_per_instance_seed(monkeypatch):
         run_sweep(config, algorithms, exact_time_limit=30.0)
         assert len(calls) == expected, algorithms
         assert calls.count(Mode.PROXIMITY) == (config.n_instances if expected else 0)
+
+
+def test_sweep_validates_proximity_schedule_once_per_instance_seed(monkeypatch):
+    """Validation reads no soft deadline, so the shared proximity schedule
+    is checked the first time a seed emits it; every deadline-mode schedule
+    is checked at its own ratio."""
+    config = tight_config()
+    calls = []
+
+    def counted(instance, schedule):
+        calls.append((instance.walks, schedule))
+        return validate_schedule(instance, schedule)
+
+    monkeypatch.setattr(vsp.bench, "validate_schedule", counted)
+    winners = set()
+    for algorithms in (("baseline", "heuristic"), ("heuristic",), ("baseline",)):
+        calls.clear()
+        result = run_sweep(config, algorithms)
+        seeds = sorted({(r.instance_index, r.instance_seed) for r in result.records})
+        expected = []
+        for _, seed in seeds:
+            insts = [generate_grid_instance(config, ratio, seed)
+                     for ratio in config.soft_deadline_ratios]
+            proximity = run_dispatch(insts[0], Mode.PROXIMITY).schedule()
+            best = [deadline_and_proximity(inst) for inst in insts]
+            winners |= {b.mode for b in best}
+            shown = [b.schedule() for b in best] if "heuristic" in algorithms else []
+            if "baseline" in algorithms:
+                shown.insert(0, proximity)
+            # Each deadline-mode schedule shown, and the proximity one once.
+            deadline = [s for s in shown if s != proximity]
+            expected.append(len(deadline) + (len(deadline) < len(shown)))
+        per_seed = {}
+        for walks, _ in calls:
+            per_seed[walks] = per_seed.get(walks, 0) + 1
+        assert list(per_seed.values()) == expected, algorithms
+    # Both outcomes of best-of-three occur, so both branches are counted.
+    assert Mode.PROXIMITY in winners and len(winners) > 1
+
+
+@pytest.mark.parametrize("algorithms", [
+    ("baseline",), ("heuristic",), ("baseline", "heuristic"),
+])
+@pytest.mark.parametrize("bad_seed", [0, 2])
+def test_clashing_proximity_run_still_aborts_the_sweep(
+        monkeypatch, algorithms, bad_seed):
+    """A proximity run that ignores the separation aborts the sweep at the
+    first cell that emits it, with the message of that cell's check."""
+    config = tight_config()
+    seeds = sorted({
+        (r.instance_index, r.instance_seed)
+        for r in run_sweep(config, ("baseline",)).records
+    })
+    proximity_calls = []
+
+    def clashing(instance, mode, *args):
+        if mode is Mode.PROXIMITY:
+            proximity_calls.append(mode)
+            if len(proximity_calls) == bad_seed + 1:
+                instance = replace(instance, separation=0)
+        return run_dispatch(instance, mode, *args)
+
+    seed = seeds[bad_seed][1]
+    base = generate_grid_instance(config, config.soft_deadline_ratios[0], seed)
+    bad = run_dispatch(replace(base, separation=0), Mode.PROXIMITY)
+    message = None
+    for ratio in config.soft_deadline_ratios:
+        inst = replace(base, soft_deadlines=soft_deadlines_at(base.walks, ratio))
+        if "baseline" in algorithms:
+            name = "baseline"
+        else:
+            runs = [bad] + [run_dispatch(inst, m) for m in Mode if m is not Mode.PROXIMITY]
+            if best_of(inst, runs) is not bad:
+                continue
+            name = "heuristic"
+        with pytest.raises(VspError) as caught:
+            _check(inst, bad.schedule(), name, _DISPATCH_OK)
+        message = str(caught.value)
+        break
+    assert message is not None
+
+    monkeypatch.setattr(vsp.bench, "run_dispatch", clashing)
+    with pytest.raises(VspError) as caught:
+        run_sweep(config, algorithms)
+    assert str(caught.value) == message

@@ -289,6 +289,31 @@ def test_non_finite_ratio_range_is_a_usage_error(capsys):
     assert "bad ratio range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ratios", [
+    "1:2:1e-11", "1:2:6e-11", "10000000:10000001:1e-10",
+])
+def test_ratio_step_below_rounding_is_a_usage_error(tmp_path, ratios):
+    # A range whose rounded ratios repeat is rejected before any ratio is
+    # built.  The child's address space is capped, so building them would
+    # fail fast instead of exhausting memory.
+    import resource
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    src = str(Path(vsp.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    result = subprocess.run(
+        [sys.executable, "-m", "vsp.cli", "bench", "--vehicles", "5",
+         "--ratios", ratios, "--out-dir", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=30, preexec_fn=cap_memory,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)},
+    )
+    assert result.returncode == 2
+    assert "step below the 1e-10 rounding" in result.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_console_entry_point():
     # The subprocess imports vsp from the same src directory as this process,
     # whether or not the package is installed.

@@ -19,7 +19,6 @@ from vsp import (
     VehicleStatus,
     Walk,
     deadline_and_proximity,
-    earliest_feasible_slot,
     evaluate,
     generate_grid_instance,
     reduce_jsp_to_vsp,
@@ -30,7 +29,9 @@ from vsp import (
 from oracles import (
     blocked_instance,
     chain_instance,
+    earliest_feasible_slot,
     merge_instance,
+    reference_dispatch,
     shared_vertex_pairs,
 )
 
@@ -121,6 +122,30 @@ def test_slot_matches_linear_scan_oracle():
             if all(abs(t - stamp) >= s for stamp, s in blockers)
         )
         assert earliest_feasible_slot(0, lower, INF, blockers) == expected
+
+
+def test_slot_scan_jumps_past_wide_gap_after_narrow_one():
+    # Vehicle 2 asks for vertex 0 at 8, where stamp 8 needs a gap of 1 and
+    # stamp 10 a gap of 5.  In stamp order the scan first jumps to 9, inside
+    # stamp 10's interval (5, 15), and then to 15.
+    inst = Instance(
+        graph=Graph(1, frozenset()),
+        walks=(Walk((0,), (), ()),) * 3,
+        request_times=(8, 10, 8),
+        soft_deadlines=(INF,) * 3,
+        hard_deadlines=(INF,) * 3,
+        separations={(0, 0, 1, 0): 1, (0, 0, 2, 0): 1, (1, 0, 2, 0): 5},
+        separation=5,
+    )
+    blockers = [(8, 1), (10, 5)]
+    expected = next(
+        t for t in range(8, 100) if all(abs(t - stamp) >= s for stamp, s in blockers)
+    )
+    assert expected == 15
+    for mode in Mode:
+        result = run_dispatch(inst, mode)
+        assert result.times == ((8,), (10,), (expected,))
+        assert result == reference_dispatch(inst, mode)
 
 
 # --- dispatch runs ----------------------------------------------------------

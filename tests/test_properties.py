@@ -19,6 +19,7 @@ from vsp import (  # noqa: E402
     ExperimentConfig,
     FormatError,
     GridSpec,
+    JspInstance,
     Mode,
     ObjectiveKind,
     Schedule,
@@ -33,6 +34,7 @@ from vsp import (  # noqa: E402
     read_instance,
     read_jsp,
     read_schedule,
+    reduce_jsp_to_vsp,
     run_dispatch,
     solve_exact,
     validate_schedule,
@@ -44,6 +46,7 @@ from vsp.instances import instance_to_dict  # noqa: E402
 from oracles import (  # noqa: E402
     brute_force_tardy,
     random_small_instance,
+    reference_dispatch,
     shared_vertex_pairs,
 )
 
@@ -164,6 +167,50 @@ def test_proximity_dispatch_ignores_soft_deadlines(inst, data):
         assert run_dispatch(moved, Mode.PROXIMITY, policy) == run_dispatch(
             inst, Mode.PROXIMITY, policy
         )
+
+
+@st.composite
+def jobshop_instances(draw):
+    """A reduced unit job shop whose jobs may revisit a machine, with or
+    without waiting, and random pair overrides on its unit gaps."""
+    machines = draw(st.integers(2, 4))
+    jobs = []
+    for _ in range(draw(st.integers(2, 6))):
+        job = [draw(st.integers(0, machines - 1))]
+        for _ in range(draw(st.integers(0, 5))):
+            job.append(draw(st.sampled_from(
+                [m for m in range(machines) if m != job[-1]]
+            )))
+        jobs.append(tuple(job))
+    releases = draw(st.lists(
+        st.integers(0, 6), min_size=len(jobs), max_size=len(jobs)
+    ))
+    inst = reduce_jsp_to_vsp(JspInstance(
+        machine_count=machines,
+        jobs=tuple(jobs),
+        release_times=tuple(releases),
+        deadlines=tuple(r + len(job) + 2 for r, job in zip(releases, jobs)),
+        no_wait=draw(st.booleans()),
+    ))
+    pairs = shared_vertex_pairs(inst)
+    overrides = {}
+    if pairs:
+        overrides = draw(st.dictionaries(
+            st.sampled_from(pairs), st.integers(0, 60), max_size=6
+        ))
+    return replace(inst, separations=overrides)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(st.one_of(dispatch_instances(), jobshop_instances()))
+def test_dispatch_matches_whole_vertex_reference(inst):
+    """The windowed in-place slot scan gives the slots of a search that
+    sorts the intervals of every stamp at the vertex."""
+    for mode in Mode:
+        for policy in ("prose", "pseudocode"):
+            assert run_dispatch(inst, mode, policy) == reference_dispatch(
+                inst, mode, policy
+            )
 
 
 @st.composite
