@@ -13,6 +13,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import le
 
 INF = math.inf
 
@@ -39,6 +40,19 @@ def is_tick(value: object) -> bool:
 
 def is_tick_or_inf(value: object) -> bool:
     return is_tick(value) or (isinstance(value, float) and value == INF)
+
+
+# One C-speed pass each: True when every value is a plain int (or a float
+# equal to +inf).  On False the caller's value by value loop decides, which
+# also takes int subclasses and names the first offender.
+def _all_ints(seq: tuple) -> bool:
+    return set(map(type, seq)) <= {int}
+
+
+def _all_ints_or_inf(seq: tuple) -> bool:
+    types = list(map(type, seq))
+    floats = types.count(float)
+    return types.count(int) + floats == len(seq) and seq.count(INF) == floats
 
 
 class ObjectiveKind(Enum):
@@ -98,9 +112,6 @@ class Graph:
                     stack.append(w)
         return len(seen) == self.vertex_count
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self.edges
-
 
 @dataclass(frozen=True)
 class Walk:
@@ -126,10 +137,13 @@ class Walk:
                 f"walk with {len(self.vertices)} vertices needs {links} link times, "
                 f"got {len(self.min_times)} min / {len(self.max_times)} max"
             )
-        for i, lo in enumerate(self.min_times):
+        mins, maxs = self.min_times, self.max_times
+        if (_all_ints(mins) and min(mins, default=0) >= 0
+                and _all_ints_or_inf(maxs) and all(map(le, mins, maxs))):
+            return
+        for i, (lo, hi) in enumerate(zip(mins, maxs)):  # name the first offender
             if not is_tick(lo) or lo < 0:
                 raise ValueError(f"min time on link {i} must be a nonnegative integer")
-            hi = self.max_times[i]
             if not is_tick_or_inf(hi):
                 raise ValueError(f"max time on link {i} must be an integer or +inf")
             if lo > hi:
@@ -184,28 +198,32 @@ class Instance:
         ):
             if len(seq) != n:
                 raise ValueError(f"{name} has length {len(seq)}, expected {n}")
-        for j, walk in enumerate(self.walks):
-            for i in range(len(walk) - 1):
-                u, v = walk.vertices[i], walk.vertices[i + 1]
-                if not self.graph.has_edge(u, v):
+        edges = self.graph.edges
+        if not all(edges.issuperset(zip(w.vertices, w.vertices[1:])) for w in self.walks):
+            for j, walk in enumerate(self.walks):  # name the first offender
+                for i, (u, v) in enumerate(zip(walk.vertices, walk.vertices[1:])):
+                    if (u, v) not in edges:
+                        raise ValueError(
+                            f"walk {j} uses ({u},{v}) at link {i}, not a graph edge"
+                        )
+        rho, soft, hard = self.request_times, self.soft_deadlines, self.hard_deadlines
+        # soft == +inf means "no soft deadline" and is allowed alongside a
+        # finite hard deadline; a finite soft deadline must fit the chain.
+        if not (_all_ints(rho) and _all_ints_or_inf(soft) and _all_ints_or_inf(hard)
+                and all(map(le, rho, hard)) and all(map(le, rho, soft))
+                and all(s <= h or s == INF for s, h in zip(soft, hard))):
+            for j, (r, s, h) in enumerate(zip(rho, soft, hard)):
+                if not is_tick(r):
+                    raise ValueError(f"request time of vehicle {j} must be an integer")
+                if not is_tick_or_inf(s) or not is_tick_or_inf(h):
+                    raise ValueError(f"deadlines of vehicle {j} must be integers or +inf")
+                if r > h:
+                    raise ValueError(f"vehicle {j}: request time exceeds hard deadline")
+                if s != INF and not (r <= s <= h):
                     raise ValueError(
-                        f"walk {j} uses ({u},{v}) at link {i}, not a graph edge"
+                        f"vehicle {j}: need request <= soft <= hard deadline, got "
+                        f"{r}, {s}, {h}"
                     )
-        for j in range(n):
-            if not is_tick(self.request_times[j]):
-                raise ValueError(f"request time of vehicle {j} must be an integer")
-            soft, hard = self.soft_deadlines[j], self.hard_deadlines[j]
-            if not is_tick_or_inf(soft) or not is_tick_or_inf(hard):
-                raise ValueError(f"deadlines of vehicle {j} must be integers or +inf")
-            if self.request_times[j] > hard:
-                raise ValueError(f"vehicle {j}: request time exceeds hard deadline")
-            # soft == +inf means "no soft deadline" and is allowed alongside a
-            # finite hard deadline; a finite soft deadline must fit the chain.
-            if soft != INF and not (self.request_times[j] <= soft <= hard):
-                raise ValueError(
-                    f"vehicle {j}: need request <= soft <= hard deadline, got "
-                    f"{self.request_times[j]}, {soft}, {hard}"
-                )
         if self.weights is not None:
             if len(self.weights) != n:
                 raise ValueError(f"weights has length {len(self.weights)}, expected {n}")
@@ -277,10 +295,11 @@ class Schedule:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "times", tuple(tuple(row) for row in self.times))
-        for j, row in enumerate(self.times):
-            for i, t in enumerate(row):
-                if not is_tick(t):
-                    raise ValueError(f"stamp ({j},{i}) must be an integer tick")
+        if not all(map(_all_ints, self.times)):
+            for j, row in enumerate(self.times):  # name the first offender
+                for i, t in enumerate(row):
+                    if not is_tick(t):
+                        raise ValueError(f"stamp ({j},{i}) must be an integer tick")
 
     def completion(self, j: int) -> int:
         return self.times[j][-1]

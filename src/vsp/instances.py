@@ -4,10 +4,10 @@ conversion, and JSON file round trips.
 The grid generator draws random source/destination pairs on a rectangular
 two-way grid, routes each vehicle up, then across, then down: the
 lexicographically smallest shortest path.  It scales soft and hard deadlines
-off the congestion-free trip time.
-The job-shop converter maps machines to the vertices of a complete digraph,
-unit operations to unit link times, and machine exclusivity to unit
-separation gaps.
+off the congestion-free trip time.  The job-shop converter maps machines to
+the vertices of a complete digraph, unit operations to unit link times, and
+machine exclusivity to unit separation gaps.  Files are written as compact
+single-line JSON; on read, any JSON whitespace is accepted.
 """
 
 from __future__ import annotations
@@ -268,14 +268,19 @@ _INSTANCE_KEYS = {
 }
 _WALK_KEYS = {"vertices", "tau_min", "tau_max"}
 _JSP_KEYS = {"machines", "jobs", "r", "delta", "theta", "hard_deadlines", "objective"}
+_INSTANCE_REQUIRED = ("vertices", "edges", "walks", "rho", "d_hard")
+_JSP_REQUIRED = ("machines", "jobs", "r", "delta", "theta")
 
 
-def _require_keys(data: dict, allowed: set[str], what: str) -> None:
+def _require_keys(data: dict, allowed: set, required: tuple, what: str) -> None:
     if not isinstance(data, dict):
         raise FormatError(f"{what} must be a JSON object")
     unknown = set(data) - allowed
     if unknown:
         raise FormatError(f"{what} has unknown keys: {sorted(unknown)}")
+    for key in required:
+        if key not in data:
+            raise FormatError(f"{what} is missing key {key!r}")
 
 
 def _tick_from_json(value, what: str) -> int:
@@ -286,6 +291,20 @@ def _tick_from_json(value, what: str) -> int:
             raise FormatError(f"{what} must be an integer tick, got {value!r}")
         value = int(value)
     return value
+
+
+# Bulk _tick_from_json: a list of plain ints (or nulls, for +inf) passes one
+# C-speed type check; anything else goes value by value, with the same messages.
+def _ticks_from_json(values, what: str) -> tuple[int, ...]:
+    if type(values) is list and set(map(type, values)) <= {int}:
+        return tuple(values)
+    return tuple(_tick_from_json(x, what) for x in values)
+
+
+def _ticks_or_inf_from_json(values, what: str) -> tuple[int | float, ...]:
+    if type(values) is list and set(map(type, values)) <= {int, type(None)}:
+        return tuple(map({None: INF}.get, values, values))
+    return tuple(INF if x is None else _tick_from_json(x, what) for x in values)
 
 
 def _bool_from_json(value, what: str) -> bool:
@@ -300,14 +319,8 @@ def _weight_from_json(value, what: str) -> float:
     return value
 
 
-def _tick_or_inf_from_json(value, what: str) -> int | float:
-    if value is None:
-        return INF
-    return _tick_from_json(value, what)
-
-
-def _tick_or_inf_to_json(value: int | float):
-    return None if value == INF else value
+def _ticks_or_inf_to_json(values: tuple[int | float, ...]) -> list:
+    return list(map({INF: None}.get, values, values))
 
 
 def instance_to_dict(instance: Instance) -> dict:
@@ -318,13 +331,13 @@ def instance_to_dict(instance: Instance) -> dict:
             {
                 "vertices": list(w.vertices),
                 "tau_min": list(w.min_times),
-                "tau_max": [_tick_or_inf_to_json(x) for x in w.max_times],
+                "tau_max": _ticks_or_inf_to_json(w.max_times),
             }
             for w in instance.walks
         ],
         "rho": list(instance.request_times),
-        "d_soft": [_tick_or_inf_to_json(d) for d in instance.soft_deadlines],
-        "d_hard": [_tick_or_inf_to_json(d) for d in instance.hard_deadlines],
+        "d_soft": _ticks_or_inf_to_json(instance.soft_deadlines),
+        "d_hard": _ticks_or_inf_to_json(instance.hard_deadlines),
         "separation": instance.separation,
         "separations": sorted(
             [j1, i1, j2, i2, s]
@@ -336,47 +349,33 @@ def instance_to_dict(instance: Instance) -> dict:
 
 
 def instance_from_dict(data: dict) -> Instance:
-    _require_keys(data, _INSTANCE_KEYS, "instance")
-    for key in ("vertices", "edges", "walks", "rho", "d_hard"):
-        if key not in data:
-            raise FormatError(f"instance is missing key {key!r}")
+    _require_keys(data, _INSTANCE_KEYS, _INSTANCE_REQUIRED, "instance")
     try:
         graph = Graph(
             _tick_from_json(data["vertices"], "vertices"),
             frozenset(
-                tuple(_tick_from_json(x, "edge endpoint") for x in (u, v))
-                for u, v in data["edges"]
+                _ticks_from_json([u, v], "edge endpoint") for u, v in data["edges"]
             ),
         )
         walks = []
         for idx, wd in enumerate(data["walks"]):
-            _require_keys(wd, _WALK_KEYS, f"walk {idx}")
+            _require_keys(wd, _WALK_KEYS, (), f"walk {idx}")
             walks.append(Walk(
-                tuple(_tick_from_json(v, f"walk {idx} vertex") for v in wd["vertices"]),
-                tuple(
-                    _tick_from_json(x, f"walk {idx} tau_min") for x in wd["tau_min"]
-                ),
-                tuple(
-                    _tick_or_inf_from_json(x, f"walk {idx} tau_max")
-                    for x in wd["tau_max"]
-                ),
+                _ticks_from_json(wd["vertices"], f"walk {idx} vertex"),
+                _ticks_from_json(wd["tau_min"], f"walk {idx} tau_min"),
+                _ticks_or_inf_from_json(wd["tau_max"], f"walk {idx} tau_max"),
             ))
-        n = len(walks)
-        rho = tuple(_tick_from_json(x, "rho entry") for x in data["rho"])
+        rho = _ticks_from_json(data["rho"], "rho entry")
         if "d_soft" in data and data["d_soft"] is not None:
-            soft = tuple(
-                _tick_or_inf_from_json(x, "d_soft entry") for x in data["d_soft"]
-            )
+            soft = _ticks_or_inf_from_json(data["d_soft"], "d_soft entry")
         else:
-            soft = (INF,) * n
-        hard = tuple(_tick_or_inf_from_json(x, "d_hard entry") for x in data["d_hard"])
+            soft = (INF,) * len(walks)
+        hard = _ticks_or_inf_from_json(data["d_hard"], "d_hard entry")
         separations: dict[tuple[int, int, int, int], int] = {}
         for entry in data.get("separations", []):
             if not isinstance(entry, list) or len(entry) != 5:
                 raise FormatError(f"separation entry must be [j1,i1,j2,i2,s]: {entry!r}")
-            j1, i1, j2, i2 = (
-                _tick_from_json(x, "separation index") for x in entry[:4]
-            )
+            j1, i1, j2, i2 = _ticks_from_json(entry[:4], "separation index")
             s = _tick_from_json(entry[4], "separation gap")
             key = (j1, i1, j2, i2)
             if separations.get(key, s) != s:
@@ -403,8 +402,6 @@ def instance_from_dict(data: dict) -> Instance:
         if "separation" not in data:
             instance = _uniform_if_full_list(instance)
         return instance
-    except FormatError:
-        raise
     except (ValueError, TypeError, KeyError) as exc:
         raise FormatError(f"invalid instance: {exc}") from exc
 
@@ -424,77 +421,61 @@ def _uniform_if_full_list(instance: Instance) -> Instance:
 
 
 def write_instance(instance: Instance, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(instance_to_dict(instance), indent=1) + "\n")
+    Path(path).write_text(json.dumps(instance_to_dict(instance)) + "\n")
 
 
-def _load_json(path: str | Path) -> dict:
+def _read_json(path: str | Path, parse):
+    """parse() of the decoded file; every error names the path."""
     try:
-        return json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text())
     except OSError as exc:
         raise FormatError(f"{path}: cannot read ({exc})") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too deep, or too long a number
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
+    try:
+        return parse(data)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def read_instance(path: str | Path) -> Instance:
-    data = _load_json(path)
-    try:
-        return instance_from_dict(data)
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    return _read_json(path, instance_from_dict)
 
 
 def write_schedule(schedule: Schedule, path: str | Path) -> None:
     payload = {"times": [list(row) for row in schedule.times]}
-    Path(path).write_text(json.dumps(payload, indent=1) + "\n")
+    Path(path).write_text(json.dumps(payload) + "\n")
+
+
+def schedule_from_dict(data: dict) -> Schedule:
+    _require_keys(data, {"times"}, ("times",), "schedule")
+    try:
+        return Schedule(tuple(_ticks_from_json(row, "stamp") for row in data["times"]))
+    except (ValueError, TypeError) as exc:
+        raise FormatError(f"invalid schedule: {exc}") from exc
 
 
 def read_schedule(path: str | Path) -> Schedule:
-    data = _load_json(path)
-    try:
-        _require_keys(data, {"times"}, "schedule")
-        if "times" not in data:
-            raise FormatError("schedule is missing key 'times'")
-        return Schedule(tuple(
-            tuple(_tick_from_json(t, "stamp") for t in row) for row in data["times"]
-        ))
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-    except (ValueError, TypeError) as exc:
-        raise FormatError(f"{path}: invalid schedule: {exc}") from exc
+    return _read_json(path, schedule_from_dict)
 
 
 def jsp_from_dict(data: dict) -> JspInstance:
-    _require_keys(data, _JSP_KEYS, "job shop instance")
-    for key in ("machines", "jobs", "r", "delta", "theta"):
-        if key not in data:
-            raise FormatError(f"job shop instance is missing key {key!r}")
+    _require_keys(data, _JSP_KEYS, _JSP_REQUIRED, "job shop instance")
     try:
         return JspInstance(
             machine_count=_tick_from_json(data["machines"], "machines"),
-            jobs=tuple(
-                tuple(_tick_from_json(m, "job machine") for m in job)
-                for job in data["jobs"]
-            ),
-            release_times=tuple(_tick_from_json(x, "r entry") for x in data["r"]),
-            deadlines=tuple(
-                _tick_or_inf_from_json(x, "delta entry") for x in data["delta"]
-            ),
+            jobs=tuple(_ticks_from_json(job, "job machine") for job in data["jobs"]),
+            release_times=_ticks_from_json(data["r"], "r entry"),
+            deadlines=_ticks_or_inf_from_json(data["delta"], "delta entry"),
             no_wait=_bool_from_json(data["theta"], "theta"),
             objective=ObjectiveKind(data.get("objective", "makespan")),
             hard_deadlines=_bool_from_json(
                 data.get("hard_deadlines", False), "hard_deadlines"
             ),
         )
-    except FormatError:
-        raise
     except (ValueError, TypeError) as exc:
         raise FormatError(f"invalid job shop instance: {exc}") from exc
 
 
 def read_jsp(path: str | Path) -> JspInstance:
-    data = _load_json(path)
-    try:
-        return jsp_from_dict(data)
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    return _read_json(path, jsp_from_dict)

@@ -39,6 +39,9 @@ from vsp.exact import SolveStatus
 
 Triple = tuple[int, int, int]  # t[x] - t[y] >= c over variable ids
 
+# Decoded JSON values that no reader may take as a tick.
+BAD_TICKS = (0.7, "1", float("nan"), True, False)
+
 
 def merge_instance(
     d_soft: tuple = (200, 200),

@@ -338,16 +338,34 @@ def test_malformed_files_exit_1_and_write_nothing(tmp_path, capsys):
                "delta": [None], "theta": False}
     for name, data in (("i.json", bad_inst), ("s.json", bad_sched), ("j.json", bad_jsp)):
         (tmp_path / name).write_text(json.dumps(data))
+    # Too deep for the decoder, and a number past the int-string limit.
+    deep, long_int = tmp_path / "deep.json", tmp_path / "long.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    long_int.write_text('{"times": [[' + "9" * 5000 + "]]}")
+    out = tmp_path / "out.json"
     before = sorted(tmp_path.iterdir())
     capsys.readouterr()
-    for argv in (
-        ("schedule", "--instance", tmp_path / "i.json", "--mode", "best",
-         "--out", tmp_path / "out.json"),
-        ("validate", "--instance", inst_path, "--schedule", tmp_path / "s.json"),
-        ("reduce-jsp", "--jsp", tmp_path / "j.json", "--out", tmp_path / "out.json"),
-    ):
+    cases = [
+        (("schedule", "--instance", tmp_path / "i.json", "--mode", "best", "--out", out),
+         tmp_path / "i.json"),
+        (("validate", "--instance", inst_path, "--schedule", tmp_path / "s.json"),
+         tmp_path / "s.json"),
+        (("reduce-jsp", "--jsp", tmp_path / "j.json", "--out", out), tmp_path / "j.json"),
+    ]
+    for bad in (deep, long_int):
+        cases += [
+            (("schedule", "--instance", bad, "--mode", "best", "--out", out), bad),
+            (("solve", "--instance", bad, "--exact", "--out", out), bad),
+            (("export-mip", "--instance", bad, "--out", out), bad),
+            (("validate", "--instance", bad, "--schedule", tmp_path / "s.json"), bad),
+            (("validate", "--instance", inst_path, "--schedule", bad), bad),
+            (("reduce-jsp", "--jsp", bad, "--out", out), bad),
+        ]
+    for argv, named in cases:
         assert run_cli(*argv) == EXIT_ERROR
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ")
+        assert captured.err.startswith(f"error: {named}: ")
+        if named in (deep, long_int):
+            assert captured.err.startswith(f"error: {named}: not valid JSON (")
         assert sorted(tmp_path.iterdir()) == before

@@ -81,6 +81,29 @@ def test_walk_min_exceeds_max():
         Walk((0, 1), (50,), (40,))
 
 
+def test_walk_checks_every_link_window():
+    """A bad window on the last link of a walk is caught and named, and a
+    tick may be an int subclass but not a bool or a non-infinite float."""
+    class Tick(int):
+        pass
+
+    assert Walk((0, 1, 2), (Tick(50), Tick(0)), (INF, Tick(7))).min_times[1] == 0
+    for mins, maxs, message in (
+        ((50, -1), (INF, INF), "min time on link 1 must be a nonnegative integer"),
+        ((50, True), (INF, INF), "min time on link 1 must be a nonnegative integer"),
+        ((50, 0.0), (INF, INF), "min time on link 1 must be a nonnegative integer"),
+        ((50, 50), (INF, 60.5), "max time on link 1 must be an integer or +inf"),
+        ((50, 50), (INF, 60.0), "max time on link 1 must be an integer or +inf"),
+        ((50, 50), (INF, -INF), "max time on link 1 must be an integer or +inf"),
+        ((50, 50), (INF, float("nan")), "max time on link 1 must be an integer or +inf"),
+        ((50, 50), (INF, False), "max time on link 1 must be an integer or +inf"),
+        ((50, 50), (INF, 49), "link 1: min time 50 exceeds max time 49"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            Walk((0, 1, 2), mins, maxs)
+        assert str(exc.value) == message
+
+
 def test_walk_must_follow_edges():
     g = Graph(3, frozenset({(0, 1), (1, 2)}))
     with pytest.raises(ValueError, match="not a graph edge"):
@@ -175,6 +198,26 @@ def test_deadline_chain_enforced():
             soft_deadlines=(INF,),
             hard_deadlines=(60,),
         )
+    # The last vehicle's values are checked and named like the first's.
+    merge = merge_instance(d_soft=(200, 200), d_hard=(300, 300))
+    for fields, message in (
+        ({"request_times": (0, True)}, "request time of vehicle 1 must be an integer"),
+        ({"request_times": (0, 0.0)}, "request time of vehicle 1 must be an integer"),
+        ({"soft_deadlines": (200, 200.5)},
+         "deadlines of vehicle 1 must be integers or +inf"),
+        ({"hard_deadlines": (300, float("nan"))},
+         "deadlines of vehicle 1 must be integers or +inf"),
+        ({"hard_deadlines": (300, -INF)},
+         "deadlines of vehicle 1 must be integers or +inf"),
+        ({"request_times": (0, 301)}, "vehicle 1: request time exceeds hard deadline"),
+        ({"soft_deadlines": (200, 301)},
+         "vehicle 1: need request <= soft <= hard deadline, got 0, 301, 300"),
+        ({"request_times": (0, 250)},
+         "vehicle 1: need request <= soft <= hard deadline, got 250, 200, 300"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            replace(merge, **fields)
+        assert str(exc.value) == message
 
 
 def test_no_soft_deadline_with_finite_hard_is_fine():

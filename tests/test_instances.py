@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -24,8 +25,13 @@ from vsp import (
     write_instance,
     write_schedule,
 )
-from vsp.instances import grid_walk, instance_from_dict, instance_to_dict
-from oracles import exact_makespan, merge_instance, unit_jsp_min_slots
+from vsp.instances import (
+    grid_walk,
+    instance_from_dict,
+    instance_to_dict,
+    schedule_from_dict,
+)
+from oracles import BAD_TICKS, exact_makespan, merge_instance, unit_jsp_min_slots
 
 DATA = Path(__file__).parent / "data"
 
@@ -268,11 +274,18 @@ def test_machine_separation_is_one_everywhere():
 
 # --- files --------------------------------------------------------------------
 
+def one_line(path) -> bool:
+    """The file is a single line of JSON ending in a newline."""
+    text = path.read_text()
+    return text.endswith("\n") and "\n" not in text[:-1]
+
+
 def test_instance_round_trip(tmp_path):
     cfg = ExperimentConfig(n_vehicles=6, seed=0)
     inst = generate_grid_instance(cfg, 1.4, 3)
     path = tmp_path / "inst.json"
     write_instance(inst, path)
+    assert one_line(path)
     assert read_instance(path) == inst
 
 
@@ -285,6 +298,7 @@ def test_round_trip_preserves_infinities_and_weights(tmp_path):
     )
     path = tmp_path / "inst.json"
     write_instance(inst, path)
+    assert one_line(path)
     loaded = read_instance(path)
     assert loaded == inst
     assert loaded.hard_deadlines == (200, INF)
@@ -417,6 +431,7 @@ def test_schedule_round_trip_and_diagnostics(tmp_path):
     path = tmp_path / "sched.json"
     sched = Schedule(((0, 50, 100), (5, 55)))
     write_schedule(sched, path)
+    assert path.read_text() == '{"times": [[0, 50, 100], [5, 55]]}\n'
     assert read_schedule(path) == sched
     # Shape errors name the file, as every other file error does.
     path.write_text(json.dumps({"times": [[0, 1]], "x": 1}))
@@ -430,6 +445,79 @@ def test_schedule_round_trip_and_diagnostics(tmp_path):
     path.write_text("{broken")
     with pytest.raises(FormatError, match="not valid JSON"):
         read_schedule(path)
+
+
+class Tick(int):
+    """An int subclass other than bool, which every check takes as a tick."""
+
+
+@pytest.fixture(scope="module")
+def city_dicts():
+    """A decoded 600-vehicle 10x10 instance file and its schedule file."""
+    cfg = ExperimentConfig(n_vehicles=600, grid=GridSpec(10, 10))
+    inst = generate_grid_instance(cfg, 1.5, 1)
+    schedule = deadline_and_proximity(inst).schedule()
+    return instance_to_dict(inst), {"times": [list(row) for row in schedule.times]}
+
+
+def swap_last(seq: tuple, value) -> tuple:
+    return (*seq[:-1], value)
+
+
+def rebuilt(inst, sched, name, value):
+    """The core object holding value as the last entry of its named list."""
+    walk = inst.walks[-1]
+    if name == "vertices":
+        walk = replace(walk, vertices=swap_last(walk.vertices, value))
+        return replace(inst, walks=swap_last(inst.walks, walk))
+    if name in ("min_times", "max_times"):
+        return replace(walk, **{name: swap_last(getattr(walk, name), value)})
+    if name == "times":
+        return Schedule(swap_last(sched.times, swap_last(sched.times[-1], value)))
+    return replace(inst, **{name: swap_last(getattr(inst, name), value)})
+
+
+@pytest.mark.parametrize("where, label, name, rejects_true", [
+    # True as the last vertex is vertex 1, which may well close an edge.
+    (("walks", 599, "vertices"), "walk 599 vertex", "vertices", None),
+    (("walks", 599, "tau_min"), "walk 599 tau_min", "min_times",
+     "min time on link {last} must be a nonnegative integer"),
+    (("walks", 599, "tau_max"), "walk 599 tau_max", "max_times",
+     "max time on link {last} must be an integer or +inf"),
+    (("rho",), "rho entry", "request_times",
+     "request time of vehicle 599 must be an integer"),
+    (("d_soft",), "d_soft entry", "soft_deadlines",
+     "deadlines of vehicle 599 must be integers or +inf"),
+    (("d_hard",), "d_hard entry", "hard_deadlines",
+     "deadlines of vehicle 599 must be integers or +inf"),
+    (("times", 599), "stamp", "times", "stamp (599,{last}) must be an integer tick"),
+], ids=["vertices", "tau_min", "tau_max", "rho", "d_soft", "d_hard", "schedule_row"])
+def test_bulk_checks_name_the_last_offender(city_dicts, where, label, name, rejects_true):
+    """A bad value at the end of a long list gets the message of the value
+    by value check, from the readers and from the core constructors, which
+    still take an int subclass other than bool as a tick."""
+    inst_dict, sched_dict = city_dicts
+    data, read = (sched_dict, schedule_from_dict) if name == "times" else (
+        inst_dict, instance_from_dict)
+    values = data
+    for key in where:
+        values = values[key]
+    for bad in BAD_TICKS:
+        broken = json.loads(json.dumps(data))
+        target = broken
+        for key in where:
+            target = target[key]
+        target[-1] = bad
+        with pytest.raises(FormatError) as exc:
+            read(broken)
+        assert str(exc.value) == f"{label} must be an integer tick, got {bad!r}"
+
+    inst, sched = instance_from_dict(inst_dict), schedule_from_dict(sched_dict)
+    rebuilt(inst, sched, name, Tick(10**6 if values[-1] is None else values[-1]))
+    if rejects_true is not None:
+        with pytest.raises(ValueError) as exc:
+            rebuilt(inst, sched, name, True)
+        assert str(exc.value) == rejects_true.format(last=len(values) - 1)
 
 
 def test_jsp_file_round_trip(tmp_path):

@@ -44,6 +44,8 @@ from vsp import (  # noqa: E402
 from vsp.exact import SolveStatus  # noqa: E402
 from vsp.instances import instance_to_dict  # noqa: E402
 from oracles import (  # noqa: E402
+    BAD_TICKS,
+    brute_force_separation_violations,
     brute_force_tardy,
     random_small_instance,
     reference_dispatch,
@@ -169,6 +171,27 @@ def test_proximity_dispatch_ignores_soft_deadlines(inst, data):
         )
 
 
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(dispatch_instances(), st.data())
+def test_windowed_separation_check_matches_brute_force(inst, data):
+    """validate_schedule compares each stamp only with the later ones less
+    than max_gap away, yet reports exactly the separation violations of the
+    full pair walk, in the same order, on stamps drawn at random.  Stamps
+    lie one tick either side of small multiples of each gap, so pairs land
+    just inside, on and just past every gap, max_gap's too."""
+    gaps = {inst.separation, *inst.separations.values()}
+    ticks = sorted({max(0, k * g + d)
+                    for g in gaps for k in range(3) for d in (-1, 0, 1)})
+    schedule = Schedule(tuple(
+        tuple(data.draw(st.lists(
+            st.sampled_from(ticks), min_size=len(walk), max_size=len(walk)
+        )))
+        for walk in inst.walks
+    ))
+    found = validate_schedule(inst, schedule).by_kind(ConstraintKind.SEPARATION)
+    assert found == brute_force_separation_violations(inst, schedule)
+
+
 @st.composite
 def jobshop_instances(draw):
     """A reduced unit job shop whose jobs may revisit a machine, with or
@@ -236,6 +259,8 @@ def test_instance_file_round_trip(inst):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "inst.json"
         write_instance(inst, path)
+        text = path.read_text()
+        assert text.endswith("\n") and "\n" not in text[:-1]
         assert read_instance(path) == inst
 
 
@@ -249,6 +274,8 @@ def test_schedule_file_round_trip(rows):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "sched.json"
         write_schedule(schedule, path)
+        text = path.read_text()
+        assert text.endswith("\n") and "\n" not in text[:-1]
         assert read_schedule(path) == schedule
 
 
@@ -256,9 +283,6 @@ def test_schedule_file_round_trip(rows):
 @given(file_instances(TARDY_OBJECTIVES))
 def test_lp_export_parses_back_to_its_model(inst):
     assert parse_lp(export_mip(inst)) == build_mip_model(inst)
-
-
-BAD_TICKS = (0.7, "1", float("nan"), True, False)
 
 
 def tick_paths(value, path=()):
