@@ -45,6 +45,9 @@ EXIT_INFEASIBLE = 6
 EXIT_BUDGET_INCUMBENT = 7
 EXIT_BUDGET_EMPTY = 8
 
+# The most ratios a start:stop:step range may expand to.
+MAX_RATIOS = 10_000
+
 _MODES = {m.value: m for m in Mode}
 _DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
 
@@ -72,6 +75,10 @@ def _parse_ratios(text: str) -> tuple[float, ...]:
         # Ratios are rounded to 10 decimals; a finer step repeats them.
         if count > 1 and (step < 1e-10 or round(start + step, 10) == round(start, 10)):
             raise argparse.ArgumentTypeError(f"step below the 1e-10 rounding: {text!r}")
+        if count > MAX_RATIOS:
+            raise argparse.ArgumentTypeError(
+                f"ratio range has {count} ratios, more than {MAX_RATIOS}: {text!r}"
+            )
         return tuple(round(start + k * step, 10) for k in range(count))
     return tuple(float(x) for x in text.split(","))
 

@@ -1,13 +1,14 @@
 """Exact minimisation of the (weighted) tardy-vehicle count.
 
 Every pair of stamps tied by a positive separation gap must cross in one of
-two orders.  Fixing an order for every pair leaves a pure difference system
-whose componentwise-minimal solution is computable by longest paths from an
-origin; a branch-and-bound over the order choices with that relaxation as
-the bounding function yields the exact optimum, because tardiness flags only
-ever grow when completion times grow.  The search starts from the crossing
-orders of the best-of-three dispatch schedule, and adds to each node's
-tardy weight a vertex cover over the vehicles that cannot both be on time.
+two orders.  Fixing some orders leaves a pure difference system whose
+componentwise-minimal stamps are longest paths from an origin; once no pair
+clashes at them they are a schedule, and the best one below, because
+tardiness flags only ever grow with time.  So a branch-and-bound over the
+orders of clashing pairs yields the exact optimum.  The search starts from
+the crossing orders of the best-of-three dispatch schedule, and adds to each
+node's tardy weight a vertex cover over the vehicles that cannot both be on
+time.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .core import INF, ConfigurationError, Instance, Schedule, VspError, tardy_weights
 from .heuristics import deadline_and_proximity
@@ -206,9 +207,13 @@ def minimal_times(dcs: DifferenceConstraintSystem) -> DcsSolution:
 
 
 def _min_cover(
-    adjacency: dict[int, set[int]], weights: Sequence[float], limit: float
+    adjacency: dict[int, set[int]],
+    weights: Sequence[float],
+    limit: float,
+    deadline: float | None = None,
 ) -> float:
-    """min(least weight of a vertex cover of the graph, limit).
+    """min(least weight of a vertex cover of the graph, limit), or a lower
+    bound on it once time.monotonic() passes deadline.
 
     adjacency maps each vertex with an edge to its neighbours.  Branches on
     the vertex of highest degree (lowest id on ties): either it joins the
@@ -216,7 +221,8 @@ def _min_cover(
     reaches the limit, so the work follows the limit, not the graph size.
     It also stops once an edge packing reaches the limit: when each edge in
     turn pays what both its ends have left, the total paid is at most the
-    weight of any cover (LP duality).
+    weight of any cover (LP duality).  Past the deadline a branch returns
+    that packing value instead of branching.
     """
     if limit <= 0:
         return limit
@@ -232,6 +238,8 @@ def _min_cover(
                 paid += y
     if paid >= limit:
         return limit
+    if deadline is not None and time.monotonic() > deadline:
+        return paid
     u = max(adjacency, key=lambda v: (len(adjacency[v]), -v))
 
     def without(removed: set[int]) -> dict[int, set[int]]:
@@ -241,34 +249,39 @@ def _min_cover(
             if v not in removed and (rest := nbrs - removed)
         }
 
-    taken = weights[u] + _min_cover(without({u}), weights, limit - weights[u])
+    taken = weights[u] + _min_cover(
+        without({u}), weights, limit - weights[u], deadline
+    )
     nbrs = adjacency[u]
     joined = sum(weights[v] for v in nbrs)
     spared = joined + _min_cover(
-        without(nbrs | {u}), weights, min(limit, taken) - joined
+        without(nbrs | {u}), weights, min(limit, taken) - joined, deadline
     )
     return min(taken, spared)
 
 
 def node_bound(
-    dcs: DifferenceConstraintSystem, pairs: Sequence[ConflictPair]
-) -> Callable[[Sequence[float], Iterable[int], float | None], float]:
+    dcs: DifferenceConstraintSystem,
+    pairs: Sequence[ConflictPair],
+    deadline: float | None = None,
+) -> Callable[[Sequence[float], float | None], float]:
     """The lower bound of the search, over the stamp variables of dcs.
 
     A node's tardy weight is what its least stamps dist already cost, each
     vehicle weighing its tardy_weights entry.  A stamp's latest on-time
     value is its vehicle's soft deadline minus the minimum travel time left
     after it.  Two vehicles are incompatible at a node when neither is tardy
-    at dist and some undecided pair fits in neither order: in both, the
-    earlier stamp plus the gap passes the later one's latest on-time value.
-    At most one of the two can end on time below the node, so the least
-    weight of a vertex cover of the incompatibility graph adds to the tardy
-    weight.  Decided pairs add nothing: dist already carries them.
+    at dist and some pair fits in neither order: in both, the earlier stamp
+    plus the gap passes the later one's latest on-time value.  At most one
+    of the two can end on time below the node, so the least weight of a
+    vertex cover of the incompatibility graph adds to the tardy weight.  A
+    pair whose order dist already carries gives no edge, since its later
+    stamp is at most its latest on-time value.
 
-    Returns bound(dist, undecided, limit): the tardy weight of dist plus
-    that cover weight, capped at limit, for the undecided pair indices into
-    pairs.  With limit None it is the tardy weight alone, and no graph is
-    built.
+    Returns bound(dist, limit): the tardy weight of dist plus that cover
+    weight, capped at limit.  With limit None it is the tardy weight alone,
+    and no graph is built.  Past deadline (a time.monotonic() value) the
+    cover falls back to its edge packing, still a lower bound.
     """
     instance = dcs.instance
     weights = tardy_weights(instance)
@@ -286,25 +299,18 @@ def node_bound(
     # variables, the gap and the two vehicles.
     table = [
         (dcs.var(p.j1, p.i1), dcs.var(p.j2, p.i2), p.s, p.j1, p.j2)
-        if deadlines[p.j1] != INF and deadlines[p.j2] != INF
-        else None
         for p in pairs
+        if deadlines[p.j1] != INF and deadlines[p.j2] != INF
     ]
 
-    def bound(
-        dist: Sequence[float], undecided: Iterable[int], limit: float | None
-    ) -> float:
+    def bound(dist: Sequence[float], limit: float | None) -> float:
         value = sum(w for var, d, w in zip(last, deadlines, weights) if dist[var] > d)
         if limit is None:
             return value
         if value >= limit:
             return limit
         adjacency: dict[int, set[int]] = {}
-        for k in undecided:
-            row = table[k]
-            if row is None:
-                continue
-            a, b, s, j1, j2 = row
+        for a, b, s, j1, j2 in table:
             if (
                 dist[a] + s > latest[b]
                 and dist[b] + s > latest[a]
@@ -313,7 +319,7 @@ def node_bound(
             ):
                 adjacency.setdefault(j1, set()).add(j2)
                 adjacency.setdefault(j2, set()).add(j1)
-        cover = _min_cover(adjacency, weights, limit - value)
+        cover = _min_cover(adjacency, weights, limit - value, deadline)
         return limit if cover >= limit - value else value + cover
 
     return bound
@@ -382,16 +388,18 @@ def solve_exact(
     """Branch-and-bound over crossing orders for the tardy-count objectives,
     each tardy vehicle costing what core.tardy_weights gives it.
 
-    Each search node fixes the order of a subset of conflict pairs and keeps
-    the componentwise-minimal stamps of the partial system.  Minimal stamps
+    Each search node fixes the order of some conflict pairs and keeps the
+    componentwise-minimal stamps dist of the partial system.  Minimal stamps
     give both feasibility (positive cycle means prune) and a valid lower
     bound, since every completion of the subtree has stamps at least as
-    large.  A fully decided feasible node evaluates exactly at its minimal
-    stamps.  Branching picks the undecided pair whose earliest involved
-    stamp is smallest; the order already satisfied by the current stamps is
-    tried first; the first incumbent found at a given value is kept.  A
-    child's stamps are its parent's, relaxed from the head of the new order
-    constraint by the routine minimal_times runs from the origin.
+    large.  A pair clashes at dist when its two stamps are less than its gap
+    apart; a pair with a decided order never clashes.  A node with no
+    clashing pair is a leaf: dist is a schedule, and no schedule below costs
+    less.  Otherwise the search branches on the clashing pair with the
+    earliest stamp (lowest pair index on ties), trying first the order the
+    stamps already satisfy; the first incumbent found at a given value is
+    kept.  A child's stamps are its parent's, relaxed from the head of the
+    new order constraint by the routine minimal_times runs from the origin.
 
     The first incumbent is the least solution of the same system under the
     crossing orders of the best-of-three dispatch schedule, when that
@@ -403,20 +411,19 @@ def solve_exact(
     interpreter's recursion limit.  It is single-threaded and deterministic.
     With a time limit in seconds (inf for none; NaN or negative raises
     ConfigurationError) the best incumbent so far is returned once the
-    budget runs out.
+    budget runs out; the limit also stops the cover search of the bound.
     """
     check_time_limit(time_limit)
     deadline = None if time_limit is None else time.monotonic() + time_limit
     pairs = conflict_pairs(instance)
     dcs = DifferenceConstraintSystem(instance, horizon=horizon)
-    bound = node_bound(dcs, pairs)
+    bound = node_bound(dcs, pairs, deadline)
     root = minimal_times(dcs)
     if not root.feasible:
         return SolveResult(SolveStatus.INFEASIBLE, None, None, 1, root.witness)
 
-    # Per pair: the variables of its two stamps and its two order constraints.
-    first = [dcs.var(p.j1, p.i1) for p in pairs]
-    second = [dcs.var(p.j2, p.i2) for p in pairs]
+    # Per pair: its two stamp variables and gap, and its two order constraints.
+    spans = [(dcs.var(p.j1, p.i1), dcs.var(p.j2, p.i2), p.s) for p in pairs]
     orders = [
         (dcs.order_constraint(p, True), dcs.order_constraint(p, False)) for p in pairs
     ]
@@ -427,22 +434,21 @@ def solve_exact(
     best_dist: Sequence[float] | None = None
     warm = _warm_start(dcs, pairs, orders)
     if warm is not None:
-        best_dist, best_obj = warm, bound(warm, (), None)
-    all_pairs = list(range(len(pairs)))
-    lower_bound = bound(root.times, all_pairs, INF if best_obj is None else best_obj)
+        best_dist, best_obj = warm, bound(warm, None)
+    lower_bound = bound(root.times, INF if best_obj is None else best_obj)
 
     nodes = 0
     stopped = False
-    # Depth first.  A task is a node to enter, as (parent stamps, undecided
-    # pairs, the order constraint leading to it or None at the root), or a
-    # pushed order constraint, popped once its subtree is done.
-    tasks: list = [(root.times, all_pairs, None)]
+    # Depth first.  A task is a node to enter, as (parent stamps, the order
+    # constraint leading to it or None at the root), or a pushed order
+    # constraint, popped once its subtree is done.
+    tasks: list = [(root.times, None)]
     while tasks:
         task = tasks.pop()
         if isinstance(task, Constraint):
             dcs.pop(task)
             continue
-        dist, undecided, c = task
+        dist, c = task
         if c is not None:
             dcs.push(c)
             tasks.append(c)
@@ -457,23 +463,27 @@ def solve_exact(
         if deadline is not None and time.monotonic() > deadline:
             stopped = True
             break
-        value = bound(dist, undecided, best_obj)
+        value = bound(dist, best_obj)
         if best_obj is not None and value >= best_obj:
             continue
-        if not undecided:
+        # (earliest stamp, pair index) of every clashing pair.
+        clashes = [
+            (min(dist[a], dist[b]), k)
+            for k, (a, b, s) in enumerate(spans)
+            if abs(dist[a] - dist[b]) < s
+        ]
+        if not clashes:
+            # No clashing pair, no cover edge: value is dist's tardy weight.
             best_obj, best_dist = value, dist
             continue
-        # Earliest involved stamp first; undecided stays ascending, so min
-        # keeps the lowest pair index on ties.
-        idx = min(undecided, key=lambda k: min(dist[first[k]], dist[second[k]]))
-        at = undecided.index(idx)
-        rest = undecided[:at] + undecided[at + 1:]
-        j1_first, j2_first = orders[idx]
-        if dist[first[idx]] > dist[second[idx]]:
+        _, k = min(clashes)
+        j1_first, j2_first = orders[k]
+        a, b, _ = spans[k]
+        if dist[a] > dist[b]:
             j1_first, j2_first = j2_first, j1_first
         # The order the stamps already satisfy goes on top.
-        tasks.append((dist, rest, j2_first))
-        tasks.append((dist, rest, j1_first))
+        tasks.append((dist, j2_first))
+        tasks.append((dist, j1_first))
 
     if best_dist is None:
         status = SolveStatus.BUDGET_EXHAUSTED if stopped else SolveStatus.INFEASIBLE

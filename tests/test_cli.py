@@ -314,6 +314,19 @@ def test_ratio_step_below_rounding_is_a_usage_error(tmp_path, ratios):
     assert not (tmp_path / "out").exists()
 
 
+def test_ratio_range_above_the_cap_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    # The count is checked before any ratio is built, so a lowered cap
+    # stands in for a range like 1:2:1e-10 that would not fit in memory.
+    monkeypatch.setattr(vsp.cli, "MAX_RATIOS", 4)
+    assert vsp.cli._parse_ratios("1:1.75:0.25") == (1.0, 1.25, 1.5, 1.75)
+    with pytest.raises(SystemExit) as exc:
+        run_cli("bench", "--vehicles", 3, "--ratios", "1:2:0.25",
+                "--out-dir", tmp_path / "out")
+    assert exc.value.code == 2
+    assert "5 ratios, more than 4" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_console_entry_point():
     # The subprocess imports vsp from the same src directory as this process,
     # whether or not the package is installed.

@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+import time
 from dataclasses import replace
 
 import pytest
@@ -19,6 +20,7 @@ from vsp import (
     solve_exact,
     validate_schedule,
 )
+import vsp.exact
 from vsp.exact import SolveStatus, _min_cover, node_bound
 from oracles import (
     base_triples,
@@ -234,6 +236,50 @@ def test_every_mode_failing_leaves_no_warm_start():
     assert result.schedule.times == ((0, 50), (5, 55))
 
 
+def test_root_without_clash_is_a_leaf(monkeypatch):
+    # Vehicle 1 reaches C ten ticks after vehicle 0, twice the gap, so the
+    # root's least stamps keep every gap; vehicle 0 is late at 50.
+    inst = replace(merge_instance(d_soft=(40, 210)), request_times=(0, 10))
+    assert conflict_pairs(inst)
+
+    def outcome():
+        r = solve(inst)
+        return r.status, r.objective, r.node_count, r.lower_bound, r.schedule.times
+
+    expected = (SolveStatus.OPTIMAL, 1, 1, 1, ((0, 50), (10, 60)))
+    assert outcome() == expected
+    # Without a warm start nothing prunes the root: it is recorded as a leaf.
+    monkeypatch.setattr(vsp.exact, "_warm_start", lambda *args: None)
+    assert outcome() == expected
+
+
+# Seconds a solve may run past its time limit: the warm start and the
+# limit checks of the search and the cover.
+TIME_LIMIT_SLACK = 1.0
+
+
+def test_time_limit_stops_the_root_cover():
+    # The root cover of this instance runs for seconds without a deadline.
+    config = ExperimentConfig(n_vehicles=80, soft_deadline_ratios=(1.0,))
+    inst = generate_grid_instance(config, 1.0, 1)
+    start = time.monotonic()
+    result = solve(inst, time_limit=0.2)
+    assert time.monotonic() - start < 0.2 + TIME_LIMIT_SLACK
+    assert result.status is SolveStatus.FEASIBLE_INCUMBENT
+    assert result.node_count == 1
+    assert result.lower_bound <= result.objective
+
+
+def test_min_cover_past_its_deadline_is_the_edge_packing():
+    # A unit triangle: the first edge pays 1 and leaves nothing for the
+    # other two, while any cover takes two vertices.
+    triangle = {0: {1, 2}, 1: {0, 2}, 2: {0, 1}}
+    assert _min_cover(triangle, [1, 1, 1], INF) == 2
+    assert _min_cover(triangle, [1, 1, 1], INF, time.monotonic() + 60) == 2
+    assert _min_cover(triangle, [1, 1, 1], INF, time.monotonic() - 1) == 1
+    assert _min_cover(triangle, [1, 1, 1], 0.5, time.monotonic() - 1) == 0.5
+
+
 def test_time_limit_must_be_a_nonnegative_number():
     inst = merge_instance(d_soft=(50, 50), d_hard=(200, 52))
     for bad in (float("nan"), -1.0):
@@ -314,11 +360,10 @@ def test_bound_valid_at_every_partial_decision():
                 assert_positive_cycle(sol.witness)
                 continue
             tardy = tardy_of_times(inst, list(sol.times))
-            undecided = [k for k in range(len(pairs)) if k not in fixed]
             bound = node_bound(dcs, pairs)
             # Without a limit the bound is the oracle's tardy weight alone.
-            assert bound(sol.times, undecided, None) == tardy
-            lower = bound(sol.times, undecided, INF)
+            assert bound(sol.times, None) == tardy
+            lower = bound(sol.times, INF)
             covered += lower > tardy
             if best_leaf is not None:
                 assert lower <= best_leaf
@@ -361,8 +406,8 @@ def test_search_leaves_recursion_limit_alone(monkeypatch):
 
 # (vehicles, seed) -> (optimum, nodes) on 5x5 grids at ratio 1.0.  These
 # change only when the search order or its bounds change on purpose.  Most
-# close at the root; (12, 10) and the n=20 searches branch deep, since their
-# warm starts are worse than the root bound.
+# close at the root; (12, 10) and the n=20 searches branch, since their warm
+# starts are worse than the root bound.
 PINNED_SEARCHES = {
     (8, 0): (3, 1),
     (8, 1): (2, 1),
@@ -370,11 +415,11 @@ PINNED_SEARCHES = {
     (8, 6): (3, 1),
     (10, 5): (2, 1),
     (10, 25): (3, 1),
-    (12, 10): (5, 276),
+    (12, 10): (5, 21),
     (15, 3): (8, 1),
-    (20, 2): (10, 722),
-    (20, 9): (10, 995),
-    (20, 10): (11, 1125),
+    (20, 2): (10, 63),
+    (20, 9): (10, 99),
+    (20, 10): (11, 93),
 }
 
 
@@ -395,9 +440,9 @@ def test_pinned_optimum_and_node_count(n, seed):
 # breaks a hard deadline on each, so the search runs without an incumbent
 # until its first leaf.
 PINNED_COLD_SEARCHES = {
-    (12, 3): (SolveStatus.INFEASIBLE, None, 138, 6),
-    (12, 7): (SolveStatus.OPTIMAL, 5, 288, 5),
-    (12, 14): (SolveStatus.OPTIMAL, 6, 71, 5),
+    (12, 3): (SolveStatus.INFEASIBLE, None, 30, 6),
+    (12, 7): (SolveStatus.OPTIMAL, 5, 38, 5),
+    (12, 14): (SolveStatus.OPTIMAL, 6, 11, 5),
 }
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from vsp import (  # noqa: E402
     INF,
@@ -26,6 +26,7 @@ from vsp import (  # noqa: E402
     VehicleStatus,
     best_of,
     build_mip_model,
+    conflict_pairs,
     deadline_and_proximity,
     evaluate,
     export_mip,
@@ -113,6 +114,26 @@ def dispatch_instances(draw):
         soft_deadlines=tuple(d + r for d, r in zip(inst.soft_deadlines, requests)),
         hard_deadlines=tuple(d + r for d, r in zip(inst.hard_deadlines, requests)),
     )
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(dispatch_instances())
+def test_exact_optimum_with_overrides_link_maxima_and_tight_hard_deadlines(inst):
+    # The leaf rule reads every pair's own gap and stops wherever the least
+    # stamps keep them all, so the referee sees overrides, finite link
+    # maxima and hard deadlines that can leave no schedule at all.
+    assume(len(conflict_pairs(inst)) <= 8)
+    result = solve_exact(inst)
+    expected = brute_force_tardy(inst)
+    if expected is None:
+        assert result.status is SolveStatus.INFEASIBLE
+        return
+    assert result.status is SolveStatus.OPTIMAL
+    assert result.objective == expected == evaluate(inst, result.schedule)
+    assert validate_schedule(inst, result.schedule).passes()
+    best = deadline_and_proximity(inst)
+    if best.complete and not best.hard_violations:
+        assert result.objective <= evaluate(inst, best.schedule())
 
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
