@@ -11,6 +11,7 @@ row for row.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -70,7 +71,7 @@ def big_m_values(instance: Instance, horizon: int | None = None) -> BigMValues:
     return BigMValues(h, pair_m, vehicle_m)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MipRow:
     name: str
     coeffs: dict[str, float]
@@ -179,18 +180,34 @@ def _fmt_terms(coeffs: dict[str, float]) -> str:
 
 
 def write_lp(model: MipModel) -> str:
-    """Render a model in the CPLEX LP dialect."""
+    """Render a model in the CPLEX LP dialect.
+
+    Every number must be finite except an upper bound of +inf, which is
+    written as the open bound "lo <= x"; an infinite or NaN coefficient,
+    rhs or bound raises VspError naming its row or variable.
+    """
     lines = ["\\ tardy-count scheduling model", "Minimize"]
-    lines.append(f" obj: {_fmt_terms(model.objective)}".rstrip())
+    try:
+        lines.append(f" obj: {_fmt_terms(model.objective)}".rstrip())
+    except (OverflowError, ValueError):
+        raise VspError("objective has a non-finite coefficient") from None
     lines.append("Subject To")
     for row in model.rows:
-        lines.append(f" {row.name}: {_fmt_terms(row.coeffs)} {row.sense} {_fmt(row.rhs)}")
+        try:
+            lines.append(
+                f" {row.name}: {_fmt_terms(row.coeffs)} {row.sense} {_fmt(row.rhs)}"
+            )
+        except (OverflowError, ValueError):
+            raise VspError(f"row {row.name} has a non-finite number") from None
     lines.append("Bounds")
     for name, (lo, hi) in model.bounds.items():
-        if hi == INF:
-            lines.append(f" {_fmt(lo)} <= {name}")
-        else:
-            lines.append(f" {_fmt(lo)} <= {name} <= {_fmt(hi)}")
+        try:
+            if hi == INF:
+                lines.append(f" {_fmt(lo)} <= {name}")
+            else:
+                lines.append(f" {_fmt(lo)} <= {name} <= {_fmt(hi)}")
+        except (OverflowError, ValueError):
+            raise VspError(f"bound on {name} is not finite") from None
     if model.binaries:
         lines.append("Binaries")
         lines.append(" " + " ".join(model.binaries))
@@ -210,38 +227,27 @@ _SECTIONS = {
     "binaries": "binaries",
     "end": "end",
 }
+_SENSES = frozenset(("<=", ">=", "="))
 _NUMBER = re.compile(r"[-+]?(\d+(\.\d*)?|\.\d+)([eE][-+]?\d+)?$")
 _NAME = re.compile(r"[A-Za-z_]\w*$")
+# What _classify makes of a token that is not a finite number.
+_IS_NAME = object()
+_TOO_BIG = object()
+_NEITHER = object()
 
 
-def _parse_number(token: str) -> float | None:
+def _classify(token: str) -> object:
+    """A name, a number's value (an int when integral), _TOO_BIG for a
+    number that overflows a float, or _NEITHER."""
+    # On ASCII text isidentifier() is exactly _NAME, and much cheaper.
+    if token.isidentifier() if token.isascii() else _NAME.match(token):
+        return _IS_NAME
     if _NUMBER.match(token):
         value = float(token)
+        if not math.isfinite(value):
+            return _TOO_BIG
         return int(value) if value == int(value) else value
-    return None
-
-
-def _parse_terms(tokens: list[str]) -> dict[str, float]:
-    """Terms "[sign] [coef] name", a sign before every term but the first;
-    a missing sign, a dangling sign or number, or a bad name raises VspError."""
-    coeffs: dict[str, float] = {}
-    k = 0
-    while k < len(tokens):
-        sign = 1.0
-        if tokens[k] in ("+", "-"):
-            sign = -1.0 if tokens[k] == "-" else 1.0
-            k += 1
-        elif k:
-            raise VspError(f"missing + or - before {tokens[k]!r}")
-        value = _parse_number(tokens[k]) if k < len(tokens) else None
-        if value is not None:
-            k += 1
-        if k == len(tokens) or not _NAME.match(tokens[k]):
-            raise VspError(f"term without a variable name in {' '.join(tokens)!r}")
-        coef = sign if value is None else sign * value
-        coeffs[tokens[k]] = coeffs.get(tokens[k], 0.0) + coef
-        k += 1
-    return coeffs
+    return _NEITHER
 
 
 def parse_lp(text: str) -> MipModel:
@@ -250,54 +256,127 @@ def parse_lp(text: str) -> MipModel:
     Reads only what write_lp writes: the Minimize / Subject To / Bounds /
     Binaries / End sections, comment lines starting with a backslash, one
     constraint per line, and bounds of the forms "lo <= x" and
-    "lo <= x <= hi".  Anything else raises VspError.
+    "lo <= x <= hi".  Terms are "[sign] [coef] name", a sign before every
+    term but the first.  Row names, bounded variables and binaries follow
+    the same name rule as terms, and none of them may repeat.  Anything
+    else, a number too large for a float included, raises VspError.
+
+    Each distinct token is classified once per call; its later occurrences
+    cost one dict lookup.
     """
+    kinds: dict[str, object] = {}
+
+    def kind_of(token: str) -> object:
+        kind = kinds.get(token)
+        if kind is None:
+            kind = kinds[token] = _classify(token)
+        return kind
+
+    def number(token: str, line: str) -> float | None:
+        kind = kind_of(token)
+        if kind is _TOO_BIG:
+            raise VspError(f"number {token!r} out of range: {line!r}")
+        return None if kind is _IS_NAME or kind is _NEITHER else kind
+
+    def check_name(name: str, what: str, line: str) -> None:
+        if kind_of(name) is not _IS_NAME:
+            raise VspError(f"bad {what} name {name!r}: {line!r}")
+
+    def terms(tokens: list[str], line: str) -> dict[str, float]:
+        # state 0: before the first term, 1: after a sign, 2: after a
+        # coefficient, 3: after a name.
+        coeffs: dict[str, float] = {}
+        state = 0
+        sign = 1.0
+        for token in tokens:
+            if state == 3:
+                if token == "-":
+                    sign = -1.0
+                elif token != "+":
+                    raise VspError(f"missing + or - before {token!r}")
+                state = 1
+                continue
+            kind = kinds.get(token)  # kind_of(token), inlined on the hot path
+            if kind is None:
+                kind = kinds[token] = _classify(token)
+            if kind is _IS_NAME:
+                coeffs[token] = coeffs.get(token, 0.0) + sign
+                sign = 1.0
+                state = 3
+            elif state == 2:
+                break
+            elif kind is _NEITHER:
+                if state or (token != "-" and token != "+"):
+                    break
+                sign = -1.0 if token == "-" else 1.0
+                state = 1
+            elif kind is _TOO_BIG:
+                raise VspError(f"number {token!r} out of range: {line!r}")
+            else:
+                sign *= kind
+                state = 2
+        else:
+            if state == 0 or state == 3:
+                return coeffs
+        raise VspError(f"term without a variable name in {' '.join(tokens)!r}")
+
     objective: dict[str, float] = {}
     rows: list[MipRow] = []
+    row_names: set[str] = set()
     bounds: dict[str, tuple[float, float]] = {}
-    binaries: list[str] = []
+    binaries: dict[str, None] = {}
     section = None
     for raw in text.splitlines():
         line = raw.strip()
-        if not line or line.startswith("\\"):
+        if not line or line[0] == "\\":
             continue
-        key = line.lower()
-        if key in _SECTIONS:
-            section = _SECTIONS[key]
+        name, colon, body = line.partition(":")
+        if not colon and (header := _SECTIONS.get(line.lower())):
+            section = header
             continue
-        if section == "objective":
-            body = line.split(":", 1)[1] if ":" in line else line
-            objective.update(_parse_terms(body.split()))
-        elif section == "rows":
-            if ":" not in line:
+        if section == "rows":
+            if not colon:
                 raise VspError(f"constraint line without a name: {line!r}")
-            name, body = line.split(":", 1)
             tokens = body.split()
-            sense_at = next(
-                (k for k, tok in enumerate(tokens) if tok in ("<=", ">=", "=")), None
-            )
-            if sense_at is None or sense_at != len(tokens) - 2:
+            head = tokens[:-2]
+            if (
+                len(tokens) < 2 or tokens[-2] not in _SENSES
+                or not _SENSES.isdisjoint(head)
+            ):
                 raise VspError(f"cannot parse constraint: {line!r}")
-            rhs = _parse_number(tokens[-1])
+            rhs = number(tokens[-1], line)
             if rhs is None:
                 raise VspError(f"constraint has non-numeric rhs: {line!r}")
-            rows.append(MipRow(
-                name.strip(), _parse_terms(tokens[:sense_at]), tokens[sense_at], rhs,
-            ))
+            coeffs = terms(head, line)
+            name = name.strip()
+            check_name(name, "row", line)
+            if name in row_names:
+                raise VspError(f"duplicate row name {name!r}: {line!r}")
+            row_names.add(name)
+            rows.append(MipRow(name, coeffs, tokens[-2], rhs))
+        elif section == "objective":
+            objective.update(terms((body if colon else line).split(), line))
         elif section == "bounds":
             tokens = line.split()
-            lo = _parse_number(tokens[0])
+            lo = number(tokens[0], line)
             if len(tokens) == 3 and tokens[1] == "<=" and lo is not None:
-                bounds[tokens[2]] = (lo, INF)
-            elif (
+                hi = INF
+            elif not (
                 len(tokens) == 5 and tokens[1] == tokens[3] == "<=" and lo is not None
-                and (hi := _parse_number(tokens[4])) is not None
+                and (hi := number(tokens[4], line)) is not None
             ):
-                bounds[tokens[2]] = (lo, hi)
-            else:
                 raise VspError(f"cannot parse bound: {line!r}")
+            var = tokens[2]
+            check_name(var, "bound variable", line)
+            if var in bounds:
+                raise VspError(f"duplicate bound on {var!r}: {line!r}")
+            bounds[var] = (lo, hi)
         elif section == "binaries":
-            binaries.extend(line.split())
+            for var in line.split():
+                check_name(var, "binary", line)
+                if var in binaries:
+                    raise VspError(f"duplicate binary {var!r}: {line!r}")
+                binaries[var] = None
         elif section == "end":
             raise VspError(f"content after End: {line!r}")
         else:

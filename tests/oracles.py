@@ -4,8 +4,9 @@ Everything here deliberately avoids the library's own solver paths: the
 difference systems are rebuilt from the instance and solved by a plain
 fixpoint iteration, orderings are enumerated exhaustively, the unit
 job-shop optimum comes from a breadth-first search over progress vectors,
-and the reference dispatch finds each slot by sorting the blocked intervals
-of every stamp at the vertex.
+the reference dispatch finds each slot by sorting the blocked intervals
+of every stamp at the vertex, and the reference LP parser tests every
+token of every line afresh.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+import re
 from bisect import insort
 from dataclasses import replace
 from typing import Iterable
@@ -24,12 +26,15 @@ from vsp import (
     ExperimentConfig,
     GridSpec,
     Instance,
+    MipModel,
+    MipRow,
     Mode,
     ObjectiveKind,
     Schedule,
     SlotWindowError,
     VehicleStatus,
     Violation,
+    VspError,
     conflict_pairs,
     generate_grid_instance,
     solve_exact,
@@ -192,6 +197,110 @@ def reference_dispatch(
         if statuses[j] is VehicleStatus.COMPLETED and row[-1] > hard:
             statuses[j] = VehicleStatus.HARD_DEADLINE_VIOLATED
     return DispatchResult(mode, tuple(tuple(row) for row in times), tuple(statuses))
+
+
+_SECTIONS = {
+    "minimize": "objective",
+    "subject to": "rows",
+    "bounds": "bounds",
+    "binaries": "binaries",
+    "end": "end",
+}
+_NUMBER = re.compile(r"[-+]?(\d+(\.\d*)?|\.\d+)([eE][-+]?\d+)?$")
+_NAME = re.compile(r"[A-Za-z_]\w*$")
+
+
+def _parse_number(token: str) -> float | None:
+    if _NUMBER.match(token):
+        value = float(token)
+        return int(value) if value == int(value) else value
+    return None
+
+
+def _parse_terms(tokens: list[str]) -> dict[str, float]:
+    """Terms "[sign] [coef] name", a sign before every term but the first;
+    a missing sign, a dangling sign or number, or a bad name raises VspError."""
+    coeffs: dict[str, float] = {}
+    k = 0
+    while k < len(tokens):
+        sign = 1.0
+        if tokens[k] in ("+", "-"):
+            sign = -1.0 if tokens[k] == "-" else 1.0
+            k += 1
+        elif k:
+            raise VspError(f"missing + or - before {tokens[k]!r}")
+        value = _parse_number(tokens[k]) if k < len(tokens) else None
+        if value is not None:
+            k += 1
+        if k == len(tokens) or not _NAME.match(tokens[k]):
+            raise VspError(f"term without a variable name in {' '.join(tokens)!r}")
+        coef = sign if value is None else sign * value
+        coeffs[tokens[k]] = coeffs.get(tokens[k], 0.0) + coef
+        k += 1
+    return coeffs
+
+
+def reference_parse_lp(text: str) -> MipModel:
+    """vsp.parse_lp as it was before its token checks were memoised: every
+    token of every line is matched and converted afresh.  Parse LP text
+    written by write_lp back into a model.
+
+    Reads only what write_lp writes: the Minimize / Subject To / Bounds /
+    Binaries / End sections, comment lines starting with a backslash, one
+    constraint per line, and bounds of the forms "lo <= x" and
+    "lo <= x <= hi".  Anything else raises VspError.
+    """
+    objective: dict[str, float] = {}
+    rows: list[MipRow] = []
+    bounds: dict[str, tuple[float, float]] = {}
+    binaries: list[str] = []
+    section = None
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("\\"):
+            continue
+        key = line.lower()
+        if key in _SECTIONS:
+            section = _SECTIONS[key]
+            continue
+        if section == "objective":
+            body = line.split(":", 1)[1] if ":" in line else line
+            objective.update(_parse_terms(body.split()))
+        elif section == "rows":
+            if ":" not in line:
+                raise VspError(f"constraint line without a name: {line!r}")
+            name, body = line.split(":", 1)
+            tokens = body.split()
+            sense_at = next(
+                (k for k, tok in enumerate(tokens) if tok in ("<=", ">=", "=")), None
+            )
+            if sense_at is None or sense_at != len(tokens) - 2:
+                raise VspError(f"cannot parse constraint: {line!r}")
+            rhs = _parse_number(tokens[-1])
+            if rhs is None:
+                raise VspError(f"constraint has non-numeric rhs: {line!r}")
+            rows.append(MipRow(
+                name.strip(), _parse_terms(tokens[:sense_at]), tokens[sense_at], rhs,
+            ))
+        elif section == "bounds":
+            tokens = line.split()
+            lo = _parse_number(tokens[0])
+            if len(tokens) == 3 and tokens[1] == "<=" and lo is not None:
+                bounds[tokens[2]] = (lo, INF)
+            elif (
+                len(tokens) == 5 and tokens[1] == tokens[3] == "<=" and lo is not None
+                and (hi := _parse_number(tokens[4])) is not None
+            ):
+                bounds[tokens[2]] = (lo, hi)
+            else:
+                raise VspError(f"cannot parse bound: {line!r}")
+        elif section == "binaries":
+            binaries.extend(line.split())
+        elif section == "end":
+            raise VspError(f"content after End: {line!r}")
+        else:
+            raise VspError(f"content before any section: {line!r}")
+    return MipModel(objective, tuple(rows), bounds, tuple(binaries))
 
 
 def chain_instance(

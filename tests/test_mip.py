@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,10 @@ from vsp import (
     GridSpec,
     HorizonError,
     Instance,
+    MipModel,
+    MipRow,
     ObjectiveKind,
+    VspError,
     Walk,
     big_m_values,
     build_mip_model,
@@ -163,19 +167,28 @@ def test_parse_back_reproduces_model_on_seeded_instances():
         assert parse_lp(write_lp(model)) == model
 
 
-def test_golden_files_are_stable():
-    inst1 = merge_instance(d_soft=(50, 50), d_hard=(200, 200))
-    assert export_mip(inst1) == (DATA / "golden_merge.lp").read_text()
+def golden_instances():
+    """Each checked-in LP file with the instance it was exported from."""
     cfg = ExperimentConfig(
         n_vehicles=3, grid=GridSpec(3, 3), soft_deadline_ratios=(1.1,), seed=0
     )
-    inst2 = generate_grid_instance(cfg, 1.1, 2024)
-    assert export_mip(inst2) == (DATA / "golden_grid3.lp").read_text()
+    return {
+        "golden_merge.lp": merge_instance(d_soft=(50, 50), d_hard=(200, 200)),
+        "golden_grid3.lp": generate_grid_instance(cfg, 1.1, 2024),
+    }
+
+
+def test_golden_files_are_stable():
+    for name, inst in golden_instances().items():
+        assert export_mip(inst) == (DATA / name).read_text(), name
+
+
+def test_golden_files_parse_to_their_models():
+    for name, inst in golden_instances().items():
+        assert parse_lp((DATA / name).read_text()) == build_mip_model(inst), name
 
 
 def test_parser_rejects_garbage():
-    from vsp import VspError
-
     with pytest.raises(VspError):
         parse_lp("Subject To\n no sense here\nEnd\n")
     with pytest.raises(VspError):
@@ -192,6 +205,58 @@ def test_parser_rejects_garbage():
     ):
         with pytest.raises(VspError):
             parse_lp(text)
+    # Row names, bounded variables and binaries follow the name rule of
+    # terms, none of them repeats, and a number must fit in a float; each
+    # error quotes the offending line.
+    for text, line in (
+        ("Subject To\n : x >= 1\nEnd\n", ": x >= 1"),
+        ("Subject To\n bad name!: x >= 1\nEnd\n", "bad name!: x >= 1"),
+        ("Bounds\n 0 <= 3x\nEnd\n", "0 <= 3x"),
+        ("Bounds\n 0 <= 3x <= 5\nEnd\n", "0 <= 3x <= 5"),
+        ("Binaries\n + 7 <=\nEnd\n", "+ 7 <="),
+        ("Bounds\n 0 <= x <= 5\n 1 <= x\nEnd\n", "1 <= x"),
+        ("Subject To\n r: x >= 1\n r: y >= 2\nEnd\n", "r: y >= 2"),
+        ("Binaries\n x y\n x\nEnd\n", "x"),
+        ("Binaries\n x x\nEnd\n", "x x"),
+        ("Subject To\n r: x >= 1e400\nEnd\n", "r: x >= 1e400"),
+        ("Subject To\n r: -1e400 x >= 1\nEnd\n", "r: -1e400 x >= 1"),
+        ("Minimize\n obj: 1e400 x\nEnd\n", "obj: 1e400 x"),
+        ("Bounds\n 0 <= x <= 1e999\nEnd\n", "0 <= x <= 1e999"),
+        ("Bounds\n 1e999 <= x\nEnd\n", "1e999 <= x"),
+    ):
+        with pytest.raises(VspError, match=re.escape(repr(line))):
+            parse_lp(text)
+
+
+def test_write_lp_rejects_non_finite_numbers():
+    nan = float("nan")
+
+    def model(objective=None, row=None, bound=(0, INF)):
+        return MipModel(
+            objective or {"x": 1.0},
+            (row or MipRow("cap_7", {"x": 1.0}, "<=", 4),),
+            {"x": bound},
+            (),
+        )
+
+    # An open upper bound is the one legal infinity.
+    assert " 0 <= x\n" in write_lp(model())
+    for bad, name in (
+        (model(objective={"x": INF}), "objective"),
+        (model(objective={"x": nan}), "objective"),
+        (model(row=MipRow("cap_7", {"x": -INF}, "<=", 4)), "cap_7"),
+        (model(row=MipRow("cap_7", {"x": nan}, "<=", 4)), "cap_7"),
+        (model(row=MipRow("cap_7", {"x": 1.0}, "<=", INF)), "cap_7"),
+        (model(row=MipRow("cap_7", {"x": 1.0}, ">=", -INF)), "cap_7"),
+        (model(row=MipRow("cap_7", {"x": 1.0}, "=", nan)), "cap_7"),
+        (model(bound=(INF, INF)), "x"),
+        (model(bound=(-INF, 5)), "x"),
+        (model(bound=(nan, 5)), "x"),
+        (model(bound=(0, -INF)), "x"),
+        (model(bound=(0, nan)), "x"),
+    ):
+        with pytest.raises(VspError, match=rf"\b{name}\b"):
+            write_lp(bad)
 
 
 # --- external solver agreement -------------------------------------------------

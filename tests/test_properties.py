@@ -20,10 +20,13 @@ from vsp import (  # noqa: E402
     FormatError,
     GridSpec,
     JspInstance,
+    MipModel,
+    MipRow,
     Mode,
     ObjectiveKind,
     Schedule,
     VehicleStatus,
+    VspError,
     best_of,
     build_mip_model,
     conflict_pairs,
@@ -40,6 +43,7 @@ from vsp import (  # noqa: E402
     solve_exact,
     validate_schedule,
     write_instance,
+    write_lp,
     write_schedule,
 )
 from vsp.exact import SolveStatus  # noqa: E402
@@ -48,8 +52,10 @@ from oracles import (  # noqa: E402
     BAD_TICKS,
     brute_force_separation_violations,
     brute_force_tardy,
+    merge_instance,
     random_small_instance,
     reference_dispatch,
+    reference_parse_lp,
     shared_vertex_pairs,
 )
 
@@ -304,6 +310,82 @@ def test_schedule_file_round_trip(rows):
 @given(file_instances(TARDY_OBJECTIVES))
 def test_lp_export_parses_back_to_its_model(inst):
     assert parse_lp(export_mip(inst)) == build_mip_model(inst)
+
+
+DATA = Path(__file__).parent / "data"
+# LP texts to mutate: the two golden files, a weighted objective, and a
+# hand-built model with fractional numbers and an open upper bound.
+LP_TEXTS = (
+    (DATA / "golden_merge.lp").read_text(),
+    (DATA / "golden_grid3.lp").read_text(),
+    export_mip(merge_instance(
+        d_soft=(50, 50), d_hard=(200, 200),
+        weights=(3, 0.5), objective=ObjectiveKind.WEIGHTED_TARDY_COUNT,
+    )),
+    write_lp(MipModel(
+        {"x": 2.5, "y": 1.0},
+        (MipRow("r_0", {"x": 1.0, "y": -0.5}, ">=", 1.5),
+         MipRow("r_1", {"y": 3.0}, "=", -2)),
+        {"x": (0, INF), "y": (-1.25, 4)},
+        ("y",),
+    )),
+)
+LP_INSERTS = (
+    "+", "-", "0", "1", "7", "-3", "2.5", ".5", "1e3", "1e400", "<=", ">=", "=",
+    "x", "t_0_0", "b_0_1_1_1", "l_0", "3x", "bad!", "r:", "End", "Bounds",
+)
+
+
+@st.composite
+def mutated_lp_texts(draw):
+    """One LP text with one mutation on one line: a token dropped,
+    duplicated, swapped with another token of the line, or inserted (a
+    sign, number, sense or name), or the line's tokens joined by tabs or
+    runs of spaces.  Only one line changes, and parse_lp makes its checks
+    the reference lacks after those it shares on a line, so a text both
+    reject fails at the same line in both."""
+    lines = [line.split() for line in draw(st.sampled_from(LP_TEXTS)).splitlines()]
+    seps = [" "] * len(lines)
+    at = draw(st.integers(0, len(lines) - 1))
+    tokens = lines[at]
+    k = draw(st.integers(0, len(tokens)))
+    op = draw(st.sampled_from(("drop", "duplicate", "swap", "insert", "space")))
+    if op == "insert":
+        tokens.insert(k, draw(st.sampled_from(LP_INSERTS)))
+    elif op == "space":
+        seps[at] = draw(st.sampled_from(("\t", "   ", " \t ")))
+    elif k < len(tokens):
+        if op == "drop":
+            del tokens[k]
+        elif op == "duplicate":
+            tokens.insert(k, tokens[k])
+        else:
+            j = draw(st.integers(0, len(tokens) - 1))
+            tokens[k], tokens[j] = tokens[j], tokens[k]
+    return "".join(
+        sep + sep.join(line) + "\n" for sep, line in zip(seps, lines)
+    )
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(mutated_lp_texts())
+def test_parse_lp_agrees_with_the_reference_parser(text):
+    # parse_lp fails only with VspError; a model it returns is the
+    # reference's model, and a text the reference rejects with VspError it
+    # rejects with the same message.  It also rejects what the reference
+    # lets through (bad or repeated names, numbers beyond a float) or lets
+    # escape as OverflowError.
+    try:
+        model = parse_lp(text)
+    except VspError as exc:
+        try:
+            reference_parse_lp(text)
+        except VspError as ref:
+            assert str(exc) == str(ref)
+        except OverflowError:
+            assert "out of range" in str(exc)
+    else:
+        assert reference_parse_lp(text) == model
 
 
 def tick_paths(value, path=()):
