@@ -3,10 +3,10 @@
 For every instance seed the harness builds the walks once and dispatches
 proximity once, since proximity reads no soft deadline; per soft-deadline
 ratio it runs the requested algorithms (a baseline cell reuses the proximity
-run, and best-of-three ranks it against the ratio's two deadline runs),
-validates each emitted schedule (the shared proximity one once), and
-records tardy counts and wall-clock
-scheduling time, the shared proximity run's included.  Means are aggregated
+run, and best-of-three ranks it against those of the ratio's deadline runs
+that can still beat it), validates each emitted schedule (the shared
+proximity one once), and records tardy counts and wall-clock scheduling
+time, the shared proximity run's included.  Means are aggregated
 per (vehicle count, ratio, algorithm) cell; runtimes are first maxed over the
 ratios of one instance and then averaged across instances.
 """
@@ -135,12 +135,13 @@ def run_sweep(
 
     One proximity run per instance seed is the baseline at every ratio and
     the proximity candidate of best-of-three, whose runtime adds it to the
-    ratio's deadline runs and rank.  Every emitted schedule is validated,
-    the proximity one only when a seed first emits it (validation reads no
-    soft deadline); a violation is a bug and aborts the sweep.  The exact
-    solver only runs when the vehicle count is within exact_cap and always
-    needs a time limit; runs that hit the limit are recorded under their
-    solver status so they can be excluded from optimality claims.
+    deadline runs best_of draws at the ratio and the rank.  Every emitted
+    schedule is validated, the proximity one only when a seed first emits
+    it (validation reads no soft deadline); a violation is a bug and aborts
+    the sweep.  The exact solver only runs when the vehicle count is within
+    exact_cap and always needs a time limit; runs that hit the limit are
+    recorded under their solver status so they can be excluded from
+    optimality claims.
     """
     unknown = set(algorithms) - set(ALGORITHMS)
     if unknown:
@@ -183,9 +184,11 @@ def run_sweep(
                 result, elapsed = proximity, proximity_s
                 if name == "heuristic":
                     start = time.perf_counter()
-                    deadline_runs = [run_dispatch(instance, m, negative_slack)
-                                     for m in Mode if m is not Mode.PROXIMITY]
-                    result = best_of(instance, [proximity, *deadline_runs])
+                    result = best_of(instance, (
+                        proximity if m is Mode.PROXIMITY
+                        else run_dispatch(instance, m, negative_slack)
+                        for m in Mode
+                    ))
                     elapsed += time.perf_counter() - start
                 schedule = result.schedule()
                 if result is not proximity or not proximity_checked:

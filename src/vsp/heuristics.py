@@ -6,7 +6,10 @@ out the earliest separation-feasible slot at that vertex in priority order.
 The slot search is one scan of the vertex's assigned stamps in stamp order,
 from the first stamp that can still block the lower bound to the first one
 too late to block the slot found so far.  Three priority modes share the
-loop; a wrapper runs all three and keeps the best schedule.
+loop; a wrapper runs them in Mode order and keeps the best schedule.  It
+stops early once the leader is complete, free of hard violations and at 0
+under an objective that cannot go below 0, since no later mode can then
+outrank it.
 
 A priority is the plain tuple (first, demoted, slack, vehicle), compared
 lexicographically: the minimum travel time of the approach link, 1 for a
@@ -23,11 +26,12 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate
-from typing import Callable
+from typing import Callable, Iterable
 
 from .core import (
     INF,
     Instance,
+    ObjectiveKind,
     Schedule,
     VspError,
     evaluate,
@@ -39,6 +43,15 @@ class Mode(Enum):
     PROXIMITY = "proximity"
     ABS_DEADLINE_PROXIMITY = "abs"
     REL_DEADLINE_PROXIMITY = "rel"
+
+
+# Objectives no schedule can take below zero: under these a complete run at
+# 0 with no hard violation ranks first among all runs of later modes.
+_NON_NEGATIVE = frozenset((
+    ObjectiveKind.TARDY_COUNT,
+    ObjectiveKind.WEIGHTED_TARDY_COUNT,
+    ObjectiveKind.TOTAL_TARDINESS,
+))
 
 
 class VehicleStatus(Enum):
@@ -237,32 +250,49 @@ def run_dispatch(
     )
 
 
-def best_of(instance: Instance, runs: list[DispatchResult]) -> DispatchResult:
+def best_of(instance: Instance, runs: Iterable[DispatchResult]) -> DispatchResult:
     """Return the run that ranks first: fewest slot-window failures, then the
     instance objective (infinite for an incomplete run), then hard-deadline
     violations, then the position of its mode in Mode, so the order in which
-    runs are listed never changes the choice.
+    runs come never changes the choice.
+
+    Runs are drawn one at a time.  Drawing stops once the leader ranks
+    (0, 0, 0) under an objective that never goes below zero and every mode
+    not drawn yet comes after the leader's in Mode: no later run can
+    outrank it.  A mode drawn twice raises ValueError, since a repeat could
+    outrank a leader the stop already kept.
     """
-    if not runs:
-        raise ValueError("best_of needs at least one dispatch run")
     order = list(Mode)
-
-    def rank(res: DispatchResult) -> tuple:
+    floored = instance.objective in _NON_NEGATIVE
+    undrawn = set(order)
+    best = best_rank = None
+    for res in runs:
+        if res.mode not in undrawn:
+            raise ValueError(f"best_of got mode {res.mode.value!r} twice")
+        undrawn.remove(res.mode)
         value = evaluate(instance, res.schedule()) if res.complete else INF
-        return (res.slot_failures, value, res.hard_violations, order.index(res.mode))
-
-    return min(runs, key=rank)
+        rank = (res.slot_failures, value, res.hard_violations, order.index(res.mode))
+        if best is None or rank < best_rank:
+            best, best_rank = res, rank
+        if floored and best_rank[:3] == (0, 0, 0) and all(
+            order.index(m) > best_rank[3] for m in undrawn
+        ):
+            break
+    if best is None:
+        raise ValueError("best_of needs at least one dispatch run")
+    return best
 
 
 def deadline_and_proximity(
     instance: Instance,
     negative_slack: str = "prose",
 ) -> DispatchResult:
-    """Run all three modes and return the run best_of ranks first.
+    """Run the modes in Mode order and return the run best_of ranks first;
+    a mode that cannot beat the leader is not run.
 
     The mode-order tie-break keeps the winner never worse than the plain
     proximity run on the configured objective.  When every mode leaves a
     vehicle without a stamp the first-ranked run is still returned; callers
     check complete.
     """
-    return best_of(instance, [run_dispatch(instance, m, negative_slack) for m in Mode])
+    return best_of(instance, (run_dispatch(instance, m, negative_slack) for m in Mode))

@@ -257,9 +257,11 @@ def parse_lp(text: str) -> MipModel:
     Binaries / End sections, comment lines starting with a backslash, one
     constraint per line, and bounds of the forms "lo <= x" and
     "lo <= x <= hi".  Terms are "[sign] [coef] name", a sign before every
-    term but the first.  Row names, bounded variables and binaries follow
-    the same name rule as terms, and none of them may repeat.  Anything
-    else, a number too large for a float included, raises VspError.
+    term but the first.  Each section header appears at most once, and the
+    objective section holds one line.  The objective label, row names,
+    bounded variables and binaries follow the same name rule as terms, and
+    none of them may repeat.  Anything else, a number too large for a float
+    included, raises VspError.
 
     Each distinct token is classified once per call; its later occurrences
     cost one dict lookup.
@@ -320,18 +322,22 @@ def parse_lp(text: str) -> MipModel:
                 return coeffs
         raise VspError(f"term without a variable name in {' '.join(tokens)!r}")
 
-    objective: dict[str, float] = {}
+    objective: dict[str, float] | None = None
     rows: list[MipRow] = []
     row_names: set[str] = set()
     bounds: dict[str, tuple[float, float]] = {}
     binaries: dict[str, None] = {}
     section = None
+    headers: set[str] = set()
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line[0] == "\\":
             continue
         name, colon, body = line.partition(":")
         if not colon and (header := _SECTIONS.get(line.lower())):
+            if header in headers:
+                raise VspError(f"repeated section header: {line!r}")
+            headers.add(header)
             section = header
             continue
         if section == "rows":
@@ -355,7 +361,12 @@ def parse_lp(text: str) -> MipModel:
             row_names.add(name)
             rows.append(MipRow(name, coeffs, tokens[-2], rhs))
         elif section == "objective":
-            objective.update(terms((body if colon else line).split(), line))
+            coeffs = terms((body if colon else line).split(), line)
+            if colon:
+                check_name(name.strip(), "objective", line)
+            if objective is not None:
+                raise VspError(f"more than one objective line: {line!r}")
+            objective = coeffs
         elif section == "bounds":
             tokens = line.split()
             lo = number(tokens[0], line)
@@ -381,7 +392,7 @@ def parse_lp(text: str) -> MipModel:
             raise VspError(f"content after End: {line!r}")
         else:
             raise VspError(f"content before any section: {line!r}")
-    return MipModel(objective, tuple(rows), bounds, tuple(binaries))
+    return MipModel(objective or {}, tuple(rows), bounds, tuple(binaries))
 
 
 def schedule_from_lp_solution(

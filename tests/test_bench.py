@@ -251,11 +251,27 @@ def test_sweep_dispatches_proximity_once_per_instance_seed(monkeypatch):
         calls.append(mode)
         return run_dispatch(instance, mode, *args)
 
+    def deadline_draws(seed, ratio):
+        # best_of draws the modes in Mode order and stops at the first run
+        # that is complete, on time and free of hard violations.
+        inst = generate_grid_instance(config, ratio, seed)
+        runs = [run_dispatch(inst, mode) for mode in Mode]
+        return next((k for k, run in enumerate(runs) if run.complete
+                     and not run.hard_violations
+                     and evaluate(inst, run.schedule()) == 0), 2)
+
+    seeds = sorted({
+        (r.instance_index, r.instance_seed)
+        for r in run_sweep(config, ("baseline",)).records
+    })
+    draws = [deadline_draws(seed, ratio)
+             for _, seed in seeds for ratio in config.soft_deadline_ratios]
+    # Every way of stopping occurs: after proximity, after abs, never.
+    assert set(draws) == {0, 1, 2}
     monkeypatch.setattr(vsp.bench, "run_dispatch", counted)
-    ratios = len(config.soft_deadline_ratios)
     for algorithms, expected in (
-        (("baseline", "heuristic"), config.n_instances * (1 + 2 * ratios)),
-        (("heuristic",), config.n_instances * (1 + 2 * ratios)),
+        (("baseline", "heuristic"), config.n_instances + sum(draws)),
+        (("heuristic",), config.n_instances + sum(draws)),
         (("baseline",), config.n_instances),
         (("exact",), 0),
     ):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import vsp.heuristics
 from vsp import (
     INF,
     ConstraintKind,
@@ -18,6 +19,7 @@ from vsp import (
     SlotWindowError,
     VehicleStatus,
     Walk,
+    best_of,
     deadline_and_proximity,
     evaluate,
     generate_grid_instance,
@@ -398,6 +400,108 @@ def test_wrapper_returns_first_ranked_run_when_every_mode_fails():
     for _ in range(2):
         with pytest.raises(SlotWindowError):
             best.schedule()
+
+
+def eager_best(inst, runs):
+    """The run min ranks first over all runs, as best_of did before it
+    learnt to stop drawing."""
+    order = list(Mode)
+
+    def rank(run):
+        value = evaluate(inst, run.schedule()) if run.complete else INF
+        return (run.slot_failures, value, run.hard_violations, order.index(run.mode))
+    return min(runs, key=rank)
+
+
+@pytest.fixture
+def dispatch_calls(monkeypatch):
+    """The modes deadline_and_proximity dispatches, in call order."""
+    calls = []
+
+    def counted(instance, mode, *args):
+        calls.append(mode)
+        return run_dispatch(instance, mode, *args)
+
+    monkeypatch.setattr(vsp.heuristics, "run_dispatch", counted)
+    return calls
+
+
+@pytest.mark.parametrize("objective", [
+    ObjectiveKind.TARDY_COUNT,
+    ObjectiveKind.WEIGHTED_TARDY_COUNT,
+    ObjectiveKind.TOTAL_TARDINESS,
+])
+def test_wrapper_stops_once_no_later_mode_can_win(dispatch_calls, objective):
+    # Proximity makes vehicle 1 tardy; abs is complete, on time and breaks
+    # no hard deadline, so rel, which comes after it in Mode, is not run.
+    inst = merge_instance(d_soft=(200, 50), weights=(2, 3), objective=objective)
+    best = deadline_and_proximity(inst)
+    assert dispatch_calls == [Mode.PROXIMITY, Mode.ABS_DEADLINE_PROXIMITY]
+    assert best.mode is Mode.ABS_DEADLINE_PROXIMITY
+    assert evaluate(inst, best.schedule()) == 0
+    assert best == eager_best(inst, [run_dispatch(inst, m) for m in Mode])
+
+
+def test_wrapper_stops_after_proximity_when_it_cannot_be_beaten(dispatch_calls):
+    inst = merge_instance(d_soft=(200, 60))
+    assert deadline_and_proximity(inst) == run_dispatch(inst, Mode.PROXIMITY)
+    assert dispatch_calls == [Mode.PROXIMITY]
+
+
+@pytest.mark.parametrize("inst", [
+    merge_instance(d_soft=(40, 40)),  # every mode leaves both vehicles tardy
+    blocked_instance(),  # every mode fails a vehicle
+], ids=["tardy", "incomplete"])
+def test_wrapper_draws_every_mode_when_no_run_reaches_zero(dispatch_calls, inst):
+    best = deadline_and_proximity(inst)
+    assert dispatch_calls == list(Mode)
+    assert best == eager_best(inst, [run_dispatch(inst, m) for m in Mode])
+
+
+@pytest.mark.parametrize("objective", [
+    ObjectiveKind.MAX_LATENESS,
+    ObjectiveKind.MAKESPAN,
+])
+def test_wrapper_never_stops_early_when_the_objective_can_go_below_zero(
+        dispatch_calls, objective):
+    # Proximity finishes vehicle 1 exactly at its deadline (max lateness 0),
+    # but abs finishes both early, at max lateness -5, and wins.
+    inst = merge_instance(d_soft=(200, 55), objective=objective)
+    best = deadline_and_proximity(inst)
+    assert dispatch_calls == list(Mode)
+    assert best == eager_best(inst, [run_dispatch(inst, m) for m in Mode])
+    if objective is ObjectiveKind.MAX_LATENESS:
+        assert evaluate(inst, run_dispatch(inst, Mode.PROXIMITY).schedule()) == 0
+        assert best.mode is Mode.ABS_DEADLINE_PROXIMITY
+
+
+def test_best_of_draws_lazily_and_rejects_a_repeated_mode():
+    inst = merge_instance(d_soft=(200, 50))
+    runs = {m: run_dispatch(inst, m) for m in Mode}
+    drawn = []
+
+    def draw(modes):
+        for m in modes:
+            drawn.append(m)
+            yield runs[m]
+
+    # From rel first, abs still comes before the leader and must be drawn;
+    # proximity, drawn last, ranks below abs.
+    order = [Mode.REL_DEADLINE_PROXIMITY, Mode.ABS_DEADLINE_PROXIMITY, Mode.PROXIMITY]
+    assert best_of(inst, draw(order)) is runs[Mode.ABS_DEADLINE_PROXIMITY]
+    assert drawn == order
+    drawn.clear()
+    order = [Mode.PROXIMITY, Mode.ABS_DEADLINE_PROXIMITY, Mode.REL_DEADLINE_PROXIMITY]
+    assert best_of(inst, draw(order)) is runs[Mode.ABS_DEADLINE_PROXIMITY]
+    assert drawn == order[:2]
+    for repeated in (
+        [runs[Mode.ABS_DEADLINE_PROXIMITY], runs[Mode.ABS_DEADLINE_PROXIMITY]],
+        [runs[Mode.PROXIMITY], runs[Mode.PROXIMITY], runs[Mode.ABS_DEADLINE_PROXIMITY]],
+    ):
+        with pytest.raises(ValueError, match="twice"):
+            best_of(inst, repeated)
+    with pytest.raises(ValueError, match="at least one"):
+        best_of(inst, iter(()))
 
 
 # --- pinned outputs -----------------------------------------------------------

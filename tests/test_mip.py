@@ -223,6 +223,15 @@ def test_parser_rejects_garbage():
         ("Minimize\n obj: 1e400 x\nEnd\n", "obj: 1e400 x"),
         ("Bounds\n 0 <= x <= 1e999\nEnd\n", "0 <= x <= 1e999"),
         ("Bounds\n 1e999 <= x\nEnd\n", "1e999 <= x"),
+        # The objective label follows the row-name rule, the objective is
+        # one line, and no section header repeats.
+        ("Minimize\n bad name!: x\nEnd\n", "bad name!: x"),
+        ("Minimize\n : x\nEnd\n", ": x"),
+        ("Minimize\n obj: x\n obj: 2 y + 3 x\nEnd\n", "obj: 2 y + 3 x"),
+        ("Minimize\n x\n y\nEnd\n", "y"),
+        ("Minimize\n obj: x\nMinimize\n obj2: y\nEnd\n", "Minimize"),
+        ("Minimize\n obj: x\nSubject To\n r: x >= 1\nsubject to\nEnd\n", "subject to"),
+        ("Subject To\n r: x >= 1\nBounds\nEnd\nEnd\n", "End"),
     ):
         with pytest.raises(VspError, match=re.escape(repr(line))):
             parse_lp(text)

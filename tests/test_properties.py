@@ -60,6 +60,12 @@ from oracles import (  # noqa: E402
 )
 
 TARDY_OBJECTIVES = (ObjectiveKind.TARDY_COUNT, ObjectiveKind.WEIGHTED_TARDY_COUNT)
+RANKED_OBJECTIVES = (
+    ObjectiveKind.TARDY_COUNT,
+    ObjectiveKind.TOTAL_TARDINESS,
+    ObjectiveKind.MAX_LATENESS,
+    ObjectiveKind.MAKESPAN,
+)
 
 
 @st.composite
@@ -165,19 +171,25 @@ def test_complete_dispatch_validates_and_flags_exactly_its_hard_deadlines(inst):
 def test_best_of_three_returns_its_first_ranked_run(inst):
     for policy in ("prose", "pseudocode"):
         runs = [run_dispatch(inst, mode, policy) for mode in Mode]
+        # Dispatch reads no objective, so the same runs are ranked under
+        # objectives that stop at zero and under ones that go below it.
+        for objective in RANKED_OBJECTIVES:
+            scored = replace(inst, objective=objective)
 
-        def rank(k):
-            statuses = runs[k].statuses
-            failed = statuses.count(VehicleStatus.SLOT_WINDOW_FAILED)
-            value = INF if failed else evaluate(inst, Schedule(runs[k].times))
-            late = statuses.count(VehicleStatus.HARD_DEADLINE_VIOLATED)
-            return (failed, value, late, k)
+            def rank(k):
+                statuses = runs[k].statuses
+                failed = statuses.count(VehicleStatus.SLOT_WINDOW_FAILED)
+                value = INF if failed else evaluate(scored, Schedule(runs[k].times))
+                late = statuses.count(VehicleStatus.HARD_DEADLINE_VIOLATED)
+                return (failed, value, late, k)
 
-        best = runs[min(range(3), key=rank)]
-        assert deadline_and_proximity(inst, policy) == best
-        # best_of ranks by mode, not by list position.
-        for order in permutations(runs):
-            assert best_of(inst, list(order)) == best
+            best = runs[min(range(3), key=rank)]
+            assert deadline_and_proximity(scored, policy) == best
+            # best_of ranks by mode, not by list position, and drawing
+            # lazily from an iterator stops only where no later run could win.
+            for order in permutations(runs):
+                assert best_of(scored, list(order)) == best
+                assert best_of(scored, iter(order)) == best
     with pytest.raises(ValueError, match="at least one"):
         best_of(inst, [])
 
