@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -93,6 +94,7 @@ def _parse_tau_max(text: str) -> int | float:
     return int(text)
 
 
+@functools.cache  # built on the first main call, then shared
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vsp", description="Vehicle scheduling toolkit"
@@ -110,6 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--tau-max", type=_parse_tau_max, default=_DEFAULTS["tau_max_link"])
     gen.add_argument("--hard-factor", type=float, default=None)
     gen.add_argument("--out", required=True)
+    gen.set_defaults(handler=_cmd_generate)
 
     sched = sub.add_parser("schedule", help="run a dispatch heuristic")
     sched.add_argument("--instance", required=True)
@@ -117,6 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sched.add_argument("--negative-slack", choices=["prose", "pseudocode"],
                        default="prose")
     sched.add_argument("--out", required=True)
+    sched.set_defaults(handler=_cmd_schedule)
 
     solve = sub.add_parser("solve", help="solve exactly by branch and bound")
     solve.add_argument("--instance", required=True)
@@ -125,19 +129,23 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--horizon", type=int, default=None,
                        help="optional upper bound on every stamp")
     solve.add_argument("--out", required=True)
+    solve.set_defaults(handler=_cmd_solve)
 
     export = sub.add_parser("export-mip", help="write the model as an LP file")
     export.add_argument("--instance", required=True)
     export.add_argument("--horizon", type=int, default=None)
     export.add_argument("--out", required=True)
+    export.set_defaults(handler=_cmd_export_mip)
 
     reduce = sub.add_parser("reduce-jsp", help="convert a unit job shop")
     reduce.add_argument("--jsp", required=True)
     reduce.add_argument("--out", required=True)
+    reduce.set_defaults(handler=_cmd_reduce_jsp)
 
     check = sub.add_parser("validate", help="check a schedule against an instance")
     check.add_argument("--instance", required=True)
     check.add_argument("--schedule", required=True)
+    check.set_defaults(handler=_cmd_validate)
 
     bench = sub.add_parser("bench", help="run a deadline-ratio sweep")
     bench.add_argument("--grid", type=_parse_grid, default=_DEFAULTS["grid"])
@@ -155,6 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--negative-slack", choices=["prose", "pseudocode"],
                        default="prose")
     bench.add_argument("--out-dir", required=True)
+    bench.set_defaults(handler=_cmd_bench)
     return parser
 
 
@@ -268,6 +277,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if len(set(args.vehicles)) != len(args.vehicles):
         raise VspError(f"--vehicles repeats a count: {args.vehicles}")
     algorithms = tuple(args.algorithms.split(","))
+    if len(set(algorithms)) != len(algorithms):
+        raise VspError(f"--algorithms repeats an algorithm: {args.algorithms}")
     ratios = args.ratios if args.ratios else DEFAULT_RATIOS
     parts = []
     for n in args.vehicles:
@@ -292,43 +303,26 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         ))
     combined = SweepResult.combined(parts)
     tardy_path, runtime_path = emit_csv(combined, args.out_dir)
-    manifest = {
-        "grid": f"{args.grid.rows}x{args.grid.cols}",
-        "vehicles": list(args.vehicles),
-        "instances": args.instances,
-        "ratios": list(ratios),
-        "algorithms": list(algorithms),
-        "seed": args.seed,
-        "separation": args.separation,
-        "tau_min": args.tau_min,
-        "hard_factor": args.hard_factor,
-        "exact_cap": args.exact_cap,
-        "exact_time_limit": (
-            None if args.exact_time_limit == INF else args.exact_time_limit
-        ),
-        "negative_slack": args.negative_slack,
-    }
+    # The bench options in their declared order; tuples are written as lists.
+    manifest = dict(
+        vars(args),
+        grid=f"{args.grid.rows}x{args.grid.cols}",
+        ratios=ratios,
+        algorithms=algorithms,
+        exact_time_limit=None if args.exact_time_limit == INF else args.exact_time_limit,
+    )
+    for key in ("command", "out_dir", "handler"):
+        del manifest[key]
     manifest_path = Path(args.out_dir) / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=1, allow_nan=False) + "\n")
     print(f"wrote {tardy_path}, {runtime_path}, {manifest_path}")
     return EXIT_OK
 
 
-_COMMANDS = {
-    "generate": _cmd_generate,
-    "schedule": _cmd_schedule,
-    "solve": _cmd_solve,
-    "export-mip": _cmd_export_mip,
-    "reduce-jsp": _cmd_reduce_jsp,
-    "validate": _cmd_validate,
-    "bench": _cmd_bench,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except (VspError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -13,6 +13,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from operator import le
 
 INF = math.inf
@@ -175,10 +176,6 @@ class Instance:
     objective: ObjectiveKind = ObjectiveKind.TARDY_COUNT
     weights: tuple[float, ...] | None = None
     separation: int = 0
-    # vertex -> (vehicle, step) visits in vehicle, then step, order
-    visits: dict[int, list[tuple[int, int]]] = field(
-        init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "walks", tuple(self.walks))
@@ -237,11 +234,6 @@ class Instance:
         if not is_tick(self.separation) or self.separation < 0:
             raise ValueError("separation must be a nonnegative integer")
         object.__setattr__(self, "separations", self._normalised_separations())
-        visits: dict[int, list[tuple[int, int]]] = {}
-        for j, walk in enumerate(self.walks):
-            for i, vertex in enumerate(walk.vertices):
-                visits.setdefault(vertex, []).append((j, i))
-        object.__setattr__(self, "visits", visits)
 
     def _normalised_separations(self) -> dict[SeparationKey, int]:
         table: dict[SeparationKey, int] = {}
@@ -262,6 +254,15 @@ class Instance:
             if table.setdefault(key, s) != s:
                 raise ValueError(f"separation {key} given twice with different values")
         return table
+
+    @cached_property
+    def visits(self) -> dict[int, list[tuple[int, int]]]:
+        """vertex -> (vehicle, step) visits in vehicle, then step, order."""
+        visits: dict[int, list[tuple[int, int]]] = {}
+        for j, walk in enumerate(self.walks):
+            for i, vertex in enumerate(walk.vertices):
+                visits.setdefault(vertex, []).append((j, i))
+        return visits
 
     @property
     def n_vehicles(self) -> int:
@@ -475,5 +476,6 @@ def evaluate(
         return max(lateness)
     if kind is ObjectiveKind.TOTAL_TARDINESS:
         return sum(max(0, late) for late in lateness)
-    weights = tardy_weights(instance, kind)
-    return sum(w for w, late in zip(weights, lateness) if late > 0)
+    # fsum rounds the exact sum of float weights once, as the exact search does.
+    tardy = [w for w, late in zip(tardy_weights(instance, kind), lateness) if late > 0]
+    return math.fsum(tardy) if kind.weighted else sum(tardy)

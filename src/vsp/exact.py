@@ -17,6 +17,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Callable, Sequence
 
 from .core import INF, ConfigurationError, Instance, Schedule, VspError, tardy_weights
@@ -281,10 +282,14 @@ def node_bound(
     Returns bound(dist, limit): the tardy weight of dist plus that cover
     weight, capped at limit.  With limit None it is the tardy weight alone,
     and no graph is built.  Past deadline (a time.monotonic() value) the
-    cover falls back to its edge packing, still a lower bound.
+    cover falls back to its edge packing, still a lower bound.  Each float
+    weight is taken as the Fraction it equals, so every sum is exact; int
+    weights stay ints.
     """
     instance = dcs.instance
-    weights = tardy_weights(instance)
+    weights = [
+        Fraction(w) if isinstance(w, float) else w for w in tardy_weights(instance)
+    ]
     deadlines = instance.soft_deadlines
     latest: list[float] = [INF] * dcs.n_vars
     last: list[int] = []
@@ -463,7 +468,8 @@ def solve_exact(
         if deadline is not None and time.monotonic() > deadline:
             stopped = True
             break
-        value = bound(dist, best_obj)
+        # The root's is lower_bound, whose cover is 0 if the root is a leaf.
+        value = lower_bound if c is None else bound(dist, best_obj)
         if best_obj is not None and value >= best_obj:
             continue
         # (earliest stamp, pair index) of every clashing pair.
@@ -485,9 +491,13 @@ def solve_exact(
         tasks.append((dist, j2_first))
         tasks.append((dist, j1_first))
 
+    if isinstance(lower_bound, Fraction):
+        lower_bound = float(lower_bound)
     if best_dist is None:
         status = SolveStatus.BUDGET_EXHAUSTED if stopped else SolveStatus.INFEASIBLE
         return SolveResult(status, None, None, nodes, lower_bound=lower_bound)
+    if isinstance(best_obj, Fraction):
+        best_obj = float(best_obj)
     status = SolveStatus.FEASIBLE_INCUMBENT if stopped else SolveStatus.OPTIMAL
     return SolveResult(
         status, dcs.to_schedule(tuple(best_dist)), best_obj, nodes,

@@ -214,7 +214,36 @@ def test_bench_writes_outputs(tmp_path):
     assert manifest["vehicles"] == [4, 6]
     assert manifest["ratios"] == [1.0, 1.5]
     assert manifest["seed"] == 5
+    assert (out_dir / "manifest.json").read_text() == MANIFEST_4_6
     assert (out_dir / "runtime.csv").exists()
+
+
+# Every bench option but --out-dir, in declared order, defaults resolved.
+MANIFEST_4_6 = """\
+{
+ "grid": "5x5",
+ "vehicles": [
+  4,
+  6
+ ],
+ "instances": 2,
+ "ratios": [
+  1.0,
+  1.5
+ ],
+ "algorithms": [
+  "baseline",
+  "heuristic"
+ ],
+ "seed": 5,
+ "separation": 5,
+ "tau_min": 50,
+ "hard_factor": 2.2,
+ "exact_cap": 25,
+ "exact_time_limit": 3600.0,
+ "negative_slack": "prose"
+}
+"""
 
 
 def test_bench_tardy_csv_matches_golden(tmp_path):
@@ -253,6 +282,8 @@ def test_bench_tardy_csv_matches_golden(tmp_path):
      "--algorithms", "baseline,exact", "--exact-cap", 2,
      "--exact-time-limit=-5"),
     ("bench", "--vehicles", "5,5", "--instances", 1, "--ratios", "1.0"),
+    ("bench", "--vehicles", 3, "--instances", 1, "--ratios", "1.0",
+     "--algorithms", "baseline,heuristic,baseline"),
 ], ids=[
     "no-vehicles", "negative-separation", "no-instances", "falling-ratios",
     "hard-factor-below-ratios", "hard-factor-below-ratio", "unknown-algorithm",
@@ -260,6 +291,7 @@ def test_bench_tardy_csv_matches_golden(tmp_path):
     "negative-ratio", "nan-in-ratios", "vertex-count-1e300", "nan-time-limit",
     "negative-time-limit", "nan-exact-time-limit", "nan-exact-time-limit-unused",
     "negative-exact-time-limit-over-cap", "repeated-vehicle-count",
+    "repeated-algorithm",
 ])
 def test_bad_config_values_report_error(tmp_path, capsys, argv):
     out = "--out-dir" if argv[0] == "bench" else "--out"
@@ -327,18 +359,51 @@ def test_ratio_range_above_the_cap_is_a_usage_error(tmp_path, monkeypatch, capsy
     assert not (tmp_path / "out").exists()
 
 
-def test_console_entry_point():
-    # The subprocess imports vsp from the same src directory as this process,
-    # whether or not the package is installed.
+def run_python(*args, **options):
+    """A fresh interpreter that imports vsp from the same src directory as
+    this process, whether or not the package is installed."""
     src = str(Path(vsp.__file__).resolve().parents[1])
     paths = [src, os.environ.get("PYTHONPATH", "")]
-    result = subprocess.run(
-        [sys.executable, "-m", "vsp.cli", "--help"],
-        capture_output=True, text=True,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)},
+        **options,
     )
+
+
+def test_console_entry_point():
+    result = run_python("-m", "vsp.cli", "--help")
     assert result.returncode == 0
     assert "schedule" in result.stdout and "bench" in result.stdout
+
+
+def test_parser_is_built_once_on_first_use(tmp_path):
+    # Counts the top-level parsers built: none on import, one for two calls.
+    script = """
+import argparse
+
+built = []
+init = argparse.ArgumentParser.__init__
+
+
+def counting_init(self, *args, **kwargs):
+    init(self, *args, **kwargs)
+    if self.prog == "vsp":
+        built.append(self)
+
+
+argparse.ArgumentParser.__init__ = counting_init
+import vsp.cli
+
+on_import = len(built)
+codes = [
+    vsp.cli.main(["validate", "--instance", "no.json", "--schedule", "no.json"])
+    for _ in range(2)
+]
+print(on_import, len(built), codes)
+"""
+    result = run_python("-c", script, cwd=tmp_path)
+    assert result.stdout.split("\n")[0] == f"0 1 {[EXIT_ERROR] * 2}"
 
 
 def test_malformed_files_exit_1_and_write_nothing(tmp_path, capsys):

@@ -187,6 +187,25 @@ def test_override_given_both_ways_must_agree():
         three_through_c(-1)
 
 
+def test_visits_are_built_on_first_read():
+    # Vehicle 0 revisits vertex 0; entries run by vehicle, then by step.
+    inst = Instance(
+        graph=Graph(3, frozenset({(0, 1), (1, 0), (1, 2)})),
+        walks=tuple(Walk(v, (5, 5), (INF, INF)) for v in ((0, 1, 0), (0, 1, 2))),
+        request_times=(0, 0),
+        soft_deadlines=(INF, INF),
+        hard_deadlines=(INF, INF),
+    )
+    copy = replace(inst, separation=3)
+    assert "visits" not in vars(inst) and "visits" not in vars(copy)
+    expected = [(0, [(0, 0), (0, 2), (1, 0)]), (1, [(0, 1), (1, 1)]), (2, [(1, 2)])]
+    assert list(inst.visits.items()) == expected
+    assert inst.visits is inst.visits
+    assert "visits" not in vars(copy)
+    assert list(copy.visits.items()) == expected
+    assert copy == replace(inst, separation=3)  # the index takes no part in ==
+
+
 def test_deadline_chain_enforced():
     with pytest.raises(ValueError, match="request <= soft <= hard"):
         chain_instance(d_soft=50, d_hard=40)
@@ -384,6 +403,16 @@ def test_weighted_tardy_enumeration():
     assert expected == 1
     assert evaluate(inst, sched, ObjectiveKind.TARDY_COUNT) == expected
     assert evaluate(inst, sched, ObjectiveKind.WEIGHTED_TARDY_COUNT) == 3
+
+
+def test_weighted_tardy_sum_is_correctly_rounded():
+    # Added left to right in floats, 0.1 + 0.2 + 0.3 is 0.6000000000000001.
+    inst = replace(
+        three_through_c(), soft_deadlines=(40,) * 3, weights=(0.1, 0.2, 0.3)
+    )
+    sched = Schedule(((0, 50),) * 3)
+    assert evaluate(inst, sched, ObjectiveKind.WEIGHTED_TARDY_COUNT) == 0.6
+    assert evaluate(inst, sched, ObjectiveKind.TARDY_COUNT) == 3
 
 
 def test_completion_and_makespan_kinds():

@@ -253,6 +253,46 @@ def test_root_without_clash_is_a_leaf(monkeypatch):
     assert outcome() == expected
 
 
+def test_root_is_bounded_once(monkeypatch):
+    # (8, 0) closes at the root: the warm start already meets the root bound.
+    config = ExperimentConfig(n_vehicles=8, soft_deadline_ratios=(1.0,))
+    inst = generate_grid_instance(config, 1.0, 0)
+    root = minimal_times(DifferenceConstraintSystem(inst)).times
+    limits = []
+
+    def counting_node_bound(*args):
+        bound = node_bound(*args)
+
+        def counted(dist, limit):
+            if limit is not None and tuple(dist) == root:
+                limits.append(limit)
+            return bound(dist, limit)
+
+        return counted
+
+    monkeypatch.setattr(vsp.exact, "node_bound", counting_node_bound)
+    result = solve(inst)
+    assert (result.objective, result.node_count) == (3, 1)
+    assert limits == [3]
+
+
+def test_weighted_tardy_sums_are_exact():
+    # Summed in floats, these weights put the root bound one ulp below the
+    # optimum, so no leaf can meet it and the search runs on.
+    config = ExperimentConfig(n_vehicles=15, soft_deadline_ratios=(1.0,))
+    rng = random.Random(7 * 31 + 15)
+    inst = replace(
+        generate_grid_instance(config, 1.0, 7),
+        objective=ObjectiveKind.WEIGHTED_TARDY_COUNT,
+        weights=tuple(rng.random() * 3 for _ in range(15)),
+    )
+    result = solve(inst)
+    assert result.status is SolveStatus.OPTIMAL
+    assert result.lower_bound == result.objective == evaluate(inst, result.schedule)
+    assert (result.objective, result.node_count) == (5.420070259584697, 79)
+    assert validate_schedule(inst, result.schedule).passes()
+
+
 # Seconds a solve may run past its time limit: the warm start and the
 # limit checks of the search and the cover.
 TIME_LIMIT_SLACK = 1.0
