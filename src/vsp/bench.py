@@ -5,7 +5,8 @@ proximity once, since proximity reads no soft deadline; per soft-deadline
 ratio it runs the requested algorithms (a baseline cell reuses the proximity
 run, and best-of-three ranks it against those of the ratio's deadline runs
 that can still beat it), validates each emitted schedule (the shared
-proximity one once), and records tardy counts and wall-clock scheduling
+proximity one once) against the seed's base instance, since validation
+reads no soft deadline, and records tardy counts and wall-clock scheduling
 time, the shared proximity run's included.  Means are aggregated
 per (vehicle count, ratio, algorithm) cell; runtimes are first maxed over the
 ratios of one instance and then averaged across instances.
@@ -136,12 +137,13 @@ def run_sweep(
     One proximity run per instance seed is the baseline at every ratio and
     the proximity candidate of best-of-three, whose runtime adds it to the
     deadline runs best_of draws at the ratio and the rank.  Every emitted
-    schedule is validated, the proximity one only when a seed first emits
-    it (validation reads no soft deadline); a violation is a bug and aborts
-    the sweep.  The exact solver only runs when the vehicle count is within
-    exact_cap and always needs a time limit; runs that hit the limit are
-    recorded under their solver status so they can be excluded from
-    optimality claims.
+    dispatch schedule is validated, the proximity one only when a seed
+    first emits it; a violation is a bug and aborts the sweep.  Validation
+    reads no soft deadline, so it runs against the seed's base instance,
+    whose per-vertex visit index is then built once per seed.  The exact
+    solver only runs when the vehicle count is within exact_cap and always
+    needs a time limit; runs that hit the limit are recorded under their
+    solver status so they can be excluded from optimality claims.
     """
     unknown = set(algorithms) - set(ALGORITHMS)
     if unknown:
@@ -192,7 +194,7 @@ def run_sweep(
                     elapsed += time.perf_counter() - start
                 schedule = result.schedule()
                 if result is not proximity or not proximity_checked:
-                    _check(instance, schedule, name, _DISPATCH_OK)
+                    _check(base, schedule, name, _DISPATCH_OK)
                     proximity_checked |= result is proximity
                 record(
                     name,

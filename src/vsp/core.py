@@ -14,7 +14,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from operator import le
+from operator import attrgetter, gt, itemgetter, le, sub
 
 INF = math.inf
 
@@ -163,8 +163,9 @@ class Instance:
     least separation ticks apart.  separations holds explicit pair gaps that
     override that rule; the constructor accepts each entry in either
     orientation and stores it once, lower vehicle id first.  An entry may
-    only pair distinct vehicles at steps that visit the same vertex.  Read
-    gaps through gap(), never by key.
+    only pair distinct vehicles at steps that visit the same vertex.  The
+    keys are normalised, lower vehicle id first, so a reader may look a gap
+    up by key; gap() stays the reference for what a pair requires.
     """
 
     graph: Graph
@@ -288,6 +289,9 @@ class Instance:
         return self.separations.get(key, self.separation)
 
 
+_LAST = itemgetter(-1)
+
+
 @dataclass(frozen=True)
 class Schedule:
     """Per-vehicle arrival stamps, one per walk vertex, in integer ticks."""
@@ -306,7 +310,7 @@ class Schedule:
         return self.times[j][-1]
 
     def completions(self) -> tuple[int, ...]:
-        return tuple(row[-1] for row in self.times)
+        return tuple(map(_LAST, self.times))
 
 
 class ConstraintKind(Enum):
@@ -342,13 +346,23 @@ class ValidationReport:
         return [v for v in self.violations if v.kind == kind]
 
 
+_VERTICES = attrgetter("vertices")
+
+
 def check_shape(instance: Instance, schedule: Schedule) -> None:
-    """Raise ShapeError unless the schedule matches the instance's walks."""
+    """Raise ShapeError unless the schedule matches the instance's walks.
+
+    All row lengths are compared in one pass; only a mismatch walks the
+    vehicles one by one, to name the first.
+    """
     if len(schedule.times) != instance.n_vehicles:
         raise ShapeError(
             f"schedule covers {len(schedule.times)} vehicles, "
             f"instance has {instance.n_vehicles}"
         )
+    lengths = list(map(len, map(_VERTICES, instance.walks)))
+    if list(map(len, schedule.times)) == lengths:
+        return
     for j, walk in enumerate(instance.walks):
         if len(schedule.times[j]) != len(walk):
             raise ShapeError(
@@ -364,16 +378,30 @@ def validate_schedule(instance: Instance, schedule: Schedule) -> ValidationRepor
     per-vehicle chain), per-link travel-time windows, and pairwise
     separation at shared vertices (vertex by vertex in order of first
     visit, each pair once).  Comparisons are exact; there is no tolerance.
+
+    The common case, a valid schedule, costs a few C-speed passes: per
+    walk, the request time, the link windows over the stamp differences
+    (a difference at or above its nonnegative minimum is never a
+    continuity break) and the hard deadline; per vertex, the sorted stamps,
+    which cannot clash when no two neighbours are less than max_gap apart.
+    Only a walk or a vertex that fails its pass is checked item by item,
+    which finds and words every violation.
     """
     check_shape(instance, schedule)
     found: list[Violation] = []
-    for j, walk in enumerate(instance.walks):
-        row = schedule.times[j]
-        if row[0] < instance.request_times[j]:
+    times = schedule.times
+    request_times, hard_deadlines = instance.request_times, instance.hard_deadlines
+    for j, (walk, row) in enumerate(zip(instance.walks, times)):
+        links = list(map(sub, row[1:], row))
+        if (row[0] >= request_times[j] and row[-1] <= hard_deadlines[j]
+                and all(map(le, walk.min_times, links))
+                and all(map(le, links, walk.max_times))):
+            continue
+        if row[0] < request_times[j]:
             found.append(Violation(
                 ConstraintKind.REQUEST_TIME, (j,), (0,),
                 f"vehicle {j} starts at {row[0]} before request time "
-                f"{instance.request_times[j]}",
+                f"{request_times[j]}",
             ))
         for i in range(len(walk) - 1):
             if row[i + 1] < row[i]:
@@ -389,15 +417,18 @@ def validate_schedule(instance: Instance, schedule: Schedule) -> ValidationRepor
                     ConstraintKind.TRAVEL_TIME, (j,), (i,),
                     f"vehicle {j} link {i}: travel time {gap} outside [{lo},{hi}]",
                 ))
-        if row[-1] > instance.hard_deadlines[j]:
+        if row[-1] > hard_deadlines[j]:
             found.append(Violation(
                 ConstraintKind.HARD_DEADLINE, (j,), (len(walk) - 1,),
                 f"vehicle {j} completes at {row[-1]} after hard deadline "
-                f"{instance.hard_deadlines[j]}",
+                f"{hard_deadlines[j]}",
             ))
     window = instance.max_gap
     for vertex, steps in instance.visits.items():
-        stamps = sorted((schedule.times[j][i], j, i) for j, i in steps)
+        ordered = sorted([times[j][i] for j, i in steps])
+        if min(map(sub, ordered[1:], ordered), default=window) >= window:
+            continue
+        stamps = sorted((times[j][i], j, i) for j, i in steps)
         clashes = []
         for a, (t1, j1, i1) in enumerate(stamps):
             # only the later stamps less than max_gap away can break a gap
@@ -471,7 +502,9 @@ def evaluate(
         return sum(completions)
     if kind is ObjectiveKind.TOTAL_WEIGHTED_COMPLETION:
         return sum(w * c for w, c in zip(instance.weights, completions))
-    lateness = [c - d for c, d in zip(completions, instance.soft_deadlines)]
+    if kind is ObjectiveKind.TARDY_COUNT:
+        return sum(map(gt, completions, instance.soft_deadlines))
+    lateness = list(map(sub, completions, instance.soft_deadlines))
     if kind is ObjectiveKind.MAX_LATENESS:
         return max(lateness)
     if kind is ObjectiveKind.TOTAL_TARDINESS:

@@ -17,7 +17,6 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Callable, Sequence
 
 from .core import INF, ConfigurationError, Instance, Schedule, VspError, tardy_weights
@@ -261,6 +260,23 @@ def _min_cover(
     return min(taken, spared)
 
 
+def scaled_tardy_weights(instance: Instance) -> tuple[list[int], int | None]:
+    """tardy_weights as ints over one power-of-two denominator, so that sums
+    of them are exact.
+
+    Each float weight equals n / d with d a power of two
+    (float.as_integer_ratio); with D the largest such d, the weight becomes
+    n * (D // d).  Returns the scaled weights and D, or None in place of D
+    when every weight is an int, which is then kept as it is.
+    """
+    weights = tardy_weights(instance)
+    if not any(isinstance(w, float) for w in weights):
+        return list(weights), None
+    ratios = [w.as_integer_ratio() for w in weights]
+    scale = max(d for _, d in ratios)
+    return [n * (scale // d) for n, d in ratios], scale
+
+
 def node_bound(
     dcs: DifferenceConstraintSystem,
     pairs: Sequence[ConflictPair],
@@ -282,14 +298,12 @@ def node_bound(
     Returns bound(dist, limit): the tardy weight of dist plus that cover
     weight, capped at limit.  With limit None it is the tardy weight alone,
     and no graph is built.  Past deadline (a time.monotonic() value) the
-    cover falls back to its edge packing, still a lower bound.  Each float
-    weight is taken as the Fraction it equals, so every sum is exact; int
-    weights stay ints.
+    cover falls back to its edge packing, still a lower bound.  Weights are
+    those of scaled_tardy_weights, so every sum is an exact int; with float
+    weights, bound and limit are in units of 1 / its denominator.
     """
     instance = dcs.instance
-    weights = [
-        Fraction(w) if isinstance(w, float) else w for w in tardy_weights(instance)
-    ]
+    weights, _ = scaled_tardy_weights(instance)
     deadlines = instance.soft_deadlines
     latest: list[float] = [INF] * dcs.n_vars
     last: list[int] = []
@@ -411,6 +425,9 @@ def solve_exact(
     schedule is complete and meets every hard deadline, so the returned
     schedule is always componentwise-minimal for its orders.  Once there is
     an incumbent, a node is also pruned when its node_bound reaches it.
+    Bounds and incumbents are exact ints, float weights scaled as
+    scaled_tardy_weights does, and compared with no tolerance; the
+    objective and lower bound are divided back once, after the search.
 
     The search keeps one stack of tasks, so its depth is not bounded by the
     interpreter's recursion limit.  It is single-threaded and deterministic.
@@ -491,13 +508,14 @@ def solve_exact(
         tasks.append((dist, j2_first))
         tasks.append((dist, j1_first))
 
-    if isinstance(lower_bound, Fraction):
-        lower_bound = float(lower_bound)
+    _, scale = scaled_tardy_weights(instance)
+    if scale is not None:
+        lower_bound /= scale
     if best_dist is None:
         status = SolveStatus.BUDGET_EXHAUSTED if stopped else SolveStatus.INFEASIBLE
         return SolveResult(status, None, None, nodes, lower_bound=lower_bound)
-    if isinstance(best_obj, Fraction):
-        best_obj = float(best_obj)
+    if scale is not None:
+        best_obj /= scale
     status = SolveStatus.FEASIBLE_INCUMBENT if stopped else SolveStatus.OPTIMAL
     return SolveResult(
         status, dcs.to_schedule(tuple(best_dist)), best_obj, nodes,

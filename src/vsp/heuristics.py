@@ -5,11 +5,12 @@ stamp, grouping the vehicles that sit at it by their next vertex, and giving
 out the earliest separation-feasible slot at that vertex in priority order.
 The slot search is one scan of the vertex's assigned stamps in stamp order,
 from the first stamp that can still block the lower bound to the first one
-too late to block the slot found so far.  Three priority modes share the
-loop; a wrapper runs them in Mode order and keeps the best schedule.  It
-stops early once the leader is complete, free of hard violations and at 0
-under an objective that cannot go below 0, since no later mode can then
-outrank it.
+too late to block the slot found so far, reading each gap inline from the
+instance's separation rule rather than through Instance.gap.  Three
+priority modes share the loop; a wrapper runs them in Mode order and keeps
+the best schedule.  It stops early once the leader is complete, free of
+hard violations and at 0 under an objective that cannot go below 0, since
+no later mode can then outrank it.
 
 A priority is the plain tuple (first, demoted, slack, vehicle), compared
 lexicographically: the minimum travel time of the approach link, 1 for a
@@ -133,15 +134,15 @@ class DispatchResult:
 
     @property
     def complete(self) -> bool:
-        return all(s is not VehicleStatus.SLOT_WINDOW_FAILED for s in self.statuses)
+        return VehicleStatus.SLOT_WINDOW_FAILED not in self.statuses
 
     @property
     def slot_failures(self) -> int:
-        return sum(s is VehicleStatus.SLOT_WINDOW_FAILED for s in self.statuses)
+        return self.statuses.count(VehicleStatus.SLOT_WINDOW_FAILED)
 
     @property
     def hard_violations(self) -> int:
-        return sum(s is VehicleStatus.HARD_DEADLINE_VIOLATED for s in self.statuses)
+        return self.statuses.count(VehicleStatus.HARD_DEADLINE_VIOLATED)
 
     def schedule(self) -> Schedule:
         if self._schedule is None:
@@ -169,15 +170,22 @@ def run_dispatch(
     The loop's state is each vehicle's stamps (their count is the walk
     position to stamp next), a heap of the distinct pending stamps, the
     vehicles waiting at each of them, and per-vertex sorted lists of
-    (stamp, vehicle, step) entries already assigned.  A slot search bisects
-    that list at lower - max_gap and scans it in place, stopping at the
-    first stamp at or past slot + max_gap; the slot then goes in by a
-    sorted insert.
+    (stamp, vehicle, step) entries already assigned.  A slot search gets
+    the step and the vertex's list from its caller, bisects the list at
+    lower - max_gap and scans it in place, stopping at the first stamp at
+    or past slot + max_gap; the slot then goes in by a sorted insert.  The
+    scan reads each gap as Instance.gap defines it, without calling it:
+    every entry in the list is at the same vertex, so the gap is 0 for the
+    vehicle itself, else its override, else the uniform separation.
     """
     n = instance.n_vehicles
-    walks = instance.walks
-    gap = instance.gap
-    lengths = [len(w.vertices) for w in walks]
+    vertices = [w.vertices for w in instance.walks]
+    min_times = [w.min_times for w in instance.walks]
+    max_times = [w.max_times for w in instance.walks]
+    lengths = list(map(len, vertices))
+    request_times = instance.request_times
+    overrides = instance.separations
+    separation = instance.separation
     max_gap = instance.max_gap
     key = sorting_key(instance, mode, negative_slack)
     times: list[list[int]] = [[] for _ in range(n)]
@@ -188,11 +196,15 @@ def run_dispatch(
 
     def current_key(j: int) -> tuple[int, int, float, int]:
         k = len(times[j])
-        return key(j, k, times[j][-1] if k else instance.request_times[j])
+        return key(j, k, times[j][-1] if k else request_times[j])
 
-    def place(j: int, lower: int, upper: int | float) -> None:
-        step = len(times[j])
-        entries = assigned.setdefault(walks[j].vertices[step], [])
+    def place(
+        j: int,
+        step: int,
+        entries: list[tuple[int, int, int]],
+        lower: int,
+        upper: int | float,
+    ) -> None:
         # The slot is the least tick >= lower outside every interval
         # (stamp - s, stamp + s).  Jumping slot to the end of each interval
         # that holds it, in stamp order, finds it, overrides or not: no jump
@@ -206,7 +218,13 @@ def run_dispatch(
             stamp, other, other_step = entries[k]
             if stamp - max_gap >= slot:
                 break
-            s = gap(j, step, other, other_step)
+            if other == j:
+                continue
+            s = separation if not overrides else overrides.get(
+                (j, step, other, other_step) if j < other
+                else (other, other_step, j, step),
+                separation,
+            )
             if stamp - s < slot < stamp + s:
                 slot = stamp + s
         if slot > upper:
@@ -221,7 +239,7 @@ def run_dispatch(
             waiting[slot].append(j)
 
     for j in sorted(range(n), key=current_key):
-        place(j, instance.request_times[j], INF)
+        place(j, 0, assigned.setdefault(vertices[j][0], []), request_times[j], INF)
 
     while heap:
         t = heapq.heappop(heap)
@@ -230,16 +248,17 @@ def run_dispatch(
         # queued with.
         groups: dict[int, list[int]] = {}
         for j in waiting.pop(t):
-            groups.setdefault(walks[j].vertices[len(times[j])], []).append(j)
-        for group in groups.values():
+            groups.setdefault(vertices[j][len(times[j])], []).append(j)
+        for vertex, group in groups.items():
+            entries = assigned.setdefault(vertex, [])
             if len(group) > 1:
                 group.sort(key=current_key)
             for j in group:
                 step = len(times[j])
                 place(
-                    j,
-                    t + walks[j].min_times[step - 1],
-                    t + walks[j].max_times[step - 1],
+                    j, step, entries,
+                    t + min_times[j][step - 1],
+                    t + max_times[j][step - 1],
                 )
 
     for j, (row, hard) in enumerate(zip(times, instance.hard_deadlines)):

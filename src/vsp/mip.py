@@ -118,20 +118,29 @@ def build_mip_model(instance: Instance, horizon: int | None = None) -> MipModel:
     objective = {
         f"l_{j}": float(weights[j]) for j in sorted(big_m.vehicle)
     }
+    # stamps[j][i]: the name of stamp variable t_j_i, built once.
+    stamps = [
+        [_t(j, i) for i in range(len(walk))] for j, walk in enumerate(instance.walks)
+    ]
     rows: list[MipRow] = []
     for j, walk in enumerate(instance.walks):
+        names = stamps[j]
         for i in range(len(walk) - 1):
-            step = {_t(j, i + 1): 1.0, _t(j, i): -1.0}
-            rows.append(MipRow(f"tmin_{j}_{i}", dict(step), ">=", walk.min_times[i]))
+            here, there = names[i], names[i + 1]
+            rows.append(MipRow(
+                f"tmin_{j}_{i}", {there: 1.0, here: -1.0}, ">=", walk.min_times[i]
+            ))
             if walk.max_times[i] != INF:
-                rows.append(MipRow(f"tmax_{j}_{i}", dict(step), "<=", walk.max_times[i]))
+                rows.append(MipRow(
+                    f"tmax_{j}_{i}", {there: 1.0, here: -1.0}, "<=", walk.max_times[i]
+                ))
     for p in big_m.pair:
         tag = _pair_suffix(p)
         pos, neg, flag = f"P_{tag}", f"N_{tag}", f"b_{tag}"
         m = float(big_m.pair[p])
         rows.append(MipRow(
             f"sep_eq_{tag}",
-            {_t(p.j1, p.i1): 1.0, _t(p.j2, p.i2): -1.0, pos: -1.0, neg: 1.0},
+            {stamps[p.j1][p.i1]: 1.0, stamps[p.j2][p.i2]: -1.0, pos: -1.0, neg: 1.0},
             "=", 0,
         ))
         rows.append(MipRow(f"sep_p_lo_{tag}", {pos: 1.0, flag: -float(p.s)}, ">=", 0))
@@ -139,7 +148,7 @@ def build_mip_model(instance: Instance, horizon: int | None = None) -> MipModel:
         rows.append(MipRow(f"sep_n_lo_{tag}", {neg: 1.0, flag: float(p.s)}, ">=", p.s))
         rows.append(MipRow(f"sep_n_hi_{tag}", {neg: 1.0, flag: m}, "<=", m))
     for j in sorted(big_m.vehicle):
-        last = _t(j, len(instance.walks[j]) - 1)
+        last = stamps[j][-1]
         slack, late = f"X_{j}", f"l_{j}"
         d = float(instance.soft_deadlines[j])
         m = float(big_m.vehicle[j])
@@ -152,8 +161,8 @@ def build_mip_model(instance: Instance, horizon: int | None = None) -> MipModel:
     for j, walk in enumerate(instance.walks):
         lo = float(instance.request_times[j])
         hi = float(min(instance.hard_deadlines[j], big_m.horizon))
-        for i in range(len(walk)):
-            bounds[_t(j, i)] = (lo, hi)
+        for name in stamps[j]:
+            bounds[name] = (lo, hi)
     binaries = tuple(f"b_{_pair_suffix(p)}" for p in big_m.pair) + tuple(
         f"l_{j}" for j in sorted(big_m.vehicle)
     )
@@ -166,36 +175,50 @@ def _fmt(x: float) -> str:
     return repr(x)
 
 
-def _fmt_terms(coeffs: dict[str, float]) -> str:
-    parts: list[str] = []
-    for name, coef in coeffs.items():
-        sign = "-" if coef < 0 else "+"
-        mag = abs(coef)
-        body = name if mag == 1 else f"{_fmt(mag)} {name}"
-        if not parts:
-            parts.append(body if sign == "+" else f"- {body}")
-        else:
-            parts.append(f"{sign} {body}")
-    return " ".join(parts)
-
-
 def write_lp(model: MipModel) -> str:
     """Render a model in the CPLEX LP dialect.
 
     Every number must be finite except an upper bound of +inf, which is
     written as the open bound "lo <= x"; an infinite or NaN coefficient,
     rhs or bound raises VspError naming its row or variable.
+
+    Each distinct number, and each distinct sequence of coefficients, is
+    formatted once per call, into dicts local to the call: a sequence
+    becomes a template of signs and magnitudes with a slot per name, so a
+    later row with the same coefficients costs one lookup and one format.
     """
+    numbers: dict[float, str] = {}
+    templates: dict[tuple[float, ...], str] = {}
+
+    def fmt(x: float) -> str:
+        text = numbers.get(x)
+        if text is None:
+            text = numbers[x] = _fmt(x)
+        return text
+
+    def terms(coeffs: dict[str, float]) -> str:
+        values = tuple(coeffs.values())
+        template = templates.get(values)
+        if template is None:
+            # "[sign] [magnitude] name" per term; the first drops a "+".
+            parts: list[str] = []
+            for coef in values:
+                mag = abs(coef)
+                body = "{}" if mag == 1 else fmt(mag) + " {}"
+                parts.append(("- " if coef < 0 else "+ " if parts else "") + body)
+            template = templates[values] = " ".join(parts)
+        return template.format(*coeffs)
+
     lines = ["\\ tardy-count scheduling model", "Minimize"]
     try:
-        lines.append(f" obj: {_fmt_terms(model.objective)}".rstrip())
+        lines.append(f" obj: {terms(model.objective)}".rstrip())
     except (OverflowError, ValueError):
         raise VspError("objective has a non-finite coefficient") from None
     lines.append("Subject To")
     for row in model.rows:
         try:
             lines.append(
-                f" {row.name}: {_fmt_terms(row.coeffs)} {row.sense} {_fmt(row.rhs)}"
+                f" {row.name}: {terms(row.coeffs)} {row.sense} {fmt(row.rhs)}"
             )
         except (OverflowError, ValueError):
             raise VspError(f"row {row.name} has a non-finite number") from None
@@ -203,9 +226,9 @@ def write_lp(model: MipModel) -> str:
     for name, (lo, hi) in model.bounds.items():
         try:
             if hi == INF:
-                lines.append(f" {_fmt(lo)} <= {name}")
+                lines.append(f" {fmt(lo)} <= {name}")
             else:
-                lines.append(f" {_fmt(lo)} <= {name} <= {_fmt(hi)}")
+                lines.append(f" {fmt(lo)} <= {name} <= {fmt(hi)}")
         except (OverflowError, ValueError):
             raise VspError(f"bound on {name} is not finite") from None
     if model.binaries:

@@ -110,6 +110,43 @@ def brute_force_separation_violations(
     ]
 
 
+def naive_chain_violations(
+    instance: Instance, schedule: Schedule
+) -> list[Violation]:
+    """The request time, continuity, link-window and hard-deadline
+    violations of every vehicle, checked link by link, in the order and
+    wording of validate_schedule."""
+    found = []
+    for j, walk in enumerate(instance.walks):
+        row = schedule.times[j]
+        request, hard = instance.request_times[j], instance.hard_deadlines[j]
+        if row[0] < request:
+            found.append(Violation(
+                ConstraintKind.REQUEST_TIME, (j,), (0,),
+                f"vehicle {j} starts at {row[0]} before request time {request}",
+            ))
+        for i, (here, there) in enumerate(zip(row, row[1:])):
+            if there < here:
+                found.append(Violation(
+                    ConstraintKind.CONTINUITY, (j,), (i, i + 1),
+                    f"vehicle {j}: stamp {there} at step {i + 1} precedes "
+                    f"stamp {here} at step {i}",
+                ))
+            lo, hi = walk.min_times[i], walk.max_times[i]
+            if not lo <= there - here <= hi:
+                found.append(Violation(
+                    ConstraintKind.TRAVEL_TIME, (j,), (i,),
+                    f"vehicle {j} link {i}: travel time {there - here} outside "
+                    f"[{lo},{hi}]",
+                ))
+        if row[-1] > hard:
+            found.append(Violation(
+                ConstraintKind.HARD_DEADLINE, (j,), (len(walk) - 1,),
+                f"vehicle {j} completes at {row[-1]} after hard deadline {hard}",
+            ))
+    return found
+
+
 def earliest_feasible_slot(
     node: int,
     lower_bound: int,

@@ -1,5 +1,6 @@
 import csv
 from dataclasses import replace
+from functools import cached_property
 
 import pytest
 
@@ -8,6 +9,7 @@ from vsp import (
     ConfigurationError,
     ExperimentConfig,
     GridSpec,
+    Instance,
     Mode,
     ObjectiveKind,
     Schedule,
@@ -317,6 +319,27 @@ def test_sweep_validates_proximity_schedule_once_per_instance_seed(monkeypatch):
         assert list(per_seed.values()) == expected, algorithms
     # Both outcomes of best-of-three occur, so both branches are counted.
     assert Mode.PROXIMITY in winners and len(winners) > 1
+
+
+def test_sweep_builds_the_visit_index_once_per_instance_seed(monkeypatch):
+    """Validation reads no soft deadline, so every dispatch schedule of a
+    seed is checked against the seed's base instance, and the per-vertex
+    visit index is built once per seed, not once per validated ratio."""
+    built = []
+    build = Instance.__dict__["visits"].func
+
+    def counted(instance):
+        built.append(instance.walks)
+        return build(instance)
+
+    visits = cached_property(counted)
+    visits.__set_name__(Instance, "visits")
+    monkeypatch.setattr(Instance, "visits", visits)
+    config = tight_config()
+    for algorithms in (("baseline", "heuristic"), ("heuristic",), ("baseline",)):
+        built.clear()
+        run_sweep(config, algorithms)
+        assert len(built) == len(set(built)) == config.n_instances, algorithms
 
 
 @pytest.mark.parametrize("algorithms", [

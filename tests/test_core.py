@@ -14,6 +14,7 @@ from vsp import (
     GridSpec,
     Instance,
     JspInstance,
+    Mode,
     ObjectiveKind,
     Schedule,
     ShapeError,
@@ -23,10 +24,16 @@ from vsp import (
     generate_grid_instance,
     min_free_trip_time,
     reduce_jsp_to_vsp,
+    run_dispatch,
     tardy_flags,
     validate_schedule,
 )
-from oracles import brute_force_separation_violations, chain_instance, merge_instance
+from oracles import (
+    brute_force_separation_violations,
+    chain_instance,
+    merge_instance,
+    naive_chain_violations,
+)
 
 
 # --- model invariants ----------------------------------------------------
@@ -334,6 +341,81 @@ def test_separation_matches_brute_force_pair_walk():
         checked += len(found)
         max_gap_zero += inst.max_gap == 0
     assert checked > 1000 and max_gap_zero >= 10
+
+
+def nudged_schedules(inst, times, rng):
+    """(what, schedule) pairs: a dispatched schedule as it is, with one stamp
+    moved less than its gap from another vehicle's at the same vertex, and
+    with one link pushed one tick out of its window."""
+    yield "clean", Schedule(times)
+    clashing = [
+        (j1, i1, j2, i2, s)
+        for steps in inst.visits.values()
+        for a, (j1, i1) in enumerate(steps)
+        for j2, i2 in steps[a + 1:]
+        if (s := inst.gap(j1, i1, j2, i2)) > 0
+    ]
+    if clashing:
+        j1, i1, j2, i2, s = rng.choice(clashing)
+        rows = [list(row) for row in times]
+        rows[j1][i1] = rows[j2][i2] + rng.randint(1 - s, s - 1)
+        yield "clash", Schedule(rows)
+    links = [(j, i) for j, w in enumerate(inst.walks) for i in range(len(w) - 1)]
+    if links:
+        j, i = rng.choice(links)
+        walk = inst.walks[j]
+        rows = [list(row) for row in times]
+        late = walk.max_times[i] != INF and rng.random() < 0.5
+        travel = walk.max_times[i] + 1 if late else walk.min_times[i] - 1
+        rows[j][i + 1] = rows[j][i] + travel
+        yield "window", Schedule(rows)
+
+
+def test_bulk_checks_match_oracles_on_dispatched_schedules(monkeypatch):
+    """Dispatched schedules clear the per-walk and per-vertex bulk passes;
+    one stamp nudged into a clash or out of a link window sends them to the
+    item-by-item check.  Either way the report is exactly the naive per-link
+    chain check followed by the full pair walk, on grids and revisiting job
+    shops, with overrides (0 included) and with max_gap 0."""
+    gap_calls = []
+    real_gap = Instance.gap
+
+    def counted_gap(self, *key):
+        gap_calls.append(key)
+        return real_gap(self, *key)
+
+    monkeypatch.setattr(Instance, "gap", counted_gap)
+    rng = random.Random(17)
+    seen = {"clean": 0, "clash": 0, "window": 0}
+    bulk_only = max_gap_zero = 0
+    for inst, _ in separation_cases(count=80, seed=19):
+        max_gap_zero += inst.max_gap == 0
+        for mode in Mode:
+            result = run_dispatch(inst, mode)
+            if not result.complete:
+                continue
+            for what, schedule in nudged_schedules(inst, result.times, rng):
+                gap_calls.clear()
+                report = validate_schedule(inst, schedule)
+                decided_in_bulk = not gap_calls
+                assert list(report.violations) == (
+                    naive_chain_violations(inst, schedule)
+                    + brute_force_separation_violations(inst, schedule)
+                ), what
+                kinds = {v.kind for v in report.violations}
+                if what == "clean":
+                    assert kinds <= {ConstraintKind.HARD_DEADLINE}
+                    bulk_only += decided_in_bulk
+                elif what == "clash":
+                    assert ConstraintKind.SEPARATION in kinds
+                else:
+                    assert ConstraintKind.TRAVEL_TIME in kinds
+                seen[what] += 1
+    assert min(seen.values()) >= 100 and max_gap_zero >= 8
+    # Some clean schedules are decided by the bulk passes alone; the rest
+    # have stamps closer than an override wider than the uniform gap, and
+    # take the item-by-item scan without a violation.
+    assert 0 < bulk_only < seen["clean"]
 
 
 def test_exact_boundary_separation_ok():

@@ -21,7 +21,7 @@ from vsp import (
     validate_schedule,
 )
 import vsp.exact
-from vsp.exact import SolveStatus, _min_cover, node_bound
+from vsp.exact import SolveStatus, _min_cover, node_bound, scaled_tardy_weights
 from oracles import (
     base_triples,
     blocked_instance,
@@ -276,21 +276,54 @@ def test_root_is_bounded_once(monkeypatch):
     assert limits == [3]
 
 
-def test_weighted_tardy_sums_are_exact():
-    # Summed in floats, these weights put the root bound one ulp below the
-    # optimum, so no leaf can meet it and the search runs on.
-    config = ExperimentConfig(n_vehicles=15, soft_deadline_ratios=(1.0,))
-    rng = random.Random(7 * 31 + 15)
+@pytest.mark.parametrize("n, seed, objective, nodes", [
+    # Summed in floats, the weights of 15-7 and 20-9 put the root bound one
+    # ulp below the optimum, so no leaf can meet it and the search runs on
+    # (219 and 855 nodes).
+    pytest.param(15, 7, 5.420070259584697, 79, id="15-7"),
+    pytest.param(20, 10, 12.783912634027221, 371, id="20-10"),
+    pytest.param(20, 9, 12.982252421412953, 393, id="20-9"),
+])
+def test_weighted_tardy_sums_are_exact(n, seed, objective, nodes):
+    # Bounds and incumbents add float weights scaled to exact ints, so the
+    # root bound meets the optimum; the objective is divided back once.
+    config = ExperimentConfig(n_vehicles=n, soft_deadline_ratios=(1.0,))
+    rng = random.Random(seed * 31 + n)
     inst = replace(
-        generate_grid_instance(config, 1.0, 7),
+        generate_grid_instance(config, 1.0, seed),
         objective=ObjectiveKind.WEIGHTED_TARDY_COUNT,
-        weights=tuple(rng.random() * 3 for _ in range(15)),
+        weights=tuple(rng.random() * 3 for _ in range(n)),
     )
     result = solve(inst)
     assert result.status is SolveStatus.OPTIMAL
     assert result.lower_bound == result.objective == evaluate(inst, result.schedule)
-    assert (result.objective, result.node_count) == (5.420070259584697, 79)
+    assert (result.objective, result.node_count) == (objective, nodes)
     assert validate_schedule(inst, result.schedule).passes()
+
+
+def test_scaled_tardy_weights():
+    inst = merge_instance(d_soft=(50, 50))
+    # Float weights share the largest power-of-two denominator.
+    for weights, scaled, scale in (
+        ((0.25, 3.0), [1, 12], 4),
+        ((0.75, 0.5), [3, 2], 4),
+        ((2.0, 1.0), [2, 1], 1),
+        ((0.1, 1.0), [3602879701896397, 36028797018963968], 36028797018963968),
+    ):
+        weighted = replace(inst, objective=ObjectiveKind.WEIGHTED_TARDY_COUNT,
+                           weights=weights)
+        assert scaled_tardy_weights(weighted) == (scaled, scale)
+        assert [w / scale for w in scaled] == list(weights)
+    # Int weights and tardy_count stay as they are, with no denominator.
+    assert scaled_tardy_weights(
+        replace(inst, objective=ObjectiveKind.WEIGHTED_TARDY_COUNT, weights=(2, 3))
+    ) == ([2, 3], None)
+    assert scaled_tardy_weights(replace(inst, weights=(0.5, 3.0))) == ([1, 1], None)
+    # Integral float weights still give a float objective.
+    weighted = replace(inst, objective=ObjectiveKind.WEIGHTED_TARDY_COUNT,
+                       weights=(2.0, 1.0))
+    result = solve(weighted)
+    assert result.objective == 1.0 and isinstance(result.objective, float)
 
 
 # Seconds a solve may run past its time limit: the warm start and the
@@ -399,14 +432,17 @@ def test_bound_valid_at_every_partial_decision():
                 assert best_leaf is None
                 assert_positive_cycle(sol.witness)
                 continue
-            tardy = tardy_of_times(inst, list(sol.times))
+            # The bound counts in units of 1 / the weights' denominator;
+            # these weights are dyadic, so the scaled oracle values are exact.
+            unit = scaled_tardy_weights(inst)[1] or 1
+            tardy = tardy_of_times(inst, list(sol.times)) * unit
             bound = node_bound(dcs, pairs)
             # Without a limit the bound is the oracle's tardy weight alone.
             assert bound(sol.times, None) == tardy
             lower = bound(sol.times, INF)
             covered += lower > tardy
             if best_leaf is not None:
-                assert lower <= best_leaf
+                assert lower <= best_leaf * unit
     assert covered
 
 

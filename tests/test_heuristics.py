@@ -236,6 +236,33 @@ def test_slot_window_failure_flags_vehicle_and_continues():
     assert len(result.times[1]) == 1  # first stamp only
 
 
+def test_outcome_counts_equal_a_recount_of_statuses():
+    """complete, slot_failures and hard_violations agree with a recount of
+    statuses on grids with finite link maxima and tight hard deadlines,
+    where runs leave vehicles without a slot and break hard deadlines."""
+    rng = random.Random(29)
+    incomplete = late = 0
+    for _ in range(30):
+        cfg = ExperimentConfig(
+            n_vehicles=rng.randint(5, 60),
+            grid=GridSpec(rng.randint(2, 5), rng.randint(2, 5)),
+            tau_max_link=rng.choice((50, 55, 60)),
+            soft_deadline_ratios=(1.0,),
+            hard_deadline_factor=rng.choice((1.0, 1.05, 1.2)),
+        )
+        inst = generate_grid_instance(cfg, 1.0, rng.getrandbits(32))
+        for mode in Mode:
+            result = run_dispatch(inst, mode)
+            failed = [s is VehicleStatus.SLOT_WINDOW_FAILED for s in result.statuses]
+            broke = [s is VehicleStatus.HARD_DEADLINE_VIOLATED for s in result.statuses]
+            assert result.complete is (not any(failed))
+            assert result.slot_failures == sum(failed)
+            assert result.hard_violations == sum(broke)
+            incomplete += not result.complete
+            late += any(broke)
+    assert incomplete and late
+
+
 def test_zero_length_links_reenter_current_stamp():
     # A zero minimum keeps the new stamp equal to the popped one; the loop
     # must requeue and finish instead of dropping the vehicle.
@@ -634,6 +661,35 @@ def dispatch_digests():
         for mode in Mode
         for policy in ("prose", "pseudocode")
     }
+
+
+def test_dispatch_matches_reference_on_override_and_jobshop_cases(monkeypatch):
+    """run_dispatch reads each gap inline, with no Instance.gap call, while
+    reference_dispatch still asks Instance.gap for every stamp at the
+    vertex.  The two agree in every mode and policy on the pinned override
+    and job-shop cases (revisits included) and on grids with max_gap 0."""
+    cases = [inst for _, inst in override_grid_cases()]
+    cases += [inst for _, inst in jobshop_cases()]
+    rng = random.Random(9)
+    for _ in range(5):
+        _, _, inst = random_grid(rng)
+        cases.append(dataclasses.replace(inst, separation=0, separations={}))
+    assert any(inst.max_gap == 0 for inst in cases)
+    calls = []
+    real_gap = Instance.gap
+
+    def counted_gap(self, *key):
+        calls.append(key)
+        return real_gap(self, *key)
+
+    monkeypatch.setattr(Instance, "gap", counted_gap)
+    for inst in cases:
+        for mode in Mode:
+            for policy in ("prose", "pseudocode"):
+                result = run_dispatch(inst, mode, policy)
+                assert not calls
+                assert result == reference_dispatch(inst, mode, policy)
+                calls.clear()
 
 
 def test_pinned_dispatch_outputs():
