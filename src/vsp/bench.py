@@ -50,33 +50,28 @@ class RunRecord:
     ratio: float
     algorithm: str
     tardy_count: int | None
-    tardy_fraction: float | None
     runtime_s: float
     status: str
 
 
 @dataclass
 class SweepResult:
-    """Raw per-run records plus the aggregations the CSV files report."""
+    """Raw per-run records, of one or more vehicle counts with n_instances
+    instance seeds each, plus the aggregations the CSV files report."""
 
     n_instances: int
     records: list[RunRecord]
 
-    def cells(self) -> dict[tuple[int, float, str], list[RunRecord]]:
-        grouped: dict[tuple[int, float, str], list[RunRecord]] = {}
-        for rec in self.records:
-            grouped.setdefault(
-                (rec.n_vehicles, rec.ratio, rec.algorithm), []
-            ).append(rec)
-        return grouped
-
     def mean_tardy(self) -> dict[tuple[int, float, str], tuple[float, float]]:
         """(n, ratio, algorithm) -> (mean tardy fraction, standard error)."""
+        grouped: dict[tuple[int, float, str], list[float]] = {}
+        for rec in self.records:
+            if rec.tardy_count is not None:
+                grouped.setdefault(
+                    (rec.n_vehicles, rec.ratio, rec.algorithm), []
+                ).append(rec.tardy_count / rec.n_vehicles)
         out: dict[tuple[int, float, str], tuple[float, float]] = {}
-        for key, recs in self.cells().items():
-            fractions = [r.tardy_fraction for r in recs if r.tardy_fraction is not None]
-            if not fractions:
-                continue
+        for key, fractions in grouped.items():
             if key[2] != "exact" and len(fractions) != self.n_instances:
                 raise VspError(
                     f"cell {key} has {len(fractions)} values, "
@@ -102,18 +97,6 @@ class SweepResult:
             grouped.setdefault((n, algorithm), []).append(value)
         return {key: sum(vals) / len(vals) for key, vals in grouped.items()}
 
-    @classmethod
-    def combined(cls, parts: list["SweepResult"]) -> "SweepResult":
-        if not parts:
-            raise ValueError("nothing to combine")
-        counts = {p.n_instances for p in parts}
-        if len(counts) != 1:
-            raise ValueError("cannot combine sweeps with different instance counts")
-        merged: list[RunRecord] = []
-        for p in parts:
-            merged.extend(p.records)
-        return cls(parts[0].n_instances, merged)
-
 
 def _check(instance: Instance, schedule, algorithm: str,
            allowed: frozenset[ConstraintKind]) -> None:
@@ -134,9 +117,10 @@ def run_sweep(
 ) -> SweepResult:
     """Run the configured sweep for one vehicle count.
 
-    One proximity run per instance seed is the baseline at every ratio and
-    the proximity candidate of best-of-three, whose runtime adds it to the
-    deadline runs best_of draws at the ratio and the rank.  Every emitted
+    One proximity run per instance seed is the baseline at every ratio.
+    Best-of-three gets it from best_of's dispatch function for
+    Mode.PROXIMITY, and dispatches the deadline modes at the ratio; its
+    runtime is that of the proximity run plus best_of's.  Every emitted
     dispatch schedule is validated, the proximity one only when a seed
     first emits it; a violation is a bug and aborts the sweep.  Validation
     reads no soft deadline, so it runs against the seed's base instance,
@@ -175,7 +159,6 @@ def run_sweep(
                     ratio=ratio,
                     algorithm=algorithm,
                     tardy_count=tardy,
-                    tardy_fraction=None if tardy is None else tardy / n,
                     runtime_s=runtime,
                     status=status,
                 ))
@@ -186,10 +169,9 @@ def run_sweep(
                 result, elapsed = proximity, proximity_s
                 if name == "heuristic":
                     start = time.perf_counter()
-                    result = best_of(instance, (
+                    result = best_of(instance, lambda m: (
                         proximity if m is Mode.PROXIMITY
                         else run_dispatch(instance, m, negative_slack)
-                        for m in Mode
                     ))
                     elapsed += time.perf_counter() - start
                 schedule = result.schedule()

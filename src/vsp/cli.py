@@ -151,7 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--grid", type=_parse_grid, default=_DEFAULTS["grid"])
     bench.add_argument("--vehicles", type=_parse_vehicle_counts, required=True)
     bench.add_argument("--instances", type=int, default=_DEFAULTS["n_instances"])
-    bench.add_argument("--ratios", type=_parse_ratios, default=None)
+    bench.add_argument("--ratios", type=_parse_ratios, default=DEFAULT_RATIOS)
     bench.add_argument("--algorithms", default="baseline,heuristic")
     bench.add_argument("--seed", type=int, default=42)
     bench.add_argument("--separation", type=int, default=_DEFAULTS["separation"])
@@ -279,8 +279,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     algorithms = tuple(args.algorithms.split(","))
     if len(set(algorithms)) != len(algorithms):
         raise VspError(f"--algorithms repeats an algorithm: {args.algorithms}")
-    ratios = args.ratios if args.ratios else DEFAULT_RATIOS
-    parts = []
+    records = []
     for n in args.vehicles:
         config = _config(
             n_vehicles=n,
@@ -288,26 +287,24 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             separation=args.separation,
             tau_min_link=args.tau_min,
             hard_deadline_factor=args.hard_factor,
-            soft_deadline_ratios=ratios,
+            soft_deadline_ratios=args.ratios,
             n_instances=args.instances,
             seed=args.seed,
         )
-        parts.append(run_sweep(
+        records += run_sweep(
             config,
             algorithms,
-            exact_time_limit=(
-                args.exact_time_limit if "exact" in algorithms else None
-            ),
+            exact_time_limit=args.exact_time_limit,
             exact_cap=args.exact_cap,
             negative_slack=args.negative_slack,
-        ))
-    combined = SweepResult.combined(parts)
-    tardy_path, runtime_path = emit_csv(combined, args.out_dir)
+        ).records
+    tardy_path, runtime_path = emit_csv(
+        SweepResult(args.instances, records), args.out_dir
+    )
     # The bench options in their declared order; tuples are written as lists.
     manifest = dict(
         vars(args),
         grid=f"{args.grid.rows}x{args.grid.cols}",
-        ratios=ratios,
         algorithms=algorithms,
         exact_time_limit=None if args.exact_time_limit == INF else args.exact_time_limit,
     )

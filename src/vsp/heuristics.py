@@ -7,10 +7,10 @@ The slot search is one scan of the vertex's assigned stamps in stamp order,
 from the first stamp that can still block the lower bound to the first one
 too late to block the slot found so far, reading each gap inline from the
 instance's separation rule rather than through Instance.gap.  Three
-priority modes share the loop; a wrapper runs them in Mode order and keeps
-the best schedule.  It stops early once the leader is complete, free of
-hard violations and at 0 under an objective that cannot go below 0, since
-no later mode can then outrank it.
+priority modes share the loop; best_of draws one run per mode from a
+dispatch function, in Mode order, and keeps the best.  It stops early once
+the leader is complete, free of hard violations and at 0 under an
+objective that cannot go below 0, since no later mode can then outrank it.
 
 A priority is the plain tuple (first, demoted, slack, vehicle), compared
 lexicographically: the minimum travel time of the approach link, 1 for a
@@ -27,7 +27,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate
-from typing import Callable, Iterable
+from typing import Callable
 
 from .core import (
     INF,
@@ -269,36 +269,28 @@ def run_dispatch(
     )
 
 
-def best_of(instance: Instance, runs: Iterable[DispatchResult]) -> DispatchResult:
+def best_of(
+    instance: Instance, dispatch: Callable[[Mode], DispatchResult]
+) -> DispatchResult:
     """Return the run that ranks first: fewest slot-window failures, then the
     instance objective (infinite for an incomplete run), then hard-deadline
-    violations, then the position of its mode in Mode, so the order in which
-    runs come never changes the choice.
+    violations, then the position of its mode in Mode.
 
-    Runs are drawn one at a time.  Drawing stops once the leader ranks
-    (0, 0, 0) under an objective that never goes below zero and every mode
-    not drawn yet comes after the leader's in Mode: no later run can
-    outrank it.  A mode drawn twice raises ValueError, since a repeat could
-    outrank a leader the stop already kept.
+    The runs are drawn as dispatch(mode), one at a time in Mode order.
+    Drawing stops once the leader ranks (0, 0, 0) under an objective that
+    never goes below zero: every mode not drawn yet comes after the
+    leader's, so no later run can outrank it.
     """
-    order = list(Mode)
     floored = instance.objective in _NON_NEGATIVE
-    undrawn = set(order)
     best = best_rank = None
-    for res in runs:
-        if res.mode not in undrawn:
-            raise ValueError(f"best_of got mode {res.mode.value!r} twice")
-        undrawn.remove(res.mode)
+    for position, mode in enumerate(Mode):
+        res = dispatch(mode)
         value = evaluate(instance, res.schedule()) if res.complete else INF
-        rank = (res.slot_failures, value, res.hard_violations, order.index(res.mode))
+        rank = (res.slot_failures, value, res.hard_violations, position)
         if best is None or rank < best_rank:
             best, best_rank = res, rank
-        if floored and best_rank[:3] == (0, 0, 0) and all(
-            order.index(m) > best_rank[3] for m in undrawn
-        ):
+        if floored and best_rank[:3] == (0, 0, 0):
             break
-    if best is None:
-        raise ValueError("best_of needs at least one dispatch run")
     return best
 
 
@@ -306,12 +298,12 @@ def deadline_and_proximity(
     instance: Instance,
     negative_slack: str = "prose",
 ) -> DispatchResult:
-    """Run the modes in Mode order and return the run best_of ranks first;
-    a mode that cannot beat the leader is not run.
+    """Dispatch in each mode, as best_of draws them, and return the run it
+    ranks first; a mode that cannot beat the leader is not run.
 
     The mode-order tie-break keeps the winner never worse than the plain
     proximity run on the configured objective.  When every mode leaves a
     vehicle without a stamp the first-ranked run is still returned; callers
     check complete.
     """
-    return best_of(instance, (run_dispatch(instance, m, negative_slack) for m in Mode))
+    return best_of(instance, lambda mode: run_dispatch(instance, mode, negative_slack))

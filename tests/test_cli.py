@@ -218,6 +218,20 @@ def test_bench_writes_outputs(tmp_path):
     assert (out_dir / "runtime.csv").exists()
 
 
+def test_bench_rows_of_several_counts_follow_one_another(tmp_path):
+    def rows(vehicles):
+        out_dir = tmp_path / vehicles
+        assert run_cli(
+            "bench", "--vehicles", vehicles, "--instances", 2,
+            "--ratios", "1.0,1.3", "--seed", 101, "--out-dir", out_dir,
+        ) == EXIT_OK
+        return (out_dir / "tardy.csv").read_text().splitlines()[1:]
+
+    both = rows("5,7")
+    assert both == rows("5") + rows("7")
+    assert len(both) == 2 * 2 * 2  # vehicles x ratios x algorithms
+
+
 # Every bench option but --out-dir, in declared order, defaults resolved.
 MANIFEST_4_6 = """\
 {

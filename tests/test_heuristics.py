@@ -502,33 +502,23 @@ def test_wrapper_never_stops_early_when_the_objective_can_go_below_zero(
         assert best.mode is Mode.ABS_DEADLINE_PROXIMITY
 
 
-def test_best_of_draws_lazily_and_rejects_a_repeated_mode():
-    inst = merge_instance(d_soft=(200, 50))
-    runs = {m: run_dispatch(inst, m) for m in Mode}
+def test_best_of_draws_modes_in_order_until_no_later_one_can_win():
     drawn = []
 
-    def draw(modes):
-        for m in modes:
-            drawn.append(m)
-            yield runs[m]
+    def dispatch(mode):
+        drawn.append(mode)
+        return run_dispatch(inst, mode)
 
-    # From rel first, abs still comes before the leader and must be drawn;
-    # proximity, drawn last, ranks below abs.
-    order = [Mode.REL_DEADLINE_PROXIMITY, Mode.ABS_DEADLINE_PROXIMITY, Mode.PROXIMITY]
-    assert best_of(inst, draw(order)) is runs[Mode.ABS_DEADLINE_PROXIMITY]
-    assert drawn == order
+    # Proximity makes vehicle 1 tardy and abs does not, so rel is not drawn.
+    inst = merge_instance(d_soft=(200, 50))
+    best = best_of(inst, dispatch)
+    assert drawn == [Mode.PROXIMITY, Mode.ABS_DEADLINE_PROXIMITY]
+    assert best == run_dispatch(inst, Mode.ABS_DEADLINE_PROXIMITY)
+    # Proximity is already on time, so no deadline mode is drawn.
     drawn.clear()
-    order = [Mode.PROXIMITY, Mode.ABS_DEADLINE_PROXIMITY, Mode.REL_DEADLINE_PROXIMITY]
-    assert best_of(inst, draw(order)) is runs[Mode.ABS_DEADLINE_PROXIMITY]
-    assert drawn == order[:2]
-    for repeated in (
-        [runs[Mode.ABS_DEADLINE_PROXIMITY], runs[Mode.ABS_DEADLINE_PROXIMITY]],
-        [runs[Mode.PROXIMITY], runs[Mode.PROXIMITY], runs[Mode.ABS_DEADLINE_PROXIMITY]],
-    ):
-        with pytest.raises(ValueError, match="twice"):
-            best_of(inst, repeated)
-    with pytest.raises(ValueError, match="at least one"):
-        best_of(inst, iter(()))
+    inst = merge_instance(d_soft=(200, 60))
+    assert best_of(inst, dispatch) == run_dispatch(inst, Mode.PROXIMITY)
+    assert drawn == [Mode.PROXIMITY]
 
 
 # --- pinned outputs -----------------------------------------------------------

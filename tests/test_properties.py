@@ -5,7 +5,6 @@ import random
 import re
 import tempfile
 from dataclasses import replace
-from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -171,6 +170,7 @@ def test_complete_dispatch_validates_and_flags_exactly_its_hard_deadlines(inst):
 def test_best_of_three_returns_its_first_ranked_run(inst):
     for policy in ("prose", "pseudocode"):
         runs = [run_dispatch(inst, mode, policy) for mode in Mode]
+        runs_by_mode = dict(zip(Mode, runs))
         # Dispatch reads no objective, so the same runs are ranked under
         # objectives that stop at zero and under ones that go below it.
         for objective in RANKED_OBJECTIVES:
@@ -185,13 +185,8 @@ def test_best_of_three_returns_its_first_ranked_run(inst):
 
             best = runs[min(range(3), key=rank)]
             assert deadline_and_proximity(scored, policy) == best
-            # best_of ranks by mode, not by list position, and drawing
-            # lazily from an iterator stops only where no later run could win.
-            for order in permutations(runs):
-                assert best_of(scored, list(order)) == best
-                assert best_of(scored, iter(order)) == best
-    with pytest.raises(ValueError, match="at least one"):
-        best_of(inst, [])
+            # Drawing lazily stops only where no later run could win.
+            assert best_of(scored, runs_by_mode.__getitem__) == best
 
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
