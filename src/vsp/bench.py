@@ -215,9 +215,9 @@ def emit_csv(result: SweepResult, out_dir: str | Path) -> tuple[Path, Path]:
             means, key=lambda key: (key[0], key[1], order[key[2]])
         ):
             mean, err = means[(n, ratio, algorithm)]
-            writer.writerow(
-                [n, f"{ratio:.3f}", algorithm, f"{mean:.6f}", f"{err:.6f}"]
-            )
+            # Three decimals, unless they would not read back as the ratio.
+            cell = f"{ratio:.3f}" if round(ratio, 3) == ratio else repr(ratio)
+            writer.writerow([n, cell, algorithm, f"{mean:.6f}", f"{err:.6f}"])
     with runtime_path.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["n", "algorithm", "mean_worst_runtime_s"])

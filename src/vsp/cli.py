@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from .bench import SweepResult, emit_csv, run_sweep
-from .core import INF, VspError, evaluate, validate_schedule
+from .core import INF, ObjectiveKind, VspError, evaluate, validate_schedule
 from .exact import SolveStatus, check_time_limit, solve_exact
 from .heuristics import Mode, VehicleStatus, deadline_and_proximity, run_dispatch
 from .instances import (
@@ -216,8 +216,10 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
         return EXIT_SLOT_WINDOW
     schedule = result.schedule()
     write_schedule(schedule, args.out)
+    kind = instance.objective
+    label = "tardy" if kind is ObjectiveKind.TARDY_COUNT else kind.value
     print(f"mode={result.mode.value} "
-          f"tardy={evaluate(instance, schedule):g} -> {args.out}")
+          f"{label}={evaluate(instance, schedule):g} -> {args.out}")
     if result.hard_violations:
         return EXIT_HARD_DEADLINE
     return EXIT_OK

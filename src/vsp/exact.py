@@ -347,22 +347,20 @@ def node_bound(
 def _warm_start(
     dcs: DifferenceConstraintSystem,
     pairs: Sequence[ConflictPair],
-    orders: Sequence[tuple[Constraint, Constraint]],
 ) -> tuple[int, ...] | None:
     """Least stamps of dcs under the crossing orders of the best-of-three
-    schedule; orders[k] holds pair k's j1-first and j2-first constraints.
+    schedule; each pair's one order, the one that schedule shows, is built
+    here, pushed onto dcs and popped again once the stamps are known.
 
-    The orders are pushed onto dcs and popped again once the stamps are
-    known.  None when best-of-three leaves a vehicle without stamps, breaks
-    a hard deadline, or its orders are infeasible in dcs.
+    None when best-of-three leaves a vehicle without stamps, breaks a hard
+    deadline, or its orders are infeasible in dcs.
     """
     best = deadline_and_proximity(dcs.instance)
     if not best.complete or best.hard_violations:
         return None
     times = best.times
     chosen = [
-        j1_first if times[p.j1][p.i1] < times[p.j2][p.i2] else j2_first
-        for p, (j1_first, j2_first) in zip(pairs, orders)
+        dcs.order_constraint(p, times[p.j1][p.i1] < times[p.j2][p.i2]) for p in pairs
     ]
     for c in chosen:
         dcs.push(c)
@@ -415,10 +413,11 @@ def solve_exact(
     apart; a pair with a decided order never clashes.  A node with no
     clashing pair is a leaf: dist is a schedule, and no schedule below costs
     less.  Otherwise the search branches on the clashing pair with the
-    earliest stamp (lowest pair index on ties), trying first the order the
-    stamps already satisfy; the first incumbent found at a given value is
-    kept.  A child's stamps are its parent's, relaxed from the head of the
-    new order constraint by the routine minimal_times runs from the origin.
+    earliest stamp (lowest pair index on ties), building its two order
+    constraints there and trying first the one the stamps already satisfy;
+    the first incumbent found at a given value is kept.  A child's stamps
+    are its parent's, relaxed from the head of the new order constraint by
+    the routine minimal_times runs from the origin.
 
     The first incumbent is the least solution of the same system under the
     crossing orders of the best-of-three dispatch schedule, when that
@@ -444,17 +443,14 @@ def solve_exact(
     if not root.feasible:
         return SolveResult(SolveStatus.INFEASIBLE, None, None, 1, root.witness)
 
-    # Per pair: its two stamp variables and gap, and its two order constraints.
+    # Per pair: its stamp variables and gap; its orders are built where read.
     spans = [(dcs.var(p.j1, p.i1), dcs.var(p.j2, p.i2), p.s) for p in pairs]
-    orders = [
-        (dcs.order_constraint(p, True), dcs.order_constraint(p, False)) for p in pairs
-    ]
     # The relaxation records predecessors; the search never reads them.
     scratch_pred: list[Constraint | None] = [None] * dcs.n_vars
 
     best_obj: float | None = None
     best_dist: Sequence[float] | None = None
-    warm = _warm_start(dcs, pairs, orders)
+    warm = _warm_start(dcs, pairs)
     if warm is not None:
         best_dist, best_obj = warm, bound(warm, None)
     lower_bound = bound(root.times, INF if best_obj is None else best_obj)
@@ -500,13 +496,10 @@ def solve_exact(
             best_obj, best_dist = value, dist
             continue
         _, k = min(clashes)
-        j1_first, j2_first = orders[k]
         a, b, _ = spans[k]
-        if dist[a] > dist[b]:
-            j1_first, j2_first = j2_first, j1_first
         # The order the stamps already satisfy goes on top.
-        tasks.append((dist, j2_first))
-        tasks.append((dist, j1_first))
+        for j1_first in (dist[a] > dist[b], dist[a] <= dist[b]):
+            tasks.append((dist, dcs.order_constraint(pairs[k], j1_first)))
 
     _, scale = scaled_tardy_weights(instance)
     if scale is not None:

@@ -68,6 +68,16 @@ def test_csv_row_counts_and_format(tmp_path):
         float(row[3]), float(row[4])  # fixed decimal, parseable
 
 
+@pytest.mark.parametrize("ratios, cells", [
+    ((1.0001, 1.0002), ["1.0001", "1.0002"]),
+    ((1.0, 1.0005, 1.001), ["1.000", "1.0005", "1.001"]),
+])
+def test_csv_keeps_ratios_that_three_decimals_would_merge(tmp_path, ratios, cells):
+    result = run_sweep(small_config(ratios=ratios, instances=2), ("baseline",))
+    tardy_path, _ = emit_csv(result, tmp_path)
+    assert [row[1] for row in read_rows(tardy_path)[1:]] == cells
+
+
 def test_heuristic_never_above_baseline_per_cell():
     result = run_sweep(small_config(n_vehicles=10, instances=4), ("baseline", "heuristic"))
     means = result.mean_tardy()

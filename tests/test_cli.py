@@ -7,7 +7,14 @@ from pathlib import Path
 import pytest
 
 import vsp
-from vsp import read_instance, read_schedule, validate_schedule, write_instance
+from vsp import (
+    Schedule,
+    read_instance,
+    read_schedule,
+    validate_schedule,
+    write_instance,
+    write_schedule,
+)
 from vsp.cli import (
     EXIT_BUDGET_EMPTY,
     EXIT_BUDGET_INCUMBENT,
@@ -128,7 +135,7 @@ def test_export_mip(tmp_path):
     ) == EXIT_OK
 
 
-def test_reduce_jsp(tmp_path):
+def test_reduce_jsp(tmp_path, capsys):
     jsp_path = tmp_path / "jsp.json"
     jsp_path.write_text(json.dumps({
         "machines": 2,
@@ -144,6 +151,59 @@ def test_reduce_jsp(tmp_path):
     assert conflict_pairs(inst) == (
         ConflictPair(0, 0, 1, 0, 1), ConflictPair(0, 1, 1, 1, 1),
     )
+    # The reduced instance's objective is the makespan, and is named so.
+    sched = tmp_path / "sched.json"
+    capsys.readouterr()
+    assert run_cli(
+        "schedule", "--instance", out, "--mode", "best", "--out", sched
+    ) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"mode=proximity makespan=2 -> {sched}"
+    )
+
+
+def test_validate_prints_each_violation_and_exits_1(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    sched_path = tmp_path / "sched.json"
+    write_instance(merge_instance(d_soft=(50, 50), d_hard=(200, 200)), inst_path)
+    write_schedule(Schedule(((-1, 50), (0, 52))), sched_path)
+    capsys.readouterr()
+    assert run_cli(
+        "validate", "--instance", inst_path, "--schedule", sched_path
+    ) == EXIT_ERROR
+    assert capsys.readouterr().out == (
+        "[request_time] vehicle 0 starts at -1 before request time 0\n"
+        "[separation] vehicles 0 (step 1) and 1 (step 1) are 2 apart at vertex 2, "
+        "need 5\n"
+    )
+
+
+@pytest.mark.parametrize("tau_max, written", [
+    ("inf", None), ("none", None), ("120", 120),
+])
+def test_generate_tau_max(tmp_path, tau_max, written):
+    out = tmp_path / "inst.json"
+    assert run_cli(
+        "generate", "--vehicles", 2, "--ratio", 1.0, "--seed", 1,
+        "--tau-max", tau_max, "--out", out,
+    ) == EXIT_OK
+    walks = json.loads(out.read_text())["walks"]
+    assert {t for walk in walks for t in walk["tau_max"]} == {written}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("generate", "--grid", "5by5", "--vehicles", 3, "--ratio", 1.0, "--seed", 1),
+     "grid must look like 5x5: '5by5'"),
+    (("bench", "--vehicles", 3, "--ratios", "1.0:x:0.1"),
+     "ratio range must look like 1.0:2.0:0.1: '1.0:x:0.1'"),
+])
+def test_malformed_option_is_a_usage_error(tmp_path, capsys, argv, message):
+    out = "--out-dir" if argv[0] == "bench" else "--out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, out, tmp_path / "out")
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_file_reports_error(tmp_path):

@@ -26,6 +26,7 @@ from vsp import (
     reduce_jsp_to_vsp,
     run_dispatch,
     tardy_flags,
+    tardy_weights,
     validate_schedule,
 )
 from oracles import (
@@ -66,6 +67,13 @@ def test_graph_rejects_unknown_vertex():
         Graph(2, frozenset({(0, 5)}))
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_graph_rejects_no_vertex(count):
+    with pytest.raises(ValueError) as exc:
+        Graph(count, frozenset())
+    assert str(exc.value) == "vertex_count must be a positive integer"
+
+
 def test_single_vertex_graph_and_walk():
     g = Graph(1, frozenset())
     inst = Instance(
@@ -81,6 +89,9 @@ def test_single_vertex_graph_and_walk():
 def test_walk_link_length_mismatch():
     with pytest.raises(ValueError, match="link times"):
         Walk((0, 1, 2), (50,), (INF, INF))
+    with pytest.raises(ValueError) as exc:
+        Walk((), (), ())
+    assert str(exc.value) == "a walk must visit at least one vertex"
 
 
 def test_walk_min_exceeds_max():
@@ -192,6 +203,15 @@ def test_override_given_both_ways_must_agree():
         three_through_c(5, {(0, 1, 1, 1): 7, (1, 1, 0, 1): 6})
     with pytest.raises(ValueError, match="separation must be"):
         three_through_c(-1)
+    for separations, message in (
+        ({(0, 1, 1, 2): 7}, "separation (0, 1, 1, 2) references an unknown step"),
+        ({(0, 1, 3, 1): 7}, "separation (0, 1, 3, 1) references an unknown step"),
+        ({(0, 1, 1, 1): -1}, "separation (0, 1, 1, 1) must be a nonnegative integer"),
+        ({(0, 1, 1, 1): 7.0}, "separation (0, 1, 1, 1) must be a nonnegative integer"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            three_through_c(5, separations)
+        assert str(exc.value) == message
 
 
 def test_visits_are_built_on_first_read():
@@ -240,6 +260,11 @@ def test_deadline_chain_enforced():
          "vehicle 1: need request <= soft <= hard deadline, got 0, 301, 300"),
         ({"request_times": (0, 250)},
          "vehicle 1: need request <= soft <= hard deadline, got 250, 200, 300"),
+        ({"walks": ()}, "an instance needs at least one vehicle"),
+        ({"request_times": (0,)}, "request_times has length 1, expected 2"),
+        ({"soft_deadlines": (200, 200, 200)}, "soft_deadlines has length 3, expected 2"),
+        ({"hard_deadlines": (300,)}, "hard_deadlines has length 1, expected 2"),
+        ({"weights": (1.0,)}, "weights has length 1, expected 2"),
     ):
         with pytest.raises(ValueError) as exc:
             replace(merge, **fields)
@@ -254,6 +279,15 @@ def test_no_soft_deadline_with_finite_hard_is_fine():
 def test_weighted_objective_requires_weights():
     with pytest.raises(ConfigurationError):
         merge_instance(objective=ObjectiveKind.WEIGHTED_TARDY_COUNT)
+    # Asked for by name, on an instance that carries no weights.
+    inst, kind = merge_instance(), ObjectiveKind.WEIGHTED_TARDY_COUNT
+    message = "objective weighted_tardy_count requires vehicle weights"
+    with pytest.raises(ConfigurationError) as exc:
+        tardy_weights(inst, kind)
+    assert str(exc.value) == message
+    with pytest.raises(ConfigurationError) as exc:
+        evaluate(inst, Schedule(((0, 50), (0, 55))), kind)
+    assert str(exc.value) == message
 
 
 def test_stamps_must_be_integers():

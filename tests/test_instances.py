@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -60,6 +61,14 @@ def test_config_invariants():
         )
     with pytest.raises(ValueError):
         ExperimentConfig(n_vehicles=0)
+    for fields, message in (
+        ({"tau_min_link": -1}, "tau_min_link must be a nonnegative integer"),
+        ({"tau_min_link": 60, "tau_max_link": 50}, "tau_min_link exceeds tau_max_link"),
+        ({"soft_deadline_ratios": ()}, "need at least one soft deadline ratio"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            ExperimentConfig(n_vehicles=5, **fields)
+        assert str(exc.value) == message
 
 
 def all_shortest_sequences(graph, source, dest):
@@ -368,6 +377,10 @@ def test_fractional_tick_rejected():
         ("weights", [1.0, "2"], "weight must be a number"),
         ("weights", [1.0, float("inf")], "positive and finite"),
         ("weights", [1.0, float("nan")], "positive and finite"),
+        ("separations", [[0, 1, 1, 1]],
+         re.escape("separation entry must be [j1,i1,j2,i2,s]: [0, 1, 1, 1]")),
+        ("separations", [[0, 1, 1, 1, 5], [0, 1, 1, 1, 6]],
+         re.escape("separation (0, 1, 1, 1) listed twice with different gaps")),
     ):
         broken = dict(merge, **{key: bad})
         with pytest.raises(FormatError, match=match):
@@ -545,6 +558,12 @@ def test_jsp_file_round_trip(tmp_path):
         ("theta", "false", "true or false"),
         ("theta", 0, "true or false"),
         ("hard_deadlines", 1, "true or false"),
+        ("machines", 0, "machine_count must be positive"),
+        ("jobs", [], "need at least one job"),
+        ("r", [0, 0], "release_times and deadlines must cover every job"),
+        ("jobs", [[]], "job 0 has no operations"),
+        ("jobs", [[0, 2]], "job 0 references unknown machine 2"),
+        ("delta", [-1], "job 0: release time 0 is after its deadline -1"),
     ):
         path.write_text(json.dumps(dict(good, **{key: bad})))
         with pytest.raises(FormatError, match=match):

@@ -67,6 +67,9 @@ def test_caller_horizon_overrides():
     assert values.horizon == 1000
     assert set(values.pair.values()) == {1005}
     assert values.vehicle == {0: 1000, 1: 1000}
+    with pytest.raises(HorizonError) as exc:
+        big_m_values(inst, horizon=-1)
+    assert str(exc.value) == "horizon -1 precedes a request time"
 
 
 def test_horizon_underivable_without_hard_deadlines():
