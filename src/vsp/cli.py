@@ -205,11 +205,8 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
         result = deadline_and_proximity(instance, args.negative_slack)
     else:
         result = run_dispatch(instance, _MODES[args.mode], args.negative_slack)
-    counts = {status: 0 for status in VehicleStatus}
-    for status in result.statuses:
-        counts[status] += 1
-    for status, count in counts.items():
-        if count:
+    for status in VehicleStatus:
+        if count := result.statuses.count(status):
             print(f"{status.value}: {count}")
     if not result.complete:
         print("no complete schedule; nothing written", file=sys.stderr)

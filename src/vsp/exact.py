@@ -278,29 +278,30 @@ def scaled_tardy_weights(instance: Instance) -> tuple[list[int], int | None]:
 
 
 def node_bound(
-    dcs: DifferenceConstraintSystem,
-    pairs: Sequence[ConflictPair],
-    deadline: float | None = None,
-) -> Callable[[Sequence[float], float | None], float]:
+    dcs: DifferenceConstraintSystem, deadline: float | None = None
+) -> Callable[[Sequence[float], float | None, Sequence], float]:
     """The lower bound of the search, over the stamp variables of dcs.
 
     A node's tardy weight is what its least stamps dist already cost, each
     vehicle weighing its tardy_weights entry.  A stamp's latest on-time
-    value is its vehicle's soft deadline minus the minimum travel time left
-    after it.  Two vehicles are incompatible at a node when neither is tardy
-    at dist and some pair fits in neither order: in both, the earlier stamp
-    plus the gap passes the later one's latest on-time value.  At most one
-    of the two can end on time below the node, so the least weight of a
-    vertex cover of the incompatibility graph adds to the tardy weight.  A
-    pair whose order dist already carries gives no edge, since its later
-    stamp is at most its latest on-time value.
+    value is its vehicle's soft deadline (INF when open) minus the minimum
+    travel time left after it.  Two vehicles are incompatible at a node when
+    neither is tardy at dist and some pair fits in neither order: in both,
+    the earlier stamp plus the gap passes the later one's latest on-time
+    value.  At most one of the two can end on time below the node, so the
+    least weight of a vertex cover of the incompatibility graph adds to the
+    tardy weight.  Only a pair that clashes at dist can fit in neither order:
+    if dist[b] >= dist[a] + s and b's vehicle is on time, then dist[a] + s <=
+    dist[b] <= latest[b], since dist keeps every minimum link time.
 
-    Returns bound(dist, limit): the tardy weight of dist plus that cover
-    weight, capped at limit.  With limit None it is the tardy weight alone,
-    and no graph is built.  Past deadline (a time.monotonic() value) the
-    cover falls back to its edge packing, still a lower bound.  Weights are
-    those of scaled_tardy_weights, so every sum is an exact int; with float
-    weights, bound and limit are in units of 1 / its denominator.
+    Returns bound(dist, limit, clashing): the tardy weight of dist plus that
+    cover weight, capped at limit, the graph read from the rows (stamp
+    variable, stamp variable, gap, vehicle, vehicle, pair) of the pairs that
+    clash at dist.  With limit None it is the tardy weight alone, and no
+    graph is built.  Past deadline (a time.monotonic() value) the cover falls
+    back to its edge packing, still a lower bound.  Weights are those of
+    scaled_tardy_weights, so every sum is an exact int; with float weights,
+    bound and limit are in units of 1 / its denominator.
     """
     instance = dcs.instance
     weights, _ = scaled_tardy_weights(instance)
@@ -314,22 +315,15 @@ def node_bound(
             if i:
                 left -= walk.min_times[i - 1]
         last.append(dcs.var(j, len(walk) - 1))
-    # Per pair whose vehicles both have a soft deadline: the two stamp
-    # variables, the gap and the two vehicles.
-    table = [
-        (dcs.var(p.j1, p.i1), dcs.var(p.j2, p.i2), p.s, p.j1, p.j2)
-        for p in pairs
-        if deadlines[p.j1] != INF and deadlines[p.j2] != INF
-    ]
 
-    def bound(dist: Sequence[float], limit: float | None) -> float:
+    def bound(dist: Sequence[float], limit: float | None, clashing: Sequence) -> float:
         value = sum(w for var, d, w in zip(last, deadlines, weights) if dist[var] > d)
         if limit is None:
             return value
         if value >= limit:
             return limit
         adjacency: dict[int, set[int]] = {}
-        for a, b, s, j1, j2 in table:
+        for a, b, s, j1, j2, _ in clashing:
             if (
                 dist[a] + s > latest[b]
                 and dist[b] + s > latest[a]
@@ -410,21 +404,21 @@ def solve_exact(
     give both feasibility (positive cycle means prune) and a valid lower
     bound, since every completion of the subtree has stamps at least as
     large.  A pair clashes at dist when its two stamps are less than its gap
-    apart; a pair with a decided order never clashes.  A node with no
-    clashing pair is a leaf: dist is a schedule, and no schedule below costs
-    less.  Otherwise the search branches on the clashing pair with the
-    earliest stamp (lowest pair index on ties), building its two order
-    constraints there and trying first the one the stamps already satisfy;
-    the first incumbent found at a given value is kept.  A child's stamps
-    are its parent's, relaxed from the head of the new order constraint by
-    the routine minimal_times runs from the origin.
+    apart; a decided pair never clashes.  One pass over the pair table per
+    node lists its clashing pairs, for its node_bound and its branching.  A
+    node with none is a leaf: dist is a schedule, and none below costs less.
+    Otherwise the search branches on the clashing pair with the earliest
+    stamp (lowest pair index on ties), building its two order constraints
+    there and trying first the one the stamps already satisfy; the first
+    incumbent found at a given value is kept.  A child's stamps are its
+    parent's, relaxed from the head of its new order constraint.
 
     The first incumbent is the least solution of the same system under the
     crossing orders of the best-of-three dispatch schedule, when that
     schedule is complete and meets every hard deadline, so the returned
     schedule is always componentwise-minimal for its orders.  Once there is
-    an incumbent, a node is also pruned when its node_bound reaches it.
-    Bounds and incumbents are exact ints, float weights scaled as
+    an incumbent, a node is also pruned when its bound reaches it.  Bounds
+    and incumbents are exact ints, float weights scaled as
     scaled_tardy_weights does, and compared with no tolerance; the
     objective and lower bound are divided back once, after the search.
 
@@ -432,19 +426,23 @@ def solve_exact(
     interpreter's recursion limit.  It is single-threaded and deterministic.
     With a time limit in seconds (inf for none; NaN or negative raises
     ConfigurationError) the best incumbent so far is returned once the
-    budget runs out; the limit also stops the cover search of the bound.
+    budget runs out, as optimal if the root bound meets it; the limit also
+    stops the cover search of the bound.
     """
     check_time_limit(time_limit)
     deadline = None if time_limit is None else time.monotonic() + time_limit
     pairs = conflict_pairs(instance)
     dcs = DifferenceConstraintSystem(instance, horizon=horizon)
-    bound = node_bound(dcs, pairs, deadline)
+    bound = node_bound(dcs, deadline)
     root = minimal_times(dcs)
     if not root.feasible:
         return SolveResult(SolveStatus.INFEASIBLE, None, None, 1, root.witness)
 
-    # Per pair: its stamp variables and gap; its orders are built where read.
-    spans = [(dcs.var(p.j1, p.i1), dcs.var(p.j2, p.i2), p.s) for p in pairs]
+    # Per pair: the row bound reads, ending in the pair itself, whose orders
+    # branching builds where it reads them.
+    table = [
+        (dcs.var(p.j1, p.i1), dcs.var(p.j2, p.i2), p.s, p.j1, p.j2, p) for p in pairs
+    ]
     # The relaxation records predecessors; the search never reads them.
     scratch_pred: list[Constraint | None] = [None] * dcs.n_vars
 
@@ -452,8 +450,7 @@ def solve_exact(
     best_dist: Sequence[float] | None = None
     warm = _warm_start(dcs, pairs)
     if warm is not None:
-        best_dist, best_obj = warm, bound(warm, None)
-    lower_bound = bound(root.times, INF if best_obj is None else best_obj)
+        best_dist, best_obj = warm, bound(warm, None, ())
 
     nodes = 0
     stopped = False
@@ -478,39 +475,36 @@ def solve_exact(
                 if _relax(dcs.out_edges, dist, scratch_pred, c.x) is not None:
                     continue
         nodes += 1
+        clashes = [row for row in table if abs(dist[row[0]] - dist[row[1]]) < row[2]]
+        # The root's bound is the lower bound: it has a cover even without an
+        # incumbent, and it is taken even once the time has run out.
+        limit = INF if c is None and best_obj is None else best_obj
+        value = bound(dist, limit, clashes)
+        if c is None:
+            lower_bound = value
         if deadline is not None and time.monotonic() > deadline:
             stopped = True
             break
-        # The root's is lower_bound, whose cover is 0 if the root is a leaf.
-        value = lower_bound if c is None else bound(dist, best_obj)
         if best_obj is not None and value >= best_obj:
             continue
-        # (earliest stamp, pair index) of every clashing pair.
-        clashes = [
-            (min(dist[a], dist[b]), k)
-            for k, (a, b, s) in enumerate(spans)
-            if abs(dist[a] - dist[b]) < s
-        ]
         if not clashes:
             # No clashing pair, no cover edge: value is dist's tardy weight.
             best_obj, best_dist = value, dist
             continue
-        _, k = min(clashes)
-        a, b, _ = spans[k]
+        a, b, _, _, _, pair = min(clashes, key=lambda r: min(dist[r[0]], dist[r[1]]))
         # The order the stamps already satisfy goes on top.
         for j1_first in (dist[a] > dist[b], dist[a] <= dist[b]):
-            tasks.append((dist, dcs.order_constraint(pairs[k], j1_first)))
+            tasks.append((dist, dcs.order_constraint(pair, j1_first)))
 
+    if best_dist is None:
+        status = SolveStatus.BUDGET_EXHAUSTED if stopped else SolveStatus.INFEASIBLE
+    elif stopped and best_obj > lower_bound:
+        status = SolveStatus.FEASIBLE_INCUMBENT
+    else:  # searched to the end, or stopped where the bound meets the incumbent
+        status = SolveStatus.OPTIMAL
     _, scale = scaled_tardy_weights(instance)
     if scale is not None:
         lower_bound /= scale
-    if best_dist is None:
-        status = SolveStatus.BUDGET_EXHAUSTED if stopped else SolveStatus.INFEASIBLE
-        return SolveResult(status, None, None, nodes, lower_bound=lower_bound)
-    if scale is not None:
-        best_obj /= scale
-    status = SolveStatus.FEASIBLE_INCUMBENT if stopped else SolveStatus.OPTIMAL
-    return SolveResult(
-        status, dcs.to_schedule(tuple(best_dist)), best_obj, nodes,
-        lower_bound=lower_bound,
-    )
+        best_obj = None if best_obj is None else best_obj / scale
+    schedule = None if best_dist is None else dcs.to_schedule(tuple(best_dist))
+    return SolveResult(status, schedule, best_obj, nodes, lower_bound=lower_bound)

@@ -416,6 +416,21 @@ def naive_minimal_times(n_vars: int, cons: list[Triple]) -> list[int] | None:
     return [int(d) for d in dist]
 
 
+def pair_rows(instance: Instance) -> list[tuple]:
+    """One row per conflict pair, as node_bound's bound reads them: (stamp
+    variable, stamp variable, gap, vehicle, vehicle, pair)."""
+    offsets = var_layout(instance)
+    return [
+        (offsets[p.j1] + p.i1, offsets[p.j2] + p.i2, p.s, p.j1, p.j2, p)
+        for p in conflict_pairs(instance)
+    ]
+
+
+def clashing_rows(rows: list[tuple], dist: list[int]) -> list[tuple]:
+    """The rows whose two stamps are less than their gap apart at dist."""
+    return [row for row in rows if abs(dist[row[0]] - dist[row[1]]) < row[2]]
+
+
 def tardy_of_times(instance: Instance, times: list[int]) -> float:
     offsets = var_layout(instance)
     # Only the weighted objective reads weights; tardy_count counts vehicles.

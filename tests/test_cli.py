@@ -97,14 +97,30 @@ def test_solve_and_exit_codes(tmp_path, capsys):
     ) == EXIT_INFEASIBLE
     assert "bound=" not in capsys.readouterr().out
 
-    # A zero budget keeps the best-of-three warm start ...
+    # A zero budget keeps the best-of-three warm start, proved optimal where
+    # the root bound meets it ...
     out.unlink()
     assert run_cli(
         "solve", "--instance", inst_path, "--exact", "--time-limit", 0,
         "--out", out,
-    ) == EXIT_BUDGET_INCUMBENT
+    ) == EXIT_OK
     assert read_schedule(out).times == ((0, 50), (0, 55))
-    capsys.readouterr()
+    assert "status=optimal nodes=1 bound=1\n" in capsys.readouterr().out
+
+    # ... and unproved where the bound, 5, stays below it, 6 ...
+    grid_path = tmp_path / "grid.json"
+    assert run_cli(
+        "generate", "--grid", "5x5", "--vehicles", 12, "--ratio", "1.0",
+        "--seed", 3, "--out", grid_path,
+    ) == EXIT_OK
+    out.unlink()
+    assert run_cli(
+        "solve", "--instance", grid_path, "--exact", "--time-limit", 0,
+        "--out", out,
+    ) == EXIT_BUDGET_INCUMBENT
+    printed = capsys.readouterr().out
+    assert "status=feasible_incumbent nodes=1 bound=5\n" in printed
+    assert f"objective=6 -> {out}\n" in printed
 
     # ... unless best-of-three breaks a hard deadline (vehicle 1's here).
     late_path = tmp_path / "late.json"

@@ -28,9 +28,11 @@ from oracles import (
     brute_force_tardy,
     chain_instance,
     check_triples,
+    clashing_rows,
     merge_instance,
     naive_minimal_times,
     ordering_triples,
+    pair_rows,
     random_feasible_times,
     random_small_instance,
     tardy_of_times,
@@ -213,9 +215,19 @@ def test_budget_zero_reports_exhaustion():
 
 
 def test_budget_zero_keeps_warm_start():
-    inst = merge_instance(d_soft=(50, 50), d_hard=(200, 200))
+    # The zero-budget root bound, 5, stays below the warm start's 6.
+    config = ExperimentConfig(n_vehicles=12, soft_deadline_ratios=(1.0,))
+    inst = generate_grid_instance(config, 1.0, 3)
     result = solve(inst, time_limit=0.0)
     assert result.status is SolveStatus.FEASIBLE_INCUMBENT
+    assert (result.node_count, result.objective, result.lower_bound) == (1, 6, 5)
+    assert evaluate(inst, result.schedule) == 6
+    assert validate_schedule(inst, result.schedule).passes()
+    # Where the root bound meets the warm start, running out of time still
+    # proves it.
+    inst = merge_instance(d_soft=(50, 50), d_hard=(200, 200))
+    result = solve(inst, time_limit=0.0)
+    assert result.status is SolveStatus.OPTIMAL
     assert result.node_count == 1
     assert result.schedule.times == ((0, 50), (0, 55))
     assert result.objective == result.lower_bound == 1
@@ -263,10 +275,10 @@ def test_root_is_bounded_once(monkeypatch):
     def counting_node_bound(*args):
         bound = node_bound(*args)
 
-        def counted(dist, limit):
+        def counted(dist, limit, clashing):
             if limit is not None and tuple(dist) == root:
                 limits.append(limit)
-            return bound(dist, limit)
+            return bound(dist, limit, clashing)
 
         return counted
 
@@ -436,10 +448,11 @@ def test_bound_valid_at_every_partial_decision():
             # these weights are dyadic, so the scaled oracle values are exact.
             unit = scaled_tardy_weights(inst)[1] or 1
             tardy = tardy_of_times(inst, list(sol.times)) * unit
-            bound = node_bound(dcs, pairs)
+            bound = node_bound(dcs)
+            clashing = clashing_rows(pair_rows(inst), sol.times)
             # Without a limit the bound is the oracle's tardy weight alone.
-            assert bound(sol.times, None) == tardy
-            lower = bound(sol.times, INF)
+            assert bound(sol.times, None, clashing) == tardy
+            lower = bound(sol.times, INF, clashing)
             covered += lower > tardy
             if best_leaf is not None:
                 assert lower <= best_leaf * unit

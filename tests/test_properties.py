@@ -10,11 +10,12 @@ from pathlib import Path
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from vsp import (  # noqa: E402
     INF,
     ConstraintKind,
+    DifferenceConstraintSystem,
     ExperimentConfig,
     FormatError,
     GridSpec,
@@ -33,6 +34,7 @@ from vsp import (  # noqa: E402
     evaluate,
     export_mip,
     generate_grid_instance,
+    minimal_times,
     parse_lp,
     read_instance,
     read_jsp,
@@ -45,13 +47,15 @@ from vsp import (  # noqa: E402
     write_lp,
     write_schedule,
 )
-from vsp.exact import SolveStatus  # noqa: E402
+from vsp.exact import SolveStatus, node_bound  # noqa: E402
 from vsp.instances import instance_to_dict  # noqa: E402
 from oracles import (  # noqa: E402
     BAD_TICKS,
     brute_force_separation_violations,
     brute_force_tardy,
+    clashing_rows,
     merge_instance,
+    pair_rows,
     random_small_instance,
     reference_dispatch,
     reference_parse_lp,
@@ -268,6 +272,54 @@ def test_dispatch_matches_whole_vertex_reference(inst):
             assert run_dispatch(inst, mode, policy) == reference_dispatch(
                 inst, mode, policy
             )
+
+
+# Job 0 revisits machine 0; deadlines tight enough that someone is late.
+REVISITING_SHOP = replace(
+    reduce_jsp_to_vsp(JspInstance(
+        machine_count=2,
+        jobs=((0, 1, 0), (1, 0), (0,)),
+        release_times=(0, 0, 0),
+        deadlines=(3, 2, 1),
+        no_wait=False,
+    )),
+    objective=ObjectiveKind.TARDY_COUNT,
+)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(st.one_of(dispatch_instances(), jobshop_instances()), st.integers(0, 2**32 - 1))
+@example(REVISITING_SHOP, 0)
+@example(REVISITING_SHOP, 1)
+def test_bound_from_clashing_pairs_is_every_pair_bound_below_the_optimum(inst, seed):
+    """Only a pair that clashes at a node's least stamps can be a cover edge,
+    so the bound that the search feeds with the clashing pairs equals the
+    bound over every pair, and neither passes the best leaf below the node.
+    Checked at random partial decisions, one soft deadline sometimes open."""
+    rng = random.Random(seed)
+    inst = replace(inst, objective=ObjectiveKind.TARDY_COUNT)
+    if rng.random() < 0.5:
+        soft = list(inst.soft_deadlines)
+        soft[rng.randrange(inst.n_vehicles)] = INF
+        inst = replace(inst, soft_deadlines=tuple(soft))
+    pairs = conflict_pairs(inst)
+    assume(0 < len(pairs) <= 8)
+    every = pair_rows(inst)
+    for _ in range(3):
+        fixed = {k: rng.random() < 0.5 for k in range(len(pairs)) if rng.random() < 0.5}
+        dcs = DifferenceConstraintSystem(inst)
+        for k, j1_first in fixed.items():
+            dcs.push(dcs.order_constraint(pairs[k], j1_first))
+        sol = minimal_times(dcs)
+        best_leaf = brute_force_tardy(inst, fixed=fixed)
+        if not sol.feasible:
+            assert best_leaf is None
+            continue
+        bound = node_bound(dcs)
+        lower = bound(sol.times, INF, clashing_rows(every, sol.times))
+        assert lower == bound(sol.times, INF, every)
+        if best_leaf is not None:
+            assert lower <= best_leaf
 
 
 @st.composite
