@@ -150,18 +150,8 @@ def run_sweep(
         for ratio in ratios:
             instance = replace(base, soft_deadlines=soft_deadlines_at(base.walks, ratio))
 
-            def record(algorithm: str, tardy: int | None, runtime: float,
-                       status: str) -> None:
-                records.append(RunRecord(
-                    n_vehicles=n,
-                    instance_index=index,
-                    instance_seed=instance_seed,
-                    ratio=ratio,
-                    algorithm=algorithm,
-                    tardy_count=tardy,
-                    runtime_s=runtime,
-                    status=status,
-                ))
+            def record(*outcome) -> None:  # algorithm, tardy count, runtime, status
+                records.append(RunRecord(n, index, instance_seed, ratio, *outcome))
 
             for name in ("baseline", "heuristic"):
                 if name not in algorithms:

@@ -14,6 +14,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import chain, repeat
 from operator import attrgetter, gt, itemgetter, le, sub
 
 INF = math.inf
@@ -46,7 +47,7 @@ def is_tick_or_inf(value: object) -> bool:
 # One C-speed pass each: True when every value is a plain int (or a float
 # equal to +inf).  On False the caller's value by value loop decides, which
 # also takes int subclasses and names the first offender.
-def _all_ints(seq: tuple) -> bool:
+def _all_ints(seq) -> bool:
     return set(map(type, seq)) <= {int}
 
 
@@ -83,7 +84,7 @@ class Graph:
     def __post_init__(self) -> None:
         if not is_tick(self.vertex_count) or self.vertex_count <= 0:
             raise ValueError("vertex_count must be a positive integer")
-        object.__setattr__(self, "edges", frozenset(tuple(e) for e in self.edges))
+        object.__setattr__(self, "edges", frozenset(map(tuple, self.edges)))
         for u, v in self.edges:
             if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
                 raise ValueError(f"edge ({u},{v}) references an unknown vertex")
@@ -114,7 +115,7 @@ class Graph:
         return len(seen) == self.vertex_count
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Walk:
     """Vertex sequence of one vehicle plus per-link travel-time windows.
 
@@ -138,11 +139,7 @@ class Walk:
                 f"walk with {len(self.vertices)} vertices needs {links} link times, "
                 f"got {len(self.min_times)} min / {len(self.max_times)} max"
             )
-        mins, maxs = self.min_times, self.max_times
-        if (_all_ints(mins) and min(mins, default=0) >= 0
-                and _all_ints_or_inf(maxs) and all(map(le, mins, maxs))):
-            return
-        for i, (lo, hi) in enumerate(zip(mins, maxs)):  # name the first offender
+        for i, (lo, hi) in enumerate(zip(self.min_times, self.max_times)):
             if not is_tick(lo) or lo < 0:
                 raise ValueError(f"min time on link {i} must be a nonnegative integer")
             if not is_tick_or_inf(hi):
@@ -152,6 +149,32 @@ class Walk:
 
     def __len__(self) -> int:
         return len(self.vertices)
+
+
+def walks_from_rows(vertex_rows, min_rows, max_rows) -> tuple[Walk, ...]:
+    """The walks of parallel rows of vertices, min and max link times.
+
+    One C-speed pass over all rows makes Walk's checks, so the walks are made
+    without them: each walk has a vertex and one min and one max time per
+    link, every min is a plain int >= 0, every max a plain int or +inf, and
+    no min exceeds its max.  Else Walk builds each, naming the first fault.
+    """
+    vertex_rows = list(map(tuple, vertex_rows))
+    min_rows, max_rows = list(map(tuple, min_rows)), list(map(tuple, max_rows))
+    links = [len(vertices) - 1 for vertices in vertex_rows]
+    mins = tuple(chain.from_iterable(min_rows))
+    maxs = tuple(chain.from_iterable(max_rows))
+    if not (min(links, default=0) >= 0
+            and list(map(len, min_rows)) == links == list(map(len, max_rows))
+            and _all_ints(mins) and min(mins, default=0) >= 0
+            and _all_ints_or_inf(maxs) and all(map(le, mins, maxs))):
+        return tuple(map(Walk, vertex_rows, min_rows, max_rows))
+    walks = tuple(map(object.__new__, repeat(Walk, len(vertex_rows))))
+    # Walk is frozen: set each field as its __init__ does, for all walks at once.
+    fields = {"vertices": vertex_rows, "min_times": min_rows, "max_times": max_rows}
+    for name, rows in fields.items():
+        list(map(object.__setattr__, walks, repeat(name), rows))
+    return walks
 
 
 @dataclass(frozen=True)
@@ -196,8 +219,8 @@ class Instance:
         ):
             if len(seq) != n:
                 raise ValueError(f"{name} has length {len(seq)}, expected {n}")
-        edges = self.graph.edges
-        if not all(edges.issuperset(zip(w.vertices, w.vertices[1:])) for w in self.walks):
+        edges, rows = self.graph.edges, list(map(_VERTICES, self.walks))
+        if not edges.issuperset(chain.from_iterable(map(zip, rows, map(_TAIL, rows)))):
             for j, walk in enumerate(self.walks):  # name the first offender
                 for i, (u, v) in enumerate(zip(walk.vertices, walk.vertices[1:])):
                     if (u, v) not in edges:
@@ -290,6 +313,8 @@ class Instance:
 
 
 _LAST = itemgetter(-1)
+_TAIL = itemgetter(slice(1, None))
+_VERTICES = attrgetter("vertices")
 
 
 @dataclass(frozen=True)
@@ -299,8 +324,8 @@ class Schedule:
     times: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "times", tuple(tuple(row) for row in self.times))
-        if not all(map(_all_ints, self.times)):
+        object.__setattr__(self, "times", tuple(map(tuple, self.times)))
+        if not _all_ints(chain.from_iterable(self.times)):
             for j, row in enumerate(self.times):  # name the first offender
                 for i, t in enumerate(row):
                     if not is_tick(t):
@@ -346,8 +371,6 @@ class ValidationReport:
         return [v for v in self.violations if v.kind == kind]
 
 
-_VERTICES = attrgetter("vertices")
-
 
 def check_shape(instance: Instance, schedule: Schedule) -> None:
     """Raise ShapeError unless the schedule matches the instance's walks.
@@ -383,9 +406,9 @@ def validate_schedule(instance: Instance, schedule: Schedule) -> ValidationRepor
     walk, the request time, the link windows over the stamp differences
     (a difference at or above its nonnegative minimum is never a
     continuity break) and the hard deadline; per vertex, the sorted stamps,
-    which cannot clash when no two neighbours are less than max_gap apart.
-    Only a walk or a vertex that fails its pass is checked item by item,
-    which finds and words every violation.
+    which cannot clash when no neighbours are closer than the uniform gap
+    and no override wider than it is broken.  Only a walk or a vertex that
+    fails its pass is checked item by item, which words every violation.
     """
     check_shape(instance, schedule)
     found: list[Violation] = []
@@ -423,10 +446,15 @@ def validate_schedule(instance: Instance, schedule: Schedule) -> ValidationRepor
                 f"vehicle {j} completes at {row[-1]} after hard deadline "
                 f"{hard_deadlines[j]}",
             ))
-    window = instance.max_gap
+    uniform, window, walks = instance.separation, instance.max_gap, instance.walks
+    broken = {  # vertices of a wider override's pair that is too close
+        walks[j1].vertices[i1] for (j1, i1, j2, i2), s in instance.separations.items()
+        if s > uniform and abs(times[j1][i1] - times[j2][i2]) < s
+    }
     for vertex, steps in instance.visits.items():
         ordered = sorted([times[j][i] for j, i in steps])
-        if min(map(sub, ordered[1:], ordered), default=window) >= window:
+        if (vertex not in broken
+                and min(map(sub, ordered[1:], ordered), default=uniform) >= uniform):
             continue
         stamps = sorted((times[j][i], j, i) for j, i in steps)
         clashes = []

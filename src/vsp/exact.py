@@ -17,6 +17,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import tee
 from typing import Callable, Sequence
 
 from .core import INF, ConfigurationError, Instance, Schedule, VspError, tardy_weights
@@ -121,11 +122,8 @@ class DifferenceConstraintSystem:
         return Constraint(self.var(*later), self.var(*earlier), pair.s, label)
 
     def to_schedule(self, times: tuple[int, ...]) -> Schedule:
-        rows = []
-        for j, walk in enumerate(self.instance.walks):
-            off = self._offsets[j]
-            rows.append(tuple(times[off:off + len(walk)]))
-        return Schedule(tuple(rows))
+        walks = self.instance.walks
+        return Schedule([times[off:off + len(w)] for off, w in zip(self._offsets, walks)])
 
 
 @dataclass(frozen=True)
@@ -297,9 +295,10 @@ def node_bound(
     Returns bound(dist, limit, clashing): the tardy weight of dist plus that
     cover weight, capped at limit, the graph read from the rows (stamp
     variable, stamp variable, gap, vehicle, vehicle, pair) of the pairs that
-    clash at dist.  With limit None it is the tardy weight alone, and no
-    graph is built.  Past deadline (a time.monotonic() value) the cover falls
-    back to its edge packing, still a lower bound.  Weights are those of
+    clash at dist, which it reads only when the tardy weight is below the
+    limit.  With limit None it is the tardy weight alone, and no graph is
+    built.  Past deadline (a time.monotonic() value) the cover falls back
+    to its edge packing, still a lower bound.  Weights are those of
     scaled_tardy_weights, so every sum is an exact int; with float weights,
     bound and limit are in units of 1 / its denominator.
     """
@@ -405,7 +404,8 @@ def solve_exact(
     bound, since every completion of the subtree has stamps at least as
     large.  A pair clashes at dist when its two stamps are less than its gap
     apart; a decided pair never clashes.  One pass over the pair table per
-    node lists its clashing pairs, for its node_bound and its branching.  A
+    node lists its clashing pairs, for its node_bound and its branching; a
+    node whose tardy weight alone reaches the incumbent skips that pass.  A
     node with none is a leaf: dist is a schedule, and none below costs less.
     Otherwise the search branches on the clashing pair with the earliest
     stamp (lowest pair index on ties), building its two order constraints
@@ -475,11 +475,14 @@ def solve_exact(
                 if _relax(dcs.out_edges, dist, scratch_pred, c.x) is not None:
                     continue
         nodes += 1
-        clashes = [row for row in table if abs(dist[row[0]] - dist[row[1]]) < row[2]]
         # The root's bound is the lower bound: it has a cover even without an
         # incumbent, and it is taken even once the time has run out.
         limit = INF if c is None and best_obj is None else best_obj
-        value = bound(dist, limit, clashes)
+        # bound reads the scan only once the tardy weight is below the limit.
+        scan, clashing = tee(
+            row for row in table if abs(dist[row[0]] - dist[row[1]]) < row[2]
+        )
+        value = bound(dist, limit, scan)
         if c is None:
             lower_bound = value
         if deadline is not None and time.monotonic() > deadline:
@@ -487,6 +490,7 @@ def solve_exact(
             break
         if best_obj is not None and value >= best_obj:
             continue
+        clashes = list(clashing)  # the rows bound read, or the whole scan
         if not clashes:
             # No clashing pair, no cover edge: value is dist's tardy weight.
             best_obj, best_dist = value, dist

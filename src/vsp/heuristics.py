@@ -264,9 +264,7 @@ def run_dispatch(
     for j, (row, hard) in enumerate(zip(times, instance.hard_deadlines)):
         if statuses[j] is VehicleStatus.COMPLETED and row[-1] > hard:
             statuses[j] = VehicleStatus.HARD_DEADLINE_VIOLATED
-    return DispatchResult(
-        mode, tuple(tuple(row) for row in times), tuple(statuses)
-    )
+    return DispatchResult(mode, tuple(map(tuple, times)), tuple(statuses))
 
 
 def best_of(

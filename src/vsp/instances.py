@@ -17,6 +17,8 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable
 
@@ -29,6 +31,7 @@ from .core import (
     VspError,
     Walk,
     is_tick,
+    walks_from_rows,
 )
 
 
@@ -156,22 +159,19 @@ def generate_grid_instance(
     graph = build_grid_graph(config.grid)
     rng = random.Random(seed)
     n_vertices = graph.vertex_count
-    walks = []
+    rows = []
     for _ in range(config.n_vehicles):
         source = rng.randrange(n_vertices)
         dest = rng.randrange(n_vertices - 1)
         if dest >= source:
             dest += 1
-        vertices = grid_walk(config.grid, source, dest)
-        links = len(vertices) - 1
-        walks.append(Walk(
-            vertices,
-            (config.tau_min_link,) * links,
-            (config.tau_max_link,) * links,
-        ))
+        rows.append(grid_walk(config.grid, source, dest))
+    lows = [(config.tau_min_link,) * (len(vertices) - 1) for vertices in rows]
+    highs = [(config.tau_max_link,) * (len(vertices) - 1) for vertices in rows]
+    walks = walks_from_rows(rows, lows, highs)
     return Instance(
         graph=graph,
-        walks=tuple(walks),
+        walks=walks,
         request_times=(0,) * config.n_vehicles,
         soft_deadlines=soft_deadlines_at(walks, ratio),
         hard_deadlines=soft_deadlines_at(walks, config.hard_deadline_factor),
@@ -244,14 +244,12 @@ def reduce_jsp_to_vsp(jsp: JspInstance) -> Instance:
         (u, v) for u in range(k) for v in range(k) if u != v
     )
     graph = Graph(k, edges)
-    walks = []
-    for job in jsp.jobs:
-        links = len(job) - 1
-        upper = (1,) * links if jsp.no_wait else (INF,) * links
-        walks.append(Walk(tuple(job), (1,) * links, upper))
+    lows = [(1,) * (len(job) - 1) for job in jsp.jobs]
+    highs = [(1 if jsp.no_wait else INF,) * (len(job) - 1) for job in jsp.jobs]
+    walks = walks_from_rows(jsp.jobs, lows, highs)
     return Instance(
         graph=graph,
-        walks=tuple(walks),
+        walks=walks,
         request_times=jsp.release_times,
         soft_deadlines=jsp.deadlines,
         hard_deadlines=jsp.deadlines if jsp.hard_deadlines else (INF,) * len(walks),
@@ -266,7 +264,9 @@ _INSTANCE_KEYS = {
     "vertices", "edges", "walks", "rho", "d_soft", "d_hard",
     "separation", "separations", "objective", "weights", "ticks_per_unit",
 }
-_WALK_KEYS = {"vertices", "tau_min", "tau_max"}
+_WALK_ROWS = ("vertices", "tau_min", "tau_max")
+_WALK_KEYS = set(_WALK_ROWS)
+_NULL_AS_INF, _OR_NULL = {None: INF}, {int, type(None)}
 _JSP_KEYS = {"machines", "jobs", "r", "delta", "theta", "hard_deadlines", "objective"}
 _INSTANCE_REQUIRED = ("vertices", "edges", "walks", "rho", "d_hard")
 _JSP_REQUIRED = ("machines", "jobs", "r", "delta", "theta")
@@ -302,9 +302,38 @@ def _ticks_from_json(values, what: str) -> tuple[int, ...]:
 
 
 def _ticks_or_inf_from_json(values, what: str) -> tuple[int | float, ...]:
-    if type(values) is list and set(map(type, values)) <= {int, type(None)}:
-        return tuple(map({None: INF}.get, values, values))
+    if type(values) is list and set(map(type, values)) <= _OR_NULL:
+        return tuple(map(_NULL_AS_INF.get, values, values))
     return tuple(INF if x is None else _tick_from_json(x, what) for x in values)
+
+
+# One flat pass: True when rows is a list of lists of values typed in types.
+def _rows_of(rows, types: set) -> bool:
+    return (type(rows) is list and set(map(type, rows)) <= {list}
+            and set(map(type, chain.from_iterable(rows))) <= types)
+
+
+def _walks_from_json(walks) -> tuple[Walk, ...]:
+    """One flat pass takes walks made of exactly the three walk keys, whose
+    lists hold plain ints (and nulls, read as +inf, in tau_max).  Any other
+    input is read walk by walk, which names the first offender."""
+    if (type(walks) is list and set(map(type, walks)) <= {dict}
+            and set(map(len, walks)) <= {3}
+            and set(chain.from_iterable(walks)) <= _WALK_KEYS):
+        vertices, mins, maxs = (list(map(itemgetter(key), walks)) for key in _WALK_ROWS)
+        if (_rows_of(vertices, {int}) and _rows_of(mins, {int})
+                and _rows_of(maxs, _OR_NULL)):
+            maxs = [tuple(map(_NULL_AS_INF.get, row, row)) for row in maxs]
+            return walks_from_rows(vertices, mins, maxs)
+    built = []
+    for idx, wd in enumerate(walks):
+        _require_keys(wd, _WALK_KEYS, (), f"walk {idx}")
+        built.append(Walk(
+            _ticks_from_json(wd["vertices"], f"walk {idx} vertex"),
+            _ticks_from_json(wd["tau_min"], f"walk {idx} tau_min"),
+            _ticks_or_inf_from_json(wd["tau_max"], f"walk {idx} tau_max"),
+        ))
+    return tuple(built)
 
 
 def _bool_from_json(value, what: str) -> bool:
@@ -351,20 +380,14 @@ def instance_to_dict(instance: Instance) -> dict:
 def instance_from_dict(data: dict) -> Instance:
     _require_keys(data, _INSTANCE_KEYS, _INSTANCE_REQUIRED, "instance")
     try:
-        graph = Graph(
-            _tick_from_json(data["vertices"], "vertices"),
-            frozenset(
-                _ticks_from_json([u, v], "edge endpoint") for u, v in data["edges"]
-            ),
-        )
-        walks = []
-        for idx, wd in enumerate(data["walks"]):
-            _require_keys(wd, _WALK_KEYS, (), f"walk {idx}")
-            walks.append(Walk(
-                _ticks_from_json(wd["vertices"], f"walk {idx} vertex"),
-                _ticks_from_json(wd["tau_min"], f"walk {idx} tau_min"),
-                _ticks_or_inf_from_json(wd["tau_max"], f"walk {idx} tau_max"),
-            ))
+        vertex_count, edges = _tick_from_json(data["vertices"], "vertices"), data["edges"]
+        if _rows_of(edges, {int}) and set(map(len, edges)) <= {2}:
+            ends = chain.from_iterable(edges)
+            edges = zip(ends, ends)
+        else:
+            edges = (_ticks_from_json([u, v], "edge endpoint") for u, v in edges)
+        graph = Graph(vertex_count, frozenset(edges))
+        walks = _walks_from_json(data["walks"])
         rho = _ticks_from_json(data["rho"], "rho entry")
         if "d_soft" in data and data["d_soft"] is not None:
             soft = _ticks_or_inf_from_json(data["d_soft"], "d_soft entry")
@@ -390,7 +413,7 @@ def instance_from_dict(data: dict) -> Instance:
             raise FormatError("ticks_per_unit other than 1 is not supported")
         instance = Instance(
             graph=graph,
-            walks=tuple(walks),
+            walks=walks,
             request_times=rho,
             soft_deadlines=soft,
             hard_deadlines=hard,
@@ -450,7 +473,10 @@ def write_schedule(schedule: Schedule, path: str | Path) -> None:
 def schedule_from_dict(data: dict) -> Schedule:
     _require_keys(data, {"times"}, ("times",), "schedule")
     try:
-        return Schedule(tuple(_ticks_from_json(row, "stamp") for row in data["times"]))
+        times = data["times"]
+        if not _rows_of(times, {int}):
+            times = [_ticks_from_json(row, "stamp") for row in times]
+        return Schedule(times)
     except (ValueError, TypeError) as exc:
         raise FormatError(f"invalid schedule: {exc}") from exc
 

@@ -115,9 +115,7 @@ def build_mip_model(instance: Instance, horizon: int | None = None) -> MipModel:
     weights = tardy_weights(instance)
     big_m = big_m_values(instance, horizon)
 
-    objective = {
-        f"l_{j}": float(weights[j]) for j in sorted(big_m.vehicle)
-    }
+    objective = {f"l_{j}": float(weights[j]) for j in sorted(big_m.vehicle)}
     # stamps[j][i]: the name of stamp variable t_j_i, built once.
     stamps = [
         [_t(j, i) for i in range(len(walk))] for j, walk in enumerate(instance.walks)
@@ -170,9 +168,7 @@ def build_mip_model(instance: Instance, horizon: int | None = None) -> MipModel:
 
 
 def _fmt(x: float) -> str:
-    if x == int(x):
-        return str(int(x))
-    return repr(x)
+    return str(int(x)) if x == int(x) else repr(x)
 
 
 def write_lp(model: MipModel) -> str:
@@ -422,9 +418,7 @@ def schedule_from_lp_solution(
     instance: Instance, values: dict[str, float]
 ) -> Schedule:
     """Decode solver variable values back into per-vehicle stamps."""
-    rows = []
-    for j, walk in enumerate(instance.walks):
-        rows.append(tuple(
-            int(round(values[_t(j, i)])) for i in range(len(walk))
-        ))
-    return Schedule(tuple(rows))
+    return Schedule([
+        [int(round(values[_t(j, i)])) for i in range(len(walk))]
+        for j, walk in enumerate(instance.walks)
+    ])

@@ -48,6 +48,10 @@ Triple = tuple[int, int, int]  # t[x] - t[y] >= c over variable ids
 BAD_TICKS = (0.7, "1", float("nan"), True, False)
 
 
+class Tick(int):
+    """An int subclass other than bool, which every check takes as a tick."""
+
+
 def merge_instance(
     d_soft: tuple = (200, 200),
     d_hard: tuple = (INF, INF),

@@ -9,6 +9,7 @@ from vsp import (
     INF,
     ExperimentConfig,
     FormatError,
+    Graph,
     GridSpec,
     JspInstance,
     ObjectiveKind,
@@ -32,7 +33,7 @@ from vsp.instances import (
     instance_to_dict,
     schedule_from_dict,
 )
-from oracles import BAD_TICKS, exact_makespan, merge_instance, unit_jsp_min_slots
+from oracles import BAD_TICKS, Tick, exact_makespan, merge_instance, unit_jsp_min_slots
 
 DATA = Path(__file__).parent / "data"
 
@@ -460,10 +461,6 @@ def test_schedule_round_trip_and_diagnostics(tmp_path):
         read_schedule(path)
 
 
-class Tick(int):
-    """An int subclass other than bool, which every check takes as a tick."""
-
-
 @pytest.fixture(scope="module")
 def city_dicts():
     """A decoded 600-vehicle 10x10 instance file and its schedule file."""
@@ -480,6 +477,9 @@ def swap_last(seq: tuple, value) -> tuple:
 def rebuilt(inst, sched, name, value):
     """The core object holding value as the last entry of its named list."""
     walk = inst.walks[-1]
+    if name == "edges":
+        u, v = max(inst.graph.edges)  # the last edge of the file
+        return Graph(inst.graph.vertex_count, inst.graph.edges - {(u, v)} | {(u, value)})
     if name == "vertices":
         walk = replace(walk, vertices=swap_last(walk.vertices, value))
         return replace(inst, walks=swap_last(inst.walks, walk))
@@ -504,7 +504,10 @@ def rebuilt(inst, sched, name, value):
     (("d_hard",), "d_hard entry", "hard_deadlines",
      "deadlines of vehicle 599 must be integers or +inf"),
     (("times", 599), "stamp", "times", "stamp (599,{last}) must be an integer tick"),
-], ids=["vertices", "tau_min", "tau_max", "rho", "d_soft", "d_hard", "schedule_row"])
+    # True as an endpoint is vertex 1, which the graph takes.
+    (("edges", 359), "edge endpoint", "edges", None),
+], ids=["vertices", "tau_min", "tau_max", "rho", "d_soft", "d_hard", "schedule_row",
+        "edge"])
 def test_bulk_checks_name_the_last_offender(city_dicts, where, label, name, rejects_true):
     """A bad value at the end of a long list gets the message of the value
     by value check, from the readers and from the core constructors, which
@@ -531,6 +534,27 @@ def test_bulk_checks_name_the_last_offender(city_dicts, where, label, name, reje
         with pytest.raises(ValueError) as exc:
             rebuilt(inst, sched, name, True)
         assert str(exc.value) == rejects_true.format(last=len(values) - 1)
+
+
+@pytest.mark.parametrize("last_edge, message", [
+    ([99, 99], "invalid instance: self-loop edge at vertex 99 is not allowed"),
+    ([99, 100], "invalid instance: edge (99,100) references an unknown vertex"),
+    ([99, 98, 97], "invalid instance: too many values to unpack (expected 2)"),
+    ([99, True], "edge endpoint must be an integer tick, got True"),
+], ids=["self_loop", "unknown_vertex", "three_ends", "true_endpoint"])
+def test_bulk_checks_name_the_last_edge(city_dicts, last_edge, message):
+    """A bad last edge in a long list gets the message of the edge by edge
+    check, from the reader and, past its type checks, from Graph."""
+    data = json.loads(json.dumps(city_dicts[0]))
+    data["edges"][-1] = last_edge
+    with pytest.raises(FormatError) as exc:
+        instance_from_dict(data)
+    assert str(exc.value) == message
+    if message.startswith("invalid instance: "):
+        edges = {tuple(e) for e in city_dicts[0]["edges"][:-1]} | {tuple(last_edge)}
+        with pytest.raises(ValueError) as exc:
+            Graph(100, edges)
+        assert str(exc.value) == message.removeprefix("invalid instance: ")
 
 
 def test_jsp_file_round_trip(tmp_path):

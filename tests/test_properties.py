@@ -27,6 +27,7 @@ from vsp import (  # noqa: E402
     Schedule,
     VehicleStatus,
     VspError,
+    Walk,
     best_of,
     build_mip_model,
     conflict_pairs,
@@ -47,10 +48,12 @@ from vsp import (  # noqa: E402
     write_lp,
     write_schedule,
 )
+from vsp.core import walks_from_rows  # noqa: E402
 from vsp.exact import SolveStatus, node_bound  # noqa: E402
 from vsp.instances import instance_to_dict  # noqa: E402
 from oracles import (  # noqa: E402
     BAD_TICKS,
+    Tick,
     brute_force_separation_violations,
     brute_force_tardy,
     clashing_rows,
@@ -320,6 +323,63 @@ def test_bound_from_clashing_pairs_is_every_pair_bound_below_the_optimum(inst, s
         assert lower == bound(sol.times, INF, every)
         if best_leaf is not None:
             assert lower <= best_leaf
+
+
+# Values no walk may hold as a link time, and the faults that are not a value.
+BAD_LINK_VALUES = (*BAD_TICKS, -1, 60.0, float("-inf"))
+ROW_FAULTS = ("min > max", "length mismatch", "empty walk")
+
+
+@st.composite
+def walk_rows(draw):
+    """Parallel vertex, min and max rows of one to six walks, with int and
+    +inf maxima, and at most one change placed in any walk: an int subclass
+    as a min or a max, which is no fault, or a fault: a bad value there, a
+    min above its max, a link time too many or too few, or a walk without
+    vertices."""
+    vertex_rows, min_rows, max_rows = [], [], []
+    for _ in range(draw(st.integers(1, 6))):
+        links = draw(st.integers(0, 4))
+        lows = draw(st.lists(st.integers(0, 60), min_size=links, max_size=links))
+        vertex_rows.append(draw(st.lists(st.integers(0, 9), min_size=links + 1,
+                                         max_size=links + 1)))
+        min_rows.append(lows)
+        max_rows.append([INF if draw(st.booleans()) else lo + draw(st.integers(0, 60))
+                         for lo in lows])
+    fault = draw(st.sampled_from((None, "int subclass", *BAD_LINK_VALUES, *ROW_FAULTS)))
+    j = draw(st.integers(0, len(vertex_rows) - 1))
+    rows = draw(st.sampled_from((min_rows, max_rows)))
+    if fault == "length mismatch":
+        if rows[j] and draw(st.booleans()):
+            rows[j].pop()
+        else:
+            rows[j].append(5)
+    elif fault == "empty walk":
+        vertex_rows[j], min_rows[j], max_rows[j] = [], [], []
+    elif fault is not None and min_rows[j]:
+        i = draw(st.integers(0, len(min_rows[j]) - 1))
+        if fault == "min > max":
+            max_rows[j][i] = min_rows[j][i] - 1
+        elif fault == "int subclass":
+            rows[j][i] = Tick(min_rows[j][i])
+        else:
+            rows[j][i] = fault
+    return vertex_rows, min_rows, max_rows
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(walk_rows())
+def test_bulk_walks_equal_walks_built_one_by_one(rows):
+    try:
+        expected = tuple(map(Walk, *rows))
+    except Exception as exc:  # the bulk builder must fail the same way
+        with pytest.raises(type(exc)) as raised:
+            walks_from_rows(*rows)
+        assert str(raised.value) == str(exc)
+        return
+    built = walks_from_rows(*rows)
+    assert built == expected and hash(built) == hash(expected)
+    assert all(type(walk) is Walk for walk in built)
 
 
 @st.composite
