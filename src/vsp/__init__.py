@@ -9,6 +9,7 @@ deadline-ratio experiments.
 from .core import (
     INF,
     ConfigurationError,
+    ConflictPair,
     ConstraintKind,
     Graph,
     Instance,
@@ -19,6 +20,7 @@ from .core import (
     Violation,
     VspError,
     Walk,
+    conflict_pairs,
     evaluate,
     min_free_trip_time,
     tardy_flags,
@@ -26,13 +28,11 @@ from .core import (
     validate_schedule,
 )
 from .exact import (
-    ConflictPair,
     Constraint,
     DcsSolution,
     DifferenceConstraintSystem,
     SolveResult,
     SolveStatus,
-    conflict_pairs,
     minimal_times,
     solve_exact,
 )

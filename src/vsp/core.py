@@ -14,7 +14,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from operator import attrgetter, gt, itemgetter, le, sub
 
 INF = math.inf
@@ -85,6 +85,10 @@ class Graph:
         if not is_tick(self.vertex_count) or self.vertex_count <= 0:
             raise ValueError("vertex_count must be a positive integer")
         object.__setattr__(self, "edges", frozenset(map(tuple, self.edges)))
+        if not _all_ints(chain.from_iterable(self.edges)):
+            for u, v in self.edges:  # name the first offender
+                if not (is_tick(u) and is_tick(v)):
+                    raise ValueError(f"edge ({u},{v}) endpoints must be integer ticks")
         for u, v in self.edges:
             if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
                 raise ValueError(f"edge ({u},{v}) references an unknown vertex")
@@ -139,6 +143,9 @@ class Walk:
                 f"walk with {len(self.vertices)} vertices needs {links} link times, "
                 f"got {len(self.min_times)} min / {len(self.max_times)} max"
             )
+        for i, v in enumerate(self.vertices):
+            if not is_tick(v):
+                raise ValueError(f"vertex at step {i} must be an integer tick, got {v!r}")
         for i, (lo, hi) in enumerate(zip(self.min_times, self.max_times)):
             if not is_tick(lo) or lo < 0:
                 raise ValueError(f"min time on link {i} must be a nonnegative integer")
@@ -156,8 +163,9 @@ def walks_from_rows(vertex_rows, min_rows, max_rows) -> tuple[Walk, ...]:
 
     One C-speed pass over all rows makes Walk's checks, so the walks are made
     without them: each walk has a vertex and one min and one max time per
-    link, every min is a plain int >= 0, every max a plain int or +inf, and
-    no min exceeds its max.  Else Walk builds each, naming the first fault.
+    link, every vertex and min is a plain int, every min >= 0, every max a
+    plain int or +inf, and no min exceeds its max.  Else Walk builds each,
+    naming the first fault.
     """
     vertex_rows = list(map(tuple, vertex_rows))
     min_rows, max_rows = list(map(tuple, min_rows)), list(map(tuple, max_rows))
@@ -166,6 +174,7 @@ def walks_from_rows(vertex_rows, min_rows, max_rows) -> tuple[Walk, ...]:
     maxs = tuple(chain.from_iterable(max_rows))
     if not (min(links, default=0) >= 0
             and list(map(len, min_rows)) == links == list(map(len, max_rows))
+            and _all_ints(chain.from_iterable(vertex_rows))
             and _all_ints(mins) and min(mins, default=0) >= 0
             and _all_ints_or_inf(maxs) and all(map(le, mins, maxs))):
         return tuple(map(Walk, vertex_rows, min_rows, max_rows))
@@ -310,6 +319,48 @@ class Instance:
             return 0
         key = (j1, i1, j2, i2) if j1 < j2 else (j2, i2, j1, i1)
         return self.separations.get(key, self.separation)
+
+
+@dataclass(frozen=True)
+class ConflictPair:
+    """One shared-vertex stamp pair with its required separation.
+
+    The pair is stored once, lower vehicle id first.  Deciding it
+    "j1 first" constrains t[j2][i2] - t[j1][i1] >= s; "j2 first" is the
+    mirrored constraint.
+    """
+
+    j1: int
+    i1: int
+    j2: int
+    i2: int
+    s: int
+
+
+def conflict_pairs(instance: Instance) -> tuple[ConflictPair, ...]:
+    """Same-vertex stamp pairs with a positive gap, lower vehicle id first,
+    in (j1, i1, j2, i2) order; zero gaps constrain nothing and are dropped.
+
+    Walk order gives that order: each stamp pairs with the later vehicles'
+    visits at its vertex, which visits lists in (vehicle, step) order."""
+    visits = instance.visits
+    return tuple(
+        ConflictPair(j1, i1, j2, i2, s)
+        for j1, walk in enumerate(instance.walks)
+        for i1, vertex in enumerate(walk.vertices)
+        for j2, i2 in visits[vertex][bisect_left(visits[vertex], (j1 + 1,)):]
+        if (s := instance.gap(j1, i1, j2, i2)) > 0
+    )
+
+
+def latest_on_time(instance: Instance) -> list[list[int | float]]:
+    """latest[j][i]: the latest stamp at step i from which vehicle j can
+    still end by its soft deadline, that deadline minus the minimum travel
+    time over links i, i+1, ...; +inf where the deadline is open."""
+    return [
+        list(accumulate(reversed(walk.min_times), sub, initial=d))[::-1]
+        for walk, d in zip(instance.walks, instance.soft_deadlines)
+    ]
 
 
 _LAST = itemgetter(-1)

@@ -20,40 +20,11 @@ from enum import Enum
 from itertools import tee
 from typing import Callable, Sequence
 
-from .core import INF, ConfigurationError, Instance, Schedule, VspError, tardy_weights
+from .core import INF, ConfigurationError, ConflictPair, Instance, Schedule, VspError
+from .core import conflict_pairs, latest_on_time, tardy_weights
 from .heuristics import deadline_and_proximity
 
 NEG_INF = float("-inf")
-
-
-@dataclass(frozen=True)
-class ConflictPair:
-    """One shared-vertex stamp pair with its required separation.
-
-    The pair is stored once, lower vehicle id first.  Deciding it
-    "j1 first" constrains t[j2][i2] - t[j1][i1] >= s; "j2 first" is the
-    mirrored constraint.
-    """
-
-    j1: int
-    i1: int
-    j2: int
-    i2: int
-    s: int
-
-
-def conflict_pairs(instance: Instance) -> tuple[ConflictPair, ...]:
-    """Same-vertex stamp pairs with a positive gap, lower vehicle id first,
-    sorted by (j1, i1, j2, i2); zero gaps constrain nothing and are dropped."""
-    pairs = [
-        ConflictPair(j1, i1, j2, i2, s)
-        for steps in instance.visits.values()
-        for a, (j1, i1) in enumerate(steps)
-        for j2, i2 in steps[a + 1:]
-        if (s := instance.gap(j1, i1, j2, i2)) > 0
-    ]
-    pairs.sort(key=lambda p: (p.j1, p.i1, p.j2, p.i2))
-    return tuple(pairs)
 
 
 @dataclass(frozen=True)
@@ -305,15 +276,9 @@ def node_bound(
     instance = dcs.instance
     weights, _ = scaled_tardy_weights(instance)
     deadlines = instance.soft_deadlines
-    latest: list[float] = [INF] * dcs.n_vars
-    last: list[int] = []
-    for j, walk in enumerate(instance.walks):
-        left = deadlines[j]
-        for i in range(len(walk) - 1, -1, -1):
-            latest[dcs.var(j, i)] = left
-            if i:
-                left -= walk.min_times[i - 1]
-        last.append(dcs.var(j, len(walk) - 1))
+    # By variable id: the origin's entry, never read, then the stamps.
+    latest = [INF, *(t for row in latest_on_time(instance) for t in row)]
+    last = [dcs.var(j, len(walk) - 1) for j, walk in enumerate(instance.walks)]
 
     def bound(dist: Sequence[float], limit: float | None, clashing: Sequence) -> float:
         value = sum(w for var, d, w in zip(last, deadlines, weights) if dist[var] > d)

@@ -16,8 +16,8 @@ A priority is the plain tuple (first, demoted, slack, vehicle), compared
 lexicographically: the minimum travel time of the approach link, 1 for a
 vehicle demoted for negative slack (else 0), the mode's deadline slack
 (0.0 under proximity), and the vehicle id.  sorting_key builds the key
-function once per run, with each walk's remaining minimum travel times
-precomputed.
+function once per run, with each stamp's latest on-time value
+(core.latest_on_time) precomputed.
 """
 
 from __future__ import annotations
@@ -26,17 +26,10 @@ import heapq
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import accumulate
 from typing import Callable
 
-from .core import (
-    INF,
-    Instance,
-    ObjectiveKind,
-    Schedule,
-    VspError,
-    evaluate,
-)
+from .core import INF, Instance, ObjectiveKind, Schedule, VspError, evaluate
+from .core import latest_on_time
 
 
 class Mode(Enum):
@@ -94,16 +87,12 @@ def sorting_key(
 
     demote = negative_slack == "prose"
     relative = mode is Mode.REL_DEADLINE_PROXIMITY
-    deadlines = instance.soft_deadlines
     lengths = [len(w.vertices) for w in walks]
-    # remaining[j][i]: minimum travel time over links i, i+1, ... of walk j.
-    remaining = [
-        list(accumulate(reversed(w.min_times), initial=0))[::-1] for w in walks
-    ]
+    latest = latest_on_time(instance)
 
     def deadline_key(j: int, k: int, ref: int) -> tuple[int, int, float, int]:
         first = walks[j].min_times[k - 1] if k else 0
-        slack = deadlines[j] - (ref + remaining[j][max(0, k - 1)])
+        slack = latest[j][max(0, k - 1)] - ref
         if demote and slack < 0:
             return (first, 1, 0.0, j)
         score = slack / (lengths[j] - k) if relative else float(slack)

@@ -15,8 +15,8 @@ import math
 import re
 from dataclasses import dataclass
 
-from .core import INF, Instance, Schedule, VspError, tardy_weights
-from .exact import ConflictPair, conflict_pairs
+from .core import INF, ConflictPair, Instance, Schedule, VspError, conflict_pairs
+from .core import tardy_weights
 
 
 class HorizonError(VspError):

@@ -29,7 +29,9 @@ from vsp import (
     tardy_weights,
     validate_schedule,
 )
+from vsp.core import latest_on_time, walks_from_rows
 from oracles import (
+    Tick,
     brute_force_separation_violations,
     chain_instance,
     merge_instance,
@@ -65,6 +67,25 @@ def test_graph_rejects_untouched_vertices_in_memory_of_its_edges():
 def test_graph_rejects_unknown_vertex():
     with pytest.raises(ValueError, match="unknown vertex"):
         Graph(2, frozenset({(0, 5)}))
+
+
+def test_vertex_ids_must_be_ticks():
+    """True and 1.0 equal vertex 1 but no file can hold them as a vertex:
+    a walk, the bulk walk builder and a graph each reject them by name."""
+    for bad in (True, 1.0):
+        message = f"vertex at step 0 must be an integer tick, got {bad!r}"
+        with pytest.raises(ValueError) as exc:
+            Walk((bad, 2), (50,), (INF,))
+        assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            walks_from_rows([(0, 1), (bad, 2)], [(50,), (50,)], [(INF,), (INF,)])
+        assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            Graph(3, frozenset({(bad, 2), (0, 1)}))
+        assert str(exc.value) == f"edge ({bad},2) endpoints must be integer ticks"
+    # An int subclass other than bool is still a tick.
+    assert Walk((Tick(1), 2), (50,), (INF,)).vertices == (1, 2)
+    assert Graph(3, frozenset({(Tick(1), 2), (0, 1)})).edges == {(1, 2), (0, 1)}
 
 
 @pytest.mark.parametrize("count", [0, -1])
@@ -231,6 +252,23 @@ def test_visits_are_built_on_first_read():
     assert "visits" not in vars(copy)
     assert list(copy.visits.items()) == expected
     assert copy == replace(inst, separation=3)  # the index takes no part in ==
+
+
+def test_latest_on_time_by_hand():
+    """Vehicle 0 revisits vertex 1 over a zero-length link; vehicle 1 has
+    no soft deadline, so every stamp of it is on time."""
+    inst = Instance(
+        graph=Graph(3, frozenset({(0, 1), (1, 2), (2, 1)})),
+        walks=(Walk((0, 1, 2, 1), (30, 0, 20), (INF,) * 3), Walk((2, 1), (10,), (INF,))),
+        request_times=(0, 0),
+        soft_deadlines=(100, INF),
+        hard_deadlines=(500, 500),
+    )
+    # The deadline minus the minimum times of the links after each step.
+    assert latest_on_time(inst) == [
+        [100 - (30 + 0 + 20), 100 - (0 + 20), 100 - 20, 100],
+        [INF, INF],
+    ]
 
 
 def test_deadline_chain_enforced():

@@ -11,10 +11,12 @@ from vsp import (
     FormatError,
     Graph,
     GridSpec,
+    Instance,
     JspInstance,
     ObjectiveKind,
     Schedule,
     VspError,
+    Walk,
     build_grid_graph,
     conflict_pairs,
     deadline_and_proximity,
@@ -314,6 +316,55 @@ def test_round_trip_preserves_infinities_and_weights(tmp_path):
     assert loaded.hard_deadlines == (200, INF)
 
 
+def test_instance_built_through_the_api_round_trips(tmp_path):
+    """Whatever the constructors take, int subclasses as vertices included,
+    the files hold and read back as the same instance."""
+    inst = Instance(
+        graph=Graph(3, frozenset({(0, 1), (Tick(1), 2), (2, 1)})),
+        walks=(Walk((0, Tick(1), 2, 1), (30, 0, 20), (INF, 40, INF)),
+               Walk((2, 1), (10,), (INF,))),
+        request_times=(0, 5),
+        soft_deadlines=(100, INF),
+        hard_deadlines=(500, INF),
+        separations={(1, 1, 0, 3): 9},
+        separation=4,
+    )
+    path = tmp_path / "inst.json"
+    write_instance(inst, path)
+    assert read_instance(path) == inst
+
+
+def test_integral_floats_read_walk_by_walk_as_ticks(tmp_path):
+    """Integral floats are ticks: a file holding them in walks, edges and
+    stamps reads as its all-int twin, through the walk by walk path, and
+    writes back as ints."""
+    ints = {
+        "vertices": 3, "edges": [[0, 1], [1, 2], [2, 1]],
+        "walks": [{"vertices": [0, 1, 2], "tau_min": [50, 0], "tau_max": [120, None]},
+                  {"vertices": [2, 1], "tau_min": [50], "tau_max": [None]}],
+        "rho": [0, 0], "d_soft": [200, None], "d_hard": [300, None], "separation": 5,
+    }
+    floats = json.loads(json.dumps(ints))
+    floats["edges"][0] = [0.0, 1]
+    floats["walks"][0] = {
+        "vertices": [0.0, 1, 2.0], "tau_min": [50.0, 0.0], "tau_max": [120.0, None],
+    }
+
+    def read_then_write(name, data, times):
+        """The instance and schedule read from files, and the files they write."""
+        paths = tmp_path / f"{name}.json", tmp_path / f"{name}-times.json"
+        paths[0].write_text(json.dumps(data))
+        paths[1].write_text(json.dumps({"times": times}))
+        inst, sched = read_instance(paths[0]), read_schedule(paths[1])
+        write_instance(inst, paths[0])
+        write_schedule(sched, paths[1])
+        return inst, sched, paths[0].read_text() + paths[1].read_text()
+
+    read = read_then_write("floats", floats, [[0, 50.0, 50], [0, 50]])
+    assert read == read_then_write("ints", ints, [[0, 50, 50], [0, 50]])
+    assert ".0" not in read[2]
+
+
 def test_unknown_key_rejected(tmp_path):
     cfg = ExperimentConfig(n_vehicles=2, seed=0)
     data = instance_to_dict(generate_grid_instance(cfg, 1.0, 1))
@@ -491,8 +542,8 @@ def rebuilt(inst, sched, name, value):
 
 
 @pytest.mark.parametrize("where, label, name, rejects_true", [
-    # True as the last vertex is vertex 1, which may well close an edge.
-    (("walks", 599, "vertices"), "walk 599 vertex", "vertices", None),
+    (("walks", 599, "vertices"), "walk 599 vertex", "vertices",
+     "vertex at step {last} must be an integer tick, got True"),
     (("walks", 599, "tau_min"), "walk 599 tau_min", "min_times",
      "min time on link {last} must be a nonnegative integer"),
     (("walks", 599, "tau_max"), "walk 599 tau_max", "max_times",
@@ -504,8 +555,9 @@ def rebuilt(inst, sched, name, value):
     (("d_hard",), "d_hard entry", "hard_deadlines",
      "deadlines of vehicle 599 must be integers or +inf"),
     (("times", 599), "stamp", "times", "stamp (599,{last}) must be an integer tick"),
-    # True as an endpoint is vertex 1, which the graph takes.
-    (("edges", 359), "edge endpoint", "edges", None),
+    # The last edge of the file is (99,98).
+    (("edges", 359), "edge endpoint", "edges",
+     "edge (99,True) endpoints must be integer ticks"),
 ], ids=["vertices", "tau_min", "tau_max", "rho", "d_soft", "d_hard", "schedule_row",
         "edge"])
 def test_bulk_checks_name_the_last_offender(city_dicts, where, label, name, rejects_true):
@@ -530,10 +582,9 @@ def test_bulk_checks_name_the_last_offender(city_dicts, where, label, name, reje
 
     inst, sched = instance_from_dict(inst_dict), schedule_from_dict(sched_dict)
     rebuilt(inst, sched, name, Tick(10**6 if values[-1] is None else values[-1]))
-    if rejects_true is not None:
-        with pytest.raises(ValueError) as exc:
-            rebuilt(inst, sched, name, True)
-        assert str(exc.value) == rejects_true.format(last=len(values) - 1)
+    with pytest.raises(ValueError) as exc:
+        rebuilt(inst, sched, name, True)
+    assert str(exc.value) == rejects_true.format(last=len(values) - 1)
 
 
 @pytest.mark.parametrize("last_edge, message", [
