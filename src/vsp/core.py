@@ -84,11 +84,16 @@ class Graph:
     def __post_init__(self) -> None:
         if not is_tick(self.vertex_count) or self.vertex_count <= 0:
             raise ValueError("vertex_count must be a positive integer")
-        object.__setattr__(self, "edges", frozenset(map(tuple, self.edges)))
-        if not _all_ints(chain.from_iterable(self.edges)):
-            for u, v in self.edges:  # name the first offender
+        # Ends are checked before the set is built: it would keep (1, v) alone
+        # of (1, v) and (True, v).
+        edges = list(map(tuple, self.edges))
+        if not _all_ints(chain.from_iterable(edges)):
+            for u, v in edges:  # name the first offender
                 if not (is_tick(u) and is_tick(v)):
-                    raise ValueError(f"edge ({u},{v}) endpoints must be integer ticks")
+                    raise ValueError(
+                        f"edge ({u!r},{v!r}) endpoints must be integer ticks"
+                    )
+        object.__setattr__(self, "edges", frozenset(edges))
         for u, v in self.edges:
             if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
                 raise ValueError(f"edge ({u},{v}) references an unknown vertex")
@@ -165,7 +170,7 @@ def walks_from_rows(vertex_rows, min_rows, max_rows) -> tuple[Walk, ...]:
     without them: each walk has a vertex and one min and one max time per
     link, every vertex and min is a plain int, every min >= 0, every max a
     plain int or +inf, and no min exceeds its max.  Else Walk builds each,
-    naming the first fault.
+    naming the first fault and its walk.
     """
     vertex_rows = list(map(tuple, vertex_rows))
     min_rows, max_rows = list(map(tuple, min_rows)), list(map(tuple, max_rows))
@@ -177,7 +182,13 @@ def walks_from_rows(vertex_rows, min_rows, max_rows) -> tuple[Walk, ...]:
             and _all_ints(chain.from_iterable(vertex_rows))
             and _all_ints(mins) and min(mins, default=0) >= 0
             and _all_ints_or_inf(maxs) and all(map(le, mins, maxs))):
-        return tuple(map(Walk, vertex_rows, min_rows, max_rows))
+        walks = []
+        for j, rows in enumerate(zip(vertex_rows, min_rows, max_rows)):
+            try:
+                walks.append(Walk(*rows))
+            except ValueError as exc:
+                raise ValueError(f"walk {j}: {exc}") from exc
+        return tuple(walks)
     walks = tuple(map(object.__new__, repeat(Walk, len(vertex_rows))))
     # Walk is frozen: set each field as its __init__ does, for all walks at once.
     fields = {"vertices": vertex_rows, "min_times": min_rows, "max_times": max_rows}
@@ -236,6 +247,11 @@ class Instance:
                         raise ValueError(
                             f"walk {j} uses ({u},{v}) at link {i}, not a graph edge"
                         )
+        # Graph checked every edge's ends, so only a walk's first vertex is left.
+        firsts, n_vertices = list(map(_FIRST, rows)), self.graph.vertex_count
+        if min(firsts) < 0 or max(firsts) >= n_vertices:
+            j = next(j for j, v in enumerate(firsts) if not 0 <= v < n_vertices)
+            raise ValueError(f"walk {j} starts at {firsts[j]}, not a graph vertex")
         rho, soft, hard = self.request_times, self.soft_deadlines, self.hard_deadlines
         # soft == +inf means "no soft deadline" and is allowed alongside a
         # finite hard deadline; a finite soft deadline must fit the chain.
@@ -258,6 +274,8 @@ class Instance:
             if len(self.weights) != n:
                 raise ValueError(f"weights has length {len(self.weights)}, expected {n}")
             for j, w in enumerate(self.weights):
+                if isinstance(w, bool) or not isinstance(w, (int, float)):
+                    raise ValueError(f"weight of vehicle {j} must be a number, got {w!r}")
                 if not (0 < w < INF):
                     raise ValueError(f"weight of vehicle {j} must be positive and finite")
         if self.objective.weighted and self.weights is None:
@@ -272,6 +290,8 @@ class Instance:
         table: dict[SeparationKey, int] = {}
         for key, s in self.separations.items():
             j1, i1, j2, i2 = key
+            if not all(map(is_tick, key)):
+                raise ValueError(f"separation {key} indices must be integer ticks")
             if j1 == j2:
                 raise ValueError(f"separation {key} pairs a vehicle with itself")
             for j, i in ((j1, i1), (j2, i2)):
@@ -363,7 +383,7 @@ def latest_on_time(instance: Instance) -> list[list[int | float]]:
     ]
 
 
-_LAST = itemgetter(-1)
+_FIRST, _LAST = itemgetter(0), itemgetter(-1)
 _TAIL = itemgetter(slice(1, None))
 _VERTICES = attrgetter("vertices")
 

@@ -17,7 +17,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import accumulate, chain, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable
@@ -31,6 +31,7 @@ from .core import (
     VspError,
     Walk,
     is_tick,
+    is_tick_or_inf,
     walks_from_rows,
 )
 
@@ -201,8 +202,11 @@ class JspInstance:
         object.__setattr__(self, "jobs", tuple(tuple(job) for job in self.jobs))
         object.__setattr__(self, "release_times", tuple(self.release_times))
         object.__setattr__(self, "deadlines", tuple(self.deadlines))
-        if self.machine_count <= 0:
-            raise ValueError("machine_count must be positive")
+        if not is_tick(self.machine_count) or self.machine_count <= 0:
+            raise ValueError("machine_count must be a positive integer")
+        for name in ("no_wait", "hard_deadlines"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
         if not self.jobs:
             raise ValueError("need at least one job")
         n = len(self.jobs)
@@ -212,8 +216,14 @@ class JspInstance:
             if not job:
                 raise ValueError(f"job {j} has no operations")
             for m in job:
+                if not is_tick(m):
+                    raise ValueError(f"job {j} machine {m!r} must be an integer tick")
                 if not (0 <= m < self.machine_count):
                     raise ValueError(f"job {j} references unknown machine {m}")
+            if not is_tick(self.release_times[j]):
+                raise ValueError(f"release time of job {j} must be an integer tick")
+            if not is_tick_or_inf(self.deadlines[j]):
+                raise ValueError(f"deadline of job {j} must be an integer tick or +inf")
             if self.release_times[j] > self.deadlines[j]:
                 raise ValueError(
                     f"job {j}: release time {self.release_times[j]} is after "
@@ -259,93 +269,64 @@ def reduce_jsp_to_vsp(jsp: JspInstance) -> Instance:
 
 
 # --- JSON files ---------------------------------------------------------
+#
+# A reader checks a file's shape (each object's keys, a list wherever a list
+# belongs) and decodes it: null is +inf in tau_max, d_soft, d_hard and delta,
+# and an integral float is its int (50.0 is 50).  The core constructors then
+# check every value, and name the offender.
 
-_INSTANCE_KEYS = {
-    "vertices", "edges", "walks", "rho", "d_soft", "d_hard",
-    "separation", "separations", "objective", "weights", "ticks_per_unit",
-}
+_INSTANCE_REQUIRED = ("vertices", "edges", "walks", "rho", "d_hard")
+_INSTANCE_KEYS = {*_INSTANCE_REQUIRED, "d_soft", "separation", "separations",
+                  "objective", "weights", "ticks_per_unit"}
 _WALK_ROWS = ("vertices", "tau_min", "tau_max")
 _WALK_KEYS = set(_WALK_ROWS)
-_NULL_AS_INF, _OR_NULL = {None: INF}, {int, type(None)}
-_JSP_KEYS = {"machines", "jobs", "r", "delta", "theta", "hard_deadlines", "objective"}
-_INSTANCE_REQUIRED = ("vertices", "edges", "walks", "rho", "d_hard")
 _JSP_REQUIRED = ("machines", "jobs", "r", "delta", "theta")
+_JSP_KEYS = {*_JSP_REQUIRED, "hard_deadlines", "objective"}
 
 
 def _require_keys(data: dict, allowed: set, required: tuple, what: str) -> None:
     if not isinstance(data, dict):
         raise FormatError(f"{what} must be a JSON object")
-    unknown = set(data) - allowed
-    if unknown:
+    if unknown := set(data) - allowed:
         raise FormatError(f"{what} has unknown keys: {sorted(unknown)}")
     for key in required:
         if key not in data:
             raise FormatError(f"{what} is missing key {key!r}")
 
 
-def _tick_from_json(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise FormatError(f"{what} must be an integer tick, got {value!r}")
-    if isinstance(value, float):
-        if not value.is_integer():  # also false for NaN and +-Infinity
-            raise FormatError(f"{what} must be an integer tick, got {value!r}")
-        value = int(value)
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise FormatError(f"{what} must be a JSON list")
     return value
 
 
-# Bulk _tick_from_json: a list of plain ints (or nulls, for +inf) passes one
-# C-speed type check; anything else goes value by value, with the same messages.
-def _ticks_from_json(values, what: str) -> tuple[int, ...]:
-    if type(values) is list and set(map(type, values)) <= {int}:
-        return tuple(values)
-    return tuple(_tick_from_json(x, what) for x in values)
+def _tick(value):
+    """An integral float as its int; any other value as it is."""
+    return int(value) if type(value) is float and value.is_integer() else value
 
 
-def _ticks_or_inf_from_json(values, what: str) -> tuple[int | float, ...]:
-    if type(values) is list and set(map(type, values)) <= _OR_NULL:
-        return tuple(map(_NULL_AS_INF.get, values, values))
-    return tuple(INF if x is None else _tick_from_json(x, what) for x in values)
+def _rows(rows: list, what: str, nulls: bool = False) -> list:
+    """rows, lists of ticks, decoded as _tick does and, where nulls, null as
+    +inf.  There a float +inf is refused: files write it as null."""
+    if not all(map(isinstance, rows, repeat(list))):
+        k = next(k for k, row in enumerate(rows) if not isinstance(row, list))
+        raise FormatError(f"{what} {k} must be a JSON list")
+    types = set(map(type, chain.from_iterable(rows)))
+    if float not in types and not (nulls and type(None) in types):
+        return rows
+    values = list(chain.from_iterable(rows))
+    if float in types:
+        if nulls and INF in values:
+            raise FormatError(f"+inf in {what} must be written null")
+        values = list(map(_tick, values))
+    if nulls:
+        values = [INF if x is None else x for x in values]
+    ends = list(accumulate(map(len, rows)))
+    return list(map(values.__getitem__, map(slice, [0, *ends], ends)))
 
 
-# One flat pass: True when rows is a list of lists of values typed in types.
-def _rows_of(rows, types: set) -> bool:
-    return (type(rows) is list and set(map(type, rows)) <= {list}
-            and set(map(type, chain.from_iterable(rows))) <= types)
-
-
-def _walks_from_json(walks) -> tuple[Walk, ...]:
-    """One flat pass takes walks made of exactly the three walk keys, whose
-    lists hold plain ints (and nulls, read as +inf, in tau_max).  Any other
-    input is read walk by walk, which names the first offender."""
-    if (type(walks) is list and set(map(type, walks)) <= {dict}
-            and set(map(len, walks)) <= {3}
-            and set(chain.from_iterable(walks)) <= _WALK_KEYS):
-        vertices, mins, maxs = (list(map(itemgetter(key), walks)) for key in _WALK_ROWS)
-        if (_rows_of(vertices, {int}) and _rows_of(mins, {int})
-                and _rows_of(maxs, _OR_NULL)):
-            maxs = [tuple(map(_NULL_AS_INF.get, row, row)) for row in maxs]
-            return walks_from_rows(vertices, mins, maxs)
-    built = []
-    for idx, wd in enumerate(walks):
-        _require_keys(wd, _WALK_KEYS, (), f"walk {idx}")
-        built.append(Walk(
-            _ticks_from_json(wd["vertices"], f"walk {idx} vertex"),
-            _ticks_from_json(wd["tau_min"], f"walk {idx} tau_min"),
-            _ticks_or_inf_from_json(wd["tau_max"], f"walk {idx} tau_max"),
-        ))
-    return tuple(built)
-
-
-def _bool_from_json(value, what: str) -> bool:
-    if not isinstance(value, bool):
-        raise FormatError(f"{what} must be true or false, got {value!r}")
-    return value
-
-
-def _weight_from_json(value, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise FormatError(f"{what} must be a number, got {value!r}")
-    return value
+def _ticks(values, what: str, nulls: bool = False) -> list:
+    return _rows([_list(values, what)], what, nulls)[0]
 
 
 def _ticks_or_inf_to_json(values: tuple[int | float, ...]) -> list:
@@ -380,47 +361,45 @@ def instance_to_dict(instance: Instance) -> dict:
 def instance_from_dict(data: dict) -> Instance:
     _require_keys(data, _INSTANCE_KEYS, _INSTANCE_REQUIRED, "instance")
     try:
-        vertex_count, edges = _tick_from_json(data["vertices"], "vertices"), data["edges"]
-        if _rows_of(edges, {int}) and set(map(len, edges)) <= {2}:
-            ends = chain.from_iterable(edges)
-            edges = zip(ends, ends)
-        else:
-            edges = (_ticks_from_json([u, v], "edge endpoint") for u, v in edges)
-        graph = Graph(vertex_count, frozenset(edges))
-        walks = _walks_from_json(data["walks"])
-        rho = _ticks_from_json(data["rho"], "rho entry")
-        if "d_soft" in data and data["d_soft"] is not None:
-            soft = _ticks_or_inf_from_json(data["d_soft"], "d_soft entry")
-        else:
-            soft = (INF,) * len(walks)
-        hard = _ticks_or_inf_from_json(data["d_hard"], "d_hard entry")
-        separations: dict[tuple[int, int, int, int], int] = {}
-        for entry in data.get("separations", []):
-            if not isinstance(entry, list) or len(entry) != 5:
+        edges = _rows(_list(data["edges"], "edges"), "edge")
+        graph = Graph(_tick(data["vertices"]), edges)
+        walks = _list(data["walks"], "walks")
+        if not (set(map(type, walks)) <= {dict} and set(map(len, walks)) <= {3}
+                and set(chain.from_iterable(walks)) <= _WALK_KEYS):
+            for idx, wd in enumerate(walks):  # name the first offender
+                _require_keys(wd, _WALK_KEYS, _WALK_ROWS, f"walk {idx}")
+        walks = walks_from_rows(*(
+            _rows(list(map(itemgetter(key), walks)), f"{key} of walk", key == "tau_max")
+            for key in _WALK_ROWS
+        ))
+        soft, weights = data.get("d_soft"), data.get("weights")
+        # A repeat must match its first listing by repr: 1 == True, so one
+        # dict key would stand for both.
+        listed: dict[tuple, list] = {}
+        for entry in _list(data.get("separations", []), "separations"):
+            if not isinstance(entry, list) or len(entry) != 5 or any(
+                    isinstance(x, (list, dict)) for x in entry):
                 raise FormatError(f"separation entry must be [j1,i1,j2,i2,s]: {entry!r}")
-            j1, i1, j2, i2 = _ticks_from_json(entry[:4], "separation index")
-            s = _tick_from_json(entry[4], "separation gap")
-            key = (j1, i1, j2, i2)
-            if separations.get(key, s) != s:
-                raise FormatError(f"separation {key} listed twice with different gaps")
-            separations[key] = s
-        objective = ObjectiveKind(data.get("objective", "tardy_count"))
-        weights = data.get("weights")
-        if weights is not None:
-            weights = tuple(_weight_from_json(w, "weight") for w in weights)
+            entry = list(map(_tick, entry))
+            first = listed.setdefault(tuple(entry[:4]), entry)
+            if first is not entry and repr(first) != repr(entry):
+                raise FormatError(f"separation listed twice, as {first} and {entry}")
         # A key of older files: ticks are the only time unit, so only 1 fits.
-        if _tick_from_json(data.get("ticks_per_unit", 1), "ticks_per_unit") != 1:
+        scale = _tick(data.get("ticks_per_unit", 1))
+        if not is_tick(scale) or scale != 1:
             raise FormatError("ticks_per_unit other than 1 is not supported")
         instance = Instance(
             graph=graph,
             walks=walks,
-            request_times=rho,
-            soft_deadlines=soft,
-            hard_deadlines=hard,
-            separations=separations,
-            objective=objective,
-            weights=weights,
-            separation=_tick_from_json(data.get("separation", 0), "separation"),
+            request_times=_ticks(data["rho"], "rho"),
+            soft_deadlines=(
+                (INF,) * len(walks) if soft is None else _ticks(soft, "d_soft", nulls=True)
+            ),
+            hard_deadlines=_ticks(data["d_hard"], "d_hard", nulls=True),
+            separations={key: entry[4] for key, entry in listed.items()},
+            objective=ObjectiveKind(data.get("objective", "tardy_count")),
+            weights=None if weights is None else _list(weights, "weights"),
+            separation=_tick(data.get("separation", 0)),
         )
         if "separation" not in data:
             instance = _uniform_if_full_list(instance)
@@ -473,10 +452,7 @@ def write_schedule(schedule: Schedule, path: str | Path) -> None:
 def schedule_from_dict(data: dict) -> Schedule:
     _require_keys(data, {"times"}, ("times",), "schedule")
     try:
-        times = data["times"]
-        if not _rows_of(times, {int}):
-            times = [_ticks_from_json(row, "stamp") for row in times]
-        return Schedule(times)
+        return Schedule(_rows(_list(data["times"], "times"), "stamp row"))
     except (ValueError, TypeError) as exc:
         raise FormatError(f"invalid schedule: {exc}") from exc
 
@@ -489,15 +465,13 @@ def jsp_from_dict(data: dict) -> JspInstance:
     _require_keys(data, _JSP_KEYS, _JSP_REQUIRED, "job shop instance")
     try:
         return JspInstance(
-            machine_count=_tick_from_json(data["machines"], "machines"),
-            jobs=tuple(_ticks_from_json(job, "job machine") for job in data["jobs"]),
-            release_times=_ticks_from_json(data["r"], "r entry"),
-            deadlines=_ticks_or_inf_from_json(data["delta"], "delta entry"),
-            no_wait=_bool_from_json(data["theta"], "theta"),
+            machine_count=_tick(data["machines"]),
+            jobs=_rows(_list(data["jobs"], "jobs"), "job"),
+            release_times=_ticks(data["r"], "r"),
+            deadlines=_ticks(data["delta"], "delta", nulls=True),
+            no_wait=data["theta"],
             objective=ObjectiveKind(data.get("objective", "makespan")),
-            hard_deadlines=_bool_from_json(
-                data.get("hard_deadlines", False), "hard_deadlines"
-            ),
+            hard_deadlines=data.get("hard_deadlines", False),
         )
     except (ValueError, TypeError) as exc:
         raise FormatError(f"invalid job shop instance: {exc}") from exc

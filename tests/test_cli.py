@@ -501,10 +501,15 @@ def test_malformed_files_exit_1_and_write_nothing(tmp_path, capsys):
     write_instance(merge_instance(d_soft=(50, 50), d_hard=(200, 200)), inst_path)
     bad_inst = json.loads(inst_path.read_text())
     bad_inst["rho"][1] = 0.7
+    # A one-vertex walk at a vertex the graph does not have.
+    lost_walk = json.loads(inst_path.read_text())
+    lost_walk["walks"][1] = {"vertices": [7], "tau_min": [], "tau_max": []}
+    lost_walk["separations"] = []
     bad_sched = {"times": [[0, 50], 7]}
     bad_jsp = {"machines": 2, "jobs": [[0, 1]], "r": [float("nan")],
                "delta": [None], "theta": False}
-    for name, data in (("i.json", bad_inst), ("s.json", bad_sched), ("j.json", bad_jsp)):
+    for name, data in (("i.json", bad_inst), ("w.json", lost_walk),
+                       ("s.json", bad_sched), ("j.json", bad_jsp)):
         (tmp_path / name).write_text(json.dumps(data))
     # Too deep for the decoder, and a number past the int-string limit.
     deep, long_int = tmp_path / "deep.json", tmp_path / "long.json"
@@ -516,6 +521,8 @@ def test_malformed_files_exit_1_and_write_nothing(tmp_path, capsys):
     cases = [
         (("schedule", "--instance", tmp_path / "i.json", "--mode", "best", "--out", out),
          tmp_path / "i.json"),
+        (("schedule", "--instance", tmp_path / "w.json", "--mode", "best", "--out", out),
+         tmp_path / "w.json"),
         (("validate", "--instance", inst_path, "--schedule", tmp_path / "s.json"),
          tmp_path / "s.json"),
         (("reduce-jsp", "--jsp", tmp_path / "j.json", "--out", out), tmp_path / "j.json"),

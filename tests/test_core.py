@@ -70,8 +70,10 @@ def test_graph_rejects_unknown_vertex():
 
 
 def test_vertex_ids_must_be_ticks():
-    """True and 1.0 equal vertex 1 but no file can hold them as a vertex:
-    a walk, the bulk walk builder and a graph each reject them by name."""
+    """True and 1.0 equal vertex 1 but no file can hold them as a vertex or
+    a step: a walk, the bulk walk builder, a graph and an instance's
+    separation overrides each reject them by name.  Every walk vertex is
+    a graph vertex, a one-vertex walk's too."""
     for bad in (True, 1.0):
         message = f"vertex at step 0 must be an integer tick, got {bad!r}"
         with pytest.raises(ValueError) as exc:
@@ -79,13 +81,24 @@ def test_vertex_ids_must_be_ticks():
         assert str(exc.value) == message
         with pytest.raises(ValueError) as exc:
             walks_from_rows([(0, 1), (bad, 2)], [(50,), (50,)], [(INF,), (INF,)])
-        assert str(exc.value) == message
+        assert str(exc.value) == f"walk 1: {message}"
         with pytest.raises(ValueError) as exc:
             Graph(3, frozenset({(bad, 2), (0, 1)}))
         assert str(exc.value) == f"edge ({bad},2) endpoints must be integer ticks"
+        for key in ((0, bad, 1, 1), (0, 1, bad, 1), (0, 1, 1, bad)):
+            with pytest.raises(ValueError) as exc:
+                replace(merge_instance(), separations={key: 5})
+            assert str(exc.value) == f"separation {key} indices must be integer ticks"
+    for vertex in (2, -1):
+        with pytest.raises(ValueError) as exc:
+            Instance(Graph(2, frozenset({(0, 1)})),
+                     (Walk((0, 1), (50,), (INF,)), Walk((vertex,), (), ())),
+                     (0, 0), (INF, INF), (INF, INF))
+        assert str(exc.value) == f"walk 1 starts at {vertex}, not a graph vertex"
     # An int subclass other than bool is still a tick.
     assert Walk((Tick(1), 2), (50,), (INF,)).vertices == (1, 2)
     assert Graph(3, frozenset({(Tick(1), 2), (0, 1)})).edges == {(1, 2), (0, 1)}
+    assert replace(merge_instance(), separations={(0, Tick(1), 1, 1): 5}).separations
 
 
 @pytest.mark.parametrize("count", [0, -1])

@@ -29,6 +29,7 @@ from vsp import (
     write_instance,
     write_schedule,
 )
+from vsp.core import walks_from_rows
 from vsp.instances import (
     grid_walk,
     instance_from_dict,
@@ -336,8 +337,7 @@ def test_instance_built_through_the_api_round_trips(tmp_path):
 
 def test_integral_floats_read_walk_by_walk_as_ticks(tmp_path):
     """Integral floats are ticks: a file holding them in walks, edges and
-    stamps reads as its all-int twin, through the walk by walk path, and
-    writes back as ints."""
+    stamps reads as its all-int twin and writes back as ints."""
     ints = {
         "vertices": 3, "edges": [[0, 1], [1, 2], [2, 1]],
         "walks": [{"vertices": [0, 1, 2], "tau_min": [50, 0], "tau_max": [120, None]},
@@ -408,7 +408,7 @@ def test_fractional_tick_rejected():
     cfg = ExperimentConfig(n_vehicles=2, seed=0)
     data = instance_to_dict(generate_grid_instance(cfg, 1.0, 1))
     data["rho"] = [0.5, 0]
-    with pytest.raises(FormatError, match="integer tick"):
+    with pytest.raises(FormatError, match="request time of vehicle 0 must be an integer"):
         instance_from_dict(data)
     data["rho"] = [0.0, 0]
     assert instance_from_dict(data).request_times[0] == 0
@@ -421,22 +421,34 @@ def test_fractional_tick_rejected():
         ("edges", [["0", 2], [1, 2]], "integer tick"),
         ("separations", [[0, "1", 1, 1, 5]], "integer tick"),
         ("separations", [[0, 1.5, 1, 1, 5]], "integer tick"),
-        ("separation", "5", "integer tick"),
-        ("separation", True, "integer tick"),
-        ("separation", float("nan"), "integer tick"),
-        ("rho", [float("inf"), 0], "integer tick"),
-        ("weights", [True, 1.0], "weight must be a number"),
-        ("weights", [1.0, "2"], "weight must be a number"),
+        ("separations", [[0, True, 1, 1, 5]], "integer tick"),
+        ("separations", [[0, 1, 1, 1, True]], "must be a nonnegative integer"),
+        ("separation", "5", "separation must be a nonnegative integer"),
+        ("separation", True, "separation must be a nonnegative integer"),
+        ("separation", float("nan"), "separation must be a nonnegative integer"),
+        ("rho", [float("inf"), 0], "request time of vehicle 0 must be an integer"),
+        ("d_soft", [float("inf"), 200], re.escape("+inf in d_soft must be written null")),
+        ("weights", [True, 1.0], "weight of vehicle 0 must be a number"),
+        ("weights", [1.0, "2"], "weight of vehicle 1 must be a number"),
         ("weights", [1.0, float("inf")], "positive and finite"),
         ("weights", [1.0, float("nan")], "positive and finite"),
         ("separations", [[0, 1, 1, 1]],
          re.escape("separation entry must be [j1,i1,j2,i2,s]: [0, 1, 1, 1]")),
-        ("separations", [[0, 1, 1, 1, 5], [0, 1, 1, 1, 6]],
-         re.escape("separation (0, 1, 1, 1) listed twice with different gaps")),
+        ("separations", [[0, 1, 1, 1, 5], [0, 1, 1, 1, 6]], re.escape(
+            "separation listed twice, as [0, 1, 1, 1, 5] and [0, 1, 1, 1, 6]")),
+        # True equals 1, so a set or a dict would take these repeats as one.
+        ("separations", [[0, 1, 1, 1, 5], [0, True, 1, 1, 5]], re.escape(
+            "separation listed twice, as [0, 1, 1, 1, 5] and [0, True, 1, 1, 5]")),
+        ("edges", [[0, 2], [1, 2], [True, 2]], re.escape(
+            "edge (True,2) endpoints must be integer ticks")),
     ):
         broken = dict(merge, **{key: bad})
         with pytest.raises(FormatError, match=match):
             instance_from_dict(broken)
+    # The reader hands weights on as they are: the constructor checks them.
+    for weights in ((True, 1.0), (1.0, "2")):
+        with pytest.raises(ValueError, match="must be a number"):
+            replace(merge_instance(), weights=weights)
 
 
 def test_ticks_per_unit_only_as_legacy_one():
@@ -526,51 +538,51 @@ def swap_last(seq: tuple, value) -> tuple:
 
 
 def rebuilt(inst, sched, name, value):
-    """The core object holding value as the last entry of its named list."""
-    walk = inst.walks[-1]
+    """The core object holding value as the last entry of its named list,
+    built by the constructor that the reader builds it with."""
     if name == "edges":
         u, v = max(inst.graph.edges)  # the last edge of the file
         return Graph(inst.graph.vertex_count, inst.graph.edges - {(u, v)} | {(u, value)})
-    if name == "vertices":
-        walk = replace(walk, vertices=swap_last(walk.vertices, value))
-        return replace(inst, walks=swap_last(inst.walks, walk))
-    if name in ("min_times", "max_times"):
-        return replace(walk, **{name: swap_last(getattr(walk, name), value)})
+    if name in WALK_FIELDS:
+        rows = {key: [getattr(walk, key) for walk in inst.walks] for key in WALK_FIELDS}
+        rows[name][-1] = swap_last(rows[name][-1], value)
+        return walks_from_rows(*rows.values())
     if name == "times":
         return Schedule(swap_last(sched.times, swap_last(sched.times[-1], value)))
     return replace(inst, **{name: swap_last(getattr(inst, name), value)})
 
 
-@pytest.mark.parametrize("where, label, name, rejects_true", [
-    (("walks", 599, "vertices"), "walk 599 vertex", "vertices",
-     "vertex at step {last} must be an integer tick, got True"),
-    (("walks", 599, "tau_min"), "walk 599 tau_min", "min_times",
-     "min time on link {last} must be a nonnegative integer"),
-    (("walks", 599, "tau_max"), "walk 599 tau_max", "max_times",
-     "max time on link {last} must be an integer or +inf"),
-    (("rho",), "rho entry", "request_times",
-     "request time of vehicle 599 must be an integer"),
-    (("d_soft",), "d_soft entry", "soft_deadlines",
-     "deadlines of vehicle 599 must be integers or +inf"),
-    (("d_hard",), "d_hard entry", "hard_deadlines",
-     "deadlines of vehicle 599 must be integers or +inf"),
-    (("times", 599), "stamp", "times", "stamp (599,{last}) must be an integer tick"),
+WALK_FIELDS = ("vertices", "min_times", "max_times")
+
+
+@pytest.mark.parametrize("where, name, message", [
+    (("walks", 599, "vertices"), "vertices",
+     "walk 599: vertex at step {last} must be an integer tick, got {bad!r}"),
+    (("walks", 599, "tau_min"), "min_times",
+     "walk 599: min time on link {last} must be a nonnegative integer"),
+    (("walks", 599, "tau_max"), "max_times",
+     "walk 599: max time on link {last} must be an integer or +inf"),
+    (("rho",), "request_times", "request time of vehicle 599 must be an integer"),
+    (("d_soft",), "soft_deadlines", "deadlines of vehicle 599 must be integers or +inf"),
+    (("d_hard",), "hard_deadlines", "deadlines of vehicle 599 must be integers or +inf"),
+    (("times", 599), "times", "stamp (599,{last}) must be an integer tick"),
     # The last edge of the file is (99,98).
-    (("edges", 359), "edge endpoint", "edges",
-     "edge (99,True) endpoints must be integer ticks"),
+    (("edges", 359), "edges", "edge (99,{bad!r}) endpoints must be integer ticks"),
 ], ids=["vertices", "tau_min", "tau_max", "rho", "d_soft", "d_hard", "schedule_row",
         "edge"])
-def test_bulk_checks_name_the_last_offender(city_dicts, where, label, name, rejects_true):
-    """A bad value at the end of a long list gets the message of the value
-    by value check, from the readers and from the core constructors, which
-    still take an int subclass other than bool as a tick."""
+def test_bulk_checks_name_the_last_offender(city_dicts, where, name, message):
+    """A bad value at the end of a long list gets the message of the core
+    constructor's value by value check, which the reader prefixes; the
+    constructors still take an int subclass other than bool as a tick."""
     inst_dict, sched_dict = city_dicts
-    data, read = (sched_dict, schedule_from_dict) if name == "times" else (
-        inst_dict, instance_from_dict)
+    data, read, prefix = (sched_dict, schedule_from_dict, "invalid schedule: ") if (
+        name == "times") else (inst_dict, instance_from_dict, "invalid instance: ")
     values = data
     for key in where:
         values = values[key]
+    inst, sched = instance_from_dict(inst_dict), schedule_from_dict(sched_dict)
     for bad in BAD_TICKS:
+        expected = message.format(last=len(values) - 1, bad=bad)
         broken = json.loads(json.dumps(data))
         target = broken
         for key in where:
@@ -578,34 +590,31 @@ def test_bulk_checks_name_the_last_offender(city_dicts, where, label, name, reje
         target[-1] = bad
         with pytest.raises(FormatError) as exc:
             read(broken)
-        assert str(exc.value) == f"{label} must be an integer tick, got {bad!r}"
-
-    inst, sched = instance_from_dict(inst_dict), schedule_from_dict(sched_dict)
+        assert str(exc.value) == prefix + expected
+        with pytest.raises(ValueError) as exc:
+            rebuilt(inst, sched, name, bad)
+        assert str(exc.value) == expected
     rebuilt(inst, sched, name, Tick(10**6 if values[-1] is None else values[-1]))
-    with pytest.raises(ValueError) as exc:
-        rebuilt(inst, sched, name, True)
-    assert str(exc.value) == rejects_true.format(last=len(values) - 1)
 
 
 @pytest.mark.parametrize("last_edge, message", [
-    ([99, 99], "invalid instance: self-loop edge at vertex 99 is not allowed"),
-    ([99, 100], "invalid instance: edge (99,100) references an unknown vertex"),
-    ([99, 98, 97], "invalid instance: too many values to unpack (expected 2)"),
-    ([99, True], "edge endpoint must be an integer tick, got True"),
+    ([99, 99], "self-loop edge at vertex 99 is not allowed"),
+    ([99, 100], "edge (99,100) references an unknown vertex"),
+    ([99, 98, 97], "too many values to unpack (expected 2)"),
+    ([99, True], "edge (99,True) endpoints must be integer ticks"),
 ], ids=["self_loop", "unknown_vertex", "three_ends", "true_endpoint"])
 def test_bulk_checks_name_the_last_edge(city_dicts, last_edge, message):
-    """A bad last edge in a long list gets the message of the edge by edge
-    check, from the reader and, past its type checks, from Graph."""
+    """A bad last edge in a long list gets the message of Graph's edge by
+    edge check, which the reader prefixes."""
     data = json.loads(json.dumps(city_dicts[0]))
     data["edges"][-1] = last_edge
     with pytest.raises(FormatError) as exc:
         instance_from_dict(data)
+    assert str(exc.value) == f"invalid instance: {message}"
+    edges = {tuple(e) for e in city_dicts[0]["edges"][:-1]} | {tuple(last_edge)}
+    with pytest.raises(ValueError) as exc:
+        Graph(100, edges)
     assert str(exc.value) == message
-    if message.startswith("invalid instance: "):
-        edges = {tuple(e) for e in city_dicts[0]["edges"][:-1]} | {tuple(last_edge)}
-        with pytest.raises(ValueError) as exc:
-            Graph(100, edges)
-        assert str(exc.value) == message.removeprefix("invalid instance: ")
 
 
 def test_jsp_file_round_trip(tmp_path):
@@ -627,13 +636,19 @@ def test_jsp_file_round_trip(tmp_path):
     good = {"machines": 2, "jobs": [[0, 1]], "r": [0], "delta": [None],
             "theta": False}
     for key, bad, match in (
-        ("jobs", [[0, "1"]], "integer tick"),
-        ("jobs", [[0, 1.5]], "integer tick"),
-        ("r", [float("inf")], "integer tick"),
-        ("theta", "false", "true or false"),
-        ("theta", 0, "true or false"),
-        ("hard_deadlines", 1, "true or false"),
-        ("machines", 0, "machine_count must be positive"),
+        ("jobs", [[0, "1"]], "job 0 machine '1' must be an integer tick"),
+        ("jobs", [[0, 1.5]], "job 0 machine 1.5 must be an integer tick"),
+        ("jobs", [0], "job 0 must be a JSON list"),
+        ("r", [float("inf")], "release time of job 0 must be an integer tick"),
+        ("delta", [0.5], re.escape("deadline of job 0 must be an integer tick or +inf")),
+        ("delta", [float("inf")], re.escape("+inf in delta must be written null")),
+        ("theta", "false", "no_wait must be a bool, got 'false'"),
+        ("theta", "no", "no_wait must be a bool, got 'no'"),
+        ("theta", 0, "no_wait must be a bool, got 0"),
+        ("hard_deadlines", 1, "hard_deadlines must be a bool, got 1"),
+        ("machines", 0, "machine_count must be a positive integer"),
+        ("machines", 1.5, "machine_count must be a positive integer"),
+        ("machines", True, "machine_count must be a positive integer"),
         ("jobs", [], "need at least one job"),
         ("r", [0, 0], "release_times and deadlines must cover every job"),
         ("jobs", [[]], "job 0 has no operations"),
@@ -643,3 +658,16 @@ def test_jsp_file_round_trip(tmp_path):
         path.write_text(json.dumps(dict(good, **{key: bad})))
         with pytest.raises(FormatError, match=match):
             read_jsp(path)
+    # A file's integral floats read as ticks, but the constructor, which
+    # checks every field for the reader, takes only ticks and bools.
+    path.write_text(json.dumps(dict(good, machines=2.0)))
+    jsp = read_jsp(path)
+    assert jsp.machine_count == 2 and type(jsp.machine_count) is int
+    for field, bad, match in (
+        ("machine_count", 2.0, "machine_count must be a positive integer"),
+        ("jobs", ((0, 1.0),), "job 0 machine 1.0 must be an integer tick"),
+        ("release_times", (True,), "release time of job 0 must be an integer tick"),
+        ("no_wait", "no", "no_wait must be a bool, got 'no'"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            replace(jsp, **{field: bad})

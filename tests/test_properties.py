@@ -370,13 +370,16 @@ def walk_rows(draw):
 @settings(derandomize=True, max_examples=400, deadline=None, database=None)
 @given(walk_rows())
 def test_bulk_walks_equal_walks_built_one_by_one(rows):
+    expected = []
     try:
-        expected = tuple(map(Walk, *rows))
+        for walk_rows in zip(*rows):
+            expected.append(Walk(*walk_rows))
     except Exception as exc:  # the bulk builder must fail the same way
         with pytest.raises(type(exc)) as raised:
             walks_from_rows(*rows)
-        assert str(raised.value) == str(exc)
+        assert str(raised.value) == f"walk {len(expected)}: {exc}"
         return
+    expected = tuple(expected)
     built = walks_from_rows(*rows)
     assert built == expected and hash(built) == hash(expected)
     assert all(type(walk) is Walk for walk in built)
