@@ -43,6 +43,7 @@ from .heuristics import (
     VehicleStatus,
     best_of,
     deadline_and_proximity,
+    lazy_dispatch,
     run_dispatch,
     sorting_key,
 )

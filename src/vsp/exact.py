@@ -21,7 +21,7 @@ from itertools import tee
 from typing import Callable, Sequence
 
 from .core import INF, ConfigurationError, ConflictPair, Instance, Schedule, VspError
-from .core import conflict_pairs, latest_on_time, tardy_weights
+from .core import conflict_pairs, tardy_weights
 from .heuristics import deadline_and_proximity
 
 NEG_INF = float("-inf")
@@ -277,7 +277,7 @@ def node_bound(
     weights, _ = scaled_tardy_weights(instance)
     deadlines = instance.soft_deadlines
     # By variable id: the origin's entry, never read, then the stamps.
-    latest = [INF, *(t for row in latest_on_time(instance) for t in row)]
+    latest = [INF, *(t for row in instance.latest_on_time for t in row)]
     last = [dcs.var(j, len(walk) - 1) for j, walk in enumerate(instance.walks)]
 
     def bound(dist: Sequence[float], limit: float | None, clashing: Sequence) -> float:

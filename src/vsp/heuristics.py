@@ -8,16 +8,20 @@ from the first stamp that can still block the lower bound to the first one
 too late to block the slot found so far, reading each gap inline from the
 instance's separation rule rather than through Instance.gap.  Three
 priority modes share the loop; best_of draws one run per mode from a
-dispatch function, in Mode order, and keeps the best.  It stops early once
-the leader is complete, free of hard violations and at 0 under an
-objective that cannot go below 0, since no later mode can then outrank it.
+dispatch function, in Mode order, and keeps the best.  The loop is a
+generator, lazy_dispatch, that signals the first time its run can no longer
+end complete, on time and free of hard violations; run_dispatch drains it.
+best_of pauses each run at that signal.  Under an objective that cannot go
+below 0 it returns the first run that ends at rank (0, 0, 0), since no
+other run can then outrank it; only when no mode does are the paused runs
+finished and every run ranked.
 
 A priority is the plain tuple (first, demoted, slack, vehicle), compared
 lexicographically: the minimum travel time of the approach link, 1 for a
 vehicle demoted for negative slack (else 0), the mode's deadline slack
 (0.0 under proximity), and the vehicle id.  sorting_key builds the key
-function once per run, with each stamp's latest on-time value
-(core.latest_on_time) precomputed.
+function once per run, reading each stamp's latest on-time value from
+Instance.latest_on_time, which the run's signal checks share.
 """
 
 from __future__ import annotations
@@ -26,10 +30,9 @@ import heapq
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
+from typing import Callable, Iterator
 
 from .core import INF, Instance, ObjectiveKind, Schedule, VspError, evaluate
-from .core import latest_on_time
 
 
 class Mode(Enum):
@@ -88,7 +91,7 @@ def sorting_key(
     demote = negative_slack == "prose"
     relative = mode is Mode.REL_DEADLINE_PROXIMITY
     lengths = [len(w.vertices) for w in walks]
-    latest = latest_on_time(instance)
+    latest = instance.latest_on_time
 
     def deadline_key(j: int, k: int, ref: int) -> tuple[int, int, float, int]:
         first = walks[j].min_times[k - 1] if k else 0
@@ -141,12 +144,12 @@ class DispatchResult:
         return self._schedule
 
 
-def run_dispatch(
+def lazy_dispatch(
     instance: Instance,
     mode: Mode,
     negative_slack: str = "prose",
-) -> DispatchResult:
-    """Run the event loop in one priority mode.
+) -> Iterator[DispatchResult | None]:
+    """Run the event loop in one priority mode, as a generator.
 
     First every vehicle, in key order, gets the earliest feasible stamp at
     its first vertex at or after its request time.  Then stamps are popped
@@ -155,6 +158,14 @@ def run_dispatch(
     earliest feasible slot no earlier than the link minimum and no later
     than the link maximum after the popped stamp.  A vehicle with no slot in
     that window is flagged and abandoned; the rest keep going.
+
+    The generator yields None once, the first time the run can no longer
+    end complete, on time and free of hard violations: a vehicle fails its
+    slot window or a stamp passes its latest on-time entry.  A stamp after
+    the first can do either only when it lands past the link minimum, so
+    only such stamps are checked.  A run that never signals can still fall
+    short, by a hard deadline where the soft one is open.  Last it yields
+    the DispatchResult.
 
     The loop's state is each vehicle's stamps (their count is the walk
     position to stamp next), a heap of the distinct pending stamps, the
@@ -173,6 +184,7 @@ def run_dispatch(
     max_times = [w.max_times for w in instance.walks]
     lengths = list(map(len, vertices))
     request_times = instance.request_times
+    latest = instance.latest_on_time
     overrides = instance.separations
     separation = instance.separation
     max_gap = instance.max_gap
@@ -182,6 +194,7 @@ def run_dispatch(
     heap: list[int] = []
     waiting: dict[int, list[int]] = {}
     assigned: dict[int, list[tuple[int, int, int]]] = {}
+    signalled = False
 
     def current_key(j: int) -> tuple[int, int, float, int]:
         k = len(times[j])
@@ -193,7 +206,7 @@ def run_dispatch(
         entries: list[tuple[int, int, int]],
         lower: int,
         upper: int | float,
-    ) -> None:
+    ) -> bool:
         # The slot is the least tick >= lower outside every interval
         # (stamp - s, stamp + s).  Jumping slot to the end of each interval
         # that holds it, in stamp order, finds it, overrides or not: no jump
@@ -202,6 +215,7 @@ def run_dispatch(
         # g_m > g_k + (a_m - a_k), and then lands at a_m + g_m > a_k + g_k.
         # From the first stamp - max_gap >= slot on, no interval holds slot;
         # the bisect skips the stamps whose intervals end at or below lower.
+        # Returns whether the run can no longer rank (0, 0, 0).
         slot = lower
         for k in range(bisect_left(entries, (lower - max_gap + 1,)), len(entries)):
             stamp, other, other_step = entries[k]
@@ -218,7 +232,7 @@ def run_dispatch(
                 slot = stamp + s
         if slot > upper:
             statuses[j] = VehicleStatus.SLOT_WINDOW_FAILED
-            return
+            return True
         times[j].append(slot)
         insort(entries, (slot, j, step))
         if step + 1 < lengths[j]:
@@ -226,9 +240,13 @@ def run_dispatch(
                 heapq.heappush(heap, slot)
                 waiting[slot] = []
             waiting[slot].append(j)
+        return (slot > lower or not step) and slot > latest[j][step]
 
     for j in sorted(range(n), key=current_key):
-        place(j, 0, assigned.setdefault(vertices[j][0], []), request_times[j], INF)
+        entries = assigned.setdefault(vertices[j][0], [])
+        if place(j, 0, entries, request_times[j], INF) and not signalled:
+            signalled = True
+            yield None
 
     while heap:
         t = heapq.heappop(heap)
@@ -244,41 +262,69 @@ def run_dispatch(
                 group.sort(key=current_key)
             for j in group:
                 step = len(times[j])
-                place(
+                if place(
                     j, step, entries,
                     t + min_times[j][step - 1],
                     t + max_times[j][step - 1],
-                )
+                ) and not signalled:
+                    signalled = True
+                    yield None
 
     for j, (row, hard) in enumerate(zip(times, instance.hard_deadlines)):
         if statuses[j] is VehicleStatus.COMPLETED and row[-1] > hard:
             statuses[j] = VehicleStatus.HARD_DEADLINE_VIOLATED
-    return DispatchResult(mode, tuple(map(tuple, times)), tuple(statuses))
+    yield DispatchResult(mode, tuple(map(tuple, times)), tuple(statuses))
+
+
+def run_dispatch(
+    instance: Instance,
+    mode: Mode,
+    negative_slack: str = "prose",
+) -> DispatchResult:
+    """Run the event loop in one priority mode to its end; see lazy_dispatch."""
+    *_, result = lazy_dispatch(instance, mode, negative_slack)
+    return result
 
 
 def best_of(
-    instance: Instance, dispatch: Callable[[Mode], DispatchResult]
+    instance: Instance,
+    dispatch: Callable[[Mode], DispatchResult | Iterator[DispatchResult | None]],
 ) -> DispatchResult:
     """Return the run that ranks first: fewest slot-window failures, then the
     instance objective (infinite for an incomplete run), then hard-deadline
     violations, then the position of its mode in Mode.
 
-    The runs are drawn as dispatch(mode), one at a time in Mode order.
-    Drawing stops once the leader ranks (0, 0, 0) under an objective that
-    never goes below zero: every mode not drawn yet comes after the
-    leader's, so no later run can outrank it.
+    The runs are drawn as dispatch(mode), one at a time in Mode order; a
+    draw is a finished DispatchResult or a lazy_dispatch run, which is
+    advanced only to its signal and paused there.  Under an objective that
+    never goes below zero the first run to end at rank (0, 0, 0) is
+    returned at once: every mode not drawn yet comes after it, and a paused
+    run cannot reach that rank.  Otherwise the paused runs are finished, in
+    Mode order, and every run is ranked.
     """
     floored = instance.objective in _NON_NEGATIVE
-    best = best_rank = None
-    for position, mode in enumerate(Mode):
-        res = dispatch(mode)
+    ranked: list[tuple[tuple, DispatchResult]] = []
+    paused: list[tuple[int, Iterator[DispatchResult | None]]] = []
+
+    def enter(position: int, res: DispatchResult) -> bool:
+        """Rank res; whether no other run can outrank it."""
         value = evaluate(instance, res.schedule()) if res.complete else INF
         rank = (res.slot_failures, value, res.hard_violations, position)
-        if best is None or rank < best_rank:
-            best, best_rank = res, rank
-        if floored and best_rank[:3] == (0, 0, 0):
-            break
-    return best
+        ranked.append((rank, res))
+        return floored and rank[:3] == (0, 0, 0)
+
+    for position, mode in enumerate(Mode):
+        run = dispatch(mode)
+        # A lazy run gives its result, or None at its signal.
+        res = run if isinstance(run, DispatchResult) else next(run)
+        if res is None:
+            paused.append((position, run))
+        elif enter(position, res):
+            return res
+    for position, run in paused:
+        *_, res = run
+        enter(position, res)
+    return min(ranked)[1]  # ranks differ in position, so no two runs compare
 
 
 def deadline_and_proximity(
@@ -286,11 +332,12 @@ def deadline_and_proximity(
     negative_slack: str = "prose",
 ) -> DispatchResult:
     """Dispatch in each mode, as best_of draws them, and return the run it
-    ranks first; a mode that cannot beat the leader is not run.
+    ranks first; a mode that cannot beat the leader is not run, and a run
+    that cannot rank (0, 0, 0) is paused and finished only if needed.
 
     The mode-order tie-break keeps the winner never worse than the plain
     proximity run on the configured objective.  When every mode leaves a
     vehicle without a stamp the first-ranked run is still returned; callers
     check complete.
     """
-    return best_of(instance, lambda mode: run_dispatch(instance, mode, negative_slack))
+    return best_of(instance, lambda mode: lazy_dispatch(instance, mode, negative_slack))

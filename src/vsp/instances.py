@@ -24,6 +24,7 @@ from typing import Iterable
 
 from .core import (
     INF,
+    ConfigurationError,
     Graph,
     Instance,
     ObjectiveKind,
@@ -436,8 +437,8 @@ def _read_json(path: str | Path, parse):
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
     try:
         return parse(data)
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    except (FormatError, ConfigurationError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def read_instance(path: str | Path) -> Instance:

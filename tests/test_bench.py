@@ -20,6 +20,7 @@ from vsp import (
     emit_csv,
     evaluate,
     generate_grid_instance,
+    lazy_dispatch,
     run_dispatch,
     run_sweep,
     validate_schedule,
@@ -27,6 +28,18 @@ from vsp import (
 from vsp.bench import _DISPATCH_OK, _check
 from vsp.instances import soft_deadlines_at
 from oracles import merge_instance
+
+
+def patch_run_start(monkeypatch, start):
+    """Start every dispatch run of run_sweep as start(instance, mode, ...),
+    a stand-in for lazy_dispatch: the shared proximity run, which run_sweep
+    finishes at once, and the lazy runs it hands best_of."""
+    def finished(*args):
+        *_, result = start(*args)
+        return result
+
+    monkeypatch.setattr(vsp.bench, "run_dispatch", finished)
+    monkeypatch.setattr(vsp.bench, "lazy_dispatch", start)
 
 
 def small_config(n_vehicles=5, ratios=(1.0, 1.3), instances=3, seed=101):
@@ -251,7 +264,7 @@ def test_sweep_dispatches_proximity_once_per_instance_seed(monkeypatch):
 
     def counted(instance, mode, *args):
         calls.append(mode)
-        return run_dispatch(instance, mode, *args)
+        return lazy_dispatch(instance, mode, *args)
 
     def deadline_draws(seed, ratio):
         # best_of draws the modes in Mode order and stops at the first run
@@ -270,7 +283,7 @@ def test_sweep_dispatches_proximity_once_per_instance_seed(monkeypatch):
              for _, seed in seeds for ratio in config.soft_deadline_ratios]
     # Every way of stopping occurs: after proximity, after abs, never.
     assert set(draws) == {0, 1, 2}
-    monkeypatch.setattr(vsp.bench, "run_dispatch", counted)
+    patch_run_start(monkeypatch, counted)
     for algorithms, expected in (
         (("baseline", "heuristic"), config.n_instances + sum(draws)),
         (("heuristic",), config.n_instances + sum(draws)),
@@ -284,9 +297,9 @@ def test_sweep_dispatches_proximity_once_per_instance_seed(monkeypatch):
 
 
 def test_sweep_validates_proximity_schedule_once_per_instance_seed(monkeypatch):
-    """Validation reads no soft deadline, so the shared proximity schedule
-    is checked the first time a seed emits it; every deadline-mode schedule
-    is checked at its own ratio."""
+    """Validation reads no soft deadline, so each distinct schedule is
+    checked the first time a seed emits it: the shared proximity one once,
+    and a deadline-mode one once however many ratios emit the same stamps."""
     config = tight_config()
     calls = []
 
@@ -310,9 +323,8 @@ def test_sweep_validates_proximity_schedule_once_per_instance_seed(monkeypatch):
             shown = [b.schedule() for b in best] if "heuristic" in algorithms else []
             if "baseline" in algorithms:
                 shown.insert(0, proximity)
-            # Each deadline-mode schedule shown, and the proximity one once.
-            deadline = [s for s in shown if s != proximity]
-            expected.append(len(deadline) + (len(deadline) < len(shown)))
+            # Each distinct schedule shown, once.
+            expected.append(len({s.times for s in shown}))
         per_seed = {}
         for walks, _ in calls:
             per_seed[walks] = per_seed.get(walks, 0) + 1
@@ -362,7 +374,7 @@ def test_clashing_proximity_run_still_aborts_the_sweep(
             proximity_calls.append(mode)
             if len(proximity_calls) == bad_seed + 1:
                 instance = replace(instance, separation=0)
-        return run_dispatch(instance, mode, *args)
+        return lazy_dispatch(instance, mode, *args)
 
     seed = seeds[bad_seed][1]
     base = generate_grid_instance(config, config.soft_deadline_ratios[0], seed)
@@ -384,7 +396,7 @@ def test_clashing_proximity_run_still_aborts_the_sweep(
         break
     assert message is not None
 
-    monkeypatch.setattr(vsp.bench, "run_dispatch", clashing)
+    patch_run_start(monkeypatch, clashing)
     with pytest.raises(VspError) as caught:
         run_sweep(config, algorithms)
     assert str(caught.value) == message

@@ -505,11 +505,16 @@ def test_malformed_files_exit_1_and_write_nothing(tmp_path, capsys):
     lost_walk = json.loads(inst_path.read_text())
     lost_walk["walks"][1] = {"vertices": [7], "tau_min": [], "tau_max": []}
     lost_walk["separations"] = []
+    # An objective that needs weights, in a file that has none.
+    unweighted = json.loads(inst_path.read_text())
+    unweighted["objective"] = "weighted_tardy_count"
+    del unweighted["weights"]  # written as null
     bad_sched = {"times": [[0, 50], 7]}
     bad_jsp = {"machines": 2, "jobs": [[0, 1]], "r": [float("nan")],
                "delta": [None], "theta": False}
     for name, data in (("i.json", bad_inst), ("w.json", lost_walk),
-                       ("s.json", bad_sched), ("j.json", bad_jsp)):
+                       ("u.json", unweighted), ("s.json", bad_sched),
+                       ("j.json", bad_jsp)):
         (tmp_path / name).write_text(json.dumps(data))
     # Too deep for the decoder, and a number past the int-string limit.
     deep, long_int = tmp_path / "deep.json", tmp_path / "long.json"
@@ -523,6 +528,8 @@ def test_malformed_files_exit_1_and_write_nothing(tmp_path, capsys):
          tmp_path / "i.json"),
         (("schedule", "--instance", tmp_path / "w.json", "--mode", "best", "--out", out),
          tmp_path / "w.json"),
+        (("schedule", "--instance", tmp_path / "u.json", "--mode", "best", "--out", out),
+         tmp_path / "u.json"),
         (("validate", "--instance", inst_path, "--schedule", tmp_path / "s.json"),
          tmp_path / "s.json"),
         (("reduce-jsp", "--jsp", tmp_path / "j.json", "--out", out), tmp_path / "j.json"),

@@ -29,7 +29,7 @@ from vsp import (
     tardy_weights,
     validate_schedule,
 )
-from vsp.core import latest_on_time, walks_from_rows
+from vsp.core import walks_from_rows
 from oracles import (
     Tick,
     brute_force_separation_violations,
@@ -278,10 +278,10 @@ def test_latest_on_time_by_hand():
         hard_deadlines=(500, 500),
     )
     # The deadline minus the minimum times of the links after each step.
-    assert latest_on_time(inst) == [
-        [100 - (30 + 0 + 20), 100 - (0 + 20), 100 - 20, 100],
-        [INF, INF],
-    ]
+    assert inst.latest_on_time == (
+        (100 - (30 + 0 + 20), 100 - (0 + 20), 100 - 20, 100),
+        (INF, INF),
+    )
 
 
 def test_deadline_chain_enforced():

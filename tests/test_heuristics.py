@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import random
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ from vsp import (
     deadline_and_proximity,
     evaluate,
     generate_grid_instance,
+    lazy_dispatch,
     reduce_jsp_to_vsp,
     run_dispatch,
     sorting_key,
@@ -32,6 +34,7 @@ from oracles import (
     blocked_instance,
     chain_instance,
     earliest_feasible_slot,
+    eager_best,
     merge_instance,
     reference_dispatch,
     shared_vertex_pairs,
@@ -429,27 +432,16 @@ def test_wrapper_returns_first_ranked_run_when_every_mode_fails():
             best.schedule()
 
 
-def eager_best(inst, runs):
-    """The run min ranks first over all runs, as best_of did before it
-    learnt to stop drawing."""
-    order = list(Mode)
-
-    def rank(run):
-        value = evaluate(inst, run.schedule()) if run.complete else INF
-        return (run.slot_failures, value, run.hard_violations, order.index(run.mode))
-    return min(runs, key=rank)
-
-
 @pytest.fixture
 def dispatch_calls(monkeypatch):
-    """The modes deadline_and_proximity dispatches, in call order."""
+    """The modes deadline_and_proximity starts a run in, in call order."""
     calls = []
 
     def counted(instance, mode, *args):
         calls.append(mode)
-        return run_dispatch(instance, mode, *args)
+        return lazy_dispatch(instance, mode, *args)
 
-    monkeypatch.setattr(vsp.heuristics, "run_dispatch", counted)
+    monkeypatch.setattr(vsp.heuristics, "lazy_dispatch", counted)
     return calls
 
 
@@ -471,8 +463,9 @@ def test_wrapper_stops_once_no_later_mode_can_win(dispatch_calls, objective):
 
 def test_wrapper_stops_after_proximity_when_it_cannot_be_beaten(dispatch_calls):
     inst = merge_instance(d_soft=(200, 60))
-    assert deadline_and_proximity(inst) == run_dispatch(inst, Mode.PROXIMITY)
+    best = deadline_and_proximity(inst)
     assert dispatch_calls == [Mode.PROXIMITY]
+    assert best == run_dispatch(inst, Mode.PROXIMITY)
 
 
 @pytest.mark.parametrize("inst", [
@@ -507,7 +500,7 @@ def test_best_of_draws_modes_in_order_until_no_later_one_can_win():
 
     def dispatch(mode):
         drawn.append(mode)
-        return run_dispatch(inst, mode)
+        return lazy_dispatch(inst, mode)
 
     # Proximity makes vehicle 1 tardy and abs does not, so rel is not drawn.
     inst = merge_instance(d_soft=(200, 50))
@@ -519,6 +512,65 @@ def test_best_of_draws_modes_in_order_until_no_later_one_can_win():
     inst = merge_instance(d_soft=(200, 60))
     assert best_of(inst, dispatch) == run_dispatch(inst, Mode.PROXIMITY)
     assert drawn == [Mode.PROXIMITY]
+
+
+def test_paused_proximity_run_is_started_but_never_finished(monkeypatch):
+    # Proximity stamps vehicle 1 at C past its latest on-time stamp, so its
+    # run signals; abs then ends at (0, 0, 0) and the paused run is dropped.
+    started, finished = [], []
+
+    def tracked(instance, mode, *args):
+        started.append(mode)
+        for step in lazy_dispatch(instance, mode, *args):
+            if step is not None:
+                finished.append(mode)
+            yield step
+
+    monkeypatch.setattr(vsp.heuristics, "lazy_dispatch", tracked)
+    inst = merge_instance(d_soft=(200, 50))
+    best = deadline_and_proximity(inst)
+    assert started == [Mode.PROXIMITY, Mode.ABS_DEADLINE_PROXIMITY]
+    assert finished == [Mode.ABS_DEADLINE_PROXIMITY]
+    assert best == run_dispatch(inst, Mode.ABS_DEADLINE_PROXIMITY)
+    assert list(lazy_dispatch(inst, Mode.PROXIMITY)) == [
+        None, run_dispatch(inst, Mode.PROXIMITY)
+    ]
+
+
+def test_run_signals_when_its_first_stamp_is_already_late():
+    # One vehicle over two links of 50 ends at 100.  For a deadline of 99
+    # its first stamp, at its request time, is already late, and no later
+    # stamp waits, so only the check of first stamps can see it.
+    for d_soft, signals in ((100, []), (99, [None])):
+        inst = chain_instance(d_soft=d_soft)
+        *head, result = lazy_dispatch(inst, Mode.PROXIMITY)
+        assert head == signals
+        assert result == run_dispatch(inst, Mode.PROXIMITY)
+
+
+def test_latest_on_time_is_built_once_per_instance(monkeypatch):
+    """Every run of an instance, its deadline keys and its signal checks
+    share one table; a replaced instance with new soft deadlines builds
+    its own."""
+    built = []
+    build = Instance.__dict__["latest_on_time"].func
+
+    def counted(instance):
+        built.append(instance.soft_deadlines)
+        return build(instance)
+
+    table = cached_property(counted)
+    table.__set_name__(Instance, "latest_on_time")
+    monkeypatch.setattr(Instance, "latest_on_time", table)
+    inst = merge_instance(d_soft=(40, 40))  # no mode reaches 0: all finished
+    deadline_and_proximity(inst)
+    for mode in Mode:
+        run_dispatch(inst, mode, "pseudocode")
+    assert built == [(40, 40)]
+    moved = dataclasses.replace(inst, soft_deadlines=(200, 50))
+    assert moved.latest_on_time == ((150, 200), (0, 50))
+    assert inst.latest_on_time == ((-10, 40), (-10, 40))
+    assert built == [(40, 40), (200, 50)]
 
 
 # --- pinned outputs -----------------------------------------------------------

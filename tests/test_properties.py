@@ -35,6 +35,7 @@ from vsp import (  # noqa: E402
     evaluate,
     export_mip,
     generate_grid_instance,
+    lazy_dispatch,
     minimal_times,
     parse_lp,
     read_instance,
@@ -57,6 +58,7 @@ from oracles import (  # noqa: E402
     brute_force_separation_violations,
     brute_force_tardy,
     clashing_rows,
+    eager_best,
     merge_instance,
     pair_rows,
     random_small_instance,
@@ -194,6 +196,29 @@ def test_best_of_three_returns_its_first_ranked_run(inst):
             assert deadline_and_proximity(scored, policy) == best
             # Drawing lazily stops only where no later run could win.
             assert best_of(scored, runs_by_mode.__getitem__) == best
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(dispatch_instances())
+def test_lazy_runs_signal_soundly_and_rank_as_eager_ones(inst):
+    """A run signals at most once, and only when it then ends short of
+    rank (0, 0, 0): a slot failure, a tardy vehicle or a hard violation.
+    best_of over lazy runs returns what ranking every finished run does."""
+    for policy in ("prose", "pseudocode"):
+        runs = []
+        for mode in Mode:
+            *signals, run = lazy_dispatch(inst, mode, policy)
+            assert signals in ([], [None])
+            assert run == run_dispatch(inst, mode, policy)
+            if signals:
+                assert not (run.complete and not run.hard_violations and evaluate(
+                    inst, run.schedule(), ObjectiveKind.TARDY_COUNT) == 0)
+            runs.append(run)
+        for objective in RANKED_OBJECTIVES:
+            scored = replace(inst, objective=objective)
+            best = eager_best(scored, runs)
+            assert deadline_and_proximity(scored, policy) == best
+            assert best_of(scored, lambda mode: lazy_dispatch(scored, mode, policy)) == best
 
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
