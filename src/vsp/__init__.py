@@ -44,6 +44,7 @@ from .heuristics import (
     best_of,
     deadline_and_proximity,
     lazy_dispatch,
+    replay_dispatch,
     run_dispatch,
     sorting_key,
 )

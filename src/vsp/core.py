@@ -481,8 +481,10 @@ def validate_schedule(instance: Instance, schedule: Schedule) -> ValidationRepor
     (a difference at or above its nonnegative minimum is never a
     continuity break) and the hard deadline; per vertex, the sorted stamps,
     which cannot clash when no neighbours are closer than the uniform gap
-    and no override wider than it is broken.  Only a walk or a vertex that
-    fails its pass is checked item by item, which words every violation.
+    and no override wider than it is broken; where only a vehicle's own
+    revisits are closer, its adjacent stamps of distinct vehicles decide.
+    Only a walk or a vertex that fails its pass is checked item by item,
+    which words every violation.
     """
     check_shape(instance, schedule)
     found: list[Violation] = []
@@ -531,6 +533,13 @@ def validate_schedule(instance: Instance, schedule: Schedule) -> ValidationRepor
                 and min(map(sub, ordered[1:], ordered), default=uniform) >= uniform):
             continue
         stamps = sorted((times[j][i], j, i) for j, i in steps)
+        # The closest pair of distinct vehicles is adjacent in stamp order,
+        # so a vehicle's own close revisits alone need no scan.
+        if vertex not in broken and all(
+            t2 - t1 >= uniform or j1 == j2
+            for (t1, j1, _), (t2, j2, _) in zip(stamps, stamps[1:])
+        ):
+            continue
         clashes = []
         for a, (t1, j1, i1) in enumerate(stamps):
             # only the later stamps less than max_gap away can break a gap

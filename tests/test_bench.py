@@ -21,6 +21,7 @@ from vsp import (
     evaluate,
     generate_grid_instance,
     lazy_dispatch,
+    replay_dispatch,
     run_dispatch,
     run_sweep,
     validate_schedule,
@@ -218,53 +219,79 @@ def tight_config():
     ("baseline", "heuristic"),
     ("baseline", "heuristic", "exact"),
 ])
-def test_shared_proximity_run_matches_per_ratio_dispatch(algorithms):
-    """One proximity run per instance seed gives every record a per-ratio
-    dispatch of the generated instance would give."""
-    config = tight_config()
-    result = run_sweep(config, algorithms, exact_time_limit=30.0)
-    dispatch_records = [r for r in result.records if r.algorithm != "exact"]
-    expected = []
-    seeds = sorted({(r.instance_index, r.instance_seed) for r in result.records})
-    assert len(seeds) == config.n_instances
-    for index, seed in seeds:
-        for ratio in config.soft_deadline_ratios:
-            inst = generate_grid_instance(config, ratio, seed)
-            runs = {
-                "baseline": run_dispatch(inst, Mode.PROXIMITY),
-                "heuristic": deadline_and_proximity(inst),
-            }
-            for name, run in runs.items():
-                if name in algorithms:
-                    expected.append((
-                        index, ratio, name,
-                        int(evaluate(inst, run.schedule(), ObjectiveKind.TARDY_COUNT)),
-                        "completed" if not run.hard_violations
-                        else f"hard_violations={run.hard_violations}",
-                    ))
-    assert [
-        (r.instance_index, r.ratio, r.algorithm, r.tardy_count, r.status)
-        for r in dispatch_records
-    ] == expected
-    assert any(status != "completed" for *_, status in expected)
-    if "exact" in algorithms:
-        alone = run_sweep(config, ("exact",), exact_time_limit=30.0)
-        assert [
-            (r.instance_index, r.ratio, r.tardy_count, r.status)
-            for r in result.records if r.algorithm == "exact"
-        ] == [
-            (r.instance_index, r.ratio, r.tardy_count, r.status)
-            for r in alone.records
-        ]
+def test_shared_proximity_run_matches_per_ratio_dispatch(monkeypatch, algorithms):
+    """One proximity run per instance seed, and the deadline runs replayed
+    from earlier runs of the seed, give every record a per-ratio dispatch
+    of the generated instance would give, under both negative-slack
+    policies, at tight hard deadlines and at the 11 default ratios."""
+    replays = []
+
+    def counted(*args):
+        run = replay_dispatch(*args)
+        replays.append(run is not None)
+        return run
+
+    monkeypatch.setattr(vsp.bench, "replay_dispatch", counted)
+    statuses = set()
+    for config in (tight_config(), ExperimentConfig(n_vehicles=12, n_instances=3, seed=3)):
+        for policy in ("prose", "pseudocode"):
+            result = run_sweep(
+                config, algorithms, exact_time_limit=30.0, negative_slack=policy
+            )
+            dispatch_records = [r for r in result.records if r.algorithm != "exact"]
+            expected = []
+            seeds = sorted({(r.instance_index, r.instance_seed) for r in result.records})
+            assert len(seeds) == config.n_instances
+            for index, seed in seeds:
+                for ratio in config.soft_deadline_ratios:
+                    inst = generate_grid_instance(config, ratio, seed)
+                    runs = {
+                        "baseline": run_dispatch(inst, Mode.PROXIMITY, policy),
+                        "heuristic": deadline_and_proximity(inst, policy),
+                    }
+                    for name, run in runs.items():
+                        if name in algorithms:
+                            expected.append((
+                                index, ratio, name,
+                                int(evaluate(
+                                    inst, run.schedule(), ObjectiveKind.TARDY_COUNT
+                                )),
+                                "completed" if not run.hard_violations
+                                else f"hard_violations={run.hard_violations}",
+                            ))
+            assert [
+                (r.instance_index, r.ratio, r.algorithm, r.tardy_count, r.status)
+                for r in dispatch_records
+            ] == expected, policy
+            statuses |= {status for *_, status in expected}
+        if "exact" in algorithms:
+            alone = run_sweep(config, ("exact",), exact_time_limit=30.0)
+            assert [
+                (r.instance_index, r.ratio, r.tardy_count, r.status)
+                for r in result.records if r.algorithm == "exact"
+            ] == [
+                (r.instance_index, r.ratio, r.tardy_count, r.status)
+                for r in alone.records
+            ]
+    assert statuses - {"completed"}
+    assert any(replays) == ("heuristic" in algorithms)
 
 
 def test_sweep_dispatches_proximity_once_per_instance_seed(monkeypatch):
+    """Every mode best_of draws is a run started or a replay of an earlier
+    run of the seed, and proximity is started once per seed."""
     config = tight_config()
-    calls = []
+    calls, replays = [], []
 
     def counted(instance, mode, *args):
         calls.append(mode)
         return lazy_dispatch(instance, mode, *args)
+
+    def counted_replay(*args):
+        run = replay_dispatch(*args)
+        if run is not None:
+            replays.append(run.mode)
+        return run
 
     def deadline_draws(seed, ratio):
         # best_of draws the modes in Mode order and stops at the first run
@@ -284,6 +311,7 @@ def test_sweep_dispatches_proximity_once_per_instance_seed(monkeypatch):
     # Every way of stopping occurs: after proximity, after abs, never.
     assert set(draws) == {0, 1, 2}
     patch_run_start(monkeypatch, counted)
+    monkeypatch.setattr(vsp.bench, "replay_dispatch", counted_replay)
     for algorithms, expected in (
         (("baseline", "heuristic"), config.n_instances + sum(draws)),
         (("heuristic",), config.n_instances + sum(draws)),
@@ -291,9 +319,12 @@ def test_sweep_dispatches_proximity_once_per_instance_seed(monkeypatch):
         (("exact",), 0),
     ):
         calls.clear()
+        replays.clear()
         run_sweep(config, algorithms, exact_time_limit=30.0)
-        assert len(calls) == expected, algorithms
+        assert len(calls) + len(replays) == expected, algorithms
         assert calls.count(Mode.PROXIMITY) == (config.n_instances if expected else 0)
+        assert Mode.PROXIMITY not in replays
+        assert bool(replays) == ("heuristic" in algorithms), algorithms
 
 
 def test_sweep_validates_proximity_schedule_once_per_instance_seed(monkeypatch):
@@ -352,6 +383,30 @@ def test_sweep_builds_the_visit_index_once_per_instance_seed(monkeypatch):
         built.clear()
         run_sweep(config, algorithms)
         assert len(built) == len(set(built)) == config.n_instances, algorithms
+
+
+def test_sweep_builds_latest_on_time_once_per_soft_deadline_vector(monkeypatch):
+    """The first ratio dispatches on the generated instance itself, whose
+    table the shared proximity run built, so no seed builds the table of
+    one soft-deadline vector twice."""
+    built = []
+    build = Instance.__dict__["latest_on_time"].func
+
+    def counted(instance):
+        built.append((instance.walks, instance.soft_deadlines))
+        return build(instance)
+
+    table = cached_property(counted)
+    table.__set_name__(Instance, "latest_on_time")
+    monkeypatch.setattr(Instance, "latest_on_time", table)
+    config = tight_config()
+    for algorithms in (("baseline", "heuristic"), ("heuristic",), ("baseline",)):
+        built.clear()
+        run_sweep(config, algorithms)
+        assert len(built) == len(set(built)), algorithms
+        assert len({walks for walks, _ in built}) == config.n_instances, algorithms
+        if algorithms == ("baseline",):
+            assert len(built) == config.n_instances
 
 
 @pytest.mark.parametrize("algorithms", [

@@ -346,6 +346,18 @@ def test_bench_tardy_csv_matches_golden(tmp_path):
     assert (out_dir / "tardy.csv").read_bytes() == golden
 
 
+def test_bench_tardy_csv_matches_golden_under_pseudocode_policy(tmp_path):
+    # At 20 and 40 vehicles both policies write golden_tardy.csv's bytes;
+    # 100 vehicles add cells where they differ.
+    out_dir = tmp_path / "sweep"
+    assert run_cli(
+        "bench", "--grid", "5x5", "--vehicles", "20,40,100", "--instances", 3,
+        "--seed", 42, "--negative-slack", "pseudocode", "--out-dir", out_dir,
+    ) == EXIT_OK
+    golden = (DATA / "golden_tardy_pseudocode.csv").read_bytes()
+    assert (out_dir / "tardy.csv").read_bytes() == golden
+
+
 @pytest.mark.parametrize("argv", [
     ("generate", "--vehicles", 0, "--ratio", 1.2, "--seed", 1),
     ("generate", "--vehicles", 3, "--ratio", 1.2, "--seed", 1, "--separation", -1),

@@ -476,7 +476,6 @@ def test_bulk_checks_match_oracles_on_dispatched_schedules(monkeypatch):
     for inst, _ in separation_cases(count=80, seed=19):
         max_gap_zero += inst.max_gap == 0
         narrow = min(inst.separations.values(), default=inst.separation) < inst.separation
-        revisits = any(len(set(w.vertices)) < len(w) for w in inst.walks)
         for mode in Mode:
             result = run_dispatch(inst, mode)
             if not result.complete:
@@ -493,19 +492,50 @@ def test_bulk_checks_match_oracles_on_dispatched_schedules(monkeypatch):
                 if what == "clean":
                     assert kinds <= {ConstraintKind.HARD_DEADLINE}
                     bulk_only += decided_in_bulk
-                    # Only an override narrower than the uniform gap, or a
-                    # vehicle's own revisit, lets neighbours sit closer than
-                    # that gap without a clash.
-                    assert decided_in_bulk or narrow or revisits
+                    # Only an override narrower than the uniform gap lets
+                    # distinct vehicles sit closer than that gap without a
+                    # clash; a vehicle's own close revisits are decided in
+                    # bulk.
+                    assert decided_in_bulk or narrow
                 elif what == "clash":
                     assert ConstraintKind.SEPARATION in kinds
                 else:
                     assert ConstraintKind.TRAVEL_TIME in kinds
                 seen[what] += 1
     assert min(seen.values()) >= 100 and max_gap_zero >= 8
-    # A clean schedule the bulk passes leave has stamps closer than the
-    # uniform gap, and takes the item-by-item scan without a violation.
-    assert (bulk_only, seen["clean"]) == (184, 240)
+    # A clean schedule the bulk passes leave has distinct vehicles closer
+    # than the uniform gap, and takes the item-by-item scan without a
+    # violation.
+    assert (bulk_only, seen["clean"]) == (187, 240)
+
+
+def test_close_revisit_of_one_vehicle_is_decided_in_bulk(monkeypatch):
+    """Vehicle 0 leaves vertex 0 and is back 4 ticks later, inside the gap
+    of 5; vehicle 1 reaches vertex 0 16 ticks after that.  Only distinct
+    vehicles need the gap, so the clean schedule never calls Instance.gap,
+    and vehicle 1 3 ticks after the revisit still clashes."""
+    gap_calls = []
+    real_gap = Instance.gap
+
+    def counted_gap(self, *key):
+        gap_calls.append(key)
+        return real_gap(self, *key)
+
+    monkeypatch.setattr(Instance, "gap", counted_gap)
+    inst = Instance(
+        graph=Graph(2, frozenset({(0, 1), (1, 0)})),
+        walks=(Walk((0, 1, 0), (1, 1), (INF, INF)), Walk((1, 0), (1,), (INF,))),
+        request_times=(0, 0),
+        soft_deadlines=(INF, INF),
+        hard_deadlines=(INF, INF),
+        separation=5,
+    )
+    report = validate_schedule(inst, Schedule(((0, 1, 4), (10, 20))))
+    assert report.passes() and gap_calls == []
+    report = validate_schedule(inst, Schedule(((0, 1, 4), (6, 7))))
+    assert [(v.kind, v.vehicles, v.indices) for v in report.violations] == [
+        (ConstraintKind.SEPARATION, (0, 1), (2, 1))
+    ]
 
 
 def test_exact_boundary_separation_ok():

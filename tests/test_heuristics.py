@@ -26,6 +26,7 @@ from vsp import (
     generate_grid_instance,
     lazy_dispatch,
     reduce_jsp_to_vsp,
+    replay_dispatch,
     run_dispatch,
     sorting_key,
     validate_schedule,
@@ -571,6 +572,35 @@ def test_latest_on_time_is_built_once_per_instance(monkeypatch):
     assert moved.latest_on_time == ((150, 200), (0, 50))
     assert inst.latest_on_time == ((-10, 40), (-10, 40))
     assert built == [(40, 40), (200, 50)]
+
+
+def test_replay_needs_positive_link_minima_and_the_same_dispatch_inputs():
+    """A zero-minimum link lets a walk stamp two steps at one tick, so a
+    popped stamp no longer names one step: not even a run's own instance
+    and mode replay it.  Nor does an instance that differs in walks,
+    request times, hard deadlines, uniform separation or overrides."""
+    looped = Instance(
+        graph=Graph(2, frozenset({(0, 1), (1, 0)})),
+        walks=(Walk((0, 1, 0), (0, 0), (INF, INF)), Walk((1, 0), (50,), (INF,))),
+        request_times=(0, 0),
+        soft_deadlines=(100, 100),
+        hard_deadlines=(INF, INF),
+        separation=5,
+    )
+    for mode in Mode:
+        assert replay_dispatch(run_dispatch(looped, mode), looped, mode) is None
+    inst = merge_instance(d_soft=(200, 50))
+    mode = Mode.ABS_DEADLINE_PROXIMITY
+    run = run_dispatch(inst, mode)
+    assert replay_dispatch(run, inst, mode) == run
+    for changed in (
+        dataclasses.replace(inst, walks=(Walk((0, 2), (51,), (INF,)), inst.walks[1])),
+        dataclasses.replace(inst, request_times=(1, 0)),
+        dataclasses.replace(inst, hard_deadlines=(500, INF)),
+        dataclasses.replace(inst, separation=1),
+        dataclasses.replace(inst, separations={(0, 1, 1, 1): 6}),
+    ):
+        assert replay_dispatch(run, changed, mode) is None
 
 
 # --- pinned outputs -----------------------------------------------------------

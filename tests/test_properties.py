@@ -42,6 +42,7 @@ from vsp import (  # noqa: E402
     read_jsp,
     read_schedule,
     reduce_jsp_to_vsp,
+    replay_dispatch,
     run_dispatch,
     solve_exact,
     validate_schedule,
@@ -235,6 +236,37 @@ def test_proximity_dispatch_ignores_soft_deadlines(inst, data):
         assert run_dispatch(moved, Mode.PROXIMITY, policy) == run_dispatch(
             inst, Mode.PROXIMITY, policy
         )
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(dispatch_instances(), st.data())
+def test_replay_is_none_or_the_dispatch_it_stands_for(inst, data):
+    """A finished run, replayed under another soft-deadline vector, mode or
+    negative-slack policy, gives None or exactly run_dispatch there; under
+    its own instance, mode and policy it always replays.  Link minima vary,
+    so that a key read at the wrong step changes the order."""
+    inst = replace(inst, walks=tuple(
+        Walk(w.vertices, tuple(
+            data.draw(st.integers(1, min(hi, 60))) for hi in w.max_times
+        ), w.max_times)
+        for w in inst.walks
+    ))
+    targets = [
+        replace(inst, soft_deadlines=tuple(
+            data.draw(st.one_of(st.just(INF), st.integers(r, h)))
+            for r, h in zip(inst.request_times, inst.hard_deadlines)
+        ))
+        for _ in range(2)
+    ]
+    cases = [
+        ((target, mode, policy), run_dispatch(target, mode, policy))
+        for target in targets for mode in Mode for policy in ("prose", "pseudocode")
+    ]
+    for source, run in cases:
+        assert replay_dispatch(run, *source) == run
+        for target, expected in cases:
+            replayed = replay_dispatch(run, *target)
+            assert replayed is None or replayed == expected
 
 
 @settings(derandomize=True, max_examples=100, deadline=None, database=None)
