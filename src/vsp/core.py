@@ -330,6 +330,18 @@ class Instance:
             for walk, d in zip(self.walks, self.soft_deadlines)
         )
 
+    @cached_property
+    def _conflict_pairs(self) -> tuple[ConflictPair, ...]:
+        """What conflict_pairs returns; see there."""
+        visits = self.visits
+        return tuple(
+            ConflictPair(j1, i1, j2, i2, s)
+            for j1, walk in enumerate(self.walks)
+            for i1, vertex in enumerate(walk.vertices)
+            for j2, i2 in visits[vertex][bisect_left(visits[vertex], (j1 + 1,)):]
+            if (s := self.gap(j1, i1, j2, i2)) > 0
+        )
+
     @property
     def n_vehicles(self) -> int:
         return len(self.walks)
@@ -375,15 +387,11 @@ def conflict_pairs(instance: Instance) -> tuple[ConflictPair, ...]:
     in (j1, i1, j2, i2) order; zero gaps constrain nothing and are dropped.
 
     Walk order gives that order: each stamp pairs with the later vehicles'
-    visits at its vertex, which visits lists in (vehicle, step) order."""
-    visits = instance.visits
-    return tuple(
-        ConflictPair(j1, i1, j2, i2, s)
-        for j1, walk in enumerate(instance.walks)
-        for i1, vertex in enumerate(walk.vertices)
-        for j2, i2 in visits[vertex][bisect_left(visits[vertex], (j1 + 1,)):]
-        if (s := instance.gap(j1, i1, j2, i2)) > 0
-    )
+    visits at its vertex, which visits lists in (vehicle, step) order.  The
+    table is built on first call and kept on the instance like visits, so
+    the exact search and the MIP share it and a replaced instance builds
+    its own."""
+    return instance._conflict_pairs
 
 
 _FIRST, _LAST = itemgetter(0), itemgetter(-1)

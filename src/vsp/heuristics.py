@@ -16,7 +16,9 @@ below 0 it returns the first run that ends at rank (0, 0, 0), since no
 other run can then outrank it; only when no mode does are the paused runs
 finished and every run ranked.  A finished run records the orders its sorts
 made, and replay_dispatch reuses it for another mode or other soft
-deadlines when every recorded order still holds under the new keys.
+deadlines when every recorded order still holds under the new keys;
+deadline_and_proximity tries such a replay from each run it has finished
+before it starts a mode or finishes a paused run.
 
 A priority is the plain tuple (first, demoted, slack, vehicle), compared
 lexicographically: the minimum travel time of the approach link, 1 for a
@@ -397,9 +399,33 @@ def deadline_and_proximity(
     ranks first; a mode that cannot beat the leader is not run, and a run
     that cannot rank (0, 0, 0) is paused and finished only if needed.
 
+    Before a mode's run is started, and again before a paused run is
+    finished, each run this call has finished so far is tried in turn with
+    replay_dispatch; the first replay that holds stands for the run, which
+    is then neither started nor finished.
+
     The mode-order tie-break keeps the winner never worse than the plain
     proximity run on the configured objective.  When every mode leaves a
     vehicle without a stamp the first-ranked run is still returned; callers
     check complete.
     """
-    return best_of(instance, lambda mode: lazy_dispatch(instance, mode, negative_slack))
+    finished: list[DispatchResult] = []
+
+    def replayed(mode: Mode) -> DispatchResult | None:
+        for run in finished:
+            if (res := replay_dispatch(run, instance, mode, negative_slack)) is not None:
+                return res
+        return None
+
+    def started(mode: Mode) -> Iterator[DispatchResult | None]:
+        for res in lazy_dispatch(instance, mode, negative_slack):
+            if res is None:
+                yield None  # paused here; best_of resumes only to finish it
+                if (res := replayed(mode)) is not None:
+                    yield res
+                    return
+            else:
+                finished.append(res)
+                yield res
+
+    return best_of(instance, lambda mode: replayed(mode) or started(mode))

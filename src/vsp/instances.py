@@ -12,6 +12,7 @@ single-line JSON; on read, any JSON whitespace is accepted.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -50,6 +51,9 @@ class GridSpec:
     cols: int
 
     def __post_init__(self) -> None:
+        # Ticks only: build_grid_graph is keyed on the spec, and 5.0 == 5.
+        if not (is_tick(self.rows) and is_tick(self.cols)):
+            raise ValueError("grid dimensions must be integer ticks")
         if self.rows <= 0 or self.cols <= 0:
             raise ValueError("grid dimensions must be positive")
         if self.rows * self.cols < 2:
@@ -60,7 +64,11 @@ class GridSpec:
         return self.rows * self.cols
 
 
+@functools.lru_cache(maxsize=16)  # bounded: a process may walk many grids
 def build_grid_graph(spec: GridSpec) -> Graph:
+    """The graph of spec, built and checked once per spec while it is among
+    the 16 last used; Graph is frozen, so every instance generated on one
+    grid shares it."""
     edges: set[tuple[int, int]] = set()
     for r in range(spec.rows):
         for c in range(spec.cols):

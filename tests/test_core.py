@@ -36,6 +36,7 @@ from oracles import (
     chain_instance,
     merge_instance,
     naive_chain_violations,
+    shared_vertex_pairs,
 )
 
 
@@ -265,6 +266,24 @@ def test_visits_are_built_on_first_read():
     assert "visits" not in vars(copy)
     assert list(copy.visits.items()) == expected
     assert copy == replace(inst, separation=3)  # the index takes no part in ==
+
+
+def test_conflict_pairs_are_built_once_per_instance():
+    """The table is kept on the instance like visits: one object per
+    instance, no part of ==, repr or a replaced copy, which builds its own."""
+    inst = generate_grid_instance(ExperimentConfig(n_vehicles=12), 1.0, 4)
+    assert "_conflict_pairs" not in vars(inst)
+    pairs = conflict_pairs(inst)
+    assert conflict_pairs(inst) is pairs
+    assert [(p.j1, p.i1, p.j2, p.i2) for p in pairs] == sorted(shared_vertex_pairs(inst))
+    assert all(p.s == inst.separation for p in pairs)
+    copy = replace(inst, separation=7)
+    assert "_conflict_pairs" not in vars(copy)
+    assert conflict_pairs(copy) is not pairs
+    assert {p.s for p in conflict_pairs(copy)} == {7}
+    fresh = replace(inst)
+    assert fresh == inst and repr(fresh) == repr(inst)
+    assert "_conflict_pairs" not in vars(fresh)
 
 
 def test_latest_on_time_by_hand():

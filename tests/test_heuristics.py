@@ -446,6 +446,21 @@ def dispatch_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def replay_calls(monkeypatch):
+    """The modes deadline_and_proximity takes from a replay, in call order."""
+    calls = []
+
+    def counted(run, instance, mode, *args):
+        res = replay_dispatch(run, instance, mode, *args)
+        if res is not None:
+            calls.append(mode)
+        return res
+
+    monkeypatch.setattr(vsp.heuristics, "replay_dispatch", counted)
+    return calls
+
+
 @pytest.mark.parametrize("objective", [
     ObjectiveKind.TARDY_COUNT,
     ObjectiveKind.WEIGHTED_TARDY_COUNT,
@@ -484,12 +499,14 @@ def test_wrapper_draws_every_mode_when_no_run_reaches_zero(dispatch_calls, inst)
     ObjectiveKind.MAKESPAN,
 ])
 def test_wrapper_never_stops_early_when_the_objective_can_go_below_zero(
-        dispatch_calls, objective):
+        dispatch_calls, replay_calls, objective):
     # Proximity finishes vehicle 1 exactly at its deadline (max lateness 0),
-    # but abs finishes both early, at max lateness -5, and wins.
+    # but abs finishes both early, at max lateness -5, and wins.  Every mode
+    # is drawn: rel sorts as abs did, so abs's run is replayed for it.
     inst = merge_instance(d_soft=(200, 55), objective=objective)
     best = deadline_and_proximity(inst)
-    assert dispatch_calls == list(Mode)
+    assert dispatch_calls == [Mode.PROXIMITY, Mode.ABS_DEADLINE_PROXIMITY]
+    assert replay_calls == [Mode.REL_DEADLINE_PROXIMITY]
     assert best == eager_best(inst, [run_dispatch(inst, m) for m in Mode])
     if objective is ObjectiveKind.MAX_LATENESS:
         assert evaluate(inst, run_dispatch(inst, Mode.PROXIMITY).schedule()) == 0
@@ -536,6 +553,29 @@ def test_paused_proximity_run_is_started_but_never_finished(monkeypatch):
     assert list(lazy_dispatch(inst, Mode.PROXIMITY)) == [
         None, run_dispatch(inst, Mode.PROXIMITY)
     ]
+
+
+def test_wrapper_drains_only_proximity_where_the_deadline_modes_keep_its_orders(
+        monkeypatch, replay_calls):
+    """At ratio 1.0 every mode signals and is paused.  Proximity, finished
+    first, sorts every group as abs and rel would, so the paused abs and
+    rel runs are replayed from it instead of drained."""
+    started, drained = [], []
+
+    def tracked(instance, mode, *args):
+        started.append(mode)
+        for step in lazy_dispatch(instance, mode, *args):
+            if step is not None:
+                drained.append(mode)
+            yield step
+
+    monkeypatch.setattr(vsp.heuristics, "lazy_dispatch", tracked)
+    inst = generate_grid_instance(ExperimentConfig(n_vehicles=10), 1.0, 3)
+    best = deadline_and_proximity(inst)
+    assert started == list(Mode)
+    assert drained == [Mode.PROXIMITY]
+    assert replay_calls == [Mode.ABS_DEADLINE_PROXIMITY, Mode.REL_DEADLINE_PROXIMITY]
+    assert best == eager_best(inst, [run_dispatch(inst, mode) for mode in Mode])
 
 
 def test_run_signals_when_its_first_stamp_is_already_late():

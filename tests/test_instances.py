@@ -54,6 +54,20 @@ def test_degenerate_grid_rejected():
         GridSpec(1, 1)
     with pytest.raises(ValueError):
         GridSpec(0, 5)
+    # The graph is memoised on the spec, which must then name one grid.
+    for rows, cols in ((5.0, 5), (True, 5), (5, "5")):
+        with pytest.raises(ValueError, match="integer ticks"):
+            GridSpec(rows, cols)
+
+
+def test_grid_graph_is_built_once_per_spec():
+    graph = build_grid_graph(GridSpec(5, 5))
+    assert build_grid_graph(GridSpec(5, 5)) is graph
+    assert build_grid_graph(GridSpec(4, 5)) is not graph
+    config = ExperimentConfig(n_vehicles=6)
+    first, second = (generate_grid_instance(config, 1.0, seed) for seed in (1, 2))
+    assert first.walks != second.walks
+    assert first.graph is second.graph is graph
 
 
 def test_config_invariants():

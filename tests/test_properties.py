@@ -223,6 +223,24 @@ def test_lazy_runs_signal_soundly_and_rank_as_eager_ones(inst):
 
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(
+    st.integers(2, 30), st.integers(2, 5), st.integers(2, 5),
+    st.sampled_from((1.0, 1.1, 1.2, 1.3, 1.4, 1.5)), st.integers(0, 2**32 - 1),
+)
+def test_best_of_three_with_replayed_modes_ranks_as_eager_runs(n, rows, cols, ratio, seed):
+    """deadline_and_proximity, which replays a mode from a finished run
+    where the run's sorts still hold, returns what ranking all three runs,
+    each dispatched to its end, does."""
+    config = ExperimentConfig(n_vehicles=n, grid=GridSpec(rows, cols))
+    inst = generate_grid_instance(config, ratio, seed)
+    for policy in ("prose", "pseudocode"):
+        runs = [run_dispatch(inst, mode, policy) for mode in Mode]
+        for objective in RANKED_OBJECTIVES:
+            scored = replace(inst, objective=objective)
+            assert deadline_and_proximity(scored, policy) == eager_best(scored, runs)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
 @given(dispatch_instances(), st.data())
 def test_proximity_dispatch_ignores_soft_deadlines(inst, data):
     """The invariant that lets one proximity run serve every ratio of a
