@@ -331,15 +331,28 @@ class Instance:
         )
 
     @cached_property
+    def _walk_lengths(self) -> tuple[int, ...]:
+        """Vertex count of each walk, kept like visits."""
+        return tuple(map(len, map(_VERTICES, self.walks)))
+
+    @cached_property
+    def _rising_walks(self) -> bool:
+        """Whether every link minimum is positive, so that stamps rise
+        strictly along each walk; kept like visits."""
+        return min(chain.from_iterable(map(_MIN_TIMES, self.walks)), default=1) > 0
+
+    @cached_property
     def _conflict_pairs(self) -> tuple[ConflictPair, ...]:
         """What conflict_pairs returns; see there."""
-        visits = self.visits
+        # visits puts both stamps at one vertex and the bisect makes j2 > j1,
+        # so each gap is gap()'s last line, read inline.
+        visits, overrides, separation = self.visits, self.separations, self.separation
         return tuple(
             ConflictPair(j1, i1, j2, i2, s)
             for j1, walk in enumerate(self.walks)
             for i1, vertex in enumerate(walk.vertices)
             for j2, i2 in visits[vertex][bisect_left(visits[vertex], (j1 + 1,)):]
-            if (s := self.gap(j1, i1, j2, i2)) > 0
+            if (s := overrides.get((j1, i1, j2, i2), separation)) > 0
         )
 
     @property
@@ -396,7 +409,7 @@ def conflict_pairs(instance: Instance) -> tuple[ConflictPair, ...]:
 
 _FIRST, _LAST = itemgetter(0), itemgetter(-1)
 _TAIL = itemgetter(slice(1, None))
-_VERTICES = attrgetter("vertices")
+_VERTICES, _MIN_TIMES = attrgetter("vertices"), attrgetter("min_times")
 
 
 @dataclass(frozen=True)
@@ -457,16 +470,16 @@ class ValidationReport:
 def check_shape(instance: Instance, schedule: Schedule) -> None:
     """Raise ShapeError unless the schedule matches the instance's walks.
 
-    All row lengths are compared in one pass; only a mismatch walks the
-    vehicles one by one, to name the first.
+    All row lengths are compared in one pass, against the walk lengths kept
+    on the instance; only a mismatch walks the vehicles one by one, to name
+    the first.
     """
     if len(schedule.times) != instance.n_vehicles:
         raise ShapeError(
             f"schedule covers {len(schedule.times)} vehicles, "
             f"instance has {instance.n_vehicles}"
         )
-    lengths = list(map(len, map(_VERTICES, instance.walks)))
-    if list(map(len, schedule.times)) == lengths:
+    if tuple(map(len, schedule.times)) == instance._walk_lengths:
         return
     for j, walk in enumerate(instance.walks):
         if len(schedule.times[j]) != len(walk):

@@ -1,11 +1,13 @@
 """Event-driven dispatch schedulers.
 
-One subroutine assigns stamps by repeatedly popping the earliest pending
+One flat loop assigns stamps by repeatedly popping the earliest pending
 stamp, grouping the vehicles that sit at it by their next vertex, and giving
-out the earliest separation-feasible slot at that vertex in priority order.
-The slot search is one scan of the vertex's assigned stamps in stamp order,
-from the first stamp that can still block the lower bound to the first one
-too late to block the slot found so far, reading each gap inline from the
+out the earliest separation-feasible slot at that vertex in priority order;
+the first stamps go through the same loop.  Its one slot search is an
+append where no assigned stamp at the vertex can block the lower bound,
+else one scan of the vertex's assigned stamps in stamp order, from the
+first stamp that can still block the lower bound to the first one too late
+to block the slot found so far, reading each gap inline from the
 instance's separation rule rather than through Instance.gap.  Three
 priority modes share the loop; best_of draws one run per mode from a
 dispatch function, in Mode order, and keeps the best.  The loop is a
@@ -34,8 +36,8 @@ import heapq
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
-from operator import lt
+from itertools import islice, repeat
+from operator import gt, itemgetter, lt
 from typing import Callable, Iterator
 
 from .core import INF, Instance, ObjectiveKind, Schedule, VspError, evaluate
@@ -67,6 +69,11 @@ class SlotWindowError(VspError):
     """No separation-feasible stamp exists inside the travel-time window."""
 
 
+# A dispatched vehicle's status by whether it ends past its hard deadline.
+_STATUSES = (VehicleStatus.COMPLETED, VehicleStatus.HARD_DEADLINE_VIOLATED)
+_LAST = itemgetter(-1)
+
+
 def sorting_key(
     instance: Instance,
     mode: Mode,
@@ -96,16 +103,16 @@ def sorting_key(
 
     demote = negative_slack == "prose"
     relative = mode is Mode.REL_DEADLINE_PROXIMITY
-    lengths = [len(w.vertices) for w in walks]
+    lengths = instance._walk_lengths
     latest = instance.latest_on_time
 
     def deadline_key(j: int, k: int, ref: int) -> tuple[int, int, float, int]:
         first = walks[j].min_times[k - 1] if k else 0
-        slack = latest[j][max(0, k - 1)] - ref
+        slack = latest[j][k - 1 if k else 0] - ref
         if demote and slack < 0:
             return (first, 1, 0.0, j)
         score = slack / (lengths[j] - k) if relative else float(slack)
-        return (first, 0, max(0.0, score), j)
+        return (first, 0, score if score > 0.0 else 0.0, j)
     return deadline_key
 
 
@@ -129,9 +136,13 @@ class DispatchResult:
     _schedule: Schedule | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_schedule", Schedule(self.times) if self.complete else None
-        )
+        schedule = None
+        if self.complete:
+            # Dispatch computes every stamp from checked ints, so the
+            # Schedule is set up as its __init__ would, without the checks.
+            schedule = object.__new__(Schedule)
+            object.__setattr__(schedule, "times", self.times)
+        object.__setattr__(self, "_schedule", schedule)
 
     @property
     def complete(self) -> bool:
@@ -181,19 +192,23 @@ def lazy_dispatch(
     The loop's state is each vehicle's stamps (their count is the walk
     position to stamp next), a heap of the distinct pending stamps, the
     vehicles waiting at each of them, and per-vertex sorted lists of
-    (stamp, vehicle, step) entries already assigned.  A slot search gets
-    the step and the vertex's list from its caller, bisects the list at
-    lower - max_gap and scans it in place, stopping at the first stamp at
-    or past slot + max_gap; the slot then goes in by a sorted insert.  The
-    scan reads each gap as Instance.gap defines it, without calling it:
-    every entry in the list is at the same vertex, so the gap is 0 for the
-    vehicle itself, else its override, else the uniform separation.
+    (stamp, vehicle, step) entries already assigned.  One flat loop places
+    every stamp, the first ones included, as a batch: the initial order,
+    then the vehicles of each popped stamp, group after group.  Where the
+    vertex's last entry is at or below lower - max_gap nothing can block
+    lower, so the slot is lower and its entry is appended.  Else the slot
+    search bisects the list at lower - max_gap and scans it in place,
+    stopping at the first stamp at or past slot + max_gap, and the slot
+    goes in by a sorted insert.  The scan reads each gap as Instance.gap
+    defines it, without calling it: every entry in the list is at the same
+    vertex, so the gap is 0 for the vehicle itself, else its override, else
+    the uniform separation.
     """
     n = instance.n_vehicles
     vertices = [w.vertices for w in instance.walks]
     min_times = [w.min_times for w in instance.walks]
     max_times = [w.max_times for w in instance.walks]
-    lengths = list(map(len, vertices))
+    lengths = instance._walk_lengths
     request_times = instance.request_times
     latest = instance.latest_on_time
     overrides = instance.separations
@@ -201,95 +216,91 @@ def lazy_dispatch(
     max_gap = instance.max_gap
     key = sorting_key(instance, mode, negative_slack)
     times: list[list[int]] = [[] for _ in range(n)]
-    statuses = [VehicleStatus.COMPLETED] * n
+    failed: list[int] = []
     heap: list[int] = []
     waiting: dict[int, list[int]] = {}
-    assigned: dict[int, list[tuple[int, int, int]]] = {}
-    # One tuple per sorted group: keeping the loop's own group lists alive
-    # measured about 3 % slower per 600-vehicle 10x10 generate, schedule
-    # and validate round trip.
+    assigned: list[list[tuple[int, int, int]]] = [
+        [] for _ in range(instance.graph.vertex_count)
+    ]
     sorted_groups: list[tuple[int, tuple[int, ...]]] = []
     signalled = False
-
-    def current_key(j: int) -> tuple[int, int, float, int]:
-        k = len(times[j])
-        return key(j, k, times[j][-1] if k else request_times[j])
-
-    def place(
-        j: int,
-        step: int,
-        entries: list[tuple[int, int, int]],
-        lower: int,
-        upper: int | float,
-    ) -> bool:
-        # The slot is the least tick >= lower outside every interval
-        # (stamp - s, stamp + s).  Jumping slot to the end of each interval
-        # that holds it, in stamp order, finds it, overrides or not: no jump
-        # passes that tick, and none lands in an interval k already scanned,
-        # since with slot <= a_k - g_k a later a_m >= a_k holds slot only if
-        # g_m > g_k + (a_m - a_k), and then lands at a_m + g_m > a_k + g_k.
-        # From the first stamp - max_gap >= slot on, no interval holds slot;
-        # the bisect skips the stamps whose intervals end at or below lower.
-        # Returns whether the run can no longer rank (0, 0, 0).
-        slot = lower
-        for k in range(bisect_left(entries, (lower - max_gap + 1,)), len(entries)):
-            stamp, other, other_step = entries[k]
-            if stamp - max_gap >= slot:
-                break
-            if other == j:
-                continue
-            s = separation if not overrides else overrides.get(
-                (j, step, other, other_step) if j < other
-                else (other, other_step, j, step),
-                separation,
-            )
-            if stamp - s < slot < stamp + s:
-                slot = stamp + s
-        if slot > upper:
-            statuses[j] = VehicleStatus.SLOT_WINDOW_FAILED
-            return True
-        times[j].append(slot)
-        insort(entries, (slot, j, step))
-        if step + 1 < lengths[j]:
-            if slot not in waiting:
-                heapq.heappush(heap, slot)
-                waiting[slot] = []
-            waiting[slot].append(j)
-        return (slot > lower or not step) and slot > latest[j][step]
-
-    order = sorted(range(n), key=current_key)
-    for j in order:
-        entries = assigned.setdefault(vertices[j][0], [])
-        if place(j, 0, entries, request_times[j], INF) and not signalled:
-            signalled = True
-            yield None
-
-    while heap:
+    # Keys end in the vehicle id, so sorting the keys sorts the vehicles.
+    order = list(map(_LAST, sorted(map(key, range(n), repeat(0), request_times))))
+    batch, t = order, 0  # t, the popped stamp, is read from the second batch on
+    while True:
+        for j in batch:
+            row = times[j]
+            step = len(row)
+            lower = t + min_times[j][step - 1] if step else request_times[j]
+            entries = assigned[vertices[j][step]]
+            slot = lower
+            if entries and entries[-1][0] > lower - max_gap:
+                # The slot is the least tick >= lower outside every interval
+                # (stamp - s, stamp + s).  Jumping slot to the end of each
+                # interval that holds it, in stamp order, finds it, overrides
+                # or not: no jump passes that tick, and none lands in an
+                # interval k already scanned, since with slot <= a_k - g_k a
+                # later a_m >= a_k holds slot only if g_m > g_k + (a_m - a_k),
+                # and then lands at a_m + g_m > a_k + g_k.  From the first
+                # stamp - max_gap >= slot on, no interval holds slot; the
+                # bisect skips the stamps whose intervals end at or below lower.
+                start = bisect_left(entries, (lower - max_gap + 1,))
+                for stamp, other, other_step in islice(entries, start, None):
+                    if stamp - max_gap >= slot:
+                        break
+                    if other == j:
+                        continue
+                    s = separation if not overrides else overrides.get(
+                        (j, step, other, other_step) if j < other
+                        else (other, other_step, j, step),
+                        separation,
+                    )
+                    if stamp - s < slot < stamp + s:
+                        slot = stamp + s
+                # A first stamp has no upper bound; a later one, the link's.
+                if step and slot > t + max_times[j][step - 1]:
+                    failed.append(j)
+                    if not signalled:
+                        signalled = True
+                        yield None
+                    continue
+                insort(entries, (slot, j, step))
+            else:
+                entries.append((slot, j, step))
+            row.append(slot)
+            if step + 1 < lengths[j]:
+                if slot in waiting:
+                    waiting[slot].append(j)
+                else:
+                    heapq.heappush(heap, slot)
+                    waiting[slot] = [j]
+            if (not signalled and (slot > lower or not step)
+                    and slot > latest[j][step]):
+                signalled = True
+                yield None
+        if not heap:
+            break
         t = heapq.heappop(heap)
-        # Group the waiting vehicles by next vertex, in first-seen order,
-        # before placing anything, so positions stay those they were
-        # queued with.
-        groups: dict[int, list[int]] = {}
-        for j in waiting.pop(t):
-            groups.setdefault(vertices[j][len(times[j])], []).append(j)
-        for vertex, group in groups.items():
-            entries = assigned.setdefault(vertex, [])
-            if len(group) > 1:
-                group.sort(key=current_key)
-                sorted_groups.append((t, tuple(group)))
-            for j in group:
-                step = len(times[j])
-                if place(
-                    j, step, entries,
-                    t + min_times[j][step - 1],
-                    t + max_times[j][step - 1],
-                ) and not signalled:
-                    signalled = True
-                    yield None
+        # The waiting vehicles are grouped by next vertex, in first-seen
+        # order, before anything is placed, so positions stay those they
+        # were queued with; each group's keys take t as reference time.
+        batch = waiting.pop(t)
+        if len(batch) > 1:
+            groups: dict[int, list[int]] = {}
+            for j in batch:
+                groups.setdefault(vertices[j][len(times[j])], []).append(j)
+            batch = []
+            for group in groups.values():
+                if len(group) > 1:
+                    steps = map(len, map(times.__getitem__, group))
+                    group = tuple(map(_LAST, sorted(map(key, group, steps, repeat(t)))))
+                    sorted_groups.append((t, group))
+                batch += group
 
-    for j, (row, hard) in enumerate(zip(times, instance.hard_deadlines)):
-        if statuses[j] is VehicleStatus.COMPLETED and row[-1] > hard:
-            statuses[j] = VehicleStatus.HARD_DEADLINE_VIOLATED
+    late = map(gt, map(_LAST, times), instance.hard_deadlines)
+    statuses = list(map(_STATUSES.__getitem__, late))
+    for j in failed:
+        statuses[j] = VehicleStatus.SLOT_WINDOW_FAILED
     yield DispatchResult(
         mode, tuple(map(tuple, times)), tuple(statuses),
         (instance, order, sorted_groups),
@@ -336,7 +347,7 @@ def replay_dispatch(
             and instance.hard_deadlines == recorded.hard_deadlines
             and instance.separation == recorded.separation
             and instance.separations == recorded.separations
-            and min(chain.from_iterable(w.min_times for w in walks), default=1) > 0):
+            and recorded._rising_walks):
         return None
     key = sorting_key(instance, mode, negative_slack)
     times, request_times = run.times, instance.request_times

@@ -185,7 +185,9 @@ def reference_dispatch(
 ) -> DispatchResult:
     """run_dispatch's event loop with each slot found by
     earliest_feasible_slot over every stamp already at the vertex: no
-    max_gap window and no early stop."""
+    max_gap window and no early stop.  Its sorts hold the instance, the
+    initial order and each sorted group of more than one vehicle with its
+    popped stamp, as run_dispatch records them."""
     n = instance.n_vehicles
     walks = instance.walks
     key = sorting_key(instance, mode, negative_slack)
@@ -194,6 +196,7 @@ def reference_dispatch(
     heap: list[int] = []
     waiting: dict[int, list[int]] = {}
     assigned: dict[int, list[tuple[int, int, int]]] = {}
+    sorted_groups: list[tuple[int, tuple[int, ...]]] = []
 
     def current_key(j: int):
         k = len(times[j])
@@ -220,7 +223,8 @@ def reference_dispatch(
                 waiting[stamp] = []
             waiting[stamp].append(j)
 
-    for j in sorted(range(n), key=current_key):
+    order = sorted(range(n), key=current_key)
+    for j in order:
         place(j, instance.request_times[j], INF)
     while heap:
         t = heapq.heappop(heap)
@@ -228,7 +232,10 @@ def reference_dispatch(
         for j in waiting.pop(t):
             groups.setdefault(walks[j].vertices[len(times[j])], []).append(j)
         for group in groups.values():
-            for j in sorted(group, key=current_key):
+            group = sorted(group, key=current_key)
+            if len(group) > 1:
+                sorted_groups.append((t, tuple(group)))
+            for j in group:
                 step = len(times[j])
                 place(
                     j,
@@ -238,7 +245,10 @@ def reference_dispatch(
     for j, (row, hard) in enumerate(zip(times, instance.hard_deadlines)):
         if statuses[j] is VehicleStatus.COMPLETED and row[-1] > hard:
             statuses[j] = VehicleStatus.HARD_DEADLINE_VIOLATED
-    return DispatchResult(mode, tuple(tuple(row) for row in times), tuple(statuses))
+    return DispatchResult(
+        mode, tuple(tuple(row) for row in times), tuple(statuses),
+        (instance, order, sorted_groups),
+    )
 
 
 def eager_best(inst: Instance, runs: Iterable[DispatchResult]) -> DispatchResult:

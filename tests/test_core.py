@@ -284,6 +284,21 @@ def test_conflict_pairs_are_built_once_per_instance():
     fresh = replace(inst)
     assert fresh == inst and repr(fresh) == repr(inst)
     assert "_conflict_pairs" not in vars(fresh)
+    # The table reads each gap inline; it holds what Instance.gap gives, in
+    # the same order, overrides in either orientation and zero gaps included.
+    keys = sorted(shared_vertex_pairs(inst))
+    overrides = {key: (0, 2, 9)[k % 3] for k, key in enumerate(keys[::4])}
+    overrides = {(k[2], k[3], k[0], k[1]) if n % 2 else k: s
+                 for n, (k, s) in enumerate(overrides.items())}
+    for separation in (0, 5):
+        overridden = replace(inst, separation=separation, separations=overrides)
+        expected = [
+            ConflictPair(*key, s) for key in keys
+            if (s := overridden.gap(*key)) > 0
+        ]
+        assert list(conflict_pairs(overridden)) == expected
+        assert any(s == 0 for s in overridden.separations.values())
+        assert len(expected) < len(keys)
 
 
 def test_latest_on_time_by_hand():

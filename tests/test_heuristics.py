@@ -130,6 +130,24 @@ def test_slot_matches_linear_scan_oracle():
         assert earliest_feasible_slot(0, lower, INF, blockers) == expected
 
 
+def test_own_revisit_inside_the_gap_blocks_nothing():
+    # Vehicle 0 comes back to vertex 0 two ticks after leaving it, well
+    # inside the uniform gap of 5.  Its own stamp 0 lies in the scanned
+    # window but blocks nothing, so it is back at 2, not 5.
+    inst = Instance(
+        graph=Graph(2, frozenset({(0, 1), (1, 0)})),
+        walks=(Walk((0, 1, 0), (1, 1), (INF, INF)), Walk((1, 0), (7,), (INF,))),
+        request_times=(0, 10),
+        soft_deadlines=(INF, INF),
+        hard_deadlines=(INF, INF),
+        separation=5,
+    )
+    for mode in Mode:
+        result = run_dispatch(inst, mode)
+        assert result.times == ((0, 1, 2), (10, 17))
+        assert result == reference_dispatch(inst, mode)
+
+
 def test_slot_scan_jumps_past_wide_gap_after_narrow_one():
     # Vehicle 2 asks for vertex 0 at 8, where stamp 8 needs a gap of 1 and
     # stamp 10 a gap of 5.  In stamp order the scan first jumps to 9, inside

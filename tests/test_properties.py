@@ -344,12 +344,41 @@ def jobshop_instances(draw):
 @given(st.one_of(dispatch_instances(), jobshop_instances()))
 def test_dispatch_matches_whole_vertex_reference(inst):
     """The windowed in-place slot scan gives the slots of a search that
-    sorts the intervals of every stamp at the vertex."""
+    sorts the intervals of every stamp at the vertex, and records the sorts
+    that search makes: == leaves sorts out, but replay_dispatch reads them."""
     for mode in Mode:
         for policy in ("prose", "pseudocode"):
-            assert run_dispatch(inst, mode, policy) == reference_dispatch(
-                inst, mode, policy
+            run = run_dispatch(inst, mode, policy)
+            reference = reference_dispatch(inst, mode, policy)
+            assert run == reference
+            assert run.sorts[1:] == reference.sorts[1:]
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(st.one_of(dispatch_instances(), jobshop_instances()), st.data())
+def test_lazy_run_signals_exactly_when_it_fails_or_runs_late(inst, data):
+    """A lazy run yields None at most once, before its result, and does so
+    exactly when the drained run has a slot failure or a stamp later than
+    its latest on-time entry.  The loop checks a stamp against that entry
+    only where it lands past its lower bound or is a vehicle's first, so
+    some soft deadlines are redrawn as tight as the request time, which
+    makes a first stamp late where it lands at its lower bound."""
+    inst = replace(inst, soft_deadlines=tuple(
+        data.draw(st.sampled_from((s, r) if s == INF else (s, r, (r + s) // 2)))
+        for r, s in zip(inst.request_times, inst.soft_deadlines)
+    ))
+    latest = inst.latest_on_time
+    for mode in Mode:
+        for policy in ("prose", "pseudocode"):
+            *signals, run = lazy_dispatch(inst, mode, policy)
+            assert signals in ([], [None])
+            assert run == run_dispatch(inst, mode, policy)
+            late = any(
+                stamp > bound
+                for row, bounds in zip(run.times, latest)
+                for stamp, bound in zip(row, bounds)
             )
+            assert bool(signals) == (run.slot_failures > 0 or late)
 
 
 # Job 0 revisits machine 0; deadlines tight enough that someone is late.
