@@ -297,6 +297,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             exact_cap=args.exact_cap,
             negative_slack=args.negative_slack,
         ).records
+    if not records:
+        raise VspError(
+            f"--algorithms {args.algorithms} runs nothing: every --vehicles "
+            f"count exceeds --exact-cap {args.exact_cap}"
+        )
     tardy_path, runtime_path = emit_csv(
         SweepResult(args.instances, records), args.out_dir
     )

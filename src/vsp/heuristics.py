@@ -19,8 +19,9 @@ other run can then outrank it; only when no mode does are the paused runs
 finished and every run ranked.  A finished run records the orders its sorts
 made, and replay_dispatch reuses it for another mode or other soft
 deadlines when every recorded order still holds under the new keys;
-deadline_and_proximity tries such a replay from each run it has finished
-before it starts a mode or finishes a paused run.
+deadline_and_proximity tries such a replay of one earlier run, the mode's
+own or else proximity's, before it starts a mode, and again before it
+finishes a paused run that had no earlier run to try.
 
 A priority is the plain tuple (first, demoted, slack, vehicle), compared
 lexicographically: the minimum travel time of the approach link, 1 for a
@@ -334,22 +335,26 @@ def replay_dispatch(
     of more than one vehicle at a popped stamp) is strictly increasing under
     the new keys.  So the run is replayed when that holds and its instance
     has the same walks, request times, hard deadlines, uniform separation
-    and overrides as instance.  A group member's step is the popped stamp's
-    position in its row plus one, one bisect, which needs stamps strictly
-    increasing along each walk: every link minimum must be positive.
+    and overrides as instance.  A proximity run asked for proximity is then
+    returned as it is, since proximity keys read no soft deadline.  Else a
+    group member's step is the popped stamp's position in its row plus one,
+    one bisect, which needs stamps strictly increasing along each walk:
+    every link minimum must be positive.
     """
     if run.sorts is None:
         return None
     recorded, order, groups = run.sorts
-    walks = instance.walks
-    if not (walks == recorded.walks
+    if not (instance.walks == recorded.walks
             and instance.request_times == recorded.request_times
             and instance.hard_deadlines == recorded.hard_deadlines
             and instance.separation == recorded.separation
-            and instance.separations == recorded.separations
-            and recorded._rising_walks):
+            and instance.separations == recorded.separations):
         return None
     key = sorting_key(instance, mode, negative_slack)
+    if mode is run.mode is Mode.PROXIMITY:
+        return run  # proximity keys read no soft deadline
+    if not recorded._rising_walks:
+        return None
     times, request_times = run.times, instance.request_times
     keys = [key(j, 0, request_times[j]) for j in order]
     if not all(map(lt, keys, keys[1:])):
@@ -405,38 +410,44 @@ def best_of(
 def deadline_and_proximity(
     instance: Instance,
     negative_slack: str = "prose",
+    finished: dict[Mode, DispatchResult] | None = None,
 ) -> DispatchResult:
     """Dispatch in each mode, as best_of draws them, and return the run it
     ranks first; a mode that cannot beat the leader is not run, and a run
     that cannot rank (0, 0, 0) is paused and finished only if needed.
 
-    Before a mode's run is started, and again before a paused run is
-    finished, each run this call has finished so far is tried in turn with
-    replay_dispatch; the first replay that holds stands for the run, which
-    is then neither started nor finished.
+    finished holds each mode's last finished run, which this call updates;
+    it starts empty unless given, and vsp bench passes one per instance
+    seed.  Before a mode's run is started, replay_dispatch tries one
+    earlier run: the mode's own in finished, else the proximity run.  If
+    there was none, it tries again before the paused run is finished.  A
+    replay that holds stands for the run, which is then neither started
+    nor finished.
 
     The mode-order tie-break keeps the winner never worse than the plain
     proximity run on the configured objective.  When every mode leaves a
     vehicle without a stamp the first-ranked run is still returned; callers
     check complete.
     """
-    finished: list[DispatchResult] = []
+    finished = {} if finished is None else finished
+
+    def candidate(mode: Mode) -> DispatchResult | None:
+        return finished.get(mode) or finished.get(Mode.PROXIMITY)
 
     def replayed(mode: Mode) -> DispatchResult | None:
-        for run in finished:
-            if (res := replay_dispatch(run, instance, mode, negative_slack)) is not None:
-                return res
-        return None
+        run = candidate(mode)
+        return run and replay_dispatch(run, instance, mode, negative_slack)
 
-    def started(mode: Mode) -> Iterator[DispatchResult | None]:
+    def started(mode: Mode, retry: bool) -> Iterator[DispatchResult | None]:
+        # A run tried before the start would fail again, so it is not retried.
         for res in lazy_dispatch(instance, mode, negative_slack):
             if res is None:
                 yield None  # paused here; best_of resumes only to finish it
-                if (res := replayed(mode)) is not None:
+                if retry and (res := replayed(mode)) is not None:
                     yield res
                     return
             else:
-                finished.append(res)
+                finished[mode] = res
                 yield res
 
-    return best_of(instance, lambda mode: replayed(mode) or started(mode))
+    return best_of(instance, lambda m: replayed(m) or started(m, candidate(m) is None))

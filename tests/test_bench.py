@@ -5,6 +5,7 @@ from functools import cached_property
 import pytest
 
 import vsp.bench
+import vsp.heuristics
 from vsp import (
     ConfigurationError,
     ExperimentConfig,
@@ -29,18 +30,6 @@ from vsp import (
 from vsp.bench import _DISPATCH_OK, _check
 from vsp.instances import soft_deadlines_at
 from oracles import merge_instance
-
-
-def patch_run_start(monkeypatch, start):
-    """Start every dispatch run of run_sweep as start(instance, mode, ...),
-    a stand-in for lazy_dispatch: the shared proximity run, which run_sweep
-    finishes at once, and the lazy runs it hands best_of."""
-    def finished(*args):
-        *_, result = start(*args)
-        return result
-
-    monkeypatch.setattr(vsp.bench, "run_dispatch", finished)
-    monkeypatch.setattr(vsp.bench, "lazy_dispatch", start)
 
 
 def small_config(n_vehicles=5, ratios=(1.0, 1.3), instances=3, seed=101):
@@ -223,21 +212,29 @@ def test_shared_proximity_run_matches_per_ratio_dispatch(monkeypatch, algorithms
     """One proximity run per instance seed, and the deadline runs replayed
     from earlier runs of the seed, give every record a per-ratio dispatch
     of the generated instance would give, under both negative-slack
-    policies, at tight hard deadlines and at the 11 default ratios."""
-    replays = []
+    policies, at tight hard deadlines, at the 11 default ratios and with
+    zero link minima, where only proximity is replayed."""
+    replays = []  # per replay tried: whether it replayed a deadline mode
 
-    def counted(*args):
-        run = replay_dispatch(*args)
-        replays.append(run is not None)
+    def counted(run, instance, mode, *args):
+        run = replay_dispatch(run, instance, mode, *args)
+        replays.append(run is not None and mode is not Mode.PROXIMITY)
         return run
 
-    monkeypatch.setattr(vsp.bench, "replay_dispatch", counted)
+    monkeypatch.setattr(vsp.heuristics, "replay_dispatch", counted)
     statuses = set()
-    for config in (tight_config(), ExperimentConfig(n_vehicles=12, n_instances=3, seed=3)):
+    for config in (
+        tight_config(),
+        ExperimentConfig(n_vehicles=12, n_instances=3, seed=3),
+        ExperimentConfig(n_vehicles=12, n_instances=3, seed=3, tau_min_link=0),
+    ):
+        swept = []  # the replays tried inside run_sweep
         for policy in ("prose", "pseudocode"):
+            replays.clear()
             result = run_sweep(
                 config, algorithms, exact_time_limit=30.0, negative_slack=policy
             )
+            swept += replays
             dispatch_records = [r for r in result.records if r.algorithm != "exact"]
             expected = []
             seeds = sorted({(r.instance_index, r.instance_seed) for r in result.records})
@@ -273,27 +270,31 @@ def test_shared_proximity_run_matches_per_ratio_dispatch(monkeypatch, algorithms
                 (r.instance_index, r.ratio, r.tardy_count, r.status)
                 for r in alone.records
             ]
+        # Zero link minima leave no deadline mode to replay.
+        assert any(swept) == ("heuristic" in algorithms and config.tau_min_link > 0)
     assert statuses - {"completed"}
-    assert any(replays) == ("heuristic" in algorithms)
 
 
 def test_sweep_dispatches_proximity_once_per_instance_seed(monkeypatch):
-    """Every mode best_of draws is a run started or a replay of an earlier
-    run of the seed, and proximity is started once per seed."""
-    config = tight_config()
-    calls, replays = [], []
+    """Every mode best-of-three draws is a run started or a replay of an
+    earlier run of the seed, and no replay is tried twice.  Proximity is
+    started once per seed and replayed at every heuristic cell, also with
+    zero link minima, where no deadline mode is replayed."""
+    configs = (tight_config(), replace(tight_config(), tau_min_link=0))
+    calls, replays, tries = [], [], []
 
     def counted(instance, mode, *args):
         calls.append(mode)
         return lazy_dispatch(instance, mode, *args)
 
-    def counted_replay(*args):
-        run = replay_dispatch(*args)
+    def counted_replay(run, instance, mode, *args):
+        tries.append((run, instance, mode))  # kept alive, so ids stay unique
+        run = replay_dispatch(run, instance, mode, *args)
         if run is not None:
             replays.append(run.mode)
         return run
 
-    def deadline_draws(seed, ratio):
+    def deadline_draws(config, seed, ratio):
         # best_of draws the modes in Mode order and stops at the first run
         # that is complete, on time and free of hard violations.
         inst = generate_grid_instance(config, ratio, seed)
@@ -304,27 +305,39 @@ def test_sweep_dispatches_proximity_once_per_instance_seed(monkeypatch):
 
     seeds = sorted({
         (r.instance_index, r.instance_seed)
-        for r in run_sweep(config, ("baseline",)).records
+        for r in run_sweep(configs[0], ("baseline",)).records
     })
-    draws = [deadline_draws(seed, ratio)
-             for _, seed in seeds for ratio in config.soft_deadline_ratios]
+    draws = [
+        [deadline_draws(config, seed, ratio)
+         for _, seed in seeds for ratio in config.soft_deadline_ratios]
+        for config in configs
+    ]
     # Every way of stopping occurs: after proximity, after abs, never.
-    assert set(draws) == {0, 1, 2}
-    patch_run_start(monkeypatch, counted)
-    monkeypatch.setattr(vsp.bench, "replay_dispatch", counted_replay)
-    for algorithms, expected in (
-        (("baseline", "heuristic"), config.n_instances + sum(draws)),
-        (("heuristic",), config.n_instances + sum(draws)),
-        (("baseline",), config.n_instances),
-        (("exact",), 0),
-    ):
-        calls.clear()
-        replays.clear()
-        run_sweep(config, algorithms, exact_time_limit=30.0)
-        assert len(calls) + len(replays) == expected, algorithms
-        assert calls.count(Mode.PROXIMITY) == (config.n_instances if expected else 0)
-        assert Mode.PROXIMITY not in replays
-        assert bool(replays) == ("heuristic" in algorithms), algorithms
+    assert set(draws[0]) == {0, 1, 2}
+    monkeypatch.setattr(vsp.heuristics, "lazy_dispatch", counted)
+    monkeypatch.setattr(vsp.heuristics, "replay_dispatch", counted_replay)
+    for config, cell_draws in zip(configs, draws):
+        seeded, cells = config.n_instances, len(cell_draws)
+        for algorithms, expected in (
+            (("baseline", "heuristic"), seeded + cells + sum(cell_draws)),
+            (("heuristic",), seeded + cells + sum(cell_draws)),
+            (("baseline",), seeded),
+            (("exact",), 0),
+        ):
+            calls.clear()
+            replays.clear()
+            tries.clear()
+            # The exact solver's warm start dispatches through the same
+            # functions, so it is capped out: this case counts the sweep's own.
+            run_sweep(config, algorithms, exact_time_limit=30.0, exact_cap=0)
+            assert len(calls) + len(replays) == expected, algorithms
+            assert calls.count(Mode.PROXIMITY) == (seeded if expected else 0)
+            heuristic = "heuristic" in algorithms
+            assert replays.count(Mode.PROXIMITY) == (cells if heuristic else 0)
+            assert (len(replays) > replays.count(Mode.PROXIMITY)) == (
+                heuristic and config.tau_min_link > 0
+            ), algorithms
+            assert len({(id(r), id(i), m) for r, i, m in tries}) == len(tries)
 
 
 def test_sweep_validates_proximity_schedule_once_per_instance_seed(monkeypatch):
@@ -428,8 +441,11 @@ def test_clashing_proximity_run_still_aborts_the_sweep(
         if mode is Mode.PROXIMITY:
             proximity_calls.append(mode)
             if len(proximity_calls) == bad_seed + 1:
-                instance = replace(instance, separation=0)
-        return lazy_dispatch(instance, mode, *args)
+                *_, run = lazy_dispatch(replace(instance, separation=0), mode, *args)
+                # Recorded under the real instance, so best-of-three replays it.
+                yield replace(run, sorts=(instance, *run.sorts[1:]))
+                return
+        yield from lazy_dispatch(instance, mode, *args)
 
     seed = seeds[bad_seed][1]
     base = generate_grid_instance(config, config.soft_deadline_ratios[0], seed)
@@ -451,7 +467,7 @@ def test_clashing_proximity_run_still_aborts_the_sweep(
         break
     assert message is not None
 
-    patch_run_start(monkeypatch, clashing)
+    monkeypatch.setattr(vsp.heuristics, "lazy_dispatch", clashing)
     with pytest.raises(VspError) as caught:
         run_sweep(config, algorithms)
     assert str(caught.value) == message

@@ -386,6 +386,8 @@ def test_bench_tardy_csv_matches_golden_under_pseudocode_policy(tmp_path):
     ("bench", "--vehicles", "5,5", "--instances", 1, "--ratios", "1.0"),
     ("bench", "--vehicles", 3, "--instances", 1, "--ratios", "1.0",
      "--algorithms", "baseline,heuristic,baseline"),
+    ("bench", "--vehicles", "5,6", "--instances", 1, "--algorithms", "exact",
+     "--exact-cap", 3),
 ], ids=[
     "no-vehicles", "negative-separation", "no-instances", "falling-ratios",
     "hard-factor-below-ratios", "hard-factor-below-ratio", "unknown-algorithm",
@@ -393,7 +395,7 @@ def test_bench_tardy_csv_matches_golden_under_pseudocode_policy(tmp_path):
     "negative-ratio", "nan-in-ratios", "vertex-count-1e300", "nan-time-limit",
     "negative-time-limit", "nan-exact-time-limit", "nan-exact-time-limit-unused",
     "negative-exact-time-limit-over-cap", "repeated-vehicle-count",
-    "repeated-algorithm",
+    "repeated-algorithm", "exact-over-cap-runs-nothing",
 ])
 def test_bad_config_values_report_error(tmp_path, capsys, argv):
     out = "--out-dir" if argv[0] == "bench" else "--out"

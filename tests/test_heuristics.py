@@ -88,8 +88,12 @@ def test_negative_slack_prose_demotes_pseudocode_clamps():
 
 
 def test_unknown_negative_slack_policy():
+    inst = chain_instance()
     with pytest.raises(ValueError):
-        sorting_key(chain_instance(), Mode.PROXIMITY, "maybe")
+        sorting_key(inst, Mode.PROXIMITY, "maybe")
+    # A proximity replay reads no key, yet still rejects the policy.
+    with pytest.raises(ValueError):
+        replay_dispatch(run_dispatch(inst, Mode.PROXIMITY), inst, Mode.PROXIMITY, "maybe")
 
 
 # --- slot search ------------------------------------------------------------
@@ -520,11 +524,12 @@ def test_wrapper_never_stops_early_when_the_objective_can_go_below_zero(
         dispatch_calls, replay_calls, objective):
     # Proximity finishes vehicle 1 exactly at its deadline (max lateness 0),
     # but abs finishes both early, at max lateness -5, and wins.  Every mode
-    # is drawn: rel sorts as abs did, so abs's run is replayed for it.
+    # is drawn and run: rel sorts as abs did, but only proximity's run,
+    # whose orders rel breaks, is tried for it.
     inst = merge_instance(d_soft=(200, 55), objective=objective)
     best = deadline_and_proximity(inst)
-    assert dispatch_calls == [Mode.PROXIMITY, Mode.ABS_DEADLINE_PROXIMITY]
-    assert replay_calls == [Mode.REL_DEADLINE_PROXIMITY]
+    assert dispatch_calls == list(Mode)
+    assert replay_calls == []
     assert best == eager_best(inst, [run_dispatch(inst, m) for m in Mode])
     if objective is ObjectiveKind.MAX_LATENESS:
         assert evaluate(inst, run_dispatch(inst, Mode.PROXIMITY).schedule()) == 0
@@ -635,8 +640,10 @@ def test_latest_on_time_is_built_once_per_instance(monkeypatch):
 def test_replay_needs_positive_link_minima_and_the_same_dispatch_inputs():
     """A zero-minimum link lets a walk stamp two steps at one tick, so a
     popped stamp no longer names one step: not even a run's own instance
-    and mode replay it.  Nor does an instance that differs in walks,
-    request times, hard deadlines, uniform separation or overrides."""
+    and a deadline mode replay it.  A proximity run still replays in
+    proximity, which reads no key.  Nor does an instance that differs in
+    walks, request times, hard deadlines, uniform separation or overrides
+    replay."""
     looped = Instance(
         graph=Graph(2, frozenset({(0, 1), (1, 0)})),
         walks=(Walk((0, 1, 0), (0, 0), (INF, INF)), Walk((1, 0), (50,), (INF,))),
@@ -646,19 +653,21 @@ def test_replay_needs_positive_link_minima_and_the_same_dispatch_inputs():
         separation=5,
     )
     for mode in Mode:
-        assert replay_dispatch(run_dispatch(looped, mode), looped, mode) is None
+        run = run_dispatch(looped, mode)
+        expected = run if mode is Mode.PROXIMITY else None
+        assert replay_dispatch(run, looped, mode) == expected
     inst = merge_instance(d_soft=(200, 50))
-    mode = Mode.ABS_DEADLINE_PROXIMITY
-    run = run_dispatch(inst, mode)
-    assert replay_dispatch(run, inst, mode) == run
-    for changed in (
-        dataclasses.replace(inst, walks=(Walk((0, 2), (51,), (INF,)), inst.walks[1])),
-        dataclasses.replace(inst, request_times=(1, 0)),
-        dataclasses.replace(inst, hard_deadlines=(500, INF)),
-        dataclasses.replace(inst, separation=1),
-        dataclasses.replace(inst, separations={(0, 1, 1, 1): 6}),
-    ):
-        assert replay_dispatch(run, changed, mode) is None
+    for mode in (Mode.PROXIMITY, Mode.ABS_DEADLINE_PROXIMITY):
+        run = run_dispatch(inst, mode)
+        assert replay_dispatch(run, inst, mode) == run
+        for changed in (
+            dataclasses.replace(inst, walks=(Walk((0, 2), (51,), (INF,)), inst.walks[1])),
+            dataclasses.replace(inst, request_times=(1, 0)),
+            dataclasses.replace(inst, hard_deadlines=(500, INF)),
+            dataclasses.replace(inst, separation=1),
+            dataclasses.replace(inst, separations={(0, 1, 1, 1): 6}),
+        ):
+            assert replay_dispatch(run, changed, mode) is None
 
 
 # --- pinned outputs -----------------------------------------------------------

@@ -262,7 +262,9 @@ def test_replay_is_none_or_the_dispatch_it_stands_for(inst, data):
     """A finished run, replayed under another soft-deadline vector, mode or
     negative-slack policy, gives None or exactly run_dispatch there; under
     its own instance, mode and policy it always replays.  Link minima vary,
-    so that a key read at the wrong step changes the order."""
+    so that a key read at the wrong step changes the order.  Zeroing some
+    of them stops every deadline-mode replay, yet a proximity run replayed
+    in proximity is then still exactly run_dispatch."""
     inst = replace(inst, walks=tuple(
         Walk(w.vertices, tuple(
             data.draw(st.integers(1, min(hi, 60))) for hi in w.max_times
@@ -285,6 +287,20 @@ def test_replay_is_none_or_the_dispatch_it_stands_for(inst, data):
         for target, expected in cases:
             replayed = replay_dispatch(run, *target)
             assert replayed is None or replayed == expected
+    zeroed = tuple(
+        Walk(w.vertices, tuple(
+            0 if data.draw(st.booleans()) else m for m in w.min_times
+        ), w.max_times)
+        for w in inst.walks
+    )
+    flat = [replace(target, walks=zeroed) for target in targets]
+    for policy in ("prose", "pseudocode"):
+        run = run_dispatch(flat[0], Mode.PROXIMITY, policy)
+        for target in flat:
+            for other in ("prose", "pseudocode"):
+                assert replay_dispatch(run, target, Mode.PROXIMITY, other) == (
+                    run_dispatch(target, Mode.PROXIMITY, other)
+                )
 
 
 @settings(derandomize=True, max_examples=100, deadline=None, database=None)
