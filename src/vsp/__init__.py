@@ -41,7 +41,6 @@ from .heuristics import (
     Mode,
     SlotWindowError,
     VehicleStatus,
-    best_of,
     deadline_and_proximity,
     lazy_dispatch,
     replay_dispatch,

@@ -350,8 +350,9 @@ class SolveResult:
     objective: float | None
     node_count: int
     witness: tuple[Constraint, ...] | None = None
-    # Tardy weight at the root's least stamps plus the root cover, capped at
-    # the warm-start incumbent; None when the root is infeasible.
+    # The objective once proved optimal.  Else the tardy weight at the
+    # root's least stamps plus the root cover, capped at the warm-start
+    # incumbent; None when the root is infeasible.
     lower_bound: float | None = None
 
 
@@ -440,8 +441,9 @@ def solve_exact(
                 if _relax(dcs.out_edges, dist, scratch_pred, c.x) is not None:
                     continue
         nodes += 1
-        # The root's bound is the lower bound: it has a cover even without an
-        # incumbent, and it is taken even once the time has run out.
+        # The root's bound is the lower bound until the search proves one: it
+        # has a cover even without an incumbent, and it is taken even once
+        # the time has run out.
         limit = INF if c is None and best_obj is None else best_obj
         # bound reads the scan only once the tardy weight is below the limit.
         scan, clashing = tee(
@@ -470,7 +472,7 @@ def solve_exact(
     elif stopped and best_obj > lower_bound:
         status = SolveStatus.FEASIBLE_INCUMBENT
     else:  # searched to the end, or stopped where the bound meets the incumbent
-        status = SolveStatus.OPTIMAL
+        status, lower_bound = SolveStatus.OPTIMAL, best_obj
     _, scale = scaled_tardy_weights(instance)
     if scale is not None:
         lower_bound /= scale

@@ -1,27 +1,21 @@
 """Event-driven dispatch schedulers.
 
-One flat loop assigns stamps by repeatedly popping the earliest pending
-stamp, grouping the vehicles that sit at it by their next vertex, and giving
-out the earliest separation-feasible slot at that vertex in priority order;
-the first stamps go through the same loop.  Its one slot search is an
-append where no assigned stamp at the vertex can block the lower bound,
-else one scan of the vertex's assigned stamps in stamp order, from the
-first stamp that can still block the lower bound to the first one too late
-to block the slot found so far, reading each gap inline from the
-instance's separation rule rather than through Instance.gap.  Three
-priority modes share the loop; best_of draws one run per mode from a
-dispatch function, in Mode order, and keeps the best.  The loop is a
-generator, lazy_dispatch, that signals the first time its run can no longer
-end complete, on time and free of hard violations; run_dispatch drains it.
-best_of pauses each run at that signal.  Under an objective that cannot go
-below 0 it returns the first run that ends at rank (0, 0, 0), since no
-other run can then outrank it; only when no mode does are the paused runs
-finished and every run ranked.  A finished run records the orders its sorts
-made, and replay_dispatch reuses it for another mode or other soft
-deadlines when every recorded order still holds under the new keys;
-deadline_and_proximity tries such a replay of one earlier run, the mode's
-own or else proximity's, before it starts a mode, and again before it
-finishes a paused run that had no earlier run to try.
+One flat loop, the generator lazy_dispatch, assigns stamps by repeatedly
+popping the earliest pending stamp, grouping the vehicles that sit at it by
+their next vertex, and giving out the earliest separation-feasible slot at
+that vertex in priority order; the first stamps go through the same loop.
+Its one slot search is an append where no assigned stamp at the vertex can
+block the lower bound, else one scan of the vertex's assigned stamps in
+stamp order, from the first stamp that can still block the lower bound to
+the first one too late to block the slot found so far, reading each gap
+inline from the instance's separation rule rather than through
+Instance.gap.  The loop signals the first time its run can no longer end
+complete, on time and free of hard violations; run_dispatch drains it.  A
+finished run records the orders its sorts made, and replay_dispatch reuses
+it for another mode or other soft deadlines when every recorded order
+still holds under the new keys.  Three priority modes share the loop;
+deadline_and_proximity runs them in Mode order, replays where it can,
+pauses each started run at its signal, and keeps the best.
 
 A priority is the plain tuple (first, demoted, slack, vehicle), compared
 lexicographically: the minimum travel time of the approach link, 1 for a
@@ -366,25 +360,40 @@ def replay_dispatch(
     return DispatchResult(mode, times, run.statuses, run.sorts)
 
 
-def best_of(
+def deadline_and_proximity(
     instance: Instance,
-    dispatch: Callable[[Mode], DispatchResult | Iterator[DispatchResult | None]],
+    negative_slack: str = "prose",
+    finished: dict[Mode, DispatchResult] | None = None,
 ) -> DispatchResult:
-    """Return the run that ranks first: fewest slot-window failures, then the
-    instance objective (infinite for an incomplete run), then hard-deadline
-    violations, then the position of its mode in Mode.
+    """Return the run of the three modes that ranks first: fewest slot-window
+    failures, then the instance objective (infinite for an incomplete run),
+    then hard-deadline violations, then the position of its mode in Mode.
 
-    The runs are drawn as dispatch(mode), one at a time in Mode order; a
-    draw is a finished DispatchResult or a lazy_dispatch run, which is
-    advanced only to its signal and paused there.  Under an objective that
-    never goes below zero the first run to end at rank (0, 0, 0) is
-    returned at once: every mode not drawn yet comes after it, and a paused
-    run cannot reach that rank.  Otherwise the paused runs are finished, in
-    Mode order, and every run is ranked.
+    The modes go in Mode order.  Each first tries replay_dispatch on one
+    earlier run: the mode's own in finished, else the proximity run.  A
+    replay that holds stands for the run, which is then neither started nor
+    finished.  Else the mode's lazy_dispatch run is started and paused at
+    its signal.  Under an objective that never goes below zero the first
+    run to end at rank (0, 0, 0) is returned at once: every later mode comes
+    after it, and a paused run cannot reach that rank.  Otherwise the paused
+    runs are finished in Mode order, a run that had no earlier run to try
+    first trying one now, and every run is ranked.
+
+    finished holds each mode's last finished run, which this call updates;
+    it starts empty unless given, and vsp bench passes one per instance
+    seed.  The mode-order tie-break keeps the winner never worse than the
+    plain proximity run on the configured objective.  When every mode leaves
+    a vehicle without a stamp the first-ranked run is still returned;
+    callers check complete.
     """
+    finished = {} if finished is None else finished
     floored = instance.objective in _NON_NEGATIVE
     ranked: list[tuple[tuple, DispatchResult]] = []
-    paused: list[tuple[int, Iterator[DispatchResult | None]]] = []
+    paused: list[tuple[int, Mode, Iterator[DispatchResult | None], bool]] = []
+
+    def replayed(mode: Mode) -> DispatchResult | None:
+        earlier = finished.get(mode) or finished.get(Mode.PROXIMITY)
+        return earlier and replay_dispatch(earlier, instance, mode, negative_slack)
 
     def enter(position: int, res: DispatchResult) -> bool:
         """Rank res; whether no other run can outrank it."""
@@ -394,60 +403,22 @@ def best_of(
         return floored and rank[:3] == (0, 0, 0)
 
     for position, mode in enumerate(Mode):
-        run = dispatch(mode)
-        # A lazy run gives its result, or None at its signal.
-        res = run if isinstance(run, DispatchResult) else next(run)
+        # A run tried before the start would fail again, so it is not retried.
+        retry = mode not in finished and Mode.PROXIMITY not in finished
+        res = replayed(mode)
         if res is None:
-            paused.append((position, run))
-        elif enter(position, res):
+            run = lazy_dispatch(instance, mode, negative_slack)
+            res = next(run)  # the result, or None at the run's signal
+            if res is None:
+                paused.append((position, mode, run, retry))
+                continue
+            finished[mode] = res
+        if enter(position, res):
             return res
-    for position, run in paused:
-        *_, res = run
+    for position, mode, run, retry in paused:
+        res = replayed(mode) if retry else None
+        if res is None:
+            *_, res = run
+            finished[mode] = res
         enter(position, res)
     return min(ranked)[1]  # ranks differ in position, so no two runs compare
-
-
-def deadline_and_proximity(
-    instance: Instance,
-    negative_slack: str = "prose",
-    finished: dict[Mode, DispatchResult] | None = None,
-) -> DispatchResult:
-    """Dispatch in each mode, as best_of draws them, and return the run it
-    ranks first; a mode that cannot beat the leader is not run, and a run
-    that cannot rank (0, 0, 0) is paused and finished only if needed.
-
-    finished holds each mode's last finished run, which this call updates;
-    it starts empty unless given, and vsp bench passes one per instance
-    seed.  Before a mode's run is started, replay_dispatch tries one
-    earlier run: the mode's own in finished, else the proximity run.  If
-    there was none, it tries again before the paused run is finished.  A
-    replay that holds stands for the run, which is then neither started
-    nor finished.
-
-    The mode-order tie-break keeps the winner never worse than the plain
-    proximity run on the configured objective.  When every mode leaves a
-    vehicle without a stamp the first-ranked run is still returned; callers
-    check complete.
-    """
-    finished = {} if finished is None else finished
-
-    def candidate(mode: Mode) -> DispatchResult | None:
-        return finished.get(mode) or finished.get(Mode.PROXIMITY)
-
-    def replayed(mode: Mode) -> DispatchResult | None:
-        run = candidate(mode)
-        return run and replay_dispatch(run, instance, mode, negative_slack)
-
-    def started(mode: Mode, retry: bool) -> Iterator[DispatchResult | None]:
-        # A run tried before the start would fail again, so it is not retried.
-        for res in lazy_dispatch(instance, mode, negative_slack):
-            if res is None:
-                yield None  # paused here; best_of resumes only to finish it
-                if retry and (res := replayed(mode)) is not None:
-                    yield res
-                    return
-            else:
-                finished[mode] = res
-                yield res
-
-    return best_of(instance, lambda m: replayed(m) or started(m, candidate(m) is None))

@@ -121,8 +121,15 @@ class ExperimentConfig:
             raise ValueError("need at least one soft deadline ratio")
         if not all(math.isfinite(r) and r >= 0 for r in ratios):
             raise ValueError("soft deadline ratios must be finite and nonnegative")
-        if not math.isfinite(self.hard_deadline_factor):
-            raise ValueError("hard deadline factor must be finite")
+        # The factor covers every ratio, so its deadline on the longest free
+        # trip of the grid bounds every deadline the config scales.
+        trip = (self.grid.rows + self.grid.cols - 2) * self.tau_min_link
+        try:
+            finite = math.isfinite(self.hard_deadline_factor * trip)
+        except OverflowError:  # a trip past the float range
+            finite = False
+        if not finite:
+            raise ValueError("hard deadline factor on the longest free trip must be finite")
         if any(b <= a for a, b in zip(ratios, ratios[1:])):
             raise ValueError("soft deadline ratios must be strictly increasing")
         if self.hard_deadline_factor < max(ratios):

@@ -252,8 +252,8 @@ def reference_dispatch(
 
 
 def eager_best(inst: Instance, runs: Iterable[DispatchResult]) -> DispatchResult:
-    """The run min ranks first over all finished runs, as best_of did before
-    it learnt to stop drawing and to pause runs."""
+    """The run min ranks first over all finished runs, as best-of-three did
+    before it learnt to stop drawing and to pause runs."""
     order = list(Mode)
 
     def rank(run: DispatchResult) -> tuple:

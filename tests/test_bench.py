@@ -16,7 +16,6 @@ from vsp import (
     Schedule,
     SweepResult,
     VspError,
-    best_of,
     deadline_and_proximity,
     emit_csv,
     evaluate,
@@ -29,7 +28,7 @@ from vsp import (
 )
 from vsp.bench import _DISPATCH_OK, _check
 from vsp.instances import soft_deadlines_at
-from oracles import merge_instance
+from oracles import eager_best, merge_instance
 
 
 def small_config(n_vehicles=5, ratios=(1.0, 1.3), instances=3, seed=101):
@@ -295,8 +294,8 @@ def test_sweep_dispatches_proximity_once_per_instance_seed(monkeypatch):
         return run
 
     def deadline_draws(config, seed, ratio):
-        # best_of draws the modes in Mode order and stops at the first run
-        # that is complete, on time and free of hard violations.
+        # deadline_and_proximity draws the modes in Mode order and stops at
+        # the first run that is complete, on time and free of hard violations.
         inst = generate_grid_instance(config, ratio, seed)
         runs = [run_dispatch(inst, mode) for mode in Mode]
         return next((k for k, run in enumerate(runs) if run.complete
@@ -456,9 +455,9 @@ def test_clashing_proximity_run_still_aborts_the_sweep(
         if "baseline" in algorithms:
             name = "baseline"
         else:
-            def dispatch(m):
-                return bad if m is Mode.PROXIMITY else run_dispatch(inst, m)
-            if best_of(inst, dispatch) is not bad:
+            runs = [bad, run_dispatch(inst, Mode.ABS_DEADLINE_PROXIMITY),
+                    run_dispatch(inst, Mode.REL_DEADLINE_PROXIMITY)]
+            if eager_best(inst, runs) is not bad:
                 continue
             name = "heuristic"
         with pytest.raises(VspError) as caught:

@@ -388,6 +388,14 @@ def test_bench_tardy_csv_matches_golden_under_pseudocode_policy(tmp_path):
      "--algorithms", "baseline,heuristic,baseline"),
     ("bench", "--vehicles", "5,6", "--instances", 1, "--algorithms", "exact",
      "--exact-cap", 3),
+    ("generate", "--grid", "3x3", "--vehicles", 4, "--ratio", 1.0,
+     "--hard-factor", 1e308, "--seed", 1),
+    ("generate", "--grid", "3x3", "--vehicles", 4, "--ratio", 1e308,
+     "--hard-factor", 1e308, "--seed", 1),
+    ("bench", "--vehicles", 3, "--instances", 1, "--ratios", "1.0",
+     "--hard-factor", 1e308),
+    ("generate", "--vehicles", 3, "--ratio", 1.0, "--seed", 1,
+     "--tau-min", 10**400),
 ], ids=[
     "no-vehicles", "negative-separation", "no-instances", "falling-ratios",
     "hard-factor-below-ratios", "hard-factor-below-ratio", "unknown-algorithm",
@@ -396,6 +404,7 @@ def test_bench_tardy_csv_matches_golden_under_pseudocode_policy(tmp_path):
     "negative-time-limit", "nan-exact-time-limit", "nan-exact-time-limit-unused",
     "negative-exact-time-limit-over-cap", "repeated-vehicle-count",
     "repeated-algorithm", "exact-over-cap-runs-nothing",
+    "hard-factor-1e308", "ratio-1e308", "bench-hard-factor-1e308", "tau-min-1e400",
 ])
 def test_bad_config_values_report_error(tmp_path, capsys, argv):
     out = "--out-dir" if argv[0] == "bench" else "--out"

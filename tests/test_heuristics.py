@@ -20,7 +20,6 @@ from vsp import (
     SlotWindowError,
     VehicleStatus,
     Walk,
-    best_of,
     deadline_and_proximity,
     evaluate,
     generate_grid_instance,
@@ -536,23 +535,18 @@ def test_wrapper_never_stops_early_when_the_objective_can_go_below_zero(
         assert best.mode is Mode.ABS_DEADLINE_PROXIMITY
 
 
-def test_best_of_draws_modes_in_order_until_no_later_one_can_win():
-    drawn = []
-
-    def dispatch(mode):
-        drawn.append(mode)
-        return lazy_dispatch(inst, mode)
-
+def test_best_of_draws_modes_in_order_until_no_later_one_can_win(dispatch_calls):
     # Proximity makes vehicle 1 tardy and abs does not, so rel is not drawn.
     inst = merge_instance(d_soft=(200, 50))
-    best = best_of(inst, dispatch)
-    assert drawn == [Mode.PROXIMITY, Mode.ABS_DEADLINE_PROXIMITY]
+    best = deadline_and_proximity(inst)
+    assert dispatch_calls == [Mode.PROXIMITY, Mode.ABS_DEADLINE_PROXIMITY]
     assert best == run_dispatch(inst, Mode.ABS_DEADLINE_PROXIMITY)
     # Proximity is already on time, so no deadline mode is drawn.
-    drawn.clear()
+    dispatch_calls.clear()
     inst = merge_instance(d_soft=(200, 60))
-    assert best_of(inst, dispatch) == run_dispatch(inst, Mode.PROXIMITY)
-    assert drawn == [Mode.PROXIMITY]
+    best = deadline_and_proximity(inst)
+    assert dispatch_calls == [Mode.PROXIMITY]
+    assert best == run_dispatch(inst, Mode.PROXIMITY)
 
 
 def test_paused_proximity_run_is_started_but_never_finished(monkeypatch):
