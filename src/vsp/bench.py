@@ -31,7 +31,7 @@ from .core import (
     evaluate,
     validate_schedule,
 )
-from .exact import solve_exact
+from .exact import SolveStatus, solve_exact
 from .heuristics import Mode, deadline_and_proximity, run_dispatch
 from .instances import ExperimentConfig, generate_grid_instance, soft_deadlines_at
 
@@ -63,7 +63,10 @@ class SweepResult:
     records: list[RunRecord]
 
     def mean_tardy(self) -> dict[tuple[int, float, str], tuple[float, float]]:
-        """(n, ratio, algorithm) -> (mean tardy fraction, standard error)."""
+        """(n, ratio, algorithm) -> (mean tardy fraction, standard error).
+
+        An exact cell is left out unless every instance in it has a proved
+        optimum, so that its mean covers the same instances as the others."""
         grouped: dict[tuple[int, float, str], list[float]] = {}
         for rec in self.records:
             if rec.tardy_count is not None:
@@ -72,7 +75,9 @@ class SweepResult:
                 ).append(rec.tardy_count / rec.n_vehicles)
         out: dict[tuple[int, float, str], tuple[float, float]] = {}
         for key, fractions in grouped.items():
-            if key[2] != "exact" and len(fractions) != self.n_instances:
+            if len(fractions) != self.n_instances:
+                if key[2] == "exact":
+                    continue
                 raise VspError(
                     f"cell {key} has {len(fractions)} values, "
                     f"expected {self.n_instances}"
@@ -129,9 +134,10 @@ def run_sweep(
     sweep.  Validation reads no soft deadline, so it runs against the
     seed's base instance, whose per-vertex visit index is then built once
     per seed.  The exact solver only runs when the vehicle count is within
-    exact_cap and always needs a time limit; runs that hit the limit are
-    recorded under their solver status so they can be excluded from
-    optimality claims.
+    exact_cap and always needs a time limit.  Every schedule it returns is
+    validated, and each run is recorded under its solver status, with a
+    tardy count only when that status is optimal: an unproved value is
+    never reported as an optimum.
     """
     unknown = set(algorithms) - set(ALGORITHMS)
     if unknown:
@@ -184,11 +190,11 @@ def run_sweep(
                 start = time.perf_counter()
                 result = solve_exact(instance, time_limit=exact_time_limit)
                 elapsed = time.perf_counter() - start
-                tardy = None
                 if result.schedule is not None:
                     _check(instance, result.schedule, "exact", frozenset())
-                    tardy = int(result.objective)
-                record("exact", tardy, elapsed, result.status.value)
+                proved = result.status is SolveStatus.OPTIMAL
+                record("exact", int(result.objective) if proved else None,
+                       elapsed, result.status.value)
     return SweepResult(config.n_instances, records)
 
 

@@ -336,12 +336,6 @@ class Instance:
         return tuple(map(len, map(_VERTICES, self.walks)))
 
     @cached_property
-    def _rising_walks(self) -> bool:
-        """Whether every link minimum is positive, so that stamps rise
-        strictly along each walk; kept like visits."""
-        return min(chain.from_iterable(map(_MIN_TIMES, self.walks)), default=1) > 0
-
-    @cached_property
     def _conflict_pairs(self) -> tuple[ConflictPair, ...]:
         """What conflict_pairs returns; see there."""
         # visits puts both stamps at one vertex and the bisect makes j2 > j1,
@@ -409,7 +403,7 @@ def conflict_pairs(instance: Instance) -> tuple[ConflictPair, ...]:
 
 _FIRST, _LAST = itemgetter(0), itemgetter(-1)
 _TAIL = itemgetter(slice(1, None))
-_VERTICES, _MIN_TIMES = attrgetter("vertices"), attrgetter("min_times")
+_VERTICES = attrgetter("vertices")
 
 
 @dataclass(frozen=True)

@@ -11,18 +11,19 @@ the first one too late to block the slot found so far, reading each gap
 inline from the instance's separation rule rather than through
 Instance.gap.  The loop signals the first time its run can no longer end
 complete, on time and free of hard violations; run_dispatch drains it.  A
-finished run records the orders its sorts made, and replay_dispatch reuses
+finished run records the keys its sorts made, and replay_dispatch reuses
 it for another mode or other soft deadlines when every recorded order
 still holds under the new keys.  Three priority modes share the loop;
 deadline_and_proximity runs them in Mode order, replays where it can,
 pauses each started run at its signal, and keeps the best.
 
-A priority is the plain tuple (first, demoted, slack, vehicle), compared
-lexicographically: the minimum travel time of the approach link, 1 for a
-vehicle demoted for negative slack (else 0), the mode's deadline slack
-(0.0 under proximity), and the vehicle id.  sorting_key builds the key
-function once per run, reading each stamp's latest on-time value from
-Instance.latest_on_time, which the run's signal checks share.
+A priority is the plain tuple (first, demoted, slack, vehicle, step),
+compared lexicographically: the minimum travel time of the approach link,
+1 for a vehicle demoted for negative slack (else 0), the mode's deadline
+slack (0.0 under proximity), the vehicle id, and the walk position about to
+be stamped.  sorting_key builds the key function once per run, reading each
+stamp's latest on-time value from Instance.latest_on_time, which the run's
+signal checks share.
 """
 
 from __future__ import annotations
@@ -66,24 +67,26 @@ class SlotWindowError(VspError):
 
 # A dispatched vehicle's status by whether it ends past its hard deadline.
 _STATUSES = (VehicleStatus.COMPLETED, VehicleStatus.HARD_DEADLINE_VIOLATED)
-_LAST = itemgetter(-1)
+_LAST, _VEHICLE, _STEP = itemgetter(-1), itemgetter(3), itemgetter(4)
 
 
 def sorting_key(
     instance: Instance,
     mode: Mode,
     negative_slack: str = "prose",
-) -> Callable[[int, int, int], tuple[int, int, float, int]]:
+) -> Callable[[int, int, int], tuple[int, int, float, int, int]]:
     """Priority key of the vehicles of one instance in one mode.
 
     The returned key(vehicle, next_index, ref_time) gives the tuple
-    (first, demoted, slack, vehicle); next_index is the walk position about
-    to receive a stamp and ref_time the stamp at the current vertex, or the
-    request time before the first assignment.  first is the minimum travel
-    time of the link leading to the contested vertex (zero before the first
-    stamp).  The deadline modes add the remaining delay slack: soft deadline
-    minus the earliest possible completion from here, clamped at zero, and
-    divided by the number of vertices still to visit in the relative mode.
+    (first, demoted, slack, vehicle, next_index); next_index is the walk
+    position about to receive a stamp and ref_time the stamp at the current
+    vertex, or the request time before the first assignment.  first is the
+    minimum travel time of the link leading to the contested vertex (zero
+    before the first stamp).  The deadline modes add the remaining delay
+    slack: soft deadline minus the earliest possible completion from here,
+    clamped at zero, and divided by the number of vertices still to visit in
+    the relative mode.  next_index never decides an order, since vehicle ids
+    differ within a sort; it lets a recorded key name its stamp.
     With negative_slack="prose" vehicles whose slack is already negative are
     demoted (demoted 1, slack 0.0) instead of clamped; "pseudocode" keeps
     the plain clamp, which ranks them alongside zero-slack vehicles.
@@ -92,8 +95,8 @@ def sorting_key(
         raise ValueError(f"unknown negative-slack policy {negative_slack!r}")
     walks = instance.walks
     if mode is Mode.PROXIMITY:
-        def proximity_key(j: int, k: int, ref: int) -> tuple[int, int, float, int]:
-            return (walks[j].min_times[k - 1] if k else 0, 0, 0.0, j)
+        def proximity_key(j: int, k: int, ref: int) -> tuple[int, int, float, int, int]:
+            return (walks[j].min_times[k - 1] if k else 0, 0, 0.0, j, k)
         return proximity_key
 
     demote = negative_slack == "prose"
@@ -101,13 +104,13 @@ def sorting_key(
     lengths = instance._walk_lengths
     latest = instance.latest_on_time
 
-    def deadline_key(j: int, k: int, ref: int) -> tuple[int, int, float, int]:
+    def deadline_key(j: int, k: int, ref: int) -> tuple[int, int, float, int, int]:
         first = walks[j].min_times[k - 1] if k else 0
         slack = latest[j][k - 1 if k else 0] - ref
         if demote and slack < 0:
-            return (first, 1, 0.0, j)
+            return (first, 1, 0.0, j, k)
         score = slack / (lengths[j] - k) if relative else float(slack)
-        return (first, 0, score if score > 0.0 else 0.0, j)
+        return (first, 0, score if score > 0.0 else 0.0, j, k)
     return deadline_key
 
 
@@ -125,7 +128,7 @@ class DispatchResult:
     times: tuple[tuple[int, ...], ...]
     statuses: tuple[VehicleStatus, ...]
     # What replay_dispatch reads: (instance, initial order, [(popped stamp,
-    # sorted group), ...]) of the run that placed these stamps.
+    # sorted keys of the group), ...]) of the run that placed these stamps.
     sorts: tuple | None = field(default=None, repr=False, compare=False)
     # The Schedule of a complete run; None when a vehicle failed.
     _schedule: Schedule | None = field(init=False, repr=False, compare=False)
@@ -182,7 +185,8 @@ def lazy_dispatch(
     short, by a hard deadline where the soft one is open.  Last it yields
     the DispatchResult, whose sorts record the instance, the initial order
     and, for each group of more than one vehicle, the popped stamp and the
-    sorted group as one tuple, for replay_dispatch.
+    group's sorted keys, each of which names its vehicle and step, for
+    replay_dispatch.
 
     The loop's state is each vehicle's stamps (their count is the walk
     position to stamp next), a heap of the distinct pending stamps, the
@@ -217,10 +221,10 @@ def lazy_dispatch(
     assigned: list[list[tuple[int, int, int]]] = [
         [] for _ in range(instance.graph.vertex_count)
     ]
-    sorted_groups: list[tuple[int, tuple[int, ...]]] = []
+    sorted_groups: list[tuple[int, list[tuple]]] = []
     signalled = False
-    # Keys end in the vehicle id, so sorting the keys sorts the vehicles.
-    order = list(map(_LAST, sorted(map(key, range(n), repeat(0), request_times))))
+    # Keys differ in the vehicle id, so sorting the keys sorts the vehicles.
+    order = list(map(_VEHICLE, sorted(map(key, range(n), repeat(0), request_times))))
     batch, t = order, 0  # t, the popped stamp, is read from the second batch on
     while True:
         for j in batch:
@@ -288,8 +292,9 @@ def lazy_dispatch(
             for group in groups.values():
                 if len(group) > 1:
                     steps = map(len, map(times.__getitem__, group))
-                    group = tuple(map(_LAST, sorted(map(key, group, steps, repeat(t)))))
-                    sorted_groups.append((t, group))
+                    keys = sorted(map(key, group, steps, repeat(t)))
+                    sorted_groups.append((t, keys))
+                    group = map(_VEHICLE, keys)
                 batch += group
 
     late = map(gt, map(_LAST, times), instance.hard_deadlines)
@@ -323,17 +328,16 @@ def replay_dispatch(
     or None when the run cannot show it.
 
     A run reads soft deadlines only through its sort keys; its signal reads
-    them too but never steers it.  Keys end in the vehicle id, so a sort has
-    no ties, and a new run makes every choice the recorded one made when
+    them too but never steers it.  Keys differ in the vehicle id, so a sort
+    has no ties, and a new run makes every choice the recorded one made when
     each order the recorded run sorted (its initial order, and each group
     of more than one vehicle at a popped stamp) is strictly increasing under
     the new keys.  So the run is replayed when that holds and its instance
     has the same walks, request times, hard deadlines, uniform separation
     and overrides as instance.  A proximity run asked for proximity is then
-    returned as it is, since proximity keys read no soft deadline.  Else a
-    group member's step is the popped stamp's position in its row plus one,
-    one bisect, which needs stamps strictly increasing along each walk:
-    every link minimum must be positive.
+    returned as it is, since proximity keys read no soft deadline.  Else
+    each group's new keys are built from the vehicle and step its recorded
+    keys name, at the popped stamp.
     """
     if run.sorts is None:
         return None
@@ -347,17 +351,15 @@ def replay_dispatch(
     key = sorting_key(instance, mode, negative_slack)
     if mode is run.mode is Mode.PROXIMITY:
         return run  # proximity keys read no soft deadline
-    if not recorded._rising_walks:
-        return None
-    times, request_times = run.times, instance.request_times
+    request_times = instance.request_times
     keys = [key(j, 0, request_times[j]) for j in order]
     if not all(map(lt, keys, keys[1:])):
         return None
-    for t, group in groups:
-        keys = [key(j, bisect_left(times[j], t) + 1, t) for j in group]
+    for t, group in groups:  # a group is its recorded keys, sorted
+        keys = list(map(key, map(_VEHICLE, group), map(_STEP, group), repeat(t)))
         if not all(map(lt, keys, keys[1:])):
             return None
-    return DispatchResult(mode, times, run.statuses, run.sorts)
+    return DispatchResult(mode, run.times, run.statuses, run.sorts)
 
 
 def deadline_and_proximity(

@@ -186,8 +186,8 @@ def reference_dispatch(
     """run_dispatch's event loop with each slot found by
     earliest_feasible_slot over every stamp already at the vertex: no
     max_gap window and no early stop.  Its sorts hold the instance, the
-    initial order and each sorted group of more than one vehicle with its
-    popped stamp, as run_dispatch records them."""
+    initial order and the sorted keys of each group of more than one
+    vehicle with its popped stamp, as run_dispatch records them."""
     n = instance.n_vehicles
     walks = instance.walks
     key = sorting_key(instance, mode, negative_slack)
@@ -196,7 +196,7 @@ def reference_dispatch(
     heap: list[int] = []
     waiting: dict[int, list[int]] = {}
     assigned: dict[int, list[tuple[int, int, int]]] = {}
-    sorted_groups: list[tuple[int, tuple[int, ...]]] = []
+    sorted_groups: list[tuple[int, list[tuple]]] = []
 
     def current_key(j: int):
         k = len(times[j])
@@ -234,7 +234,7 @@ def reference_dispatch(
         for group in groups.values():
             group = sorted(group, key=current_key)
             if len(group) > 1:
-                sorted_groups.append((t, tuple(group)))
+                sorted_groups.append((t, [current_key(j) for j in group]))
             for j in group:
                 step = len(times[j])
                 place(

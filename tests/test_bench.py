@@ -170,6 +170,32 @@ def test_exact_needs_time_limit_and_respects_cap():
         assert exact_rec.tardy_count <= min(others)
 
 
+def test_exact_row_reports_only_proved_optima(tmp_path):
+    """A zero budget leaves 2 of these 3 solves at their warm start: every
+    returned schedule is still validated and every status kept, but only
+    the proved one has a tardy count, and the cell, short of 2 optima, is
+    left out of the means and of tardy.csv.  Under 30 s all 3 are proved
+    and the cell is their mean."""
+    config = small_config(n_vehicles=12, ratios=(1.0,), instances=3, seed=42)
+    unproved = run_sweep(config, ("heuristic", "exact"), exact_time_limit=0.0)
+    exact = [rec for rec in unproved.records if rec.algorithm == "exact"]
+    assert [rec.status for rec in exact] == [
+        "optimal", "feasible_incumbent", "feasible_incumbent"
+    ]
+    assert [rec.tardy_count is None for rec in exact] == [False, True, True]
+    assert set(unproved.mean_tardy()) == {(12, 1.0, "heuristic")}
+    tardy_path, _ = emit_csv(unproved, tmp_path / "unproved")
+    assert [row[2] for row in read_rows(tardy_path)[1:]] == ["heuristic"]
+
+    proved = run_sweep(config, ("heuristic", "exact"), exact_time_limit=30.0)
+    solves = [rec for rec in proved.records if rec.algorithm == "exact"]
+    assert {rec.status for rec in solves} == {"optimal"}
+    optima = [rec.tardy_count for rec in solves]
+    mean, _ = proved.mean_tardy()[(12, 1.0, "exact")]
+    assert mean == pytest.approx(sum(optima) / len(optima) / 12)
+    assert exact[0].tardy_count == optima[0]
+
+
 def test_unknown_algorithm_rejected():
     with pytest.raises(ConfigurationError, match="unknown algorithms"):
         run_sweep(small_config(), ("baseline", "annealing"))
@@ -212,7 +238,7 @@ def test_shared_proximity_run_matches_per_ratio_dispatch(monkeypatch, algorithms
     from earlier runs of the seed, give every record a per-ratio dispatch
     of the generated instance would give, under both negative-slack
     policies, at tight hard deadlines, at the 11 default ratios and with
-    zero link minima, where only proximity is replayed."""
+    zero link minima, where deadline modes are replayed too."""
     replays = []  # per replay tried: whether it replayed a deadline mode
 
     def counted(run, instance, mode, *args):
@@ -269,16 +295,16 @@ def test_shared_proximity_run_matches_per_ratio_dispatch(monkeypatch, algorithms
                 (r.instance_index, r.ratio, r.tardy_count, r.status)
                 for r in alone.records
             ]
-        # Zero link minima leave no deadline mode to replay.
-        assert any(swept) == ("heuristic" in algorithms and config.tau_min_link > 0)
+        # Every config, zero link minima included, replays a deadline mode.
+        assert any(swept) == ("heuristic" in algorithms)
     assert statuses - {"completed"}
 
 
 def test_sweep_dispatches_proximity_once_per_instance_seed(monkeypatch):
     """Every mode best-of-three draws is a run started or a replay of an
     earlier run of the seed, and no replay is tried twice.  Proximity is
-    started once per seed and replayed at every heuristic cell, also with
-    zero link minima, where no deadline mode is replayed."""
+    started once per seed and replayed at every heuristic cell, and a
+    deadline mode is replayed too, also with zero link minima."""
     configs = (tight_config(), replace(tight_config(), tau_min_link=0))
     calls, replays, tries = [], [], []
 
@@ -333,9 +359,7 @@ def test_sweep_dispatches_proximity_once_per_instance_seed(monkeypatch):
             assert calls.count(Mode.PROXIMITY) == (seeded if expected else 0)
             heuristic = "heuristic" in algorithms
             assert replays.count(Mode.PROXIMITY) == (cells if heuristic else 0)
-            assert (len(replays) > replays.count(Mode.PROXIMITY)) == (
-                heuristic and config.tau_min_link > 0
-            ), algorithms
+            assert (len(replays) > replays.count(Mode.PROXIMITY)) == heuristic, algorithms
             assert len({(id(r), id(i), m) for r, i, m in tries}) == len(tries)
 
 

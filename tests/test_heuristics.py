@@ -60,18 +60,18 @@ def slack_state_instance():
 
 def test_proximity_key_copies_next_link_time():
     key = sorting_key(chain_instance(), Mode.PROXIMITY)
-    assert key(0, 1, 0) == (50, 0, 0.0, 0)
+    assert key(0, 1, 0) == (50, 0, 0.0, 0, 1)
 
 
 def test_abs_key_is_clamped_slack():
     key = sorting_key(slack_state_instance(), Mode.ABS_DEADLINE_PROXIMITY)
     # remaining minimum travel 75 + 75 = 150, so slack = 300 - 250 = 50
-    assert key(0, 2, 100) == (75, 0, 50.0, 0)
+    assert key(0, 2, 100) == (75, 0, 50.0, 0, 2)
 
 
 def test_rel_key_divides_by_remaining_vertices():
     key = sorting_key(slack_state_instance(), Mode.REL_DEADLINE_PROXIMITY)
-    assert key(0, 2, 100) == (75, 0, 25.0, 0)  # 50 slack over 2 remaining vertices
+    assert key(0, 2, 100) == (75, 0, 25.0, 0, 2)  # 50 slack over 2 remaining vertices
 
 
 def test_negative_slack_prose_demotes_pseudocode_clamps():
@@ -79,8 +79,8 @@ def test_negative_slack_prose_demotes_pseudocode_clamps():
     prose = sorting_key(inst, Mode.ABS_DEADLINE_PROXIMITY, "prose")
     literal = sorting_key(inst, Mode.ABS_DEADLINE_PROXIMITY, "pseudocode")
     late = (0, 2, 260)  # slack = 300 - 410 < 0
-    assert prose(*late) == (75, 1, 0.0, 0)
-    assert literal(*late) == (75, 0, 0.0, 0)
+    assert prose(*late) == (75, 1, 0.0, 0, 2)
+    assert literal(*late) == (75, 0, 0.0, 0, 2)
     healthy = prose(0, 2, 100)
     assert healthy < prose(*late)
     assert literal(*late) < healthy
@@ -631,13 +631,12 @@ def test_latest_on_time_is_built_once_per_instance(monkeypatch):
     assert built == [(40, 40), (200, 50)]
 
 
-def test_replay_needs_positive_link_minima_and_the_same_dispatch_inputs():
-    """A zero-minimum link lets a walk stamp two steps at one tick, so a
-    popped stamp no longer names one step: not even a run's own instance
-    and a deadline mode replay it.  A proximity run still replays in
-    proximity, which reads no key.  Nor does an instance that differs in
+def test_replay_needs_the_same_dispatch_inputs():
+    """A run replays under its own instance in every mode, also where a
+    zero-minimum link lets a walk stamp two steps at one tick: the recorded
+    keys name each step, so no stamp has to.  An instance that differs in
     walks, request times, hard deadlines, uniform separation or overrides
-    replay."""
+    does not replay."""
     looped = Instance(
         graph=Graph(2, frozenset({(0, 1), (1, 0)})),
         walks=(Walk((0, 1, 0), (0, 0), (INF, INF)), Walk((1, 0), (50,), (INF,))),
@@ -648,8 +647,7 @@ def test_replay_needs_positive_link_minima_and_the_same_dispatch_inputs():
     )
     for mode in Mode:
         run = run_dispatch(looped, mode)
-        expected = run if mode is Mode.PROXIMITY else None
-        assert replay_dispatch(run, looped, mode) == expected
+        assert replay_dispatch(run, looped, mode) == run
     inst = merge_instance(d_soft=(200, 50))
     for mode in (Mode.PROXIMITY, Mode.ABS_DEADLINE_PROXIMITY):
         run = run_dispatch(inst, mode)
