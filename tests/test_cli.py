@@ -388,6 +388,8 @@ def test_bench_tardy_csv_matches_golden_under_pseudocode_policy(tmp_path):
      "--algorithms", "baseline,heuristic,baseline"),
     ("bench", "--vehicles", "5,6", "--instances", 1, "--algorithms", "exact",
      "--exact-cap", 3),
+    ("bench", "--vehicles", 12, "--instances", 3, "--ratios", "1.0",
+     "--algorithms", "exact", "--exact-time-limit", 0),
     ("generate", "--grid", "3x3", "--vehicles", 4, "--ratio", 1.0,
      "--hard-factor", 1e308, "--seed", 1),
     ("generate", "--grid", "3x3", "--vehicles", 4, "--ratio", 1e308,
@@ -404,6 +406,7 @@ def test_bench_tardy_csv_matches_golden_under_pseudocode_policy(tmp_path):
     "negative-time-limit", "nan-exact-time-limit", "nan-exact-time-limit-unused",
     "negative-exact-time-limit-over-cap", "repeated-vehicle-count",
     "repeated-algorithm", "exact-over-cap-runs-nothing",
+    "exact-proves-no-cell",
     "hard-factor-1e308", "ratio-1e308", "bench-hard-factor-1e308", "tau-min-1e400",
 ])
 def test_bad_config_values_report_error(tmp_path, capsys, argv):
