@@ -9,7 +9,6 @@ deadline-ratio experiments.
 from .core import (
     INF,
     ConfigurationError,
-    ConflictPair,
     ConstraintKind,
     Graph,
     Instance,

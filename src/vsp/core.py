@@ -16,6 +16,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import accumulate, chain, repeat
 from operator import attrgetter, gt, itemgetter, le, sub
+from types import MappingProxyType
 
 INF = math.inf
 
@@ -336,18 +337,18 @@ class Instance:
         return tuple(map(len, map(_VERTICES, self.walks)))
 
     @cached_property
-    def _conflict_pairs(self) -> tuple[ConflictPair, ...]:
+    def _conflict_pairs(self) -> MappingProxyType[SeparationKey, int]:
         """What conflict_pairs returns; see there."""
         # visits puts both stamps at one vertex and the bisect makes j2 > j1,
         # so each gap is gap()'s last line, read inline.
         visits, overrides, separation = self.visits, self.separations, self.separation
-        return tuple(
-            ConflictPair(j1, i1, j2, i2, s)
+        return MappingProxyType({
+            key: s
             for j1, walk in enumerate(self.walks)
             for i1, vertex in enumerate(walk.vertices)
             for j2, i2 in visits[vertex][bisect_left(visits[vertex], (j1 + 1,)):]
-            if (s := overrides.get((j1, i1, j2, i2), separation)) > 0
-        )
+            if (s := overrides.get(key := (j1, i1, j2, i2), separation)) > 0
+        })
 
     @property
     def n_vehicles(self) -> int:
@@ -373,25 +374,12 @@ class Instance:
         return self.separations.get(key, self.separation)
 
 
-@dataclass(frozen=True)
-class ConflictPair:
-    """One shared-vertex stamp pair with its required separation.
-
-    The pair is stored once, lower vehicle id first.  Deciding it
-    "j1 first" constrains t[j2][i2] - t[j1][i1] >= s; "j2 first" is the
-    mirrored constraint.
-    """
-
-    j1: int
-    i1: int
-    j2: int
-    i2: int
-    s: int
-
-
-def conflict_pairs(instance: Instance) -> tuple[ConflictPair, ...]:
-    """Same-vertex stamp pairs with a positive gap, lower vehicle id first,
-    in (j1, i1, j2, i2) order; zero gaps constrain nothing and are dropped.
+def conflict_pairs(instance: Instance) -> MappingProxyType[SeparationKey, int]:
+    """The gap table of the same-vertex stamp pairs with a positive gap: a
+    read-only mapping from (j1, i1, j2, i2), lower vehicle id first, to the
+    gap s, in (j1, i1, j2, i2) order; zero gaps constrain nothing and are
+    dropped.  Deciding a pair "j1 first" constrains
+    t[j2][i2] - t[j1][i1] >= s; "j2 first" is the mirrored constraint.
 
     Walk order gives that order: each stamp pairs with the later vehicles'
     visits at its vertex, which visits lists in (vehicle, step) order.  The

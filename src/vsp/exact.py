@@ -18,10 +18,10 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import tee
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .core import INF, ConfigurationError, ConflictPair, Instance, Schedule, VspError
-from .core import conflict_pairs, tardy_weights
+from .core import INF, ConfigurationError, Instance, Schedule, SeparationKey, VspError
+from .core import conflict_pairs, is_tick_or_inf, tardy_weights
 from .heuristics import deadline_and_proximity
 
 NEG_INF = float("-inf")
@@ -45,10 +45,14 @@ class DifferenceConstraintSystem:
     and per-link travel windows; the crossing order of a conflict pair is
     pushed on top as an order_constraint and popped when undone.
     out_edges[y] lists the constraints that start at variable y, the
-    adjacency the longest-path relaxation walks.
+    adjacency the longest-path relaxation walks.  An integer-tick horizon
+    bounds every vehicle's last stamp; None or inf sets no bound, and any
+    other horizon raises ConfigurationError.
     """
 
     def __init__(self, instance: Instance, horizon: int | float | None = None):
+        if horizon is not None and not is_tick_or_inf(horizon):
+            raise ConfigurationError(f"horizon must be an integer tick, got {horizon!r}")
         self.instance = instance
         self._offsets: list[int] = []
         next_id = 1
@@ -69,7 +73,7 @@ class DifferenceConstraintSystem:
                 if walk.max_times[i] != INF:
                     self.add(u, v, -walk.max_times[i], f"max_time v{j} link{i}")
             if horizon is not None and horizon != INF:
-                self.add(0, last, -int(horizon), f"horizon v{j}")
+                self.add(0, last, -horizon, f"horizon v{j}")
 
     def var(self, j: int, i: int) -> int:
         return self._offsets[j] + i
@@ -84,13 +88,13 @@ class DifferenceConstraintSystem:
         """Remove c, the last constraint pushed from c.y."""
         self.out_edges[c.y].pop()
 
-    def order_constraint(self, pair: ConflictPair, j1_first: bool) -> Constraint:
-        """pair.s ticks from one stamp of the pair to the other; the lower-id
-        vehicle's stamp is the earlier one when j1_first."""
-        a, b = (pair.j1, pair.i1), (pair.j2, pair.i2)
-        earlier, later = (a, b) if j1_first else (b, a)
-        label = f"separation v{earlier[0]}@{earlier[1]} before v{later[0]}@{later[1]}"
-        return Constraint(self.var(*later), self.var(*earlier), pair.s, label)
+    def order_constraint(self, key: SeparationKey, s: int, j1_first: bool) -> Constraint:
+        """s ticks from one stamp of the pair key = (j1, i1, j2, i2) to the
+        other; vehicle j1's stamp is the earlier one when j1_first."""
+        j1, i1, j2, i2 = key
+        (ja, ia), (jb, ib) = ((j1, i1), (j2, i2)) if j1_first else ((j2, i2), (j1, i1))
+        label = f"separation v{ja}@{ia} before v{jb}@{ib}"
+        return Constraint(self.var(jb, ib), self.var(ja, ia), s, label)
 
     def to_schedule(self, times: tuple[int, ...]) -> Schedule:
         walks = self.instance.walks
@@ -303,12 +307,12 @@ def node_bound(
 
 
 def _warm_start(
-    dcs: DifferenceConstraintSystem,
-    pairs: Sequence[ConflictPair],
+    dcs: DifferenceConstraintSystem, pairs: Mapping[SeparationKey, int]
 ) -> tuple[int, ...] | None:
     """Least stamps of dcs under the crossing orders of the best-of-three
-    schedule; each pair's one order, the one that schedule shows, is built
-    here, pushed onto dcs and popped again once the stamps are known.
+    schedule; each pair of the gap table pairs gets the one order that
+    schedule shows, built here, pushed onto dcs and popped again once the
+    stamps are known.
 
     None when best-of-three leaves a vehicle without stamps, breaks a hard
     deadline, or its orders are infeasible in dcs.
@@ -318,7 +322,8 @@ def _warm_start(
         return None
     times = best.times
     chosen = [
-        dcs.order_constraint(p, times[p.j1][p.i1] < times[p.j2][p.i2]) for p in pairs
+        dcs.order_constraint(key, s, times[j1][i1] < times[j2][i2])
+        for key, s in pairs.items() for j1, i1, j2, i2 in (key,)
     ]
     for c in chosen:
         dcs.push(c)
@@ -359,7 +364,7 @@ class SolveResult:
 def solve_exact(
     instance: Instance,
     time_limit: float | None = None,
-    horizon: int | None = None,
+    horizon: int | float | None = None,
 ) -> SolveResult:
     """Branch-and-bound over crossing orders for the tardy-count objectives,
     each tardy vehicle costing what core.tardy_weights gives it.
@@ -393,7 +398,8 @@ def solve_exact(
     With a time limit in seconds (inf for none; NaN or negative raises
     ConfigurationError) the best incumbent so far is returned once the
     budget runs out, as optimal if the root bound meets it; the limit also
-    stops the cover search of the bound.
+    stops the cover search of the bound.  The horizon is that of
+    DifferenceConstraintSystem.
     """
     check_time_limit(time_limit)
     deadline = None if time_limit is None else time.monotonic() + time_limit
@@ -404,10 +410,11 @@ def solve_exact(
     if not root.feasible:
         return SolveResult(SolveStatus.INFEASIBLE, None, None, 1, root.witness)
 
-    # Per pair: the row bound reads, ending in the pair itself, whose orders
+    # Per pair: the row bound reads, ending in the pair's key, whose orders
     # branching builds where it reads them.
     table = [
-        (dcs.var(p.j1, p.i1), dcs.var(p.j2, p.i2), p.s, p.j1, p.j2, p) for p in pairs
+        (dcs.var(j1, i1), dcs.var(j2, i2), s, j1, j2, key)
+        for key, s in pairs.items() for j1, i1, j2, i2 in (key,)
     ]
     # The relaxation records predecessors; the search never reads them.
     scratch_pred: list[Constraint | None] = [None] * dcs.n_vars
@@ -462,10 +469,10 @@ def solve_exact(
             # No clashing pair, no cover edge: value is dist's tardy weight.
             best_obj, best_dist = value, dist
             continue
-        a, b, _, _, _, pair = min(clashes, key=lambda r: min(dist[r[0]], dist[r[1]]))
+        a, b, s, _, _, key = min(clashes, key=lambda r: min(dist[r[0]], dist[r[1]]))
         # The order the stamps already satisfy goes on top.
         for j1_first in (dist[a] > dist[b], dist[a] <= dist[b]):
-            tasks.append((dist, dcs.order_constraint(pair, j1_first)))
+            tasks.append((dist, dcs.order_constraint(key, s, j1_first)))
 
     if best_dist is None:
         status = SolveStatus.BUDGET_EXHAUSTED if stopped else SolveStatus.INFEASIBLE

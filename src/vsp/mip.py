@@ -15,8 +15,8 @@ import math
 import re
 from dataclasses import dataclass
 
-from .core import INF, ConflictPair, Instance, Schedule, VspError, conflict_pairs
-from .core import tardy_weights
+from .core import INF, Instance, Schedule, SeparationKey, VspError, conflict_pairs
+from .core import is_tick, tardy_weights
 
 
 class HorizonError(VspError):
@@ -25,8 +25,11 @@ class HorizonError(VspError):
 
 def resolve_horizon(instance: Instance, horizon: int | None = None) -> int:
     """Latest stamp any schedule may use: the caller's value, or the largest
-    hard deadline when every vehicle has one."""
+    hard deadline when every vehicle has one.  A horizon that is not an
+    integer tick raises HorizonError."""
     if horizon is not None:
+        if not is_tick(horizon):
+            raise HorizonError(f"horizon must be an integer tick, got {horizon!r}")
         if horizon < max(instance.request_times):
             raise HorizonError(f"horizon {horizon} precedes a request time")
         return int(horizon)
@@ -40,11 +43,12 @@ def resolve_horizon(instance: Instance, horizon: int | None = None) -> int:
 
 @dataclass(frozen=True)
 class BigMValues:
-    """Valid big-M constants: one per conflict pair, in conflict_pairs
-    order, and one per vehicle with a finite soft deadline."""
+    """Valid big-M constants: one per conflict pair, keyed and ordered as
+    the conflict_pairs table, and one per vehicle with a finite soft
+    deadline."""
 
     horizon: int
-    pair: dict[ConflictPair, int]
+    pair: dict[SeparationKey, int]
     vehicle: dict[int, int]
 
 
@@ -58,10 +62,10 @@ def big_m_values(instance: Instance, horizon: int | None = None) -> BigMValues:
     """
     h = resolve_horizon(instance, horizon)
     pairs = conflict_pairs(instance)
-    max_gap = max((p.s for p in pairs), default=0)
+    max_gap = max(pairs.values(), default=0)
     pair_m = {
-        p: h - min(instance.request_times[p.j1], instance.request_times[p.j2]) + max_gap
-        for p in pairs
+        key: h - min(instance.request_times[j1], instance.request_times[j2]) + max_gap
+        for key in pairs for j1, _, j2, _ in (key,)
     }
     vehicle_m = {
         j: int(max(h, instance.soft_deadlines[j]) - instance.request_times[j])
@@ -97,8 +101,8 @@ def _t(j: int, i: int) -> str:
     return f"t_{j}_{i}"
 
 
-def _pair_suffix(p: ConflictPair) -> str:
-    return f"{p.j1}_{p.i1}_{p.j2}_{p.i2}"
+def _pair_suffix(key: SeparationKey) -> str:
+    return "_".join(map(str, key))
 
 
 def build_mip_model(instance: Instance, horizon: int | None = None) -> MipModel:
@@ -132,18 +136,19 @@ def build_mip_model(instance: Instance, horizon: int | None = None) -> MipModel:
                 rows.append(MipRow(
                     f"tmax_{j}_{i}", {there: 1.0, here: -1.0}, "<=", walk.max_times[i]
                 ))
-    for p in big_m.pair:
-        tag = _pair_suffix(p)
+    for key, s in conflict_pairs(instance).items():
+        j1, i1, j2, i2 = key
+        tag = _pair_suffix(key)
         pos, neg, flag = f"P_{tag}", f"N_{tag}", f"b_{tag}"
-        m = float(big_m.pair[p])
+        m = float(big_m.pair[key])
         rows.append(MipRow(
             f"sep_eq_{tag}",
-            {stamps[p.j1][p.i1]: 1.0, stamps[p.j2][p.i2]: -1.0, pos: -1.0, neg: 1.0},
+            {stamps[j1][i1]: 1.0, stamps[j2][i2]: -1.0, pos: -1.0, neg: 1.0},
             "=", 0,
         ))
-        rows.append(MipRow(f"sep_p_lo_{tag}", {pos: 1.0, flag: -float(p.s)}, ">=", 0))
+        rows.append(MipRow(f"sep_p_lo_{tag}", {pos: 1.0, flag: -float(s)}, ">=", 0))
         rows.append(MipRow(f"sep_p_hi_{tag}", {pos: 1.0, flag: -m}, "<=", 0))
-        rows.append(MipRow(f"sep_n_lo_{tag}", {neg: 1.0, flag: float(p.s)}, ">=", p.s))
+        rows.append(MipRow(f"sep_n_lo_{tag}", {neg: 1.0, flag: float(s)}, ">=", s))
         rows.append(MipRow(f"sep_n_hi_{tag}", {neg: 1.0, flag: m}, "<=", m))
     for j in sorted(big_m.vehicle):
         last = stamps[j][-1]
@@ -161,7 +166,7 @@ def build_mip_model(instance: Instance, horizon: int | None = None) -> MipModel:
         hi = float(min(instance.hard_deadlines[j], big_m.horizon))
         for name in stamps[j]:
             bounds[name] = (lo, hi)
-    binaries = tuple(f"b_{_pair_suffix(p)}" for p in big_m.pair) + tuple(
+    binaries = tuple(f"b_{_pair_suffix(key)}" for key in big_m.pair) + tuple(
         f"l_{j}" for j in sorted(big_m.vehicle)
     )
     return MipModel(objective, tuple(rows), bounds, binaries)

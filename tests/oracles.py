@@ -417,10 +417,10 @@ def ordering_triples(instance: Instance, bits: tuple[bool, ...]) -> list[Triple]
     """Crossing-order constraints; bit True puts the lower-id vehicle first."""
     offsets = var_layout(instance)
     cons = []
-    for pair, j1_first in zip(conflict_pairs(instance), bits):
-        a = offsets[pair.j1] + pair.i1
-        b = offsets[pair.j2] + pair.i2
-        cons.append((b, a, pair.s) if j1_first else ((a, b, pair.s)))
+    for ((j1, i1, j2, i2), s), j1_first in zip(conflict_pairs(instance).items(), bits):
+        a = offsets[j1] + i1
+        b = offsets[j2] + i2
+        cons.append((b, a, s) if j1_first else ((a, b, s)))
     return cons
 
 
@@ -444,11 +444,11 @@ def naive_minimal_times(n_vars: int, cons: list[Triple]) -> list[int] | None:
 
 def pair_rows(instance: Instance) -> list[tuple]:
     """One row per conflict pair, as node_bound's bound reads them: (stamp
-    variable, stamp variable, gap, vehicle, vehicle, pair)."""
+    variable, stamp variable, gap, vehicle, vehicle, pair key)."""
     offsets = var_layout(instance)
     return [
-        (offsets[p.j1] + p.i1, offsets[p.j2] + p.i2, p.s, p.j1, p.j2, p)
-        for p in conflict_pairs(instance)
+        (offsets[j1] + i1, offsets[j2] + i2, s, j1, j2, (j1, i1, j2, i2))
+        for (j1, i1, j2, i2), s in conflict_pairs(instance).items()
     ]
 
 
@@ -603,7 +603,7 @@ def exact_makespan(instance: Instance) -> int:
     )
     hi = max(instance.request_times) + sum(
         sum(w.min_times) + (len(w) - 1) for w in instance.walks
-    ) + sum(pair.s for pair in conflict_pairs(instance))
+    ) + sum(conflict_pairs(instance).values())
     while not feasible(hi):
         hi = 2 * hi + 1
     while lo < hi:

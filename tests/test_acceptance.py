@@ -295,8 +295,8 @@ def test_minimal_times_dominance_and_deadline_monotonicity():
         cons = base_triples(instance)[0] + ordering_triples(instance, bits)
         n_vars = 1 + instance.total_stamps
         dcs = DifferenceConstraintSystem(instance)
-        for pair, j1_first in zip(conflict_pairs(instance), bits):
-            dcs.push(dcs.order_constraint(pair, j1_first))
+        for (key, s), j1_first in zip(conflict_pairs(instance).items(), bits):
+            dcs.push(dcs.order_constraint(key, s, j1_first))
         solution = minimal_times(dcs)
         if not solution.feasible:
             continue

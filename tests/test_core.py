@@ -7,7 +7,6 @@ import pytest
 from vsp import (
     INF,
     ConfigurationError,
-    ConflictPair,
     ConstraintKind,
     ExperimentConfig,
     Graph,
@@ -198,7 +197,7 @@ def test_separations_mirrored_automatically():
     inst = merge_instance()
     assert inst.separations[(0, 1, 1, 1)] == 5
     assert inst.gap(1, 1, 0, 1) == 5
-    assert conflict_pairs(inst) == (ConflictPair(0, 1, 1, 1, 5),)
+    assert list(conflict_pairs(inst).items()) == [((0, 1, 1, 1), 5)]
 
 
 def three_through_c(separation=0, separations=None):
@@ -222,11 +221,11 @@ def test_uniform_gap_with_sparse_overrides():
     assert inst.gap(2, 1, 1, 1) == 0
     assert inst.gap(0, 0, 1, 0) == 0  # different vertices
     assert inst.gap(0, 1, 0, 1) == 0  # same vehicle
-    assert conflict_pairs(inst) == (  # the zero-gap override is dropped
-        ConflictPair(0, 1, 1, 1, 5), ConflictPair(0, 1, 2, 1, 9),
-    )
+    assert list(conflict_pairs(inst).items()) == [  # the zero-gap override is dropped
+        ((0, 1, 1, 1), 5), ((0, 1, 2, 1), 9),
+    ]
     only_overrides = three_through_c(0, {(2, 1, 0, 1): 9})
-    assert conflict_pairs(only_overrides) == (ConflictPair(0, 1, 2, 1, 9),)
+    assert list(conflict_pairs(only_overrides).items()) == [((0, 1, 2, 1), 9)]
     assert only_overrides.gap(0, 1, 1, 1) == 0
 
 
@@ -269,36 +268,43 @@ def test_visits_are_built_on_first_read():
 
 
 def test_conflict_pairs_are_built_once_per_instance():
-    """The table is kept on the instance like visits: one object per
-    instance, no part of ==, repr or a replaced copy, which builds its own."""
-    inst = generate_grid_instance(ExperimentConfig(n_vehicles=12), 1.0, 4)
-    assert "_conflict_pairs" not in vars(inst)
-    pairs = conflict_pairs(inst)
-    assert conflict_pairs(inst) is pairs
-    assert [(p.j1, p.i1, p.j2, p.i2) for p in pairs] == sorted(shared_vertex_pairs(inst))
-    assert all(p.s == inst.separation for p in pairs)
-    copy = replace(inst, separation=7)
-    assert "_conflict_pairs" not in vars(copy)
-    assert conflict_pairs(copy) is not pairs
-    assert {p.s for p in conflict_pairs(copy)} == {7}
-    fresh = replace(inst)
-    assert fresh == inst and repr(fresh) == repr(inst)
-    assert "_conflict_pairs" not in vars(fresh)
-    # The table reads each gap inline; it holds what Instance.gap gives, in
-    # the same order, overrides in either orientation and zero gaps included.
-    keys = sorted(shared_vertex_pairs(inst))
-    overrides = {key: (0, 2, 9)[k % 3] for k, key in enumerate(keys[::4])}
-    overrides = {(k[2], k[3], k[0], k[1]) if n % 2 else k: s
-                 for n, (k, s) in enumerate(overrides.items())}
-    for separation in (0, 5):
-        overridden = replace(inst, separation=separation, separations=overrides)
-        expected = [
-            ConflictPair(*key, s) for key in keys
-            if (s := overridden.gap(*key)) > 0
-        ]
-        assert list(conflict_pairs(overridden)) == expected
-        assert any(s == 0 for s in overridden.separations.values())
-        assert len(expected) < len(keys)
+    """The table is kept on the instance like visits: one read-only object
+    per instance, no part of ==, repr or a replaced copy, which builds its
+    own.  A job shop that revisits machine 0 puts no same-vehicle pair in it."""
+    grid = generate_grid_instance(ExperimentConfig(n_vehicles=12), 1.0, 4)
+    revisiting = reduce_jsp_to_vsp(
+        JspInstance(2, ((0, 1, 0), (1, 0)), (0, 0), (INF, INF), False)
+    )
+    for inst in (grid, revisiting):
+        assert "_conflict_pairs" not in vars(inst)
+        pairs = conflict_pairs(inst)
+        assert conflict_pairs(inst) is pairs
+        with pytest.raises(TypeError):
+            pairs[next(iter(pairs))] = 0
+        assert list(pairs) == sorted(shared_vertex_pairs(inst))
+        assert all(s == inst.separation for s in pairs.values())
+        copy = replace(inst, separation=7)
+        assert "_conflict_pairs" not in vars(copy)
+        assert conflict_pairs(copy) is not pairs
+        assert set(conflict_pairs(copy).values()) == {7}
+        fresh = replace(inst)
+        assert fresh == inst and repr(fresh) == repr(inst)
+        assert "_conflict_pairs" not in vars(fresh)
+        # The table reads each gap inline; it holds what Instance.gap gives, in
+        # the same order, overrides in either orientation and zero gaps included.
+        keys = sorted(shared_vertex_pairs(inst))
+        overrides = {key: (0, 2, 9)[k % 3] for k, key in enumerate(keys[::4])}
+        overrides = {(k[2], k[3], k[0], k[1]) if n % 2 else k: s
+                     for n, (k, s) in enumerate(overrides.items())}
+        for separation in (0, 5):
+            overridden = replace(inst, separation=separation, separations=overrides)
+            expected = [
+                (key, s) for key in keys if (s := overridden.gap(*key)) > 0
+            ]
+            assert list(conflict_pairs(overridden).items()) == expected
+            assert any(s == 0 for s in overridden.separations.values())
+            assert len(expected) < len(keys)
+    assert list(conflict_pairs(revisiting)) == [(0, 0, 1, 1), (0, 1, 1, 0), (0, 2, 1, 1)]
 
 
 def test_latest_on_time_by_hand():

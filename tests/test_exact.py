@@ -41,8 +41,8 @@ from oracles import (
 
 def decided_system(instance, bits):
     dcs = DifferenceConstraintSystem(instance)
-    for pair, j1_first in zip(conflict_pairs(instance), bits):
-        dcs.push(dcs.order_constraint(pair, j1_first))
+    for (key, s), j1_first in zip(conflict_pairs(instance).items(), bits):
+        dcs.push(dcs.order_constraint(key, s, j1_first))
     return dcs
 
 
@@ -203,6 +203,13 @@ def test_infeasible_instance_returns_witness():
 def test_horizon_can_force_infeasibility():
     result = solve(merge_instance(), horizon=52)
     assert result.status is SolveStatus.INFEASIBLE
+    # inf sets no horizon; any other horizon that is not an integer tick is
+    # refused, neither truncated nor converted.
+    inst = merge_instance(d_soft=(50, 50), d_hard=(200, 200))
+    assert solve(inst, horizon=INF) == solve(inst)
+    for horizon in (52.9, True, "60", float("nan"), -INF):
+        with pytest.raises(ConfigurationError, match="horizon must be an integer tick"):
+            solve_exact(inst, horizon=horizon)
 
 
 def test_budget_zero_reports_exhaustion():
@@ -427,7 +434,7 @@ def test_bound_valid_at_every_partial_decision():
             # Weights above 1 under tardy_count, so a cover that weighed
             # vehicles there would overshoot.
             inst = weighted(inst, wrng, (2, 3, 5), ObjectiveKind.TARDY_COUNT)
-        pairs = conflict_pairs(inst)
+        pairs = list(conflict_pairs(inst).items())
         if not pairs:
             continue
         checked += 1
@@ -440,7 +447,7 @@ def test_bound_valid_at_every_partial_decision():
             # The partial node: minimal times of the partially decided system.
             dcs = DifferenceConstraintSystem(inst)
             for k, value in fixed.items():
-                dcs.push(dcs.order_constraint(pairs[k], value))
+                dcs.push(dcs.order_constraint(*pairs[k], value))
             sol = minimal_times(dcs)
             best_leaf = brute_force_tardy(inst, fixed=fixed)
             if not sol.feasible:

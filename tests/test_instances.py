@@ -164,7 +164,7 @@ def test_every_shared_vertex_pair_has_one_gap():
                 for i2, v in enumerate(w2.vertices):
                     if u == v:
                         expected[(j1, i1, j2, i2)] = 5
-    assert {(p.j1, p.i1, p.j2, p.i2): p.s for p in conflict_pairs(inst)} == expected
+    assert dict(conflict_pairs(inst)) == expected
 
 
 def test_generated_instance_stores_the_rule_not_the_pairs():
@@ -294,8 +294,7 @@ def test_machine_separation_is_one_everywhere():
         no_wait=False,
     )
     inst = reduce_jsp_to_vsp(jsp)
-    gaps = {(p.j1, p.i1, p.j2, p.i2): p.s for p in conflict_pairs(inst)}
-    assert gaps == {(0, 1, 1, 1): 1, (0, 2, 1, 0): 1}
+    assert dict(conflict_pairs(inst)) == {(0, 1, 1, 1): 1, (0, 2, 1, 0): 1}
     assert inst.separation == 1 and inst.separations == {}
 
 

@@ -70,6 +70,11 @@ def test_caller_horizon_overrides():
     with pytest.raises(HorizonError) as exc:
         big_m_values(inst, horizon=-1)
     assert str(exc.value) == "horizon -1 precedes a request time"
+    # A horizon that is not an integer tick is refused, neither truncated
+    # nor left to overflow.
+    for horizon in (52.9, True, "60", float("nan"), INF):
+        with pytest.raises(HorizonError, match="horizon must be an integer tick"):
+            export_mip(inst, horizon=horizon)
 
 
 def test_horizon_underivable_without_hard_deadlines():

@@ -420,14 +420,14 @@ def test_bound_from_clashing_pairs_is_every_pair_bound_below_the_optimum(inst, s
         soft = list(inst.soft_deadlines)
         soft[rng.randrange(inst.n_vehicles)] = INF
         inst = replace(inst, soft_deadlines=tuple(soft))
-    pairs = conflict_pairs(inst)
+    pairs = list(conflict_pairs(inst).items())
     assume(0 < len(pairs) <= 8)
     every = pair_rows(inst)
     for _ in range(3):
         fixed = {k: rng.random() < 0.5 for k in range(len(pairs)) if rng.random() < 0.5}
         dcs = DifferenceConstraintSystem(inst)
         for k, j1_first in fixed.items():
-            dcs.push(dcs.order_constraint(pairs[k], j1_first))
+            dcs.push(dcs.order_constraint(*pairs[k], j1_first))
         sol = minimal_times(dcs)
         best_leaf = brute_force_tardy(inst, fixed=fixed)
         if not sol.feasible:
