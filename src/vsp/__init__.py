@@ -61,11 +61,9 @@ from .instances import (
     write_schedule,
 )
 from .mip import (
-    BigMValues,
     HorizonError,
     MipModel,
     MipRow,
-    big_m_values,
     build_mip_model,
     export_mip,
     parse_lp,

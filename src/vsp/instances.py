@@ -105,14 +105,16 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_vehicles <= 0:
-            raise ValueError("n_vehicles must be positive")
-        if self.n_instances <= 0:
-            raise ValueError("n_instances must be positive")
+        if not is_tick(self.n_vehicles) or self.n_vehicles <= 0:
+            raise ValueError("n_vehicles must be a positive integer")
+        if not is_tick(self.n_instances) or self.n_instances <= 0:
+            raise ValueError("n_instances must be a positive integer")
         if not is_tick(self.separation) or self.separation < 0:
             raise ValueError("separation must be a nonnegative integer")
         if not is_tick(self.tau_min_link) or self.tau_min_link < 0:
             raise ValueError("tau_min_link must be a nonnegative integer")
+        if not is_tick_or_inf(self.tau_max_link):
+            raise ValueError("tau_max_link must be an integer tick or inf")
         if self.tau_min_link > self.tau_max_link:
             raise ValueError("tau_min_link exceeds tau_max_link")
         ratios = tuple(self.soft_deadline_ratios)

@@ -15,7 +15,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .core import INF, Instance, Schedule, SeparationKey, VspError, conflict_pairs
+from .core import INF, Instance, Schedule, VspError, conflict_pairs
 from .core import is_tick, tardy_weights
 
 
@@ -39,40 +39,6 @@ def resolve_horizon(instance: Instance, horizon: int | None = None) -> int:
             "some hard deadlines are infinite; supply an explicit horizon"
         )
     return int(max(hard))
-
-
-@dataclass(frozen=True)
-class BigMValues:
-    """Valid big-M constants: one per conflict pair, keyed and ordered as
-    the conflict_pairs table, and one per vehicle with a finite soft
-    deadline."""
-
-    horizon: int
-    pair: dict[SeparationKey, int]
-    vehicle: dict[int, int]
-
-
-def big_m_values(instance: Instance, horizon: int | None = None) -> BigMValues:
-    """Constants that safely dominate the linearised absolute values.
-
-    For a pair, every stamp lies in [min request, horizon], so the stamp
-    difference never exceeds horizon - min(request times) and the largest
-    separation gap is added as headroom.  For a vehicle, both the deadline
-    gap and the tardiness are bounded by max(horizon, deadline) - request.
-    """
-    h = resolve_horizon(instance, horizon)
-    pairs = conflict_pairs(instance)
-    max_gap = max(pairs.values(), default=0)
-    pair_m = {
-        key: h - min(instance.request_times[j1], instance.request_times[j2]) + max_gap
-        for key in pairs for j1, _, j2, _ in (key,)
-    }
-    vehicle_m = {
-        j: int(max(h, instance.soft_deadlines[j]) - instance.request_times[j])
-        for j in range(instance.n_vehicles)
-        if instance.soft_deadlines[j] != INF
-    }
-    return BigMValues(h, pair_m, vehicle_m)
 
 
 @dataclass(slots=True)
@@ -101,10 +67,6 @@ def _t(j: int, i: int) -> str:
     return f"t_{j}_{i}"
 
 
-def _pair_suffix(key: SeparationKey) -> str:
-    return "_".join(map(str, key))
-
-
 def build_mip_model(instance: Instance, horizon: int | None = None) -> MipModel:
     """Assemble the tardy-count model for one instance.
 
@@ -115,11 +77,22 @@ def build_mip_model(instance: Instance, horizon: int | None = None) -> MipModel:
     block.  The binary of a pair equals one exactly when the higher-id
     vehicle of the pair crosses first; a vehicle's tardy binary costs its
     tardy_weights entry in the objective.
+
+    Each big-M is computed beside its rows and safely dominates the value
+    it linearises.  Every stamp lies in [min request, h], h the horizon, so
+    a pair's stamp difference never exceeds h - min(rho_j1, rho_j2); its M
+    adds the largest gap of the pair table as headroom.  A vehicle's
+    deadline gap and its tardiness are both bounded by its M,
+    max(h, d_j) - rho_j.
     """
     weights = tardy_weights(instance)
-    big_m = big_m_values(instance, horizon)
+    h = resolve_horizon(instance, horizon)
+    pairs = conflict_pairs(instance)
+    headroom = max(pairs.values(), default=0)
+    rho = instance.request_times
+    soft = [j for j, d in enumerate(instance.soft_deadlines) if d != INF]
 
-    objective = {f"l_{j}": float(weights[j]) for j in sorted(big_m.vehicle)}
+    objective = {f"l_{j}": float(weights[j]) for j in soft}
     # stamps[j][i]: the name of stamp variable t_j_i, built once.
     stamps = [
         [_t(j, i) for i in range(len(walk))] for j, walk in enumerate(instance.walks)
@@ -127,8 +100,7 @@ def build_mip_model(instance: Instance, horizon: int | None = None) -> MipModel:
     rows: list[MipRow] = []
     for j, walk in enumerate(instance.walks):
         names = stamps[j]
-        for i in range(len(walk) - 1):
-            here, there = names[i], names[i + 1]
+        for i, (here, there) in enumerate(zip(names, names[1:])):
             rows.append(MipRow(
                 f"tmin_{j}_{i}", {there: 1.0, here: -1.0}, ">=", walk.min_times[i]
             ))
@@ -136,11 +108,11 @@ def build_mip_model(instance: Instance, horizon: int | None = None) -> MipModel:
                 rows.append(MipRow(
                     f"tmax_{j}_{i}", {there: 1.0, here: -1.0}, "<=", walk.max_times[i]
                 ))
-    for key, s in conflict_pairs(instance).items():
-        j1, i1, j2, i2 = key
-        tag = _pair_suffix(key)
+    binaries: list[str] = []
+    for (j1, i1, j2, i2), s in pairs.items():
+        tag = f"{j1}_{i1}_{j2}_{i2}"
         pos, neg, flag = f"P_{tag}", f"N_{tag}", f"b_{tag}"
-        m = float(big_m.pair[key])
+        m = float(h - min(rho[j1], rho[j2]) + headroom)
         rows.append(MipRow(
             f"sep_eq_{tag}",
             {stamps[j1][i1]: 1.0, stamps[j2][i2]: -1.0, pos: -1.0, neg: 1.0},
@@ -150,30 +122,23 @@ def build_mip_model(instance: Instance, horizon: int | None = None) -> MipModel:
         rows.append(MipRow(f"sep_p_hi_{tag}", {pos: 1.0, flag: -m}, "<=", 0))
         rows.append(MipRow(f"sep_n_lo_{tag}", {neg: 1.0, flag: float(s)}, ">=", s))
         rows.append(MipRow(f"sep_n_hi_{tag}", {neg: 1.0, flag: m}, "<=", m))
-    for j in sorted(big_m.vehicle):
+        binaries.append(flag)
+    for j in soft:
         last = stamps[j][-1]
         slack, late = f"X_{j}", f"l_{j}"
         d = float(instance.soft_deadlines[j])
-        m = float(big_m.vehicle[j])
+        m = float(max(h, instance.soft_deadlines[j]) - rho[j])
         rows.append(MipRow(f"late_lb_{j}", {slack: 1.0, last: 1.0}, ">=", d))
         rows.append(MipRow(f"late_nn_{j}", {slack: 1.0}, ">=", 0))
         rows.append(MipRow(f"late_cap_{j}", {slack: 1.0, late: m}, "<=", m))
         rows.append(MipRow(f"late_link_{j}", {slack: 1.0, last: 1.0, late: -m}, "<=", d))
+        binaries.append(late)
 
-    bounds: dict[str, tuple[float, float]] = {}
-    for j, walk in enumerate(instance.walks):
-        lo = float(instance.request_times[j])
-        hi = float(min(instance.hard_deadlines[j], big_m.horizon))
-        for name in stamps[j]:
-            bounds[name] = (lo, hi)
-    binaries = tuple(f"b_{_pair_suffix(key)}" for key in big_m.pair) + tuple(
-        f"l_{j}" for j in sorted(big_m.vehicle)
-    )
-    return MipModel(objective, tuple(rows), bounds, binaries)
-
-
-def _fmt(x: float) -> str:
-    return str(int(x)) if x == int(x) else repr(x)
+    bounds = {
+        name: (float(rho[j]), float(min(instance.hard_deadlines[j], h)))
+        for j, names in enumerate(stamps) for name in names
+    }
+    return MipModel(objective, tuple(rows), bounds, tuple(binaries))
 
 
 def write_lp(model: MipModel) -> str:
@@ -194,7 +159,7 @@ def write_lp(model: MipModel) -> str:
     def fmt(x: float) -> str:
         text = numbers.get(x)
         if text is None:
-            text = numbers[x] = _fmt(x)
+            text = numbers[x] = str(int(x)) if x == int(x) else repr(x)
         return text
 
     def terms(coeffs: dict[str, float]) -> str:
@@ -422,8 +387,22 @@ def parse_lp(text: str) -> MipModel:
 def schedule_from_lp_solution(
     instance: Instance, values: dict[str, float]
 ) -> Schedule:
-    """Decode solver variable values back into per-vehicle stamps."""
+    """Decode solver variable values back into per-vehicle stamps.
+
+    Each stamp value must be an int or a finite float within 1e-6 of an
+    integer; a missing value, or any other (a bool or a string included),
+    raises VspError naming the variable.
+    """
+
+    def tick(name: str) -> int:
+        value = values.get(name)
+        if isinstance(value, float) and math.isfinite(value):
+            value = round(value) if abs(value - round(value)) <= 1e-6 else value
+        if not is_tick(value):
+            raise VspError(f"no integer tick for stamp variable {name}: {value!r}")
+        return value
+
     return Schedule([
-        [int(round(values[_t(j, i)])) for i in range(len(walk))]
+        [tick(_t(j, i)) for i in range(len(walk))]
         for j, walk in enumerate(instance.walks)
     ])

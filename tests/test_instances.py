@@ -83,9 +83,16 @@ def test_config_invariants():
         ({"tau_min_link": -1}, "tau_min_link must be a nonnegative integer"),
         ({"tau_min_link": 60, "tau_max_link": 50}, "tau_min_link exceeds tau_max_link"),
         ({"soft_deadline_ratios": ()}, "need at least one soft deadline ratio"),
+        ({"n_vehicles": True}, "n_vehicles must be a positive integer"),
+        ({"n_vehicles": 2.5}, "n_vehicles must be a positive integer"),
+        ({"n_instances": True}, "n_instances must be a positive integer"),
+        ({"n_instances": 1.5}, "n_instances must be a positive integer"),
+        ({"tau_max_link": 60.5}, "tau_max_link must be an integer tick or inf"),
+        ({"tau_max_link": float("nan")}, "tau_max_link must be an integer tick or inf"),
+        ({"tau_max_link": True}, "tau_max_link must be an integer tick or inf"),
     ):
         with pytest.raises(ValueError) as exc:
-            ExperimentConfig(n_vehicles=5, **fields)
+            ExperimentConfig(**{"n_vehicles": 5, **fields})
         assert str(exc.value) == message
 
 

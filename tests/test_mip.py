@@ -16,7 +16,6 @@ from vsp import (
     ObjectiveKind,
     VspError,
     Walk,
-    big_m_values,
     build_mip_model,
     evaluate,
     export_mip,
@@ -50,25 +49,79 @@ def long_and_short_instance():
 
 # --- big-M -------------------------------------------------------------------
 
+def pair_constants(model):
+    """Each pair's big-M by tag, read from both rows that carry it: the
+    negated b_ coefficient of sep_p_hi and the rhs of sep_n_hi."""
+    rows = {row.name: row for row in model.rows}
+    constants = {}
+    for name, row in rows.items():
+        if name.startswith("sep_p_hi_"):
+            tag = name.removeprefix("sep_p_hi_")
+            constants[tag] = -row.coeffs[f"b_{tag}"]
+            assert rows[f"sep_n_hi_{tag}"].rhs == constants[tag]
+    return constants
+
+
+def vehicle_constants(model):
+    """Each vehicle's big-M: the rhs of its late_cap row."""
+    return {
+        int(row.name.removeprefix("late_cap_")): row.rhs
+        for row in model.rows if row.name.startswith("late_cap_")
+    }
+
+
+def stamp_horizon(model):
+    """The largest upper bound on any stamp."""
+    return max(hi for name, (_, hi) in model.bounds.items() if name.startswith("t_"))
+
+
+def three_way_instance():
+    # Three vehicles reach vertex 3 over one link each, requested at 0, 10
+    # and 20, with a uniform gap of 5 widened to 9 between vehicles 1 and 2;
+    # vehicle 1 has no soft deadline.
+    return Instance(
+        graph=Graph(4, frozenset({(0, 3), (1, 3), (2, 3)})),
+        walks=tuple(Walk((v, 3), (50,), (INF,)) for v in range(3)),
+        request_times=(0, 10, 20),
+        soft_deadlines=(60, INF, 120),
+        hard_deadlines=(300, 300, 300),
+        separation=5,
+        separations={(1, 1, 2, 1): 9},
+    )
+
+
 def test_pair_constant_from_longest_walk():
-    values = big_m_values(long_and_short_instance())
-    assert values.horizon == 990
-    assert set(values.pair.values()) == {995}
+    model = build_mip_model(long_and_short_instance())
+    assert stamp_horizon(model) == 990
+    assert set(pair_constants(model).values()) == {995}
 
 
 def test_vehicle_constant_single_vehicle():
-    values = big_m_values(chain_instance(d_soft=100, d_hard=100))
-    assert values.vehicle == {0: 100}
+    model = build_mip_model(chain_instance(d_soft=100, d_hard=100))
+    assert vehicle_constants(model) == {0: 100}
 
 
 def test_caller_horizon_overrides():
     inst = merge_instance(d_soft=(50, 50), d_hard=(200, 200))
-    values = big_m_values(inst, horizon=1000)
-    assert values.horizon == 1000
-    assert set(values.pair.values()) == {1005}
-    assert values.vehicle == {0: 1000, 1: 1000}
+    model = build_mip_model(inst, horizon=1000)
+    # The stamps stay inside the hard deadlines; without them they reach
+    # the caller's horizon.
+    assert stamp_horizon(model) == 200
+    assert stamp_horizon(build_mip_model(merge_instance(), horizon=1000)) == 1000
+    assert set(pair_constants(model).values()) == {1005}
+    assert vehicle_constants(model) == {0: 1000, 1: 1000}
+    # Different request times and a gap wider than the uniform one: a pair's
+    # M is h - min(rho) + 9, a vehicle's max(h, d) - rho.
+    for horizon, pairs, vehicles in (
+        (1000, {"0_1_1_1": 1009, "0_1_2_1": 1009, "1_1_2_1": 999}, {0: 1000, 2: 980}),
+        (100, {"0_1_1_1": 109, "0_1_2_1": 109, "1_1_2_1": 99}, {0: 100, 2: 100}),
+    ):
+        model = build_mip_model(three_way_instance(), horizon=horizon)
+        assert stamp_horizon(model) == min(horizon, 300)
+        assert pair_constants(model) == pairs
+        assert vehicle_constants(model) == vehicles
     with pytest.raises(HorizonError) as exc:
-        big_m_values(inst, horizon=-1)
+        build_mip_model(inst, horizon=-1)
     assert str(exc.value) == "horizon -1 precedes a request time"
     # A horizon that is not an integer tick is refused, neither truncated
     # nor left to overflow.
@@ -79,7 +132,7 @@ def test_caller_horizon_overrides():
 
 def test_horizon_underivable_without_hard_deadlines():
     with pytest.raises(HorizonError, match="horizon"):
-        big_m_values(merge_instance())
+        build_mip_model(merge_instance())
     with pytest.raises(HorizonError):
         export_mip(merge_instance())
     # An explicit horizon unblocks the export.
@@ -293,10 +346,24 @@ def test_external_milp_matches_exact_solver():
     assert validate_schedule(inst, decoded).passes()
     assert evaluate(inst, decoded) == round(objective)
     # Big-M constants must not be tight at the optimum.
-    big = big_m_values(inst)
+    smallest = min(pair_constants(build_mip_model(inst)).values())
     for name, value in values.items():
         if name.startswith(("P_", "N_")):
-            assert value < min(big.pair.values())
+            assert value < smallest
+
+
+def test_lp_solution_decodes_only_integer_stamps():
+    inst = merge_instance(d_soft=(50, 50), d_hard=(200, 200))
+    values = {"t_0_0": 0.0, "t_0_1": 50.0, "t_1_0": 0, "t_1_1": 55.0000004}
+    assert schedule_from_lp_solution(inst, values).times == ((0, 50), (0, 55))
+    for bad in (None, float("nan"), INF, "50", 50.4, True):
+        broken = dict(values)
+        if bad is None:
+            del broken["t_1_1"]
+        else:
+            broken["t_1_1"] = bad
+        with pytest.raises(VspError, match=r"\bt_1_1\b"):
+            schedule_from_lp_solution(inst, broken)
 
 
 def test_external_milp_matches_exact_on_random_instances():
