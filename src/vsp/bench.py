@@ -1,13 +1,14 @@
 """Deadline-ratio sweeps over random grid instances.
 
-For every instance seed the harness builds the walks once and dispatches
-proximity once, since proximity reads no soft deadline.  Per soft-deadline
-ratio it runs the requested algorithms: a baseline cell reuses the proximity
-run, and a best-of-three cell is deadline_and_proximity given the seed's
-finished runs, which it replays where it can.  It validates each distinct
-emitted schedule once per seed against the seed's base instance, since
-validation reads no soft deadline, and records tardy counts and wall-clock
-scheduling time, the shared proximity run's included.  Means are aggregated
+For every instance seed the harness builds the walks and their tables once
+and dispatches proximity once, since neither reads a soft deadline; each
+ratio's instance shares them.  Per soft-deadline ratio it runs the requested
+algorithms: a baseline cell reuses the proximity run, and a best-of-three
+cell is deadline_and_proximity given the seed's finished runs, which it
+replays where it can.  It validates each distinct emitted schedule once per
+seed against the seed's base instance, since validation reads no soft
+deadline, and records tardy counts and wall-clock scheduling time, the
+shared proximity run's included.  Means are aggregated
 per (vehicle count, ratio, algorithm) cell; runtimes are first maxed over
 the ratios of one instance and then averaged across instances.
 """
@@ -19,7 +20,7 @@ import math
 import random
 import statistics
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .core import (
@@ -29,11 +30,12 @@ from .core import (
     ObjectiveKind,
     VspError,
     evaluate,
+    is_tick,
     validate_schedule,
 )
-from .exact import SolveStatus, solve_exact
+from .exact import SolveStatus, check_time_limit, solve_exact
 from .heuristics import Mode, deadline_and_proximity, run_dispatch
-from .instances import ExperimentConfig, generate_grid_instance, soft_deadlines_at
+from .instances import ExperimentConfig, deadlines_at, generate_grid_instance
 
 ALGORITHMS = ("baseline", "heuristic", "exact")
 
@@ -123,10 +125,11 @@ def run_sweep(
     """Run the configured sweep for one vehicle count.
 
     One proximity run per instance seed is the baseline at every ratio; the
-    first ratio's instance is the generated one, the others replace its soft
-    deadlines.  Best-of-three is deadline_and_proximity, passed the seed's
-    finished runs, so it replays the proximity run for proximity and starts
-    a deadline mode only where no earlier run of the seed replays.  Its
+    first ratio's instance is the generated one, the others derive from it
+    with_soft_deadlines at the ratio times its free trip times, read once.
+    Best-of-three is deadline_and_proximity, passed the seed's finished
+    runs, so it replays the proximity run for proximity and starts a
+    deadline mode only where no earlier run of the seed replays.  Its
     runtime is that of the proximity run plus the call's: the amortised cost
     within the sweep, replay checks included, not that of a standalone
     best-of-three.  Every emitted dispatch schedule is validated the first
@@ -134,7 +137,8 @@ def run_sweep(
     sweep.  Validation reads no soft deadline, so it runs against the
     seed's base instance, whose per-vertex visit index is then built once
     per seed.  The exact solver only runs when the vehicle count is within
-    exact_cap and always needs a time limit.  Every schedule it returns is
+    exact_cap and always needs a time limit; both are checked on entry,
+    whether an exact cell runs or not.  Every schedule it returns is
     validated, and each run is recorded under its solver status, with a
     tardy count only when that status is optimal: an unproved value is
     never reported as an optimum.
@@ -144,6 +148,11 @@ def run_sweep(
         raise ConfigurationError(f"unknown algorithms: {sorted(unknown)}")
     if "exact" in algorithms and exact_time_limit is None:
         raise ConfigurationError("the exact solver requires a time limit")
+    check_time_limit(exact_time_limit, "exact_time_limit")
+    if not is_tick(exact_cap) or exact_cap < 0:
+        raise ConfigurationError(
+            f"exact_cap must be a nonnegative integer, got {exact_cap!r}"
+        )
 
     seed_rng = random.Random(config.seed)
     instance_seeds = [seed_rng.randrange(2**32) for _ in range(config.n_instances)]
@@ -152,6 +161,7 @@ def run_sweep(
     ratios = config.soft_deadline_ratios
     for index, instance_seed in enumerate(instance_seeds):
         base = generate_grid_instance(config, ratios[0], instance_seed)
+        trips = [row[0] for row in base.remaining_minima]  # free trip times
         if {"baseline", "heuristic"} & set(algorithms):
             start = time.perf_counter()
             proximity = run_dispatch(base, Mode.PROXIMITY, negative_slack)
@@ -160,8 +170,8 @@ def run_sweep(
             finished = {Mode.PROXIMITY: proximity}  # what best-of-three replays
 
         for k, ratio in enumerate(ratios):
-            instance = base if k == 0 else replace(
-                base, soft_deadlines=soft_deadlines_at(base.walks, ratio)
+            instance = base if k == 0 else base.with_soft_deadlines(
+                deadlines_at(trips, ratio)
             )
 
             def record(*outcome) -> None:  # algorithm, tardy count, runtime, status

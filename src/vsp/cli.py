@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .bench import SweepResult, emit_csv, run_sweep
 from .core import INF, ObjectiveKind, VspError, evaluate, validate_schedule
-from .exact import SolveStatus, check_time_limit, solve_exact
+from .exact import SolveStatus, solve_exact
 from .heuristics import Mode, VehicleStatus, deadline_and_proximity, run_dispatch
 from .instances import (
     DEFAULT_RATIOS,
@@ -272,7 +272,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    check_time_limit(args.exact_time_limit)
     if len(set(args.vehicles)) != len(args.vehicles):
         raise VspError(f"--vehicles repeats a count: {args.vehicles}")
     algorithms = tuple(args.algorithms.split(","))

@@ -10,6 +10,7 @@ validation and the event-driven schedulers can compare stamps exactly.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
@@ -43,6 +44,11 @@ def is_tick(value: object) -> bool:
 
 def is_tick_or_inf(value: object) -> bool:
     return is_tick(value) or (isinstance(value, float) and value == INF)
+
+
+def is_real(value: object) -> bool:
+    """True for real numbers (bool excluded), NaN and infinities included."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 # One C-speed pass each: True when every value is a plain int (or a float
@@ -233,13 +239,6 @@ class Instance:
         n = len(self.walks)
         if n == 0:
             raise ValueError("an instance needs at least one vehicle")
-        for name, seq in (
-            ("request_times", self.request_times),
-            ("soft_deadlines", self.soft_deadlines),
-            ("hard_deadlines", self.hard_deadlines),
-        ):
-            if len(seq) != n:
-                raise ValueError(f"{name} has length {len(seq)}, expected {n}")
         edges, rows = self.graph.edges, list(map(_VERTICES, self.walks))
         if not edges.issuperset(chain.from_iterable(map(zip, rows, map(_TAIL, rows)))):
             for j, walk in enumerate(self.walks):  # name the first offender
@@ -253,24 +252,7 @@ class Instance:
         if min(firsts) < 0 or max(firsts) >= n_vertices:
             j = next(j for j, v in enumerate(firsts) if not 0 <= v < n_vertices)
             raise ValueError(f"walk {j} starts at {firsts[j]}, not a graph vertex")
-        rho, soft, hard = self.request_times, self.soft_deadlines, self.hard_deadlines
-        # soft == +inf means "no soft deadline" and is allowed alongside a
-        # finite hard deadline; a finite soft deadline must fit the chain.
-        if not (_all_ints(rho) and _all_ints_or_inf(soft) and _all_ints_or_inf(hard)
-                and all(map(le, rho, hard)) and all(map(le, rho, soft))
-                and all(s <= h or s == INF for s, h in zip(soft, hard))):
-            for j, (r, s, h) in enumerate(zip(rho, soft, hard)):
-                if not is_tick(r):
-                    raise ValueError(f"request time of vehicle {j} must be an integer")
-                if not is_tick_or_inf(s) or not is_tick_or_inf(h):
-                    raise ValueError(f"deadlines of vehicle {j} must be integers or +inf")
-                if r > h:
-                    raise ValueError(f"vehicle {j}: request time exceeds hard deadline")
-                if s != INF and not (r <= s <= h):
-                    raise ValueError(
-                        f"vehicle {j}: need request <= soft <= hard deadline, got "
-                        f"{r}, {s}, {h}"
-                    )
+        self._check_times()
         if self.weights is not None:
             if len(self.weights) != n:
                 raise ValueError(f"weights has length {len(self.weights)}, expected {n}")
@@ -309,6 +291,44 @@ class Instance:
                 raise ValueError(f"separation {key} given twice with different values")
         return table
 
+    def _check_times(self) -> None:
+        """Raise ValueError unless request times and both deadlines have one
+        entry per walk and each vehicle's request <= soft <= hard."""
+        n = len(self.walks)
+        rho, soft, hard = self.request_times, self.soft_deadlines, self.hard_deadlines
+        for name, seq in (
+            ("request_times", rho), ("soft_deadlines", soft), ("hard_deadlines", hard),
+        ):
+            if len(seq) != n:
+                raise ValueError(f"{name} has length {len(seq)}, expected {n}")
+        # soft == +inf means "no soft deadline" and is allowed alongside a
+        # finite hard deadline; a finite soft deadline must fit the chain.
+        if not (_all_ints(rho) and _all_ints_or_inf(soft) and _all_ints_or_inf(hard)
+                and all(map(le, rho, hard)) and all(map(le, rho, soft))
+                and (all(map(le, soft, hard))
+                     or all(s <= h or s == INF for s, h in zip(soft, hard)))):
+            for j, (r, s, h) in enumerate(zip(rho, soft, hard)):
+                if not is_tick(r):
+                    raise ValueError(f"request time of vehicle {j} must be an integer")
+                if not is_tick_or_inf(s) or not is_tick_or_inf(h):
+                    raise ValueError(f"deadlines of vehicle {j} must be integers or +inf")
+                if r > h:
+                    raise ValueError(f"vehicle {j}: request time exceeds hard deadline")
+                if s != INF and not (r <= s <= h):
+                    raise ValueError(
+                        f"vehicle {j}: need request <= soft <= hard deadline, got "
+                        f"{r}, {s}, {h}"
+                    )
+
+    def with_soft_deadlines(self, soft_deadlines) -> Instance:
+        """replace(self, soft_deadlines=soft_deadlines), checking only the
+        new vector, by the constructor's rules.  It shares every other field
+        and every table this instance has built: none reads a soft deadline."""
+        derived = object.__new__(type(self))
+        vars(derived).update(vars(self), soft_deadlines=tuple(soft_deadlines))
+        derived._check_times()
+        return derived
+
     @cached_property
     def visits(self) -> dict[int, list[tuple[int, int]]]:
         """vertex -> (vehicle, step) visits in vehicle, then step, order."""
@@ -319,16 +339,16 @@ class Instance:
         return visits
 
     @cached_property
-    def latest_on_time(self) -> tuple[tuple[int | float, ...], ...]:
-        """[j][i]: the latest stamp at step i from which vehicle j can still
-        end by its soft deadline, that deadline minus the minimum travel
-        time over links i, i+1, ...; +inf where the deadline is open.  Kept
-        like visits, so a replaced instance builds its own."""
+    def remaining_minima(self) -> tuple[tuple[int, ...], ...]:
+        """[j][i]: the minimum travel time over links i, i+1, ... of walk j,
+        so row j starts at the free trip time and ends at 0.  A stamp t at
+        step i can still end by soft deadline d exactly when
+        t + [j][i] <= d.  Kept like visits."""
         # Each row is reversed as a list: reversing the tuple itself left
         # sweep's peak RSS about 1 MB higher.
         return tuple(
-            tuple(list(accumulate(reversed(walk.min_times), sub, initial=d))[::-1])
-            for walk, d in zip(self.walks, self.soft_deadlines)
+            tuple(list(accumulate(reversed(walk.min_times), initial=0))[::-1])
+            for walk in self.walks
         )
 
     @cached_property

@@ -21,7 +21,7 @@ from itertools import tee
 from typing import Callable, Mapping, Sequence
 
 from .core import INF, ConfigurationError, Instance, Schedule, SeparationKey, VspError
-from .core import conflict_pairs, is_tick_or_inf, tardy_weights
+from .core import conflict_pairs, is_real, is_tick_or_inf, tardy_weights
 from .heuristics import deadline_and_proximity
 
 NEG_INF = float("-inf")
@@ -280,8 +280,9 @@ def node_bound(
     instance = dcs.instance
     weights, _ = scaled_tardy_weights(instance)
     deadlines = instance.soft_deadlines
-    # By variable id: the origin's entry, never read, then the stamps.
-    latest = [INF, *(t for row in instance.latest_on_time for t in row)]
+    # Latest on-time values by variable id: the origin's, never read, first.
+    rest = instance.remaining_minima
+    latest = [INF, *(d - t for d, row in zip(deadlines, rest) for t in row)]
     last = [dcs.var(j, len(walk) - 1) for j, walk in enumerate(instance.walks)]
 
     def bound(dist: Sequence[float], limit: float | None, clashing: Sequence) -> float:
@@ -335,10 +336,11 @@ def _warm_start(
     return warm.times if warm.feasible else None
 
 
-def check_time_limit(time_limit: float | None) -> None:
-    """Reject a NaN or negative time limit; None and inf mean no limit."""
-    if time_limit is not None and not time_limit >= 0:
-        raise ConfigurationError(f"time limit must be >= 0 seconds, got {time_limit}")
+def check_time_limit(time_limit: float | None, name: str = "time limit") -> None:
+    """Reject a time limit that is not a real number of seconds >= 0: a
+    bool, NaN, a negative number or a string; None and inf mean no limit."""
+    if time_limit is not None and not (is_real(time_limit) and time_limit >= 0):
+        raise ConfigurationError(f"{name} must be >= 0 seconds, got {time_limit!r}")
 
 
 class SolveStatus(Enum):

@@ -21,9 +21,9 @@ A priority is the plain tuple (first, demoted, slack, vehicle, step),
 compared lexicographically: the minimum travel time of the approach link,
 1 for a vehicle demoted for negative slack (else 0), the mode's deadline
 slack (0.0 under proximity), the vehicle id, and the walk position about to
-be stamped.  sorting_key builds the key function once per run, reading each
-stamp's latest on-time value from Instance.latest_on_time, which the run's
-signal checks share.
+be stamped.  sorting_key builds the key function once per run.  Its slack
+and the run's signal checks add the minimum travel time left after a step,
+from Instance.remaining_minima, a table no soft deadline changes.
 """
 
 from __future__ import annotations
@@ -102,11 +102,11 @@ def sorting_key(
     demote = negative_slack == "prose"
     relative = mode is Mode.REL_DEADLINE_PROXIMITY
     lengths = instance._walk_lengths
-    latest = instance.latest_on_time
+    rest, soft = instance.remaining_minima, instance.soft_deadlines
 
     def deadline_key(j: int, k: int, ref: int) -> tuple[int, int, float, int, int]:
         first = walks[j].min_times[k - 1] if k else 0
-        slack = latest[j][k - 1 if k else 0] - ref
+        slack = soft[j] - rest[j][k - 1 if k else 0] - ref
         if demote and slack < 0:
             return (first, 1, 0.0, j, k)
         score = slack / (lengths[j] - k) if relative else float(slack)
@@ -179,7 +179,8 @@ def lazy_dispatch(
 
     The generator yields None once, the first time the run can no longer
     end complete, on time and free of hard violations: a vehicle fails its
-    slot window or a stamp passes its latest on-time entry.  A stamp after
+    slot window or a stamp plus the minimum travel time left after it
+    passes the soft deadline.  A stamp after
     the first can do either only when it lands past the link minimum, so
     only such stamps are checked.  A run that never signals can still fall
     short, by a hard deadline where the soft one is open.  Last it yields
@@ -209,7 +210,7 @@ def lazy_dispatch(
     max_times = [w.max_times for w in instance.walks]
     lengths = instance._walk_lengths
     request_times = instance.request_times
-    latest = instance.latest_on_time
+    rest, soft = instance.remaining_minima, instance.soft_deadlines
     overrides = instance.separations
     separation = instance.separation
     max_gap = instance.max_gap
@@ -274,7 +275,7 @@ def lazy_dispatch(
                     heapq.heappush(heap, slot)
                     waiting[slot] = [j]
             if (not signalled and (slot > lower or not step)
-                    and slot > latest[j][step]):
+                    and slot + rest[j][step] > soft[j]):
                 signalled = True
                 yield None
         if not heap:

@@ -19,7 +19,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import accumulate, chain, repeat
-from operator import itemgetter
+from operator import itemgetter, mul
 from pathlib import Path
 from typing import Iterable
 
@@ -31,7 +31,7 @@ from .core import (
     ObjectiveKind,
     Schedule,
     VspError,
-    Walk,
+    is_real,
     is_tick,
     is_tick_or_inf,
     walks_from_rows,
@@ -109,6 +109,8 @@ class ExperimentConfig:
             raise ValueError("n_vehicles must be a positive integer")
         if not is_tick(self.n_instances) or self.n_instances <= 0:
             raise ValueError("n_instances must be a positive integer")
+        if not is_tick(self.seed):  # random.Random(None) would seed from the clock
+            raise ValueError("seed must be an integer")
         if not is_tick(self.separation) or self.separation < 0:
             raise ValueError("separation must be a nonnegative integer")
         if not is_tick(self.tau_min_link) or self.tau_min_link < 0:
@@ -121,8 +123,10 @@ class ExperimentConfig:
         object.__setattr__(self, "soft_deadline_ratios", ratios)
         if not ratios:
             raise ValueError("need at least one soft deadline ratio")
-        if not all(math.isfinite(r) and r >= 0 for r in ratios):
+        if not all(is_real(r) and 0 <= r < INF for r in ratios):  # NaN compares False
             raise ValueError("soft deadline ratios must be finite and nonnegative")
+        if not is_real(self.hard_deadline_factor):
+            raise ValueError("hard_deadline_factor must be a real number")
         # The factor covers every ratio, so its deadline on the longest free
         # trip of the grid bounds every deadline the config scales.
         trip = (self.grid.rows + self.grid.cols - 2) * self.tau_min_link
@@ -156,9 +160,9 @@ def grid_walk(spec: GridSpec, source: int, dest: int) -> tuple[int, ...]:
     )
 
 
-def soft_deadlines_at(walks: Iterable[Walk], ratio: float) -> tuple[int, ...]:
-    """Deadlines at ratio times each walk's free trip time, to the tick."""
-    return tuple(round(ratio * sum(walk.min_times)) for walk in walks)
+def deadlines_at(trip_times: Iterable[int], ratio: float) -> tuple[int, ...]:
+    """Deadlines at ratio times each free trip time, to the tick."""
+    return tuple(map(round, map(mul, repeat(ratio), trip_times)))
 
 
 def generate_grid_instance(
@@ -172,8 +176,8 @@ def generate_grid_instance(
     the free trip time.
 
     The walks depend only on the seed, so sweeping the ratio varies the
-    soft deadlines (soft_deadlines_at) over fixed trips.  Deadlines are
-    rounded to the nearest tick.
+    soft deadlines (deadlines_at the free trip times) over fixed trips.
+    Deadlines are rounded to the nearest tick.
     """
     graph = build_grid_graph(config.grid)
     rng = random.Random(seed)
@@ -188,12 +192,13 @@ def generate_grid_instance(
     lows = [(config.tau_min_link,) * (len(vertices) - 1) for vertices in rows]
     highs = [(config.tau_max_link,) * (len(vertices) - 1) for vertices in rows]
     walks = walks_from_rows(rows, lows, highs)
+    trips = [sum(walk.min_times) for walk in walks]
     return Instance(
         graph=graph,
         walks=walks,
         request_times=(0,) * config.n_vehicles,
-        soft_deadlines=soft_deadlines_at(walks, ratio),
-        hard_deadlines=soft_deadlines_at(walks, config.hard_deadline_factor),
+        soft_deadlines=deadlines_at(trips, ratio),
+        hard_deadlines=deadlines_at(trips, config.hard_deadline_factor),
         objective=ObjectiveKind.TARDY_COUNT,
         separation=config.separation,
     )

@@ -27,7 +27,7 @@ from vsp import (
     validate_schedule,
 )
 from vsp.bench import _DISPATCH_OK, _check
-from vsp.instances import soft_deadlines_at
+from vsp.instances import deadlines_at
 from oracles import eager_best, merge_instance
 
 
@@ -102,8 +102,10 @@ def test_baseline_nonincreasing_in_ratio_per_instance():
 
 
 def test_each_ratio_derived_from_one_generated_instance():
-    """run_sweep generates each seed's walks once and only resets the soft
-    deadlines per ratio; that must equal generating at the ratio."""
+    """run_sweep generates each seed's walks once and derives each ratio's
+    instance from them with only new soft deadlines, at the ratio times the
+    free trip times its table starts with; that must equal generating at
+    the ratio, and replacing the soft deadlines."""
     configs = (
         ExperimentConfig(n_vehicles=12),
         ExperimentConfig(n_vehicles=7, grid=GridSpec(3, 4), tau_max_link=80),
@@ -113,11 +115,15 @@ def test_each_ratio_derived_from_one_generated_instance():
             base = generate_grid_instance(
                 config, config.soft_deadline_ratios[0], seed
             )
+            trips = [row[0] for row in base.remaining_minima]
+            assert trips == [sum(walk.min_times) for walk in base.walks]
             for ratio in config.soft_deadline_ratios:
-                derived = replace(
-                    base, soft_deadlines=soft_deadlines_at(base.walks, ratio)
-                )
+                soft = deadlines_at(trips, ratio)
+                derived = base.with_soft_deadlines(soft)
                 assert derived == generate_grid_instance(config, ratio, seed)
+                assert derived == replace(base, soft_deadlines=soft)
+                assert derived.walks is base.walks
+                assert derived.remaining_minima is base.remaining_minima
 
 
 def test_tardy_csv_reproducible(tmp_path):
@@ -139,6 +145,29 @@ def test_empty_algorithms_and_single_cell(tmp_path):
     )
     tardy_path, _ = emit_csv(single, tmp_path / "single")
     assert len(read_rows(tardy_path)) == 3
+
+
+@pytest.mark.parametrize("bad", [
+    {"exact_cap": float("nan")},
+    {"exact_cap": "30"},
+    {"exact_cap": True},
+    {"exact_cap": -1},
+    {"exact_time_limit": -1},
+    {"exact_time_limit": float("nan")},
+    {"exact_time_limit": "30"},
+    {"exact_time_limit": True},
+], ids=repr)
+def test_sweep_checks_exact_arguments_before_it_builds_an_instance(monkeypatch, bad):
+    """6 vehicles are over the cap of 5, so no exact cell would ever run or
+    read either argument: a bad one is still refused, naming itself."""
+    built = []
+    monkeypatch.setattr(vsp.bench, "generate_grid_instance",
+                        lambda *args: built.append(args))
+    (name, value), = bad.items()
+    arguments = {"exact_time_limit": 30.0, "exact_cap": 5, **bad}
+    with pytest.raises(ConfigurationError, match=f"^{name} must be .*{value!r}$"):
+        run_sweep(small_config(n_vehicles=6), ("baseline", "exact"), **arguments)
+    assert not built
 
 
 def test_exact_needs_time_limit_and_respects_cap():
@@ -421,28 +450,28 @@ def test_sweep_builds_the_visit_index_once_per_instance_seed(monkeypatch):
         assert len(built) == len(set(built)) == config.n_instances, algorithms
 
 
-def test_sweep_builds_latest_on_time_once_per_soft_deadline_vector(monkeypatch):
-    """The first ratio dispatches on the generated instance itself, whose
-    table the shared proximity run built, so no seed builds the table of
-    one soft-deadline vector twice."""
+def test_sweep_builds_remaining_minima_once_per_instance_seed(monkeypatch):
+    """No soft deadline changes the minimum travel time left after a step,
+    so every ratio of a seed shares the table its generated instance
+    builds, however many ratios run and whichever algorithms read it."""
     built = []
-    build = Instance.__dict__["latest_on_time"].func
+    build = Instance.__dict__["remaining_minima"].func
 
     def counted(instance):
-        built.append((instance.walks, instance.soft_deadlines))
+        built.append(instance.walks)
         return build(instance)
 
     table = cached_property(counted)
-    table.__set_name__(Instance, "latest_on_time")
-    monkeypatch.setattr(Instance, "latest_on_time", table)
-    config = tight_config()
-    for algorithms in (("baseline", "heuristic"), ("heuristic",), ("baseline",)):
-        built.clear()
-        run_sweep(config, algorithms)
-        assert len(built) == len(set(built)), algorithms
-        assert len({walks for walks, _ in built}) == config.n_instances, algorithms
-        if algorithms == ("baseline",):
-            assert len(built) == config.n_instances
+    table.__set_name__(Instance, "remaining_minima")
+    monkeypatch.setattr(Instance, "remaining_minima", table)
+    many = tight_config()
+    for config in (many, replace(many, soft_deadline_ratios=(1.0,))):
+        for algorithms in (
+            ("baseline", "heuristic"), ("heuristic",), ("baseline",), ("exact",), (),
+        ):
+            built.clear()
+            run_sweep(config, algorithms, exact_time_limit=30.0)
+            assert len(built) == len(set(built)) == config.n_instances, algorithms
 
 
 @pytest.mark.parametrize("algorithms", [
@@ -475,7 +504,8 @@ def test_clashing_proximity_run_still_aborts_the_sweep(
     bad = run_dispatch(replace(base, separation=0), Mode.PROXIMITY)
     message = None
     for ratio in config.soft_deadline_ratios:
-        inst = replace(base, soft_deadlines=soft_deadlines_at(base.walks, ratio))
+        trips = [sum(walk.min_times) for walk in base.walks]
+        inst = replace(base, soft_deadlines=deadlines_at(trips, ratio))
         if "baseline" in algorithms:
             name = "baseline"
         else:

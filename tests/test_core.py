@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from dataclasses import replace
+from functools import cached_property
 
 import pytest
 
@@ -307,21 +308,35 @@ def test_conflict_pairs_are_built_once_per_instance():
     assert list(conflict_pairs(revisiting)) == [(0, 0, 1, 1), (0, 1, 1, 0), (0, 2, 1, 1)]
 
 
-def test_latest_on_time_by_hand():
+def test_remaining_minima_by_hand():
     """Vehicle 0 revisits vertex 1 over a zero-length link; vehicle 1 has
-    no soft deadline, so every stamp of it is on time."""
+    no soft deadline, which the table does not read; a one-vertex walk has
+    nothing left to travel."""
     inst = Instance(
         graph=Graph(3, frozenset({(0, 1), (1, 2), (2, 1)})),
-        walks=(Walk((0, 1, 2, 1), (30, 0, 20), (INF,) * 3), Walk((2, 1), (10,), (INF,))),
-        request_times=(0, 0),
-        soft_deadlines=(100, INF),
-        hard_deadlines=(500, 500),
+        walks=(Walk((0, 1, 2, 1), (30, 0, 20), (INF,) * 3), Walk((2, 1), (10,), (INF,)),
+               Walk((2,), (), ())),
+        request_times=(0, 0, 0),
+        soft_deadlines=(100, INF, 0),
+        hard_deadlines=(500, 500, 0),
     )
-    # The deadline minus the minimum times of the links after each step.
-    assert inst.latest_on_time == (
-        (100 - (30 + 0 + 20), 100 - (0 + 20), 100 - 20, 100),
-        (INF, INF),
-    )
+    # The minimum times of the links after each step: the free trip time first.
+    assert inst.remaining_minima == ((30 + 0 + 20, 0 + 20, 20, 0), (10, 0), (0,))
+    assert inst.with_soft_deadlines((50, 10, INF)).remaining_minima is inst.remaining_minima
+
+
+def test_every_table_kept_on_an_instance_reads_no_soft_deadline():
+    """with_soft_deadlines hands every table its base has built to the
+    derived instance, which is sound while none of them reads a soft
+    deadline: a new table must be checked for that and listed here."""
+    kept = {name for name, attr in vars(Instance).items()
+            if isinstance(attr, cached_property)}
+    assert kept == {"visits", "remaining_minima", "_walk_lengths", "_conflict_pairs"}
+    inst = generate_grid_instance(ExperimentConfig(n_vehicles=12), 1.0, 4)
+    tables = {name: getattr(inst, name) for name in kept}
+    derived = inst.with_soft_deadlines((INF,) * inst.n_vehicles)
+    assert all(vars(derived)[name] is table for name, table in tables.items())
+    assert vars(inst.with_soft_deadlines(inst.soft_deadlines)).keys() == vars(inst).keys()
 
 
 def test_deadline_chain_enforced():

@@ -383,6 +383,14 @@ def test_time_limit_must_be_a_nonnegative_number():
     assert solve(inst, time_limit=float("inf")).status is SolveStatus.OPTIMAL
 
 
+def test_time_limit_refuses_a_bool_and_a_string():
+    """True would read as a limit of 1 s, and False as one of 0 s."""
+    inst = merge_instance(d_soft=(50, 50), d_hard=(200, 52))
+    for bad in (True, False, "30"):
+        with pytest.raises(ConfigurationError, match=f"^time limit .* {bad!r}$"):
+            solve(inst, time_limit=bad)
+
+
 def weighted(
     inst, rng, choices=(1, 2, 3, 4, 5), objective=ObjectiveKind.WEIGHTED_TARDY_COUNT
 ):

@@ -606,28 +606,31 @@ def test_run_signals_when_its_first_stamp_is_already_late():
         assert result == run_dispatch(inst, Mode.PROXIMITY)
 
 
-def test_latest_on_time_is_built_once_per_instance(monkeypatch):
+def test_remaining_minima_are_built_once_per_instance(monkeypatch):
     """Every run of an instance, its deadline keys and its signal checks
-    share one table; a replaced instance with new soft deadlines builds
-    its own."""
+    share one table, and so does every instance derived from it with new
+    soft deadlines; a replaced instance builds its own, equal to it."""
     built = []
-    build = Instance.__dict__["latest_on_time"].func
+    build = Instance.__dict__["remaining_minima"].func
 
     def counted(instance):
         built.append(instance.soft_deadlines)
         return build(instance)
 
     table = cached_property(counted)
-    table.__set_name__(Instance, "latest_on_time")
-    monkeypatch.setattr(Instance, "latest_on_time", table)
+    table.__set_name__(Instance, "remaining_minima")
+    monkeypatch.setattr(Instance, "remaining_minima", table)
     inst = merge_instance(d_soft=(40, 40))  # no mode reaches 0: all finished
     deadline_and_proximity(inst)
     for mode in Mode:
         run_dispatch(inst, mode, "pseudocode")
     assert built == [(40, 40)]
-    moved = dataclasses.replace(inst, soft_deadlines=(200, 50))
-    assert moved.latest_on_time == ((150, 200), (0, 50))
-    assert inst.latest_on_time == ((-10, 40), (-10, 40))
+    moved = inst.with_soft_deadlines((200, 50))
+    deadline_and_proximity(moved)
+    assert moved.remaining_minima is inst.remaining_minima == ((50, 0), (50, 0))
+    assert built == [(40, 40)]
+    replaced = dataclasses.replace(inst, soft_deadlines=(200, 50))
+    assert replaced.remaining_minima == inst.remaining_minima
     assert built == [(40, 40), (200, 50)]
 
 

@@ -96,6 +96,51 @@ def test_config_invariants():
         assert str(exc.value) == message
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("field, value, message", [
+    # A ratio is read as soft_deadline_ratios=(1.0, value) under a factor of 3.
+    ("ratio", True, "soft deadline ratios must be finite and nonnegative"),
+    ("ratio", 2.5, None),
+    ("ratio", NAN, "soft deadline ratios must be finite and nonnegative"),
+    ("ratio", "1", "soft deadline ratios must be finite and nonnegative"),
+    ("ratio", None, "soft deadline ratios must be finite and nonnegative"),
+    ("hard_deadline_factor", True, "hard_deadline_factor must be a real number"),
+    ("hard_deadline_factor", 2.5, None),
+    ("hard_deadline_factor", NAN,
+     "hard deadline factor on the longest free trip must be finite"),
+    ("hard_deadline_factor", "1", "hard_deadline_factor must be a real number"),
+    ("hard_deadline_factor", None, "hard_deadline_factor must be a real number"),
+    ("seed", True, "seed must be an integer"),
+    ("seed", 2.5, "seed must be an integer"),
+    ("seed", NAN, "seed must be an integer"),
+    ("seed", "1", "seed must be an integer"),
+    ("seed", None, "seed must be an integer"),
+    # Past the float range: exact comparisons, no OverflowError.
+    ("ratio", 10**400, "hard deadline factor must cover every ratio"),
+    ("hard_deadline_factor", 10**400,
+     "hard deadline factor on the longest free trip must be finite"),
+    ("seed", 10**400, None),
+])
+def test_config_takes_real_ratios_and_factor_and_an_int_seed(field, value, message):
+    """A bool is no ratio, factor or seed, and a seed of None would seed
+    each process's sweep from the clock: each is refused with ValueError,
+    and an accepted value is kept as given."""
+    fields = (
+        {"soft_deadline_ratios": (1.0, value), "hard_deadline_factor": 3.0}
+        if field == "ratio" else {field: value}
+    )
+    if message is None:
+        config = ExperimentConfig(n_vehicles=5, **fields)
+        for name, given in fields.items():
+            assert getattr(config, name) == given
+        return
+    with pytest.raises(ValueError) as exc:
+        ExperimentConfig(n_vehicles=5, **fields)
+    assert str(exc.value) == message
+
+
 def all_shortest_sequences(graph, source, dest):
     dist = {source: 0}
     frontier = [source]

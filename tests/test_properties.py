@@ -1,6 +1,7 @@
 """Property tests over small random instances, with a fixed example set."""
 
 import json
+import operator
 import random
 import re
 import tempfile
@@ -351,6 +352,53 @@ def jobshop_instances(draw):
     return replace(inst, separations=overrides)
 
 
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(st.one_of(dispatch_instances(), jobshop_instances()), st.data())
+def test_with_soft_deadlines_is_replace_sharing_the_walk_tables(inst, data):
+    """Deriving an instance with new soft deadlines gives what replacing
+    them gives, dispatches as it in every mode and keeps the base's walk
+    tables, on overrides, revisits, open deadlines and zero link minima
+    alike; a bad vector raises the constructor's own error."""
+    inst = replace(inst, walks=tuple(
+        Walk(w.vertices, tuple(
+            0 if data.draw(st.booleans()) else m for m in w.min_times
+        ), w.max_times)
+        for w in inst.walks
+    ))
+    tables = (inst.visits, inst.remaining_minima, inst._walk_lengths,
+              conflict_pairs(inst))
+    soft = tuple(
+        data.draw(st.one_of(st.just(INF), st.integers(r, r + 300 if h == INF else h)))
+        for r, h in zip(inst.request_times, inst.hard_deadlines)
+    )
+    derived = inst.with_soft_deadlines(list(soft))
+    replaced = replace(inst, soft_deadlines=soft)
+    assert derived == replaced and repr(derived) == repr(replaced)
+    shared = (derived.visits, derived.remaining_minima, derived._walk_lengths,
+              conflict_pairs(derived))
+    assert all(map(operator.is_, shared, tables))
+    assert shared == (replaced.visits, replaced.remaining_minima,
+                      replaced._walk_lengths, conflict_pairs(replaced))
+    for mode in Mode:
+        for policy in ("prose", "pseudocode"):
+            run = run_dispatch(derived, mode, policy)
+            assert run == run_dispatch(replaced, mode, policy)
+            assert run.sorts[1:] == run_dispatch(replaced, mode, policy).sorts[1:]
+    assert deadline_and_proximity(derived) == deadline_and_proximity(replaced)
+
+    j = data.draw(st.integers(0, inst.n_vehicles - 1))
+    bad = [soft[:-1], soft + soft[:1], soft[:j] + (True,) + soft[j + 1:],
+           soft[:j] + (float(inst.request_times[j]),) + soft[j + 1:]]
+    if inst.hard_deadlines[j] != INF:
+        bad.append(soft[:j] + (inst.hard_deadlines[j] + 1,) + soft[j + 1:])
+    for vector in bad:
+        with pytest.raises(ValueError) as expected:
+            replace(inst, soft_deadlines=vector)
+        with pytest.raises(ValueError) as got:
+            inst.with_soft_deadlines(vector)
+        assert str(got.value) == str(expected.value)
+
+
 @settings(derandomize=True, max_examples=120, deadline=None, database=None)
 @given(st.one_of(dispatch_instances(), jobshop_instances()))
 def test_dispatch_matches_whole_vertex_reference(inst):
@@ -370,15 +418,19 @@ def test_dispatch_matches_whole_vertex_reference(inst):
 def test_lazy_run_signals_exactly_when_it_fails_or_runs_late(inst, data):
     """A lazy run yields None at most once, before its result, and does so
     exactly when the drained run has a slot failure or a stamp later than
-    its latest on-time entry.  The loop checks a stamp against that entry
-    only where it lands past its lower bound or is a vehicle's first, so
+    its latest on-time value, the soft deadline minus the minimum travel
+    time left, summed here afresh.  The loop checks a stamp against it only
+    where it lands past its lower bound or is a vehicle's first, so
     some soft deadlines are redrawn as tight as the request time, which
     makes a first stamp late where it lands at its lower bound."""
     inst = replace(inst, soft_deadlines=tuple(
         data.draw(st.sampled_from((s, r) if s == INF else (s, r, (r + s) // 2)))
         for r, s in zip(inst.request_times, inst.soft_deadlines)
     ))
-    latest = inst.latest_on_time
+    latest = [
+        [d - sum(walk.min_times[i:]) for i in range(len(walk))]
+        for walk, d in zip(inst.walks, inst.soft_deadlines)
+    ]
     for mode in Mode:
         for policy in ("prose", "pseudocode"):
             *signals, run = lazy_dispatch(inst, mode, policy)
