@@ -5,7 +5,8 @@ and dispatches proximity once, since neither reads a soft deadline; each
 ratio's instance shares them.  Per soft-deadline ratio it runs the requested
 algorithms: a baseline cell reuses the proximity run, and a best-of-three
 cell is deadline_and_proximity given the seed's finished runs, which it
-replays where it can.  It validates each distinct emitted schedule once per
+replays where it can and resumes where a replay breaks after its initial
+order.  It validates each distinct emitted schedule once per
 seed against the seed's base instance, since validation reads no soft
 deadline, and records tardy counts and wall-clock scheduling time, the
 shared proximity run's included.  Means are aggregated
@@ -122,26 +123,20 @@ def run_sweep(
     exact_cap: int = 25,
     negative_slack: str = "prose",
 ) -> SweepResult:
-    """Run the configured sweep for one vehicle count.
+    """Run the configured sweep for one vehicle count, sharing per seed
+    what the module docstring lists.
 
-    One proximity run per instance seed is the baseline at every ratio; the
-    first ratio's instance is the generated one, the others derive from it
-    with_soft_deadlines at the ratio times its free trip times, read once.
-    Best-of-three is deadline_and_proximity, passed the seed's finished
-    runs, so it replays the proximity run for proximity and starts a
-    deadline mode only where no earlier run of the seed replays.  Its
-    runtime is that of the proximity run plus the call's: the amortised cost
-    within the sweep, replay checks included, not that of a standalone
-    best-of-three.  Every emitted dispatch schedule is validated the first
-    time a seed emits its stamps; a violation is a bug and aborts the
-    sweep.  Validation reads no soft deadline, so it runs against the
-    seed's base instance, whose per-vertex visit index is then built once
-    per seed.  The exact solver only runs when the vehicle count is within
-    exact_cap and always needs a time limit; both are checked on entry,
-    whether an exact cell runs or not.  Every schedule it returns is
-    validated, and each run is recorded under its solver status, with a
-    tardy count only when that status is optimal: an unproved value is
-    never reported as an optimum.
+    The first ratio's instance is the generated one; the others derive from
+    it with_soft_deadlines at the ratio times its free trip times, read
+    once.  A best-of-three runtime is the proximity run's plus the call's:
+    the amortised cost within the sweep, replay checks and resumed runs
+    included, not that of a standalone best-of-three.  A dispatch schedule
+    that fails validation is a bug and aborts the sweep.  The exact solver
+    only runs when the vehicle count is within exact_cap and always needs
+    a time limit; both are checked on entry, whether an exact cell runs or
+    not.  Every schedule it returns is validated, and each run is recorded
+    under its solver status, with a tardy count only when that status is
+    optimal: an unproved value is never reported as an optimum.
     """
     unknown = set(algorithms) - set(ALGORITHMS)
     if unknown:

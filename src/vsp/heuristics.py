@@ -1,29 +1,17 @@
 """Event-driven dispatch schedulers.
 
-One flat loop, the generator lazy_dispatch, assigns stamps by repeatedly
-popping the earliest pending stamp, grouping the vehicles that sit at it by
-their next vertex, and giving out the earliest separation-feasible slot at
-that vertex in priority order; the first stamps go through the same loop.
-Its one slot search is an append where no assigned stamp at the vertex can
-block the lower bound, else one scan of the vertex's assigned stamps in
-stamp order, from the first stamp that can still block the lower bound to
-the first one too late to block the slot found so far, reading each gap
-inline from the instance's separation rule rather than through
-Instance.gap.  The loop signals the first time its run can no longer end
-complete, on time and free of hard violations; run_dispatch drains it.  A
-finished run records the keys its sorts made, and replay_dispatch reuses
-it for another mode or other soft deadlines when every recorded order
-still holds under the new keys.  Three priority modes share the loop;
-deadline_and_proximity runs them in Mode order, replays where it can,
-pauses each started run at its signal, and keeps the best.
+lazy_dispatch runs one flat event loop in one of three priority modes and
+signals the first time its run can no longer end complete, on time and
+free of hard violations; run_dispatch drains it.  replay_dispatch reuses a
+finished run for another mode or other soft deadlines when every order it
+recorded still holds under the new keys; where one breaks after the
+initial order, the loop resumes from the stamps placed before it.
+deadline_and_proximity runs the modes in Mode order, replays or resumes
+where it can, pauses each started run at its signal, and keeps the best.
 
-A priority is the plain tuple (first, demoted, slack, vehicle, step),
-compared lexicographically: the minimum travel time of the approach link,
-1 for a vehicle demoted for negative slack (else 0), the mode's deadline
-slack (0.0 under proximity), the vehicle id, and the walk position about to
-be stamped.  sorting_key builds the key function once per run.  Its slack
-and the run's signal checks add the minimum travel time left after a step,
-from Instance.remaining_minima, a table no soft deadline changes.
+A priority is the plain tuple (first, demoted, slack, vehicle, step) that
+sorting_key builds once per run.  Its slack and the run's signal checks
+read Instance.remaining_minima, a table no soft deadline changes.
 """
 
 from __future__ import annotations
@@ -180,31 +168,38 @@ def lazy_dispatch(
     The generator yields None once, the first time the run can no longer
     end complete, on time and free of hard violations: a vehicle fails its
     slot window or a stamp plus the minimum travel time left after it
-    passes the soft deadline.  A stamp after
-    the first can do either only when it lands past the link minimum, so
-    only such stamps are checked.  A run that never signals can still fall
-    short, by a hard deadline where the soft one is open.  Last it yields
-    the DispatchResult, whose sorts record the instance, the initial order
-    and, for each group of more than one vehicle, the popped stamp and the
-    group's sorted keys, each of which names its vehicle and step, for
-    replay_dispatch.
-
-    The loop's state is each vehicle's stamps (their count is the walk
-    position to stamp next), a heap of the distinct pending stamps, the
-    vehicles waiting at each of them, and per-vertex sorted lists of
-    (stamp, vehicle, step) entries already assigned.  One flat loop places
-    every stamp, the first ones included, as a batch: the initial order,
-    then the vehicles of each popped stamp, group after group.  Where the
-    vertex's last entry is at or below lower - max_gap nothing can block
-    lower, so the slot is lower and its entry is appended.  Else the slot
-    search bisects the list at lower - max_gap and scans it in place,
-    stopping at the first stamp at or past slot + max_gap, and the slot
-    goes in by a sorted insert.  The scan reads each gap as Instance.gap
-    defines it, without calling it: every entry in the list is at the same
-    vertex, so the gap is 0 for the vehicle itself, else its override, else
-    the uniform separation.
+    passes the soft deadline.  A stamp after the first can do either only
+    when it lands past the link minimum, so only such stamps are checked.
+    A run that never signals can still fall short, by a hard deadline where
+    the soft one is open.  Last it yields the DispatchResult, whose sorts
+    record the instance, the initial order and, for each group of more
+    than one vehicle, the popped stamp and the group's sorted keys, each of
+    which names its vehicle and step, for replay_dispatch.
     """
-    n = instance.n_vehicles
+    key = sorting_key(instance, mode, negative_slack)
+    # Keys differ in the vehicle id, so sorting the keys sorts the vehicles.
+    firsts = map(key, range(instance.n_vehicles), repeat(0), instance.request_times)
+    order = list(map(_VEHICLE, sorted(firsts)))
+    yield from _dispatch(instance, mode, key, order, [[] for _ in order], [], [])
+
+
+def _dispatch(
+    instance: Instance, mode: Mode, key: Callable, order: list[int],
+    times: list[list[int]], failed: list[int], sorted_groups: list[tuple],
+) -> Iterator[DispatchResult | None]:
+    """lazy_dispatch's loop.  Its state is each vehicle's stamps (their
+    count is the walk position to stamp next), a heap of the distinct
+    pending stamps, the vehicles waiting at each, and per-vertex sorted
+    lists of (stamp, vehicle, step) entries.  The stamps fix the rest, up
+    to the order of vehicles waiting at one stamp, which moves no stamp.  So
+    a run resumes from each vehicle's stamps up to its first one at or past
+    some popped stamp t, and its vehicles failed and groups sorted before
+    t; with no stamp in times it starts afresh.
+
+    One flat loop places every stamp as a batch: the initial order, then
+    the vehicles of each popped stamp, group after group.  The slot search
+    is described where it runs.
+    """
     vertices = [w.vertices for w in instance.walks]
     min_times = [w.min_times for w in instance.walks]
     max_times = [w.max_times for w in instance.walks]
@@ -214,19 +209,26 @@ def lazy_dispatch(
     overrides = instance.separations
     separation = instance.separation
     max_gap = instance.max_gap
-    key = sorting_key(instance, mode, negative_slack)
-    times: list[list[int]] = [[] for _ in range(n)]
-    failed: list[int] = []
     heap: list[int] = []
     waiting: dict[int, list[int]] = {}
     assigned: list[list[tuple[int, int, int]]] = [
         [] for _ in range(instance.graph.vertex_count)
     ]
-    sorted_groups: list[tuple[int, list[tuple]]] = []
-    signalled = False
-    # Keys differ in the vehicle id, so sorting the keys sorts the vehicles.
-    order = list(map(_VEHICLE, sorted(map(key, range(n), repeat(0), request_times))))
+    signalled = bool(failed)
     batch, t = order, 0  # t, the popped stamp, is read from the second batch on
+    if any(times):  # resumed: each unfinished vehicle waits at its last stamp
+        batch = []
+        for j, row in enumerate(times):
+            for step, stamp in enumerate(row):
+                assigned[vertices[j][step]].append((stamp, j, step))
+            # A stamp plus the minimum left after it never falls along a walk.
+            signalled = signalled or row[-1] + rest[j][step] > soft[j]
+            if step + 1 < lengths[j] and j not in failed:
+                waiting.setdefault(row[-1], []).append(j)
+        assigned = list(map(sorted, assigned))
+        heap = sorted(waiting)  # a sorted list is a heap
+        if signalled:
+            yield None
     while True:
         for j in batch:
             row = times[j]
@@ -328,18 +330,26 @@ def replay_dispatch(
     a finished run of any mode and soft deadlines without placing a stamp,
     or None when the run cannot show it.
 
-    A run reads soft deadlines only through its sort keys; its signal reads
-    them too but never steers it.  Keys differ in the vehicle id, so a sort
-    has no ties, and a new run makes every choice the recorded one made when
-    each order the recorded run sorted (its initial order, and each group
-    of more than one vehicle at a popped stamp) is strictly increasing under
-    the new keys.  So the run is replayed when that holds and its instance
-    has the same walks, request times, hard deadlines, uniform separation
-    and overrides as instance.  A proximity run asked for proximity is then
-    returned as it is, since proximity keys read no soft deadline.  Else
-    each group's new keys are built from the vehicle and step its recorded
-    keys name, at the popped stamp.
+    A run reads soft deadlines only through its sort keys (its signal reads
+    them but never steers it), and keys differ in the vehicle id, so a new
+    run makes every choice the recorded one made when each order the
+    recorded run sorted, its initial order and each group of more than one
+    vehicle at a popped stamp, is strictly increasing under the new keys,
+    each built from the vehicle and step its recorded key names.  That is
+    checked when instance has the recorded run's walks, request times, hard
+    deadlines, uniform separation and overrides; a proximity run asked for
+    proximity is returned as it is, since its keys read no soft deadline.
     """
+    res = _replay_or_resume(run, instance, mode, negative_slack)
+    return res if isinstance(res, DispatchResult) else None
+
+
+def _replay_or_resume(
+    run: DispatchResult, instance: Instance, mode: Mode, negative_slack: str
+) -> DispatchResult | Iterator[DispatchResult | None] | None:
+    """replay_dispatch's run where it holds; where a recorded group popped
+    at stamp t breaks, the new run's lazy run resumed just before its first
+    pop of t, since every earlier choice is the recorded one; else None."""
     if run.sorts is None:
         return None
     recorded, order, groups = run.sorts
@@ -352,15 +362,20 @@ def replay_dispatch(
     key = sorting_key(instance, mode, negative_slack)
     if mode is run.mode is Mode.PROXIMITY:
         return run  # proximity keys read no soft deadline
-    request_times = instance.request_times
-    keys = [key(j, 0, request_times[j]) for j in order]
+    keys = list(map(key, order, repeat(0), map(instance.request_times.__getitem__, order)))
     if not all(map(lt, keys, keys[1:])):
         return None
     for t, group in groups:  # a group is its recorded keys, sorted
         keys = list(map(key, map(_VEHICLE, group), map(_STEP, group), repeat(t)))
         if not all(map(lt, keys, keys[1:])):
-            return None
-    return DispatchResult(mode, run.times, run.statuses, run.sorts)
+            break
+    else:
+        return DispatchResult(mode, run.times, run.statuses, run.sorts)
+    failed = [j for j, row in enumerate(run.times)  # rows stopping short before t
+              if row[-1] < t and len(row) < instance._walk_lengths[j]]
+    times = [list(row[:bisect_left(row, t) + 1]) for row in run.times]
+    return _dispatch(instance, mode, key, order, times, failed,
+                     groups[:bisect_left(groups, (t,))])
 
 
 def deadline_and_proximity(
@@ -372,15 +387,17 @@ def deadline_and_proximity(
     failures, then the instance objective (infinite for an incomplete run),
     then hard-deadline violations, then the position of its mode in Mode.
 
-    The modes go in Mode order.  Each first tries replay_dispatch on one
-    earlier run: the mode's own in finished, else the proximity run.  A
-    replay that holds stands for the run, which is then neither started nor
-    finished.  Else the mode's lazy_dispatch run is started and paused at
-    its signal.  Under an objective that never goes below zero the first
-    run to end at rank (0, 0, 0) is returned at once: every later mode comes
-    after it, and a paused run cannot reach that rank.  Otherwise the paused
-    runs are finished in Mode order, a run that had no earlier run to try
-    first trying one now, and every run is ranked.
+    The modes go in Mode order.  Each first tries to replay one earlier
+    run: the mode's own in finished, else the proximity run.  A replay that
+    holds stands for the run, which is then neither started nor finished.
+    One that breaks after the initial order resumes the mode's lazy run from
+    the stamps placed before its first broken sort; else the mode's
+    lazy_dispatch run is started.  Either is paused at its signal.  Under
+    an objective that never goes below zero the first run to end at rank
+    (0, 0, 0) is returned at once: every later mode comes after it, and a
+    paused run cannot reach that rank.  Otherwise the paused runs are
+    finished in Mode order, a run that had no earlier run to try first
+    trying a replay now, and every run is ranked.
 
     finished holds each mode's last finished run, which this call updates;
     it starts empty unless given, and vsp bench passes one per instance
@@ -394,9 +411,9 @@ def deadline_and_proximity(
     ranked: list[tuple[tuple, DispatchResult]] = []
     paused: list[tuple[int, Mode, Iterator[DispatchResult | None], bool]] = []
 
-    def replayed(mode: Mode) -> DispatchResult | None:
+    def replayed(mode: Mode) -> DispatchResult | Iterator[DispatchResult | None] | None:
         earlier = finished.get(mode) or finished.get(Mode.PROXIMITY)
-        return earlier and replay_dispatch(earlier, instance, mode, negative_slack)
+        return earlier and _replay_or_resume(earlier, instance, mode, negative_slack)
 
     def enter(position: int, res: DispatchResult) -> bool:
         """Rank res; whether no other run can outrank it."""
@@ -409,8 +426,8 @@ def deadline_and_proximity(
         # A run tried before the start would fail again, so it is not retried.
         retry = mode not in finished and Mode.PROXIMITY not in finished
         res = replayed(mode)
-        if res is None:
-            run = lazy_dispatch(instance, mode, negative_slack)
+        if not isinstance(res, DispatchResult):
+            run = res or lazy_dispatch(instance, mode, negative_slack)
             res = next(run)  # the result, or None at the run's signal
             if res is None:
                 paused.append((position, mode, run, retry))
@@ -420,7 +437,7 @@ def deadline_and_proximity(
             return res
     for position, mode, run, retry in paused:
         res = replayed(mode) if retry else None
-        if res is None:
+        if not isinstance(res, DispatchResult):  # the paused run is further on
             *_, res = run
             finished[mode] = res
         enter(position, res)

@@ -83,6 +83,11 @@ def build_grid_graph(spec: GridSpec) -> Graph:
 DEFAULT_RATIOS = tuple(round(1.0 + 0.1 * k, 10) for k in range(11))
 
 
+def _is_ratio(ratio: object) -> bool:
+    """Whether ratio is a real number, finite and nonnegative."""
+    return is_real(ratio) and 0 <= ratio < INF  # NaN compares False
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Generator and sweep parameters for the grid benchmark.
@@ -123,7 +128,7 @@ class ExperimentConfig:
         object.__setattr__(self, "soft_deadline_ratios", ratios)
         if not ratios:
             raise ValueError("need at least one soft deadline ratio")
-        if not all(is_real(r) and 0 <= r < INF for r in ratios):  # NaN compares False
+        if not all(map(_is_ratio, ratios)):
             raise ValueError("soft deadline ratios must be finite and nonnegative")
         if not is_real(self.hard_deadline_factor):
             raise ValueError("hard_deadline_factor must be a real number")
@@ -179,6 +184,8 @@ def generate_grid_instance(
     soft deadlines (deadlines_at the free trip times) over fixed trips.
     Deadlines are rounded to the nearest tick.
     """
+    if not _is_ratio(ratio):
+        raise ValueError(f"ratio must be finite and nonnegative, got {ratio!r}")
     graph = build_grid_graph(config.grid)
     rng = random.Random(seed)
     n_vertices = graph.vertex_count

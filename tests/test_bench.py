@@ -8,6 +8,7 @@ import vsp.bench
 import vsp.heuristics
 from vsp import (
     ConfigurationError,
+    DispatchResult,
     ExperimentConfig,
     GridSpec,
     Instance,
@@ -21,12 +22,12 @@ from vsp import (
     evaluate,
     generate_grid_instance,
     lazy_dispatch,
-    replay_dispatch,
     run_dispatch,
     run_sweep,
     validate_schedule,
 )
 from vsp.bench import _DISPATCH_OK, _check
+from vsp.heuristics import _replay_or_resume as replay_or_resume
 from vsp.instances import deadlines_at
 from oracles import eager_best, merge_instance
 
@@ -271,11 +272,11 @@ def test_shared_proximity_run_matches_per_ratio_dispatch(monkeypatch, algorithms
     replays = []  # per replay tried: whether it replayed a deadline mode
 
     def counted(run, instance, mode, *args):
-        run = replay_dispatch(run, instance, mode, *args)
-        replays.append(run is not None and mode is not Mode.PROXIMITY)
-        return run
+        res = replay_or_resume(run, instance, mode, *args)
+        replays.append(isinstance(res, DispatchResult) and mode is not Mode.PROXIMITY)
+        return res
 
-    monkeypatch.setattr(vsp.heuristics, "replay_dispatch", counted)
+    monkeypatch.setattr(vsp.heuristics, "_replay_or_resume", counted)
     statuses = set()
     for config in (
         tight_config(),
@@ -330,12 +331,13 @@ def test_shared_proximity_run_matches_per_ratio_dispatch(monkeypatch, algorithms
 
 
 def test_sweep_dispatches_proximity_once_per_instance_seed(monkeypatch):
-    """Every mode best-of-three draws is a run started or a replay of an
-    earlier run of the seed, and no replay is tried twice.  Proximity is
-    started once per seed and replayed at every heuristic cell, and a
-    deadline mode is replayed too, also with zero link minima."""
+    """Every mode best-of-three draws is a run started, a replay of an
+    earlier run of the seed or a run resumed from one, and no replay is
+    tried twice.  Proximity is started once per seed and replayed at every
+    heuristic cell, and a deadline mode is replayed too, also with zero
+    link minima."""
     configs = (tight_config(), replace(tight_config(), tau_min_link=0))
-    calls, replays, tries = [], [], []
+    calls, replays, resumes, tries = [], [], [], []
 
     def counted(instance, mode, *args):
         calls.append(mode)
@@ -343,10 +345,14 @@ def test_sweep_dispatches_proximity_once_per_instance_seed(monkeypatch):
 
     def counted_replay(run, instance, mode, *args):
         tries.append((run, instance, mode))  # kept alive, so ids stay unique
-        run = replay_dispatch(run, instance, mode, *args)
-        if run is not None:
-            replays.append(run.mode)
-        return run
+        res = replay_or_resume(run, instance, mode, *args)
+        if isinstance(res, DispatchResult):
+            replays.append(res.mode)
+        elif res is not None:
+            # A sweep passes the proximity run, so no paused run is retried
+            # and every resumed run it is given is drawn.
+            resumes.append(mode)
+        return res
 
     def deadline_draws(config, seed, ratio):
         # deadline_and_proximity draws the modes in Mode order and stops at
@@ -369,7 +375,7 @@ def test_sweep_dispatches_proximity_once_per_instance_seed(monkeypatch):
     # Every way of stopping occurs: after proximity, after abs, never.
     assert set(draws[0]) == {0, 1, 2}
     monkeypatch.setattr(vsp.heuristics, "lazy_dispatch", counted)
-    monkeypatch.setattr(vsp.heuristics, "replay_dispatch", counted_replay)
+    monkeypatch.setattr(vsp.heuristics, "_replay_or_resume", counted_replay)
     for config, cell_draws in zip(configs, draws):
         seeded, cells = config.n_instances, len(cell_draws)
         for algorithms, expected in (
@@ -380,16 +386,45 @@ def test_sweep_dispatches_proximity_once_per_instance_seed(monkeypatch):
         ):
             calls.clear()
             replays.clear()
+            resumes.clear()
             tries.clear()
             # The exact solver's warm start dispatches through the same
             # functions, so it is capped out: this case counts the sweep's own.
             run_sweep(config, algorithms, exact_time_limit=30.0, exact_cap=0)
-            assert len(calls) + len(replays) == expected, algorithms
+            assert len(calls) + len(replays) + len(resumes) == expected, algorithms
             assert calls.count(Mode.PROXIMITY) == (seeded if expected else 0)
+            assert Mode.PROXIMITY not in resumes
             heuristic = "heuristic" in algorithms
             assert replays.count(Mode.PROXIMITY) == (cells if heuristic else 0)
             assert (len(replays) > replays.count(Mode.PROXIMITY)) == heuristic, algorithms
             assert len({(id(r), id(i), m) for r, i, m in tries}) == len(tries)
+
+
+def test_default_sweep_resumes_broken_replays_to_the_same_records(monkeypatch):
+    """At the default 11 ratios a 100-vehicle sweep resumes some deadline
+    mode whose replay breaks after its initial order, and its tardy records
+    are those of the same sweep with every such run started afresh."""
+    config = ExperimentConfig(n_vehicles=100, n_instances=1, seed=41)
+    resumes = []
+
+    def counted(run, instance, mode, *args):
+        res = replay_or_resume(run, instance, mode, *args)
+        if res is not None and not isinstance(res, DispatchResult):
+            resumes.append(mode)
+            if fresh:
+                return None
+        return res
+
+    monkeypatch.setattr(vsp.heuristics, "_replay_or_resume", counted)
+    records = []
+    for fresh in (False, True):
+        resumes.clear()
+        result = run_sweep(config, ("heuristic",))
+        records.append([
+            (r.ratio, r.tardy_count, r.status) for r in result.records
+        ])
+        assert resumes
+    assert records[0] == records[1]
 
 
 def test_sweep_validates_proximity_schedule_once_per_instance_seed(monkeypatch):

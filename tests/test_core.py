@@ -2,6 +2,7 @@ import random
 import tracemalloc
 from dataclasses import replace
 from functools import cached_property
+from itertools import accumulate
 
 import pytest
 
@@ -415,6 +416,24 @@ def test_short_link_flagged():
     kinds = [v.kind for v in report.violations]
     assert kinds == [ConstraintKind.TRAVEL_TIME]
     assert report.violations[0].indices == (0,)
+
+
+def test_chain_check_reaches_the_last_link_of_the_last_walk():
+    """Free-flow rows pass (under no separation); a last link one tick
+    short of its minimum, or one past its maximum, in the last walk alone
+    is reported as the walk-by-walk check words it."""
+    config = ExperimentConfig(n_vehicles=12, separation=0, tau_max_link=60)
+    inst = generate_grid_instance(config, 1.5, 4)
+    free = [list(accumulate(w.min_times, initial=0)) for w in inst.walks]
+    assert validate_schedule(inst, Schedule(free)).passes()
+    for shift in (-1, 11):  # the last link 49 or 61 ticks long, against [50, 60]
+        times = [row[:] for row in free]
+        times[-1][-1] += shift
+        report = validate_schedule(inst, Schedule(times))
+        assert list(report.violations) == naive_chain_violations(inst, Schedule(times))
+        assert [(v.kind, v.vehicles, v.indices) for v in report.violations] == [
+            (ConstraintKind.TRAVEL_TIME, (11,), (len(times[-1]) - 2,))
+        ]
 
 
 def test_separation_reported_once_per_pair():

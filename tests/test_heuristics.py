@@ -19,6 +19,7 @@ from vsp import (
     ObjectiveKind,
     SlotWindowError,
     VehicleStatus,
+    DispatchResult,
     Walk,
     deadline_and_proximity,
     evaluate,
@@ -39,6 +40,7 @@ from oracles import (
     reference_dispatch,
     shared_vertex_pairs,
 )
+from vsp.heuristics import _replay_or_resume as replay_or_resume
 
 DISPATCH_OK = frozenset({ConstraintKind.HARD_DEADLINE})
 
@@ -473,12 +475,12 @@ def replay_calls(monkeypatch):
     calls = []
 
     def counted(run, instance, mode, *args):
-        res = replay_dispatch(run, instance, mode, *args)
-        if res is not None:
+        res = replay_or_resume(run, instance, mode, *args)
+        if isinstance(res, DispatchResult):
             calls.append(mode)
         return res
 
-    monkeypatch.setattr(vsp.heuristics, "replay_dispatch", counted)
+    monkeypatch.setattr(vsp.heuristics, "_replay_or_resume", counted)
     return calls
 
 

@@ -141,6 +141,19 @@ def test_config_takes_real_ratios_and_factor_and_an_int_seed(field, value, messa
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("ratio", [True, "1", None, NAN, INF, -INF, -1])
+def test_generate_refuses_a_ratio_its_config_would_refuse(ratio):
+    """A bool is no ratio, and a string, None, NaN, an infinity or a
+    negative ratio fails with a ValueError that names it, not a TypeError,
+    OverflowError or an unrelated ValueError from the deadline arithmetic."""
+    with pytest.raises(ValueError) as exc:
+        generate_grid_instance(ExperimentConfig(n_vehicles=3), ratio, 0)
+    assert str(exc.value) == (
+        f"ratio must be finite and nonnegative, got {ratio!r}"
+    )
+    assert generate_grid_instance(ExperimentConfig(n_vehicles=3), 0, 0)
+
+
 def all_shortest_sequences(graph, source, dest):
     dist = {source: 0}
     frontier = [source]

@@ -17,6 +17,7 @@ from vsp import (  # noqa: E402
     INF,
     ConstraintKind,
     DifferenceConstraintSystem,
+    DispatchResult,
     ExperimentConfig,
     FormatError,
     GridSpec,
@@ -52,6 +53,7 @@ from vsp import (  # noqa: E402
 )
 from vsp.core import walks_from_rows  # noqa: E402
 from vsp.exact import SolveStatus, node_bound  # noqa: E402
+from vsp.heuristics import _replay_or_resume as replay_or_resume  # noqa: E402
 from vsp.instances import instance_to_dict  # noqa: E402
 from oracles import (  # noqa: E402
     BAD_TICKS,
@@ -297,6 +299,98 @@ def test_replay_is_none_or_the_dispatch_it_stands_for(inst, data):
                     assert replayed == expected
                 else:
                     assert replayed is None or replayed == expected
+
+
+@st.composite
+def crowded_instances(draw):
+    """Many vehicles requested at zero on a small grid, as in a sweep, so
+    that most popped stamps sort a group, with finite or open link windows
+    and random pair overrides on a random uniform separation."""
+    config = ExperimentConfig(
+        n_vehicles=draw(st.integers(8, 30)),
+        grid=GridSpec(draw(st.integers(2, 4)), draw(st.integers(2, 4))),
+        tau_max_link=draw(st.sampled_from((INF, 50, 55, 70))),
+        n_instances=1,
+    )
+    inst = generate_grid_instance(config, 1.0, draw(st.integers(0, 2**32 - 1)))
+    pairs = shared_vertex_pairs(inst)
+    overrides = {}
+    if pairs:
+        overrides = draw(st.dictionaries(
+            st.sampled_from(pairs), st.integers(0, 60), max_size=6
+        ))
+    return replace(
+        inst, separation=draw(st.sampled_from((0, 5, 20))), separations=overrides
+    )
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(st.one_of(crowded_instances(), dispatch_instances(),
+                 st.deferred(lambda: jobshop_instances())), st.data())
+def resume_cases(resumed, inst, data):
+    """Every finished run of each mode and policy, under two soft-deadline
+    vectors at nearby ratios of the free trip times, as a sweep sets them,
+    or open for some vehicles, with the walks as drawn and with some link minima zeroed, is resumed on
+    every case where its replay breaks after the initial order.  resumed
+    collects the modes of the runs resumed."""
+    zeroed = tuple(
+        Walk(w.vertices, tuple(
+            0 if data.draw(st.booleans()) else m for m in w.min_times
+        ), w.max_times)
+        for w in inst.walks
+    )
+    ratio = data.draw(st.sampled_from((1.0, 1.1, 1.3, 1.6, 2.0)))
+    ratios = (ratio, ratio + data.draw(st.sampled_from((0.05, 0.1, 0.2))))
+    # Some vehicles may have no soft deadline, so that a run can run late
+    # before its first broken sort and never after it.
+    open_ = data.draw(st.lists(st.booleans(), min_size=inst.n_vehicles,
+                               max_size=inst.n_vehicles))
+    for walks in (inst.walks, zeroed):
+        trips = [sum(w.min_times) for w in walks]
+        targets = [
+            replace(inst, walks=walks, soft_deadlines=tuple(
+                INF if no_soft else min(h, r + round(ratio * trip))
+                for r, h, trip, no_soft in zip(
+                    inst.request_times, inst.hard_deadlines, trips, open_
+                )
+            ))
+            for ratio in ratios
+        ]
+        cases = [
+            ((target, mode, policy), list(lazy_dispatch(target, mode, policy)))
+            for target in targets
+            for mode in Mode for policy in ("prose", "pseudocode")
+        ]
+        for _, (*_, run) in cases:
+            for target, (*signals, expected) in cases:
+                res = replay_or_resume(run, *target)
+                if res is None or isinstance(res, DispatchResult):
+                    continue
+                *resumed_signals, res = res
+                assert (res.times, res.statuses) == (expected.times, expected.statuses)
+                assert resumed_signals == signals
+                # What a later replay reads of the record, the vehicle and
+                # step each key names, is the fresh run's, up to the order of
+                # the groups sorted at one popped stamp.
+                assert res.sorts[:2] == expected.sorts[:2]
+                assert named(res.sorts) == named(expected.sorts)
+                resumed.append(target[1])
+
+
+def named(sorts):
+    return sorted((t, [key[3:] for key in keys]) for t, keys in sorts[2])
+
+
+def test_resumed_run_is_the_dispatch_it_stands_for():
+    """A run resumed from the stamps a finished run of any mode recorded
+    before its first broken sort ends with run_dispatch's times and
+    statuses, and signals exactly when the fresh run does.  The drawn
+    cases resume both deadline modes many times, so the check is not
+    vacuous."""
+    resumed = []
+    resume_cases(resumed)
+    assert len(resumed) >= 20
+    assert {Mode.ABS_DEADLINE_PROXIMITY, Mode.REL_DEADLINE_PROXIMITY} <= set(resumed)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None, database=None)
