@@ -13,14 +13,16 @@ time.
 
 from __future__ import annotations
 
+import sys
 import time
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from itertools import tee
-from typing import Callable, Mapping, Sequence
+from itertools import accumulate, chain, tee
+from typing import Callable, Sequence
 
-from .core import INF, ConfigurationError, Instance, Schedule, SeparationKey, VspError
+from .core import INF, ConfigurationError, Instance, Schedule, VspError
 from .core import conflict_pairs, is_real, is_tick_or_inf, tardy_weights
 from .heuristics import deadline_and_proximity
 
@@ -29,7 +31,7 @@ NEG_INF = float("-inf")
 
 @dataclass(frozen=True)
 class Constraint:
-    """t[x] - t[y] >= bound, over system variable ids."""
+    """t[x] - t[y] >= bound, over system variable ids, as a witness shows it."""
 
     x: int
     y: int
@@ -41,60 +43,60 @@ class DifferenceConstraintSystem:
     """Lower/upper stamp bounds as a single difference system.
 
     Variable 0 is an origin fixed at zero; variable ids for stamps follow in
-    walk order.  The base constraints encode request times, hard deadlines,
-    and per-link travel windows; the crossing order of a conflict pair is
-    pushed on top as an order_constraint and popped when undone.
-    out_edges[y] lists the constraints that start at variable y, the
-    adjacency the longest-path relaxation walks.  An integer-tick horizon
-    bounds every vehicle's last stamp; None or inf sets no bound, and any
-    other horizon raises ConfigurationError.
+    walk order.  A constraint t[x] - t[y] >= bound is the int triple
+    (x, y, bound), kept in out_edges[y] as the pair (x, bound): the
+    adjacency the longest-path relaxation walks.  The base constraints
+    encode request times, per-link travel windows and one deadline per
+    vehicle, the least of its hard deadline and the horizon; the crossing
+    order of a conflict pair is pushed on top and popped when undone.  An
+    integer-tick horizon bounds every vehicle's last stamp; None or inf sets
+    no bound, and any other horizon raises ConfigurationError.
     """
 
     def __init__(self, instance: Instance, horizon: int | float | None = None):
         if horizon is not None and not is_tick_or_inf(horizon):
             raise ConfigurationError(f"horizon must be an integer tick, got {horizon!r}")
         self.instance = instance
-        self._offsets: list[int] = []
-        next_id = 1
-        for walk in instance.walks:
-            self._offsets.append(next_id)
-            next_id += len(walk)
-        self.n_vars = next_id
-        self.out_edges: list[list[Constraint]] = [[] for _ in range(self.n_vars)]
-        for j, walk in enumerate(instance.walks):
-            first = self.var(j, 0)
-            last = self.var(j, len(walk) - 1)
-            self.add(first, 0, instance.request_times[j], f"request v{j}")
-            if instance.hard_deadlines[j] != INF:
-                self.add(0, last, -instance.hard_deadlines[j], f"hard_deadline v{j}")
-            for i in range(len(walk) - 1):
-                u, v = self.var(j, i), self.var(j, i + 1)
-                self.add(v, u, walk.min_times[i], f"min_time v{j} link{i}")
-                if walk.max_times[i] != INF:
-                    self.add(u, v, -walk.max_times[i], f"max_time v{j} link{i}")
-            if horizon is not None and horizon != INF:
-                self.add(0, last, -horizon, f"horizon v{j}")
+        self.horizon = INF if horizon is None else horizon
+        *self._offsets, self.n_vars = accumulate(map(len, instance.walks), initial=1)
+        out = self.out_edges = [[] for _ in range(self.n_vars)]
+        for j, (walk, first) in enumerate(zip(instance.walks, self._offsets)):
+            last = first + len(walk) - 1
+            out[0].append((first, instance.request_times[j]))
+            if (deadline := min(instance.hard_deadlines[j], self.horizon)) != INF:
+                out[last].append((0, -int(deadline)))
+            for u, lo, hi in zip(range(first, last), walk.min_times, walk.max_times):
+                out[u].append((u + 1, lo))
+                if hi != INF:
+                    out[u + 1].append((u, -hi))
 
     def var(self, j: int, i: int) -> int:
         return self._offsets[j] + i
 
-    def add(self, x: int, y: int, bound: int, label: str) -> None:
-        self.push(Constraint(x, y, int(bound), label))
+    def push(self, c: tuple[int, int, int]) -> None:
+        x, y, bound = c
+        self.out_edges[y].append((x, bound))
 
-    def push(self, c: Constraint) -> None:
-        self.out_edges[c.y].append(c)
+    def pop(self, c: tuple[int, int, int]) -> None:
+        """Remove c, the last constraint pushed from c's y."""
+        self.out_edges[c[1]].pop()
 
-    def pop(self, c: Constraint) -> None:
-        """Remove c, the last constraint pushed from c.y."""
-        self.out_edges[c.y].pop()
-
-    def order_constraint(self, key: SeparationKey, s: int, j1_first: bool) -> Constraint:
-        """s ticks from one stamp of the pair key = (j1, i1, j2, i2) to the
-        other; vehicle j1's stamp is the earlier one when j1_first."""
-        j1, i1, j2, i2 = key
-        (ja, ia), (jb, ib) = ((j1, i1), (j2, i2)) if j1_first else ((j2, i2), (j1, i1))
-        label = f"separation v{ja}@{ia} before v{jb}@{ib}"
-        return Constraint(self.var(jb, ib), self.var(ja, ia), s, label)
+    def constraint(self, x: int, y: int) -> Constraint:
+        """The constraint from y to x, labelled by what it encodes."""
+        bound = max(b for v, b in self.out_edges[y] if v == x)
+        jx, jy = (bisect_right(self._offsets, v) - 1 for v in (x, y))
+        ix, iy = x - self._offsets[jx], y - self._offsets[jy]
+        if y == 0:
+            label = f"request v{jx}"
+        elif x == 0:
+            hard = self.instance.hard_deadlines[jy]
+            label = f"{'horizon' if self.horizon < hard else 'hard_deadline'} v{jy}"
+        elif jx == jy:
+            kind, link = ("min_time", iy) if ix == iy + 1 else ("max_time", ix)
+            label = f"{kind} v{jx} link{link}"
+        else:
+            label = f"separation v{jy}@{iy} before v{jx}@{ix}"
+        return Constraint(x, y, bound, label)
 
     def to_schedule(self, times: tuple[int, ...]) -> Schedule:
         walks = self.instance.walks
@@ -109,20 +111,20 @@ class DcsSolution:
 
 
 def _relax(
-    out_edges: list[list[Constraint]],
+    out_edges: list[list[tuple[int, int]]],
     dist: list[float],
-    pred: list[Constraint | None],
+    pred: list[int | None],
     start: int,
 ) -> int | None:
     """Raise dist in place to the least solution above it, from start on.
 
     dist[start] has just been raised, and every constraint that does not
     leave start already holds.  Variables wait in a FIFO queue, at most once
-    at a time; pred[v] records the constraint that last raised v.  Returns
-    None at the fixpoint, or the variable at which a positive cycle showed:
-    the origin (which starts at 0) once it rises, or any variable queued
-    more than n_vars times.  Started from the origin, that variable's predecessor
-    chain runs into the cycle.
+    at a time; pred[v] records the tail of the edge that last raised v.
+    Returns None at the fixpoint, or the variable at which a positive cycle
+    showed: the origin (which starts at 0) once it rises, or any variable
+    queued more than n_vars times.  Started from the origin, that
+    variable's predecessor chain runs into the cycle.
     """
     n = len(dist)
     queued = [False] * n
@@ -133,11 +135,10 @@ def _relax(
         u = queue.popleft()
         queued[u] = False
         du = dist[u]
-        for c in out_edges[u]:
-            v = c.x
-            if dist[v] < du + c.bound:
-                dist[v] = du + c.bound
-                pred[v] = c
+        for v, bound in out_edges[u]:
+            if dist[v] < du + bound:
+                dist[v] = du + bound
+                pred[v] = u
                 if v == 0:
                     return 0
                 if not queued[v]:
@@ -154,29 +155,29 @@ def minimal_times(dcs: DifferenceConstraintSystem) -> DcsSolution:
 
     Longest paths from the origin; the system is infeasible exactly when a
     positive-total cycle of constraints exists, and that cycle is returned
-    as a certificate.
+    as a certificate, each of its constraints labelled by dcs.constraint.
     """
     n = dcs.n_vars
     dist: list[float] = [NEG_INF] * n
     dist[0] = 0
-    pred: list[Constraint | None] = [None] * n
+    pred: list[int | None] = [None] * n
     on_cycle = _relax(dcs.out_edges, dist, pred, 0)
     if on_cycle is None:
         if NEG_INF in dist:
             raise VspError("system has a variable unreachable from the origin")
         return DcsSolution(True, tuple(int(d) for d in dist), None)
-    # Walk predecessors until a vertex repeats; the repeat closes the cycle.
+    # Walk predecessors until a variable repeats; the repeat closes the cycle.
     seen: dict[int, int] = {}
-    chain: list[Constraint] = []
+    chain: list[int] = []
     u = on_cycle
     while u not in seen:
         seen[u] = len(chain)
-        c = pred[u]
-        if c is None:
+        chain.append(u)
+        u = pred[u]
+        if u is None:
             raise VspError("predecessor chain broke while extracting a cycle")
-        chain.append(c)
-        u = c.y
-    return DcsSolution(False, None, tuple(reversed(chain[seen[u]:])))
+    cycle = reversed(chain[seen[u]:])
+    return DcsSolution(False, None, tuple(dcs.constraint(x, pred[x]) for x in cycle))
 
 
 def _min_cover(
@@ -269,8 +270,8 @@ def node_bound(
 
     Returns bound(dist, limit, clashing): the tardy weight of dist plus that
     cover weight, capped at limit, the graph read from the rows (stamp
-    variable, stamp variable, gap, vehicle, vehicle, pair) of the pairs that
-    clash at dist, which it reads only when the tardy weight is below the
+    variable, stamp variable, gap, vehicle, vehicle) of the pairs that clash
+    at dist, which it reads only when the tardy weight is below the
     limit.  With limit None it is the tardy weight alone, and no graph is
     built.  Past deadline (a time.monotonic() value) the cover falls back
     to its edge packing, still a lower bound.  Weights are those of
@@ -292,7 +293,7 @@ def node_bound(
         if value >= limit:
             return limit
         adjacency: dict[int, set[int]] = {}
-        for a, b, s, j1, j2, _ in clashing:
+        for a, b, s, j1, j2 in clashing:
             if (
                 dist[a] + s > latest[b]
                 and dist[b] + s > latest[a]
@@ -307,12 +308,10 @@ def node_bound(
     return bound
 
 
-def _warm_start(
-    dcs: DifferenceConstraintSystem, pairs: Mapping[SeparationKey, int]
-) -> tuple[int, ...] | None:
+def _warm_start(dcs: DifferenceConstraintSystem, table: Sequence) -> tuple[int, ...] | None:
     """Least stamps of dcs under the crossing orders of the best-of-three
-    schedule; each pair of the gap table pairs gets the one order that
-    schedule shows, built here, pushed onto dcs and popped again once the
+    schedule; each pair row (a, b, s, j1, j2) of the search's table gets the
+    one order that schedule shows, pushed onto dcs and popped again once the
     stamps are known.
 
     None when best-of-three leaves a vehicle without stamps, breaks a hard
@@ -321,11 +320,8 @@ def _warm_start(
     best = deadline_and_proximity(dcs.instance)
     if not best.complete or best.hard_violations:
         return None
-    times = best.times
-    chosen = [
-        dcs.order_constraint(key, s, times[j1][i1] < times[j2][i2])
-        for key, s in pairs.items() for j1, i1, j2, i2 in (key,)
-    ]
+    flat = [0, *chain.from_iterable(best.times)]  # stamps by variable id
+    chosen = [(b, a, s) if flat[a] < flat[b] else (a, b, s) for a, b, s, _, _ in table]
     for c in chosen:
         dcs.push(c)
     try:
@@ -337,10 +333,15 @@ def _warm_start(
 
 
 def check_time_limit(time_limit: float | None, name: str = "time limit") -> None:
-    """Reject a time limit that is not a real number of seconds >= 0: a
-    bool, NaN, a negative number or a string; None and inf mean no limit."""
-    if time_limit is not None and not (is_real(time_limit) and time_limit >= 0):
-        raise ConfigurationError(f"{name} must be >= 0 seconds, got {time_limit!r}")
+    """Reject a time limit that is not a real number of seconds >= 0 that a
+    float holds: a bool, NaN, a negative number, a string or an int past
+    the float range such as 10**400; None and inf mean no limit."""
+    if time_limit is not None and not (
+        is_real(time_limit) and (time_limit == INF or 0 <= time_limit <= sys.float_info.max)
+    ):
+        raise ConfigurationError(
+            f"{name} must be >= 0 seconds and fit a float, got {time_limit!r}"
+        )
 
 
 class SolveStatus(Enum):
@@ -381,8 +382,8 @@ def solve_exact(
     node whose tardy weight alone reaches the incumbent skips that pass.  A
     node with none is a leaf: dist is a schedule, and none below costs less.
     Otherwise the search branches on the clashing pair with the earliest
-    stamp (lowest pair index on ties), building its two order constraints
-    there and trying first the one the stamps already satisfy; the first
+    stamp (lowest pair index on ties), stacking its two order triples and
+    trying first the one the stamps already satisfy; the first
     incumbent found at a given value is kept.  A child's stamps are its
     parent's, relaxed from the head of its new order constraint.
 
@@ -412,42 +413,41 @@ def solve_exact(
     if not root.feasible:
         return SolveResult(SolveStatus.INFEASIBLE, None, None, 1, root.witness)
 
-    # Per pair: the row bound reads, ending in the pair's key, whose orders
-    # branching builds where it reads them.
+    # Per pair: the row bound reads, (stamp, stamp, gap, vehicle, vehicle).
     table = [
-        (dcs.var(j1, i1), dcs.var(j2, i2), s, j1, j2, key)
-        for key, s in pairs.items() for j1, i1, j2, i2 in (key,)
+        (dcs.var(j1, i1), dcs.var(j2, i2), s, j1, j2)
+        for (j1, i1, j2, i2), s in pairs.items()
     ]
     # The relaxation records predecessors; the search never reads them.
-    scratch_pred: list[Constraint | None] = [None] * dcs.n_vars
+    scratch_pred: list[int | None] = [None] * dcs.n_vars
 
     best_obj: float | None = None
     best_dist: Sequence[float] | None = None
-    warm = _warm_start(dcs, pairs)
+    warm = _warm_start(dcs, table)
     if warm is not None:
         best_dist, best_obj = warm, bound(warm, None, ())
 
     nodes = 0
     stopped = False
     # Depth first.  A task is a node to enter, as (parent stamps, the order
-    # constraint leading to it or None at the root), or a pushed order
-    # constraint, popped once its subtree is done.
+    # triple leading to it or None at the root), or (None, a pushed order
+    # triple), popped once its subtree is done.
     tasks: list = [(root.times, None)]
     while tasks:
-        task = tasks.pop()
-        if isinstance(task, Constraint):
-            dcs.pop(task)
+        dist, c = tasks.pop()
+        if dist is None:
+            dcs.pop(c)
             continue
-        dist, c = task
         if c is not None:
             dcs.push(c)
-            tasks.append(c)
-            # The child's least stamps: the parent's, relaxed from c's head.
-            raised = dist[c.y] + c.bound
-            if dist[c.x] < raised:
+            tasks.append((None, c))
+            # The child's least stamps: the parent's, relaxed from c's head x.
+            x, y, s = c
+            raised = dist[y] + s
+            if dist[x] < raised:
                 dist = list(dist)
-                dist[c.x] = raised
-                if _relax(dcs.out_edges, dist, scratch_pred, c.x) is not None:
+                dist[x] = raised
+                if _relax(dcs.out_edges, dist, scratch_pred, x) is not None:
                     continue
         nodes += 1
         # The root's bound is the lower bound until the search proves one: it
@@ -471,10 +471,10 @@ def solve_exact(
             # No clashing pair, no cover edge: value is dist's tardy weight.
             best_obj, best_dist = value, dist
             continue
-        a, b, s, _, _, key = min(clashes, key=lambda r: min(dist[r[0]], dist[r[1]]))
-        # The order the stamps already satisfy goes on top.
-        for j1_first in (dist[a] > dist[b], dist[a] <= dist[b]):
-            tasks.append((dist, dcs.order_constraint(key, s, j1_first)))
+        a, b, s, _, _ = min(clashes, key=lambda r: min(dist[r[0]], dist[r[1]]))
+        # Both orders; the one the stamps already satisfy goes on top.
+        early, late = (b, a) if dist[a] > dist[b] else (a, b)
+        tasks += ((dist, (early, late, s)), (dist, (late, early, s)))
 
     if best_dist is None:
         status = SolveStatus.BUDGET_EXHAUSTED if stopped else SolveStatus.INFEASIBLE

@@ -444,12 +444,18 @@ def naive_minimal_times(n_vars: int, cons: list[Triple]) -> list[int] | None:
 
 def pair_rows(instance: Instance) -> list[tuple]:
     """One row per conflict pair, as node_bound's bound reads them: (stamp
-    variable, stamp variable, gap, vehicle, vehicle, pair key)."""
+    variable, stamp variable, gap, vehicle, vehicle)."""
     offsets = var_layout(instance)
     return [
-        (offsets[j1] + i1, offsets[j2] + i2, s, j1, j2, (j1, i1, j2, i2))
+        (offsets[j1] + i1, offsets[j2] + i2, s, j1, j2)
         for (j1, i1, j2, i2), s in conflict_pairs(instance).items()
     ]
+
+
+def pair_order(instance: Instance, k: int, j1_first: bool) -> Triple:
+    """The k-th conflict pair's crossing order, as ordering_triples gives it."""
+    a, b, s = pair_rows(instance)[k][:3]
+    return (b, a, s) if j1_first else (a, b, s)
 
 
 def clashing_rows(rows: list[tuple], dist: list[int]) -> list[tuple]:

@@ -292,11 +292,12 @@ def test_minimal_times_dominance_and_deadline_monotonicity():
         raw = random_small_instance(rng, max_pairs=8)
         instance = replace(raw, hard_deadlines=(vsp.INF,) * raw.n_vehicles)
         bits = tuple(rng.random() < 0.5 for _ in conflict_pairs(instance))
-        cons = base_triples(instance)[0] + ordering_triples(instance, bits)
+        orders = ordering_triples(instance, bits)
+        cons = base_triples(instance)[0] + orders
         n_vars = 1 + instance.total_stamps
         dcs = DifferenceConstraintSystem(instance)
-        for (key, s), j1_first in zip(conflict_pairs(instance).items(), bits):
-            dcs.push(dcs.order_constraint(key, s, j1_first))
+        for c in orders:
+            dcs.push(c)
         solution = minimal_times(dcs)
         if not solution.feasible:
             continue

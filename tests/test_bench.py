@@ -157,6 +157,7 @@ def test_empty_algorithms_and_single_cell(tmp_path):
     {"exact_time_limit": float("nan")},
     {"exact_time_limit": "30"},
     {"exact_time_limit": True},
+    {"exact_time_limit": 10**400},
 ], ids=repr)
 def test_sweep_checks_exact_arguments_before_it_builds_an_instance(monkeypatch, bad):
     """6 vehicles are over the cap of 5, so no exact cell would ever run or

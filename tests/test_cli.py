@@ -95,7 +95,15 @@ def test_solve_and_exit_codes(tmp_path, capsys):
     assert run_cli(
         "solve", "--instance", infeasible, "--exact", "--out", out
     ) == EXIT_INFEASIBLE
-    assert "bound=" not in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "bound=" not in captured.out
+    # The witness cycle: request, both link minima, then the hard deadline.
+    assert captured.err == (
+        "  cycle: request v0 (>= 0)\n"
+        "  cycle: min_time v0 link0 (>= 50)\n"
+        "  cycle: min_time v0 link1 (>= 50)\n"
+        "  cycle: hard_deadline v0 (>= -90)\n"
+    )
 
     # A zero budget keeps the best-of-three warm start, proved optimal where
     # the root bound meets it ...

@@ -11,7 +11,10 @@ from vsp import (
     ConfigurationError,
     DifferenceConstraintSystem,
     ExperimentConfig,
+    Graph,
+    Instance,
     ObjectiveKind,
+    Walk,
     conflict_pairs,
     deadline_and_proximity,
     evaluate,
@@ -32,6 +35,7 @@ from oracles import (
     merge_instance,
     naive_minimal_times,
     ordering_triples,
+    pair_order,
     pair_rows,
     random_feasible_times,
     random_small_instance,
@@ -41,8 +45,8 @@ from oracles import (
 
 def decided_system(instance, bits):
     dcs = DifferenceConstraintSystem(instance)
-    for (key, s), j1_first in zip(conflict_pairs(instance).items(), bits):
-        dcs.push(dcs.order_constraint(key, s, j1_first))
+    for c in ordering_triples(instance, bits):
+        dcs.push(c)
     return dcs
 
 
@@ -111,6 +115,28 @@ def test_infeasible_witness_cycle():
     assert any("separation" in label for label in labels)
 
 
+def test_overtaking_witness_names_link_maximum_and_both_separations():
+    # Vehicle 1 leaves vertex 0 first but must reach vertex 1 behind vehicle
+    # 0, within 55 ticks: 50 + 5 - 55 + 5 > 0, a cycle without the origin.
+    inst = Instance(
+        graph=Graph(2, frozenset({(0, 1)})),
+        walks=(Walk((0, 1), (50,), (INF,)), Walk((0, 1), (50,), (55,))),
+        request_times=(0, 0),
+        soft_deadlines=(INF, INF),
+        hard_deadlines=(INF, INF),
+        separation=5,
+    )
+    sol = minimal_times(decided_system(inst, (False, True)))
+    assert not sol.feasible
+    assert_positive_cycle(sol.witness)
+    assert [(c.label, c.bound) for c in sol.witness] == [
+        ("min_time v0 link0", 50),
+        ("separation v0@1 before v1@1", 5),
+        ("max_time v1 link0", -55),
+        ("separation v1@0 before v0@0", 5),
+    ]
+
+
 def test_minimal_solution_below_random_feasible_points():
     rng = random.Random(6)
     for _ in range(30):
@@ -125,9 +151,11 @@ def test_minimal_solution_below_random_feasible_points():
         reference = naive_minimal_times(n_vars, cons)
         sol = minimal_times(decided_system(inst, bits))
         if reference is None:
-            # Conflicting orientations; both routes must agree it is a cycle.
+            # Conflicting orientations; both routes must agree it is a cycle,
+            # and the cycle is made of the referee's own constraints.
             assert not sol.feasible
             assert_positive_cycle(sol.witness)
+            assert all((c.x, c.y, c.bound) in cons for c in sol.witness)
             continue
         assert sol.feasible
         assert list(sol.times) == reference
@@ -210,6 +238,25 @@ def test_horizon_can_force_infeasibility():
     for horizon in (52.9, True, "60", float("nan"), -INF):
         with pytest.raises(ConfigurationError, match="horizon must be an integer tick"):
             solve_exact(inst, horizon=horizon)
+
+
+@pytest.mark.parametrize("horizon, last", [
+    # A horizon below the hard deadline is the one edge to the origin.
+    (90, ("horizon v0", -90)),
+    # At or above the hard deadline, the hard deadline binds and is named.
+    (95, ("hard_deadline v0", -95)),
+    (120, ("hard_deadline v0", -95)),
+])
+def test_witness_names_the_tighter_of_hard_deadline_and_horizon(horizon, last):
+    # The walk needs 100 ticks; both 90 and 95 cut it short.
+    result = solve(chain_instance(d_hard=95), horizon=horizon)
+    assert result.status is SolveStatus.INFEASIBLE
+    assert [(c.label, c.bound) for c in result.witness] == [
+        ("request v0", 0),
+        ("min_time v0 link0", 50),
+        ("min_time v0 link1", 50),
+        last,
+    ]
 
 
 def test_budget_zero_reports_exhaustion():
@@ -377,7 +424,8 @@ def test_min_cover_past_its_deadline_is_the_edge_packing():
 
 def test_time_limit_must_be_a_nonnegative_number():
     inst = merge_instance(d_soft=(50, 50), d_hard=(200, 52))
-    for bad in (float("nan"), -1.0):
+    # 10**400 is a real number of seconds, but no float holds it.
+    for bad in (float("nan"), -1.0, 10**400):
         with pytest.raises(ConfigurationError, match="time limit"):
             solve(inst, time_limit=bad)
     assert solve(inst, time_limit=float("inf")).status is SolveStatus.OPTIMAL
@@ -455,7 +503,7 @@ def test_bound_valid_at_every_partial_decision():
             # The partial node: minimal times of the partially decided system.
             dcs = DifferenceConstraintSystem(inst)
             for k, value in fixed.items():
-                dcs.push(dcs.order_constraint(*pairs[k], value))
+                dcs.push(pair_order(inst, k, value))
             sol = minimal_times(dcs)
             best_leaf = brute_force_tardy(inst, fixed=fixed)
             if not sol.feasible:

@@ -63,6 +63,7 @@ from oracles import (  # noqa: E402
     clashing_rows,
     eager_best,
     merge_instance,
+    pair_order,
     pair_rows,
     random_small_instance,
     reference_dispatch,
@@ -255,16 +256,38 @@ def test_proximity_dispatch_ignores_soft_deadlines(inst, data):
         )
 
 
+def check_replays(targets, zeroed, broke):
+    """Every finished run of each mode and policy under each target, with
+    the targets' walks and with zeroed walks, replayed under every case,
+    gives None or exactly run_dispatch there; under its own case it always
+    replays, and a proximity run replayed in proximity always does too.
+    broke collects the mode of each replay that holds the initial order and
+    breaks at a later group."""
+    for walks in (targets[0].walks, zeroed):
+        cases = [
+            ((target, mode, policy), run_dispatch(target, mode, policy))
+            for target in [replace(t, walks=walks) for t in targets]
+            for mode in Mode for policy in ("prose", "pseudocode")
+        ]
+        for source, run in cases:
+            assert replay_dispatch(run, *source) == run
+            for target, expected in cases:
+                replayed = replay_dispatch(run, *target)
+                if source[1] is target[1] is Mode.PROXIMITY:
+                    assert replayed == expected
+                else:
+                    assert replayed is None or replayed == expected
+                if replayed is None and replay_or_resume(run, *target) is not None:
+                    broke.append(target[1])
+
+
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
 @given(dispatch_instances(), st.data())
-def test_replay_is_none_or_the_dispatch_it_stands_for(inst, data):
-    """A finished run, replayed under another soft-deadline vector, mode or
-    negative-slack policy, gives None or exactly run_dispatch there; under
-    its own instance, mode and policy it always replays, and a proximity
-    run replayed in proximity always does too, whatever the soft deadlines
-    and policy.  Link minima vary, so that a key read at the wrong step
-    changes the order.  The same holds once some of them are zeroed, where
-    a walk can stamp two steps at one tick: a popped stamp then names no
+def drawn_replay_cases(broke, inst, data):
+    """check_replays on drawn link minima and two drawn soft-deadline
+    vectors, some deadlines open.  Link minima vary, so that a key read at
+    the wrong step changes the order.  Some of them are zeroed too, where a
+    walk can stamp two steps at one tick: a popped stamp then names no
     single step, but a recorded key does."""
     inst = replace(inst, walks=tuple(
         Walk(w.vertices, tuple(
@@ -285,20 +308,36 @@ def test_replay_is_none_or_the_dispatch_it_stands_for(inst, data):
         ), w.max_times)
         for w in inst.walks
     )
-    for walks in (inst.walks, zeroed):
-        cases = [
-            ((target, mode, policy), run_dispatch(target, mode, policy))
-            for target in [replace(t, walks=walks) for t in targets]
-            for mode in Mode for policy in ("prose", "pseudocode")
+    check_replays(targets, zeroed, broke)
+
+
+def test_replay_is_none_or_the_dispatch_it_stands_for():
+    """A finished run, replayed under another soft-deadline vector, mode or
+    negative-slack policy, gives None or exactly run_dispatch there.  The
+    drawn cases almost never sort a group, so two fixed crowded grids (equal
+    link minima, every request at zero) are checked too, under two nearby
+    ratios of the free trip times as a sweep sets them; there some replays
+    hold the initial order and break at a later group."""
+    broke = []
+    drawn_replay_cases(broke)
+    rng = random.Random(38)
+    for n, rows, cols, seed in ((30, 3, 3, 3), (10, 2, 3, 4)):
+        config = ExperimentConfig(n_vehicles=n, grid=GridSpec(rows, cols), n_instances=1)
+        inst = generate_grid_instance(config, 1.0, seed)
+        targets = [
+            inst.with_soft_deadlines(tuple(
+                min(h, r + round(ratio * sum(w.min_times)))
+                for r, h, w in zip(inst.request_times, inst.hard_deadlines, inst.walks)
+            ))
+            for ratio in (1.3, 1.5)
         ]
-        for source, run in cases:
-            assert replay_dispatch(run, *source) == run
-            for target, expected in cases:
-                replayed = replay_dispatch(run, *target)
-                if source[1] is target[1] is Mode.PROXIMITY:
-                    assert replayed == expected
-                else:
-                    assert replayed is None or replayed == expected
+        zeroed = tuple(
+            Walk(w.vertices, tuple(0 if rng.random() < 0.5 else m for m in w.min_times),
+                 w.max_times)
+            for w in inst.walks
+        )
+        check_replays(targets, zeroed, broke)
+    assert {Mode.ABS_DEADLINE_PROXIMITY, Mode.REL_DEADLINE_PROXIMITY} <= set(broke)
 
 
 @st.composite
@@ -573,7 +612,7 @@ def test_bound_from_clashing_pairs_is_every_pair_bound_below_the_optimum(inst, s
         fixed = {k: rng.random() < 0.5 for k in range(len(pairs)) if rng.random() < 0.5}
         dcs = DifferenceConstraintSystem(inst)
         for k, j1_first in fixed.items():
-            dcs.push(dcs.order_constraint(*pairs[k], j1_first))
+            dcs.push(pair_order(inst, k, j1_first))
         sol = minimal_times(dcs)
         best_leaf = brute_force_tardy(inst, fixed=fixed)
         if not sol.feasible:
