@@ -21,7 +21,6 @@ from .core import (
     Walk,
     conflict_pairs,
     evaluate,
-    min_free_trip_time,
     tardy_flags,
     tardy_weights,
     validate_schedule,

@@ -464,10 +464,6 @@ class ValidationReport:
     def passes(self, ignore: frozenset[ConstraintKind] = frozenset()) -> bool:
         return all(v.kind in ignore for v in self.violations)
 
-    def by_kind(self, kind: ConstraintKind) -> list[Violation]:
-        return [v for v in self.violations if v.kind == kind]
-
-
 
 def check_shape(instance: Instance, schedule: Schedule) -> None:
     """Raise ShapeError unless the schedule matches the instance's walks.
@@ -577,13 +573,6 @@ def validate_schedule(instance: Instance, schedule: Schedule) -> ValidationRepor
                 f"at vertex {vertex}, need {s}",
             ))
     return ValidationReport(tuple(found))
-
-
-def min_free_trip_time(instance: Instance, j: int) -> int:
-    """Completion-minus-start duration of vehicle j ignoring all others."""
-    if not (0 <= j < instance.n_vehicles):
-        raise ValueError(f"unknown vehicle id {j}")
-    return sum(instance.walks[j].min_times)
 
 
 def tardy_flags(instance: Instance, schedule: Schedule) -> tuple[bool, ...]:

@@ -6,9 +6,9 @@ componentwise-minimal stamps are longest paths from an origin; once no pair
 clashes at them they are a schedule, and the best one below, because
 tardiness flags only ever grow with time.  So a branch-and-bound over the
 orders of clashing pairs yields the exact optimum.  The search starts from
-the crossing orders of the best-of-three dispatch schedule, and adds to each
-node's tardy weight a vertex cover over the vehicles that cannot both be on
-time.
+the best-of-three dispatch schedule, the least stamps under its own crossing
+orders, and adds to each node's tardy weight a vertex cover over the
+vehicles that cannot both be on time.
 """
 
 from __future__ import annotations
@@ -308,28 +308,24 @@ def node_bound(
     return bound
 
 
-def _warm_start(dcs: DifferenceConstraintSystem, table: Sequence) -> tuple[int, ...] | None:
-    """Least stamps of dcs under the crossing orders of the best-of-three
-    schedule; each pair row (a, b, s, j1, j2) of the search's table gets the
-    one order that schedule shows, pushed onto dcs and popped again once the
-    stamps are known.
+def _warm_start(dcs: DifferenceConstraintSystem) -> tuple[int, ...] | None:
+    """The best-of-three dispatch stamps D by variable id, the origin first.
 
-    None when best-of-three leaves a vehicle without stamps, breaks a hard
-    deadline, or its orders are infeasible in dcs.
+    D is the least solution L of dcs under the crossing orders it shows.
+    Dispatch gives each stamp the least tick at or past its lower bound (the
+    request time, or the popped stamp plus the link minimum) outside every
+    interval (u - s, u + s) of the stamps already at its vertex, so each
+    stamp is tight on a constraint whose tail was placed earlier: the
+    origin, its own previous stamp, or u + s under D's crossing order.  By
+    induction over placement order L >= D; D meets every constraint, so
+    L <= D.  None when best-of-three leaves a vehicle without stamps,
+    breaks a hard deadline, or ends a vehicle past the horizon of dcs.
     """
     best = deadline_and_proximity(dcs.instance)
-    if not best.complete or best.hard_violations:
+    if (not best.complete or best.hard_violations
+            or any(row[-1] > dcs.horizon for row in best.times)):
         return None
-    flat = [0, *chain.from_iterable(best.times)]  # stamps by variable id
-    chosen = [(b, a, s) if flat[a] < flat[b] else (a, b, s) for a, b, s, _, _ in table]
-    for c in chosen:
-        dcs.push(c)
-    try:
-        warm = minimal_times(dcs)
-    finally:
-        for c in reversed(chosen):
-            dcs.pop(c)
-    return warm.times if warm.feasible else None
+    return (0, *chain.from_iterable(best.times))
 
 
 def check_time_limit(time_limit: float | None, name: str = "time limit") -> None:
@@ -387,12 +383,12 @@ def solve_exact(
     incumbent found at a given value is kept.  A child's stamps are its
     parent's, relaxed from the head of its new order constraint.
 
-    The first incumbent is the least solution of the same system under the
-    crossing orders of the best-of-three dispatch schedule, when that
-    schedule is complete and meets every hard deadline, so the returned
-    schedule is always componentwise-minimal for its orders.  Once there is
-    an incumbent, a node is also pruned when its bound reaches it.  Bounds
-    and incumbents are exact ints, float weights scaled as
+    The first incumbent is the best-of-three dispatch schedule, when it is
+    complete and meets every hard deadline and the horizon.  It is the
+    least solution under its own crossing orders (see _warm_start), so the
+    returned schedule is always componentwise-minimal for its orders.  Once
+    there is an incumbent, a node is also pruned when its bound reaches it.
+    Bounds and incumbents are exact ints, float weights scaled as
     scaled_tardy_weights does, and compared with no tolerance; the
     objective and lower bound are divided back once, after the search.
 
@@ -423,7 +419,7 @@ def solve_exact(
 
     best_obj: float | None = None
     best_dist: Sequence[float] | None = None
-    warm = _warm_start(dcs, table)
+    warm = _warm_start(dcs)
     if warm is not None:
         best_dist, best_obj = warm, bound(warm, None, ())
 

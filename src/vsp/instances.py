@@ -16,8 +16,7 @@ import functools
 import json
 import math
 import random
-from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from operator import itemgetter, mul
 from pathlib import Path
@@ -418,7 +417,7 @@ def instance_from_dict(data: dict) -> Instance:
         scale = _tick(data.get("ticks_per_unit", 1))
         if not is_tick(scale) or scale != 1:
             raise FormatError("ticks_per_unit other than 1 is not supported")
-        instance = Instance(
+        return Instance(
             graph=graph,
             walks=walks,
             request_times=_ticks(data["rho"], "rho"),
@@ -431,25 +430,8 @@ def instance_from_dict(data: dict) -> Instance:
             weights=None if weights is None else _list(weights, "weights"),
             separation=_tick(data.get("separation", 0)),
         )
-        if "separation" not in data:
-            instance = _uniform_if_full_list(instance)
-        return instance
     except (ValueError, TypeError, KeyError) as exc:
         raise FormatError(f"invalid instance: {exc}") from exc
-
-
-def _uniform_if_full_list(instance: Instance) -> Instance:
-    """Read a list giving one gap to every same-vertex pair of distinct
-    vehicles, the format before the uniform gap rule, as that gap.  The
-    constructor rejects other keys and duplicates, so counts decide."""
-    gaps = set(instance.separations.values())
-    pairs = 0
-    for steps in instance.visits.values():  # all pairs minus same-vehicle ones
-        per_vehicle = Counter(j for j, _ in steps)
-        pairs += (len(steps) ** 2 - sum(c * c for c in per_vehicle.values())) // 2
-    if len(gaps) != 1 or pairs != len(instance.separations):
-        return instance
-    return replace(instance, separations={}, separation=gaps.pop())
 
 
 def write_instance(instance: Instance, path: str | Path) -> None:

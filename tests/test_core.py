@@ -23,7 +23,6 @@ from vsp import (
     conflict_pairs,
     evaluate,
     generate_grid_instance,
-    min_free_trip_time,
     reduce_jsp_to_vsp,
     run_dispatch,
     tardy_flags,
@@ -119,7 +118,7 @@ def test_single_vertex_graph_and_walk():
         soft_deadlines=(INF,),
         hard_deadlines=(INF,),
     )
-    assert min_free_trip_time(inst, 0) == 0
+    assert inst.remaining_minima[0][0] == 0
 
 
 def test_walk_link_length_mismatch():
@@ -439,7 +438,7 @@ def test_chain_check_reaches_the_last_link_of_the_last_walk():
 def test_separation_reported_once_per_pair():
     inst = merge_instance()
     report = validate_schedule(inst, Schedule(((0, 50), (3, 53))))
-    seps = report.by_kind(ConstraintKind.SEPARATION)
+    seps = [v for v in report.violations if v.kind is ConstraintKind.SEPARATION]
     assert len(seps) == 1
     assert abs(50 - 53) == 3 < 5
     assert seps[0].vehicles == (0, 1)
@@ -495,7 +494,8 @@ def test_separation_matches_brute_force_pair_walk():
     in the same order, whatever the separation rule."""
     checked = max_gap_zero = 0
     for inst, schedule in separation_cases():
-        found = validate_schedule(inst, schedule).by_kind(ConstraintKind.SEPARATION)
+        report = validate_schedule(inst, schedule)
+        found = [v for v in report.violations if v.kind is ConstraintKind.SEPARATION]
         assert found == brute_force_separation_violations(inst, schedule)
         checked += len(found)
         max_gap_zero += inst.max_gap == 0
@@ -699,12 +699,9 @@ def test_completion_and_makespan_kinds():
     assert evaluate(inst, sched, ObjectiveKind.TOTAL_WEIGHTED_COMPLETION) == 160
 
 
-def test_min_free_trip_time():
-    assert min_free_trip_time(chain_instance(), 0) == 100
-    path5 = chain_instance(n_links=4)
-    assert min_free_trip_time(path5, 0) == 200
-    with pytest.raises(ValueError):
-        min_free_trip_time(path5, 3)
+def test_remaining_minima_start_at_the_free_trip_time():
+    assert chain_instance().remaining_minima[0] == (100, 50, 0)
+    assert chain_instance(n_links=4).remaining_minima[0][0] == 200
 
 
 def test_tardy_count_matches_per_vehicle_flags():

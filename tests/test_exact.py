@@ -305,6 +305,32 @@ def test_every_mode_failing_leaves_no_warm_start():
     assert result.schedule.times == ((0, 50), (5, 55))
 
 
+def test_best_of_three_past_the_horizon_leaves_no_warm_start():
+    # Best-of-three on (10, 0) is complete, meets every hard deadline and
+    # ends at 305.  Under a horizon of 305 it is the warm start; under 304
+    # there is none, though the search finds a schedule that ends in time.
+    config = ExperimentConfig(n_vehicles=10, soft_deadline_ratios=(1.0,))
+    inst = generate_grid_instance(config, 1.0, 0)
+    best = deadline_and_proximity(inst)
+    assert best.complete and not best.hard_violations
+    assert max(row[-1] for row in best.times) == 305
+    stamps = (0, *itertools.chain.from_iterable(best.times))
+    assert vsp.exact._warm_start(DifferenceConstraintSystem(inst, horizon=305)) == stamps
+    assert vsp.exact._warm_start(DifferenceConstraintSystem(inst, horizon=304)) is None
+
+    result = solve(inst, horizon=304)
+    assert (result.status, result.objective, result.node_count, result.lower_bound) == (
+        SolveStatus.OPTIMAL, 4, 13, 4
+    )
+    assert max(row[-1] for row in result.schedule.times) <= 304
+    assert validate_schedule(inst, result.schedule).passes()
+    # A zero budget has no incumbent to return.
+    zero = solve(inst, horizon=304, time_limit=0.0)
+    assert (zero.status, zero.schedule, zero.lower_bound) == (
+        SolveStatus.BUDGET_EXHAUSTED, None, 3
+    )
+
+
 def test_root_without_clash_is_a_leaf(monkeypatch):
     # Vehicle 1 reaches C ten ticks after vehicle 0, twice the gap, so the
     # root's least stamps keep every gap; vehicle 0 is late at 50.

@@ -21,7 +21,6 @@ from vsp import (
     conflict_pairs,
     deadline_and_proximity,
     generate_grid_instance,
-    min_free_trip_time,
     read_instance,
     read_jsp,
     read_schedule,
@@ -206,7 +205,7 @@ def test_generated_instance_shape_and_deadlines():
     assert inst.request_times == (0,) * 10
     assert inst.objective is ObjectiveKind.TARDY_COUNT
     for j, walk in enumerate(inst.walks):
-        free = min_free_trip_time(inst, j)
+        free = inst.remaining_minima[j][0]
         assert inst.soft_deadlines[j] == round(1.5 * free)
         assert inst.hard_deadlines[j] == round(2.2 * free)
         # Walks on the grid are genuine shortest paths: vertex count is the
@@ -542,8 +541,9 @@ def test_ticks_per_unit_only_as_legacy_one():
 
 def test_legacy_full_list_file_reads_as_regenerated(tmp_path):
     """A file written with every same-vertex pair listed and a tick scale
-    (the format before the uniform gap rule) gives the same gaps and the
-    same dispatch as the instance regenerated from its seed."""
+    (the format before the uniform gap rule) reads as overrides that give
+    the same gaps and the same dispatch as the instance regenerated from
+    its seed."""
     legacy_path = DATA / "legacy_grid.json"
     raw = json.loads(legacy_path.read_text())
     assert raw["ticks_per_unit"] == 1 and "separation" not in raw
@@ -555,8 +555,7 @@ def test_legacy_full_list_file_reads_as_regenerated(tmp_path):
     assert legacy.walks == fresh.walks
     assert legacy.soft_deadlines == fresh.soft_deadlines
     assert legacy.hard_deadlines == fresh.hard_deadlines
-    assert legacy.separations == {}
-    assert legacy.separation == 5
+    assert len(legacy.separations) == len(raw["separations"]) > 0
     stamps = [(j, i) for j, w in enumerate(fresh.walks) for i in range(len(w))]
     for a in stamps:
         for b in stamps:
@@ -568,8 +567,8 @@ def test_legacy_full_list_file_reads_as_regenerated(tmp_path):
 
 
 def test_partial_legacy_list_keeps_its_overrides():
-    """Only a list that gives one gap to every same-vertex pair reads as a
-    uniform gap; a list missing a pair or mixing gaps stays as overrides."""
+    """A legacy list missing a pair or mixing gaps reads as overrides over
+    the default gap of 0, as a full one does."""
     raw = json.loads((DATA / "legacy_grid.json").read_text())
     first, *others = raw["separations"]
     missing = dict(raw, separations=others)
